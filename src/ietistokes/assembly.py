@@ -14,12 +14,14 @@ classified as eliminated (Dirichlet), interface (nonzero trace on an
 interface edge or shared vertex) or interior.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bspline import TensorSplineSpace, element_rule
-from .geometry import check_interface_matching, side_param
+from .geometry import DegenerateJacobianError, check_interface_matching, side_param
 
 __all__ = (
     "TaylorHoodPatchSpace",
@@ -164,7 +166,7 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
 
 
 # ---------------------------------------------------------------------------
-# quadrature-ready geometry data
+# batched element quadrature
 
 
 def _geometry_tables(geo, xs, ys):
@@ -197,11 +199,82 @@ def _geometry_tables(geo, xs, ys):
     return pts, jac, det
 
 
-def _pairs(vx, vy):
-    """Combine 1d basis tables into 2d local tables, x index fastest."""
-    nq1, n1 = vx.shape
-    nq2, n2 = vy.shape
-    return np.einsum("qa,rb->qrba", vx, vy).reshape(nq1 * nq2, n1 * n2)
+def _per_element(grid_values, nelx, nely, nq):
+    """(nelx*nq, nely*nq, ...) tensor-grid values as (nel, nq*nq, ...).
+
+    Elements run y-major (x element index fastest) and the quadrature points
+    of an element x-major.
+    """
+    rest = grid_values.shape[2:]
+    v = grid_values.reshape((nelx, nq, nely, nq) + rest)
+    v = v.transpose((2, 0, 1, 3) + tuple(range(4, 4 + len(rest))))
+    return v.reshape((nely * nelx, nq * nq) + rest)
+
+
+def _tensor_table(tx, ty):
+    """(nel, nq*nq, nloc) products of 1d element tables (nelx/nely, nq, n1d).
+
+    Elements and quadrature points are ordered as in _per_element; local
+    functions run y-major (x index fastest, like the tensor space numbering).
+    """
+    nelx, nq, nx = tx.shape
+    nely, _, ny = ty.shape
+    return np.einsum("xib,yjc->yxijcb", tx, ty).reshape(nely * nelx, nq * nq, ny * nx)
+
+
+def _element_tables(geo, ths, nq):
+    """Quadrature tables of one patch, batched over all elements.
+
+    Uses nq Gauss points per direction per element. Returns a namespace with
+    wdet (nel, Q): weights times det(jac); pts (nel, Q, 2): physical points;
+    Nv, gu, gv (nel, Q, nlv): velocity basis values and their parametric
+    derivatives; jinv (nel, Q, 2, 2): inverse Jacobians, so that the
+    physical gradient of function l is gu[..., l] jinv[0] + gv[..., l] jinv[1];
+    Np (nel, Q, nlp): pressure basis values; ids_v (nel, nlv) and ids_p
+    (nel, nlp): scalar dof ids of the local functions. Raises
+    DegenerateJacobianError when det(jac) is not positive at some quadrature
+    point.
+    """
+    vel, pre = ths.vel, ths.pre
+    qx, wx = element_rule(vel.space_x.breakpoints, nq)
+    qy, wy = element_rule(vel.space_y.breakpoints, nq)
+    fvx, tvx = vel.space_x.tabulate(qx)
+    fvy, tvy = vel.space_y.tabulate(qy)
+    fpx, tpx = pre.space_x.tabulate(qx)
+    fpy, tpy = pre.space_y.tabulate(qy)
+
+    nelx, nely = qx.shape[0], qy.shape[0]
+    pts, jac, det = (_per_element(a, nelx, nely, nq)
+                     for a in _geometry_tables(geo, qx.ravel(), qy.ravel()))
+    if det.min() <= 0.0:
+        raise DegenerateJacobianError("nonpositive Jacobian inside patch")
+    return SimpleNamespace(
+        wdet=_tensor_table(wx[..., None], wy[..., None])[..., 0] * det,
+        pts=pts,
+        Nv=_tensor_table(tvx[0], tvy[0]),
+        gu=_tensor_table(tvx[1], tvy[0]),
+        gv=_tensor_table(tvx[0], tvy[1]),
+        jinv=_inverse_jacobian(jac, det),
+        Np=_tensor_table(tpx[0], tpy[0]),
+        ids_v=_tensor_ids(vel, fvx, fvy),
+        ids_p=_tensor_ids(pre, fpx, fpy),
+    )
+
+
+def _inverse_jacobian(jac, det):
+    """Batched inverse of 2x2 Jacobians, written out as adjugate / det."""
+    jinv = np.stack([np.stack([jac[..., 1, 1], -jac[..., 0, 1]], axis=-1),
+                     np.stack([-jac[..., 1, 0], jac[..., 0, 0]], axis=-1)], axis=-2)
+    jinv /= det[..., None, None]
+    return jinv
+
+
+def _tensor_ids(space, fx, fy):
+    """(nel, nloc) ids of the active functions, ordered like _tensor_table."""
+    ix = fx[:, None] + np.arange(space.space_x.degree + 1)
+    iy = fy[:, None] + np.arange(space.space_y.degree + 1)
+    ids = space.index(ix[None, :, None, :], iy[:, None, :, None])
+    return ids.reshape(len(fy) * len(fx), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +299,8 @@ class PatchStokesSystem:
         nv = ths.vel.dim
         g, i, d = ths.gamma, ths.inner, ths.dirichlet
         Ks = self.Ks.tocsr()
-        Kgg = Ks[g][:, g]
-        Kgi = Ks[g][:, i]
-        Kii = Ks[i][:, i]
+        Kg, Ki = Ks[g], Ks[i]
+        Kgg, Kgi, Kii = Kg[:, g], Kg[:, i], Ki[:, i]
         self.K_gg = sp.block_diag((Kgg, Kgg)).tocsr()
         self.K_gi = sp.block_diag((Kgi, Kgi)).tocsr()
         self.K_ii = sp.block_diag((Kii, Kii)).tocsr()
@@ -238,12 +310,10 @@ class PatchStokesSystem:
         Dc = self.D.tocsc()
         self.D_g = Dc[:, cols_g].tocsr()
         self.D_i = Dc[:, cols_i].tocsr()
-        gd = self.dirichlet_values.ravel()  # component major
-        Kd_g = sp.block_diag((Ks[g][:, d], Ks[g][:, d])).tocsr()
-        Kd_i = sp.block_diag((Ks[i][:, d], Ks[i][:, d])).tocsr()
-        self.f_g = np.concatenate([self.load[c][g] for c in (0, 1)]) - Kd_g @ gd
-        self.f_i = np.concatenate([self.load[c][i] for c in (0, 1)]) - Kd_i @ gd
-        self.h = -(Dc[:, cols_d].tocsr() @ gd)
+        gd = self.dirichlet_values  # (comp, n_dirichlet); blocks are component major
+        self.f_g = (self.load[:, g] - (Kg[:, d] @ gd.T).T).ravel()
+        self.f_i = (self.load[:, i] - (Ki[:, d] @ gd.T).T).ravel()
+        self.h = -(Dc[:, cols_d] @ gd.ravel())
 
     def saddle_matrix(self):
         """Full patch saddle matrix on free dofs, blocks [u_g | u_i | p]."""
@@ -341,95 +411,37 @@ def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None):
     element.
     """
     vel, pre = ths.vel, ths.pre
-    pv, pp = vel.space_x.degree, pre.space_x.degree
-    nq = int(nquad) if nquad else pv + 2
-    zx, zy = vel.space_x.breakpoints, vel.space_y.breakpoints
-    qx, wx = element_rule(zx, nq)
-    qy, wy = element_rule(zy, nq)
-    nelx, nely = qx.shape[0], qy.shape[0]
-
-    fvx, tvx = vel.space_x.tabulate(qx)
-    fvy, tvy = vel.space_y.tabulate(qy)
-    fpx, tpx = pre.space_x.tabulate(qx)
-    fpy, tpy = pre.space_y.tabulate(qy)
-    pts, jac, det = _geometry_tables(geo, qx.ravel(), qy.ravel())
-    if det.min() <= 0.0:
-        from .geometry import DegenerateJacobianError
-
-        raise DegenerateJacobianError("nonpositive Jacobian inside patch")
-
     nv, npre = vel.dim, pre.dim
-    nlv, nlp = (pv + 1) ** 2, (pp + 1) ** 2
-    nel = nelx * nely
-    Ki = np.empty(nel * nlv * nlv, dtype=int)
-    Kj = np.empty_like(Ki)
-    Kv = np.empty(nel * nlv * nlv)
-    Di = np.empty(nel * nlp * nlv * 2, dtype=int)
-    Dj = np.empty_like(Di)
-    Dv = np.empty(nel * nlp * nlv * 2)
-    Mi = np.empty(nel * nlp * nlp, dtype=int)
-    Mj = np.empty_like(Mi)
-    Mv = np.empty(nel * nlp * nlp)
+    t = _element_tables(geo, ths, int(nquad) if nquad else vel.space_x.degree + 2)
+    iv, ip = t.ids_v, t.ids_p
+    grad = t.gu[..., None] * t.jinv[..., None, 0, :]  # physical gradients (e, q, l, a)
+    grad += t.gv[..., None] * t.jinv[..., None, 1, :]
+    # plain einsum (no optimize): every entry is summed in the order a
+    # per-element einsum uses, so the matrices and hence the LU pivoting of
+    # the patch systems do not depend on batching
+    Ke = np.einsum("eq,eqla,eqma->elm", t.wdet, grad, grad)
+    De = np.einsum("eq,eqlc,eqm->ecml", t.wdet, grad, t.Np)
+    Me = np.einsum("eq,eqm,eqn->emn", t.wdet, t.Np, t.Np)
+    cols_d = np.arange(2)[None, :, None] * nv + iv[:, None, :]  # (nel, comp, nlv)
+    Ks = _coo(Ke, iv[:, :, None], iv[:, None, :], (nv, nv))
+    D = _coo(De, ip[:, None, :, None], cols_d[:, :, None, :], (npre, 2 * nv))
+    Mp = _coo(Me, ip[:, :, None], ip[:, None, :], (npre, npre))
     load = np.zeros((2, nv))
-    area = 0.0
-
-    iv = np.arange(pv + 1)
-    ip = np.arange(pp + 1)
-    kpos = dpos = mpos = 0
-    for ey in range(nely):
-        sy = slice(ey * nq, (ey + 1) * nq)
-        for ex in range(nelx):
-            sx = slice(ex * nq, (ex + 1) * nq)
-            det_e = det[sx, sy].ravel()
-            wdet = np.outer(wx[ex], wy[ey]).ravel() * det_e
-            area += wdet.sum()
-            j_e = jac[sx, sy].reshape(-1, 2, 2)
-            jinv = np.empty_like(j_e)
-            jinv[:, 0, 0] = j_e[:, 1, 1]
-            jinv[:, 0, 1] = -j_e[:, 0, 1]
-            jinv[:, 1, 0] = -j_e[:, 1, 0]
-            jinv[:, 1, 1] = j_e[:, 0, 0]
-            jinv /= det_e[:, None, None]
-
-            Nv = _pairs(tvx[0, ex], tvy[0, ey])
-            gpar = np.stack(
-                [_pairs(tvx[1, ex], tvy[0, ey]), _pairs(tvx[0, ex], tvy[1, ey])], axis=-1
-            )
-            gphys = np.einsum("qlb,qba->qla", gpar, jinv)
-            Np = _pairs(tpx[0, ex], tpy[0, ey])
-
-            ids_v = (vel.index(fvx[ex] + iv[None, :], (fvy[ey] + iv[:, None]))).ravel()
-            ids_p = (pre.index(fpx[ex] + ip[None, :], (fpy[ey] + ip[:, None]))).ravel()
-
-            Ke = np.einsum("q,qla,qma->lm", wdet, gphys, gphys)
-            Ki[kpos : kpos + nlv * nlv] = np.repeat(ids_v, nlv)
-            Kj[kpos : kpos + nlv * nlv] = np.tile(ids_v, nlv)
-            Kv[kpos : kpos + nlv * nlv] = Ke.ravel()
-            kpos += nlv * nlv
-
-            for c in (0, 1):
-                De = np.einsum("q,ql,qm->ml", wdet, gphys[:, :, c], Np)
-                Di[dpos : dpos + nlp * nlv] = np.repeat(ids_p, nlv)
-                Dj[dpos : dpos + nlp * nlv] = np.tile(c * nv + ids_v, nlp)
-                Dv[dpos : dpos + nlp * nlv] = De.ravel()
-                dpos += nlp * nlv
-
-            Me = np.einsum("q,qm,qn->mn", wdet, Np, Np)
-            Mi[mpos : mpos + nlp * nlp] = np.repeat(ids_p, nlp)
-            Mj[mpos : mpos + nlp * nlp] = np.tile(ids_p, nlp)
-            Mv[mpos : mpos + nlp * nlp] = Me.ravel()
-            mpos += nlp * nlp
-
-            if rhs is not None:
-                fvals = np.asarray(rhs(pts[sx, sy].reshape(-1, 2)), dtype=float)
-                for c in (0, 1):
-                    np.add.at(load[c], ids_v, Nv.T @ (wdet * fvals[:, c]))
-
-    Ks = sp.coo_matrix((Kv, (Ki, Kj)), shape=(nv, nv)).tocsr()
-    D = sp.coo_matrix((Dv, (Di, Dj)), shape=(npre, 2 * nv)).tocsr()
-    Mp = sp.coo_matrix((Mv, (Mi, Mj)), shape=(npre, npre)).tocsr()
+    if rhs is not None:
+        wf = t.wdet[..., None] * np.asarray(rhs(t.pts), dtype=float)
+        for c in (0, 1):
+            loc = t.Nv.transpose(0, 2, 1) @ wf[..., c, None]  # (nel, nlv, 1)
+            load[c] = np.bincount(iv.ravel(), weights=loc.ravel(), minlength=nv)
     gdir = _dirichlet_values(geo, ths, dirichlet)
-    return PatchStokesSystem(ths, Ks, D, Mp, load, float(area), gdir)
+    area = float(sum(t.wdet.sum(axis=1)))  # summed element by element
+    return PatchStokesSystem(ths, Ks, D, Mp, load, area, gdir)
+
+
+def _coo(vals, rows, cols, shape):
+    """CSR matrix summing vals at (rows, cols), all broadcast to vals.shape."""
+    rows = np.broadcast_to(rows, vals.shape)
+    cols = np.broadcast_to(cols, vals.shape)
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -710,60 +722,21 @@ def patch_errors(geo, ths, u, p, exact_u=None, exact_grad_u=None, exact_p=None, 
     difference, of its square, and the area) so the caller can adjust for the
     mean across patches.
     """
-    vel, pre = ths.vel, ths.pre
-    pv = vel.space_x.degree
-    nq = int(nquad) if nquad else pv + 3
-    qx, wx = element_rule(vel.space_x.breakpoints, nq)
-    qy, wy = element_rule(vel.space_y.breakpoints, nq)
-    fvx, tvx = vel.space_x.tabulate(qx)
-    fvy, tvy = vel.space_y.tabulate(qy)
-    fpx, tpx = pre.space_x.tabulate(qx)
-    fpy, tpy = pre.space_y.tabulate(qy)
-    pts, jac, det = _geometry_tables(geo, qx.ravel(), qy.ravel())
-
-    h1 = l2 = 0.0
-    pdiff = pdiff2 = area = 0.0
-    iv = np.arange(pv + 1)
-    ip = np.arange(pre.space_x.degree + 1)
-    for ey in range(qy.shape[0]):
-        sy = slice(ey * nq, (ey + 1) * nq)
-        for ex in range(qx.shape[0]):
-            sx = slice(ex * nq, (ex + 1) * nq)
-            det_e = det[sx, sy].ravel()
-            wdet = np.outer(wx[ex], wy[ey]).ravel() * det_e
-            j_e = jac[sx, sy].reshape(-1, 2, 2)
-            jinv = np.empty_like(j_e)
-            jinv[:, 0, 0] = j_e[:, 1, 1]
-            jinv[:, 0, 1] = -j_e[:, 0, 1]
-            jinv[:, 1, 0] = -j_e[:, 1, 0]
-            jinv[:, 1, 1] = j_e[:, 0, 0]
-            jinv /= det_e[:, None, None]
-            P = pts[sx, sy].reshape(-1, 2)
-            area += wdet.sum()
-
-            Nv = _pairs(tvx[0, ex], tvy[0, ey])
-            gpar = np.stack(
-                [_pairs(tvx[1, ex], tvy[0, ey]), _pairs(tvx[0, ex], tvy[1, ey])], axis=-1
-            )
-            gphys = np.einsum("qlb,qba->qla", gpar, jinv)
-            ids_v = (vel.index(fvx[ex] + iv[None, :], (fvy[ey] + iv[:, None]))).ravel()
-            uh = np.stack([Nv @ u[c, ids_v] for c in (0, 1)], axis=-1)
-            guh = np.stack(
-                [np.einsum("qla,l->qa", gphys, u[c, ids_v]) for c in (0, 1)], axis=1
-            )  # (Q, comp, dx)
-            ue = exact_u(P) if exact_u is not None else 0.0
-            ge = exact_grad_u(P) if exact_grad_u is not None else 0.0
-            l2 += wdet @ np.sum((uh - ue) ** 2, axis=-1)
-            h1 += wdet @ np.sum((guh - ge) ** 2, axis=(-2, -1))
-
-            if p is not None:
-                Np = _pairs(tpx[0, ex], tpy[0, ey])
-                ids_p = (pre.index(fpx[ex] + ip[None, :], (fpy[ey] + ip[:, None]))).ravel()
-                ph = Np @ p[ids_p]
-                pe = exact_p(P) if exact_p is not None else 0.0
-                d = ph - pe
-                pdiff += wdet @ d
-                pdiff2 += wdet @ d**2
+    t = _element_tables(geo, ths, int(nquad) if nquad else ths.vel.space_x.degree + 3)
+    uloc = u.T[t.ids_v]  # (nel, nlv, comp)
+    uh = t.Nv @ uloc
+    guh = np.stack([t.gu @ uloc, t.gv @ uloc], axis=-1) @ t.jinv  # (e, q, comp, d/dx)
+    ue = exact_u(t.pts) if exact_u is not None else 0.0
+    ge = exact_grad_u(t.pts) if exact_grad_u is not None else 0.0
+    l2 = np.sum(t.wdet * np.sum((uh - ue) ** 2, axis=-1))
+    h1 = np.sum(t.wdet * np.sum((guh - ge) ** 2, axis=(-2, -1)))
+    pdiff = pdiff2 = 0.0
+    if p is not None:
+        ph = np.einsum("eqm,em->eq", t.Np, p[t.ids_p])
+        d = ph - (exact_p(t.pts) if exact_p is not None else 0.0)
+        pdiff = np.sum(t.wdet * d)
+        pdiff2 = np.sum(t.wdet * d**2)
+    area = t.wdet.sum()
     return {
         "h1_u_sq": float(h1),
         "l2_u_sq": float(l2),

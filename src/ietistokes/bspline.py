@@ -4,9 +4,12 @@ Spaces are described by strictly increasing breakpoints in [0, 1], a degree p
 and a smoothness 0 <= s <= p-1. The open knot vector repeats the end
 breakpoints p+1 times and every interior breakpoint p-s times, so the space
 has dimension (p+1) + (#interior breakpoints) * (p-s) and is C^s across the
-breakpoints. Evaluation uses the Cox-de Boor recursion and is
+breakpoints. Evaluation uses the Cox-de Boor recursion, vectorised over
+arrays of points (one span search and one recursion for all of them), and is
 right-continuous, except at x = 1 where the left limit is taken.
 """
+
+import functools
 
 import numpy as np
 
@@ -56,32 +59,36 @@ def make_open_knots(breakpoints, degree, smoothness):
 def find_span(knots, degree, x):
     """Index i with knots[i] <= x < knots[i+1], clamped to nonempty spans.
 
-    For x at (or beyond) the right end the last nonempty span is returned, so
-    evaluation there is the left limit.
+    x may be a scalar (an int is returned) or an array (an int array of the
+    same shape). For x at (or beyond) the right end the last nonempty span
+    is returned, so evaluation there is the left limit.
     """
     n = len(knots) - degree - 1  # number of basis functions
-    if x >= knots[n]:
-        return n - 1
-    if x <= knots[degree]:
-        return degree
-    return int(np.searchsorted(knots, x, side="right")) - 1
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, n - 1)
+    return int(span) if np.ndim(span) == 0 else span
 
 
 def eval_all_derivatives(knots, degree, x, nders):
     """Values and derivatives of the active basis functions at x.
 
-    Returns (first, ders) where ders[k, j] is the k-th derivative of basis
-    function first+j, for k = 0..nders and j = 0..degree.
+    For a scalar x returns (first, ders) where ders[k, j] is the k-th
+    derivative of basis function first+j, for k = 0..nders and
+    j = 0..degree. For a 1d array of points returns (first, ders) with first
+    of shape (n,) and ders of shape (nders+1, n, degree+1). This is
+    algorithm A2.3 of Piegl & Tiller, The NURBS Book, with the point axis
+    vectorised; only the loops over the degree run in Python.
     """
     p = degree
-    span = find_span(knots, p, x)
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu = np.empty((p + 1, p + 1))
+    knots = np.asarray(knots, dtype=float)
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    span = find_span(knots, p, xs)
+    offs = np.arange(p + 1)[:, None]
+    left = xs - knots[span + 1 - offs]   # left[j] = x - knots[span+1-j]
+    right = knots[span + offs] - xs      # right[j] = knots[span+j] - x
+    ndu = np.empty((p + 1, p + 1, xs.size))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -91,9 +98,9 @@ def eval_all_derivatives(knots, degree, x, nders):
         ndu[j, j] = saved
 
     nd = min(nders, p)
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((nders + 1, p + 1, xs.size))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, xs.size))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -118,6 +125,9 @@ def eval_all_derivatives(knots, degree, x, nders):
     for k in range(1, nd + 1):
         ders[k, :] *= r
         r *= p - k
+    ders = ders.transpose(0, 2, 1)
+    if scalar:
+        return int(span[0]) - p, ders[:, 0]
     return span - p, ders
 
 
@@ -238,11 +248,11 @@ class UnivariateSplineSpace:
 
     def collocation(self, points, der=0):
         """Dense matrix of basis (derivative) values at the given points."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        pts = np.atleast_1d(np.asarray(points, dtype=float)).ravel()
+        first, ders = eval_all_derivatives(self.knots, self.degree, pts, der)
         out = np.zeros((pts.size, self.dim))
-        for r, x in enumerate(pts):
-            first, vals = self.eval_basis(x, der)
-            out[r, first : first + self.degree + 1] = vals
+        cols = first[:, None] + np.arange(self.degree + 1)
+        out[np.arange(pts.size)[:, None], cols] = ders[der]
         return out
 
     def interpolate(self, f):
@@ -265,9 +275,7 @@ class UnivariateSplineSpace:
     def element_span_starts(self):
         """First active basis index on each breakpoint interval."""
         mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
-        return np.array(
-            [find_span(self.knots, self.degree, x) - self.degree for x in mids], dtype=int
-        )
+        return find_span(self.knots, self.degree, mids) - self.degree
 
     def tabulate(self, points, nders=1):
         """Basis table at an (nel, nq) array of points, nq per element.
@@ -280,19 +288,24 @@ class UnivariateSplineSpace:
         if nel != self.nel:
             raise ValueError("one row of points per element expected")
         first = self.element_span_starts()
-        vals = np.empty((nders + 1, nel, nq, self.degree + 1))
-        for e in range(nel):
-            for q in range(nq):
-                f, ders = self.eval_all(pts[e, q], nders)
-                if f != first[e]:
-                    raise ValueError("point %r not in element %d" % (pts[e, q], e))
-                vals[:, e, q, :] = ders
-        return first, vals
+        f, ders = eval_all_derivatives(self.knots, self.degree, pts.ravel(), nders)
+        wrong = np.flatnonzero(f.reshape(nel, nq) != first[:, None])
+        if wrong.size:
+            e, q = divmod(int(wrong[0]), nq)
+            raise ValueError("point %r not in element %d" % (pts[e, q], e))
+        return first, ders.reshape(nders + 1, nel, nq, self.degree + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
 
 
 def gauss_rule_1d(n):
     """n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = _legendre_rule(int(n))
     return 0.5 * (x + 1.0), 0.5 * w
 
 

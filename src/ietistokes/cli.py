@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import InfSupStudy, local_infsup, skeleton_spectra
+from .analysis import InfSupStudy, local_infsup
 from .assembly import (
     assemble_global,
     assemble_patch,
@@ -41,7 +41,6 @@ from .geometry import bilinear_patch
 from .ieti import (
     IetiOperator,
     SingularLocalSystemError,
-    setup_ieti,
     solve_stokes_ieti,
     verify_supmat,
 )
@@ -52,7 +51,6 @@ BENCH_COLUMNS = ("domain", "degree", "level", "iterations", "kappa",
                  "converged", "dofs", "seconds")
 STUDY_COLUMNS = ("domain", "degree", "level", "kappa", "beta", "delta_h",
                  "dofs", "seconds")
-TIMING_COLUMNS = ("seconds",)
 
 
 class ConfigError(ValueError):
@@ -185,6 +183,7 @@ def bench_cell(config, degree, level):
         "iterations": report.iterations,
         "kappa": report.kappa,
         "converged": report.converged,
+        "breakdown": report.breakdown,
         "dofs": dofs,
         "seconds": time.perf_counter() - t0,
     }
@@ -204,8 +203,9 @@ def run_bench(config):
     print(table)
     failed = [r for r in rows if not r["converged"]]
     for r in failed:
-        print("not converged: degree=%d level=%d after %d iterations"
-              % (r["degree"], r["level"], r["iterations"]))
+        print("not converged: degree=%d level=%d after %d iterations%s"
+              % (r["degree"], r["level"], r["iterations"],
+                 "" if r["breakdown"] is None else " (breakdown: %s)" % r["breakdown"]))
     write_csv(config.output, BENCH_COLUMNS, rows)
     return 1 if failed else 0
 
@@ -274,6 +274,8 @@ def run_solve(config):
     print("domain: %s  degree=%d  level=%d" % (config.domain, degree, level))
     print("iterations=%d  kappa=%.3f  converged=%s"
           % (report.iterations, report.kappa, report.converged))
+    if report.breakdown is not None:
+        print("breakdown: %s" % report.breakdown)
     if manufactured:
         h1u, l2u, l2p = total_errors(
             mp, spaces, us, ps, exact_u=manufactured_velocity,
@@ -501,7 +503,11 @@ def parse_config(argv):
             raise ConfigError("%s requires --domain" % command)
         degrees = degrees or [2]
         levels = levels or [2]
-    threads = int(os.environ.get("IETISTOKES_THREADS", args.threads))
+    threads = os.environ.get("IETISTOKES_THREADS", args.threads)
+    try:
+        threads = int(threads)
+    except ValueError:
+        raise ConfigError("IETISTOKES_THREADS must be an integer, got %r" % threads) from None
     return RunConfig(
         command=command,
         domain=domain,

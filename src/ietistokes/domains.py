@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 
-from .bspline import TensorSplineSpace, UnivariateSplineSpace, insert_knot
+from .bspline import TensorSplineSpace, insert_knot
 from .geometry import GeometryMap, bilinear_patch, build_multipatch, load_multipatch
 
 __all__ = (

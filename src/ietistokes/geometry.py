@@ -10,7 +10,7 @@ south/north.
 
 import numpy as np
 
-from .bspline import TensorSplineSpace, UnivariateSplineSpace, element_rule, gauss_rule_1d
+from .bspline import TensorSplineSpace, UnivariateSplineSpace, element_rule
 
 __all__ = (
     "SIDES",
@@ -113,46 +113,30 @@ class GeometryMap:
         = d x_i / d xi_j. With nders=0 only points are computed and jac is
         None.
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         shape = u.shape
-        uu = u.ravel()
-        vv = v.ravel()
         sx, sy = self.space.space_x, self.space.space_y
-        px, py = sx.degree, sy.degree
         hom, w = self._homogeneous()
-        ncomp = 2 if w is None else 3
-        coeffs = np.empty((self.space.dim, ncomp))
-        coeffs[:, :2] = hom
-        if w is not None:
-            coeffs[:, 2] = w
-        net = coeffs.reshape(self.space.ny, self.space.nx, ncomp)
+        coeffs = hom if w is None else np.column_stack([hom, w])
+        net = coeffs.reshape(self.space.ny, self.space.nx, -1)
 
-        pts = np.empty((uu.size, 2))
-        jac = np.empty((uu.size, 2, 2)) if nders else None
-        for k in range(uu.size):
-            fx, dx = sx.eval_all(uu[k], nders)
-            fy, dy = sy.eval_all(vv[k], nders)
-            block = net[fy : fy + py + 1, fx : fx + px + 1, :]
-            s = np.einsum("a,b,bac->c", dx[0], dy[0], block)
-            if nders:
-                su = np.einsum("a,b,bac->c", dx[1], dy[0], block)
-                sv = np.einsum("a,b,bac->c", dx[0], dy[1], block)
-            if w is None:
-                pts[k] = s
-                if nders:
-                    jac[k, :, 0] = su
-                    jac[k, :, 1] = sv
-            else:
-                pts[k] = s[:2] / s[2]
-                if nders:
-                    jac[k, :, 0] = (su[:2] * s[2] - s[:2] * su[2]) / s[2] ** 2
-                    jac[k, :, 1] = (sv[:2] * s[2] - s[:2] * sv[2]) / s[2] ** 2
-        pts = pts.reshape(shape + (2,))
-        if nders:
-            jac = jac.reshape(shape + (2, 2))
-        return pts, jac
+        fx, dx = sx.eval_all(u.ravel(), nders)
+        fy, dy = sy.eval_all(v.ravel(), nders)
+        rows = fy[:, None, None] + np.arange(sy.degree + 1)[None, :, None]
+        cols = fx[:, None, None] + np.arange(sx.degree + 1)[None, None, :]
+        block = net[rows, cols]  # (n, py+1, px+1, ncomp) control block per point
+        s = np.einsum("na,nb,nbac->nc", dx[0], dy[0], block)
+        pts = s if w is None else s[:, :2] / s[:, 2:]
+        if not nders:
+            return pts.reshape(shape + (2,)), None
+        ds = np.stack([np.einsum("na,nb,nbac->nc", dx[1], dy[0], block),
+                       np.einsum("na,nb,nbac->nc", dx[0], dy[1], block)], axis=-1)
+        if w is None:
+            jac = ds
+        else:  # quotient rule
+            wsum = s[:, 2:, None]
+            jac = (ds[:, :2] * wsum - s[:, :2, None] * ds[:, 2:]) / wsum**2
+        return pts.reshape(shape + (2,)), jac.reshape(shape + (2, 2))
 
     def __call__(self, u, v):
         return self.eval(u, v, nders=0)[0]

@@ -70,6 +70,10 @@ class PrimalConstraints:
         for vi, j in enumerate(self.vertices):
             for k, corner in mp.vertices[j].members:
                 vertex_corners[k].append((vi, corner))
+        patch_faces = [[] for _ in range(mp.n_patches)]  # (fi, side, sign), by fi
+        for fi, iface in enumerate(self.interfaces):
+            patch_faces[iface.a].append((fi, iface.side_a, 1.0))
+            patch_faces[iface.b].append((fi, iface.side_b, -1.0))
 
         for k, ths in enumerate(spaces):
             sysk = systems[k]
@@ -78,7 +82,6 @@ class PrimalConstraints:
             p_off = 2 * (n_g + n_i)
             ri, ci, vals = [], [], []
             shifts, globs, signs = [], [], []
-            dirpos = {d: j for j, d in enumerate(ths.dirichlet)}
             nrow = 0
 
             avg = sysk.pressure_average_row()
@@ -101,24 +104,15 @@ class PrimalConstraints:
                     signs.append(1.0)
                     nrow += 1
 
-            for fi, iface in enumerate(self.interfaces):
-                if iface.a == k:
-                    side, sign = iface.side_a, 1.0
-                elif iface.b == k:
-                    side, sign = iface.side_b, -1.0
-                else:
-                    continue
+            for fi, side, sign in patch_faces[k]:
                 dofs, R = edge_flux_matrix(mp.patches[k], ths.vel, side)
-                shift = 0.0
-                for i, dof in enumerate(dofs):
-                    for c in (0, 1):
-                        if dof in dirpos:
-                            shift -= R[i, c] * sysk.dirichlet_values[c, dirpos[dof]]
-                        else:
-                            ri.append(nrow)
-                            ci.append(ths.gamma_pos(c, dof))
-                            vals.append(R[i, c])
-                shifts.append(shift)
+                is_dir = np.isin(dofs, ths.dirichlet)
+                gd = sysk.dirichlet_values[:, np.searchsorted(ths.dirichlet, dofs[is_dir])]
+                free = dofs[~is_dir]
+                ri.extend([nrow] * (2 * len(free)))
+                ci.extend(ths.gamma_pos(c, dof) for dof in free for c in (0, 1))
+                vals.extend(R[~is_dir].ravel().tolist())
+                shifts.append(-float(np.sum(R[is_dir] * gd.T)))
                 globs.append(self.flux_offset + fi)
                 signs.append(sign)
                 nrow += 1
@@ -402,8 +396,15 @@ class ScaledDirichletPreconditioner:
 
 
 class SolveReport:
+    """Outcome of a PCG solve.
+
+    breakdown is None, or why the iteration stopped early: "nonpositive
+    curvature" (p.Fp <= 0, F or the preconditioner is not positive definite)
+    or "non-finite residual". A breakdown always means converged is False.
+    """
+
     def __init__(self, iterations, residuals, converged, eig_min, eig_max, kappa,
-                 timings=None):
+                 timings=None, breakdown=None):
         self.iterations = iterations
         self.residuals = residuals
         self.converged = converged
@@ -411,10 +412,12 @@ class SolveReport:
         self.eig_max = eig_max
         self.kappa = kappa
         self.timings = timings or {}
+        self.breakdown = breakdown
 
     def __repr__(self):
-        return "SolveReport(it=%d, converged=%s, kappa=%.3g)" % (
-            self.iterations, self.converged, self.kappa)
+        extra = "" if self.breakdown is None else ", breakdown=%r" % self.breakdown
+        return "SolveReport(it=%d, converged=%s, kappa=%.3g%s)" % (
+            self.iterations, self.converged, self.kappa, extra)
 
 
 def _lanczos_estimate(alphas, betas):
@@ -440,8 +443,10 @@ def solve_pcg(apply_op, apply_prec, g, tol=1e-6, max_iter=500, seed=42):
     """Preconditioned CG for F lam = g with a random seeded initial guess.
 
     Stops when the Euclidean residual norm drops below tol times the initial
-    one. The condition number estimate comes from the eigenvalues of the
-    Lanczos tridiagonal matrix built from the CG coefficients.
+    one. On a breakdown (p.Fp <= 0 or a non-finite residual) it stops before
+    the bad step, with converged False and the reason in report.breakdown.
+    The condition number estimate comes from the eigenvalues of the Lanczos
+    tridiagonal matrix built from the CG coefficients.
     """
     g = np.asarray(g, dtype=float)
     if not np.any(g):
@@ -451,6 +456,9 @@ def solve_pcg(apply_op, apply_prec, g, tol=1e-6, max_iter=500, seed=42):
     r = g - apply_op(lam)
     r0 = np.linalg.norm(r)
     residuals = [r0]
+    if not np.isfinite(r0):
+        return lam, SolveReport(0, residuals, False, 1.0, 1.0, 1.0,
+                                breakdown="non-finite residual")
     if r0 == 0.0:
         return lam, SolveReport(0, residuals, True, 1.0, 1.0, 1.0)
     z = apply_prec(r)
@@ -458,13 +466,22 @@ def solve_pcg(apply_op, apply_prec, g, tol=1e-6, max_iter=500, seed=42):
     rz = r @ z
     alphas, betas = [], []
     converged = False
+    breakdown = None
     for _ in range(max_iter):
         q = apply_op(p)
-        alpha = rz / (p @ q)
+        pq = p @ q
+        if not pq > 0.0:
+            breakdown = "nonpositive curvature"
+            break
+        alpha = rz / pq
+        r_next = r - alpha * q
+        res = np.linalg.norm(r_next)
+        if not np.isfinite(res):
+            breakdown = "non-finite residual"
+            break
         alphas.append(alpha)
         lam += alpha * p
-        r -= alpha * q
-        res = np.linalg.norm(r)
+        r = r_next
         residuals.append(res)
         if res <= tol * r0:
             converged = True
@@ -476,7 +493,8 @@ def solve_pcg(apply_op, apply_prec, g, tol=1e-6, max_iter=500, seed=42):
         p = z + beta * p
         rz = rz_new
     emin, emax, kappa = _lanczos_estimate(alphas, betas[: len(alphas) - 1])
-    return lam, SolveReport(len(alphas), residuals, converged, emin, emax, kappa)
+    return lam, SolveReport(len(alphas), residuals, converged, emin, emax, kappa,
+                            breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from ietistokes.assembly import (
@@ -12,11 +13,18 @@ from ietistokes.assembly import (
     manufactured_rhs,
     manufactured_velocity,
     manufactured_velocity_gradient,
+    patch_errors,
     taylor_hood_spaces,
     total_errors,
 )
-from ietistokes.domains import build_domain
-from ietistokes.geometry import bilinear_patch, build_multipatch, side_param
+from ietistokes.bspline import element_rule
+from ietistokes.domains import build_domain, quarter_annulus_patch
+from ietistokes.geometry import (
+    DegenerateJacobianError,
+    bilinear_patch,
+    build_multipatch,
+    side_param,
+)
 
 
 def unit_square():
@@ -315,3 +323,63 @@ def test_pressure_average_row():
     assert abs(row @ np.ones(ths.pre.dim) - 1.0) < 1e-12
     # the geometry is rational, so the area carries a small quadrature error
     assert abs(sys.area - np.pi * 3 / 4) < 1e-7
+
+
+def test_assemble_patch_rejects_degenerate_jacobian():
+    # the crossed quad of the geometry tests: det(jac) changes sign inside
+    geo = bilinear_patch((0, 0), (1, 0), (1, 0.5), (0, 0.5))
+    with pytest.raises(DegenerateJacobianError):
+        assemble_patch(geo, build_taylor_hood(geo, 1))
+
+
+def _dense_tables(geo, ths, nq):
+    # reference quadrature data over the whole patch at once: global basis
+    # matrices from collocation, the map from GeometryMap.eval
+    vel, pre = ths.vel, ths.pre
+    qx, wx = element_rule(vel.space_x.breakpoints, nq)
+    qy, wy = element_rule(vel.space_y.breakpoints, nq)
+    u, v = qx.ravel(), qy.ravel()
+    pts, jac = geo.eval(*np.meshgrid(u, v, indexing="ij"))
+    wdet = np.outer(wx.ravel(), wy.ravel()) * np.linalg.det(jac)
+
+    def tensor(space, dx=0, dy=0):
+        bx = space.space_x.collocation(u, der=dx)
+        by = space.space_y.collocation(v, der=dy)
+        return np.einsum("ia,jb->ijba", bx, by).reshape(len(u), len(v), -1)
+
+    gpar = np.stack([tensor(vel, dx=1), tensor(vel, dy=1)], axis=-1)
+    grad = gpar @ np.linalg.inv(jac)
+    return pts, wdet, tensor(vel), grad, tensor(pre)
+
+
+def test_batched_kernel_matches_dense_reference():
+    geo = quarter_annulus_patch()  # rational, degrees (1, 2)
+    ths = build_taylor_hood(geo, 2, refinement=1)
+    sysk = assemble_patch(geo, ths, rhs=manufactured_rhs)
+    pts, wdet, N, grad, P = _dense_tables(geo, ths, ths.vel.space_x.degree + 2)
+    K = np.einsum("ij,ijla,ijma->lm", wdet, grad, grad)
+    D = np.concatenate(
+        [np.einsum("ij,ijm,ijl->ml", wdet, P, grad[..., c]) for c in (0, 1)], axis=1)
+    M = np.einsum("ij,ijm,ijn->mn", wdet, P, P)
+    load = np.einsum("ij,ijl,ijc->cl", wdet, N, manufactured_rhs(pts))
+    for got, ref in ((sysk.Ks, K), (sysk.D, D), (sysk.Mp, M)):
+        assert np.abs(got.toarray() - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.abs(sysk.load - load).max() < 1e-12 * np.abs(load).max()
+    assert abs(sysk.area - wdet.sum()) < 1e-13
+
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((2, ths.vel.dim))
+    p = rng.standard_normal(ths.pre.dim)
+    err = patch_errors(geo, ths, u, p, exact_u=manufactured_velocity,
+                       exact_grad_u=manufactured_velocity_gradient,
+                       exact_p=manufactured_pressure)
+    pts, wdet, N, grad, P = _dense_tables(geo, ths, ths.vel.space_x.degree + 3)
+    du = np.einsum("ijl,cl->ijc", N, u) - manufactured_velocity(pts)
+    dg = np.einsum("ijla,cl->ijca", grad, u) - manufactured_velocity_gradient(pts)
+    dp = P @ p - manufactured_pressure(pts)
+    ref = {"l2_u_sq": np.sum(wdet * np.sum(du**2, axis=-1)),
+           "h1_u_sq": np.sum(wdet * np.sum(dg**2, axis=(-2, -1))),
+           "p_diff": np.sum(wdet * dp), "p_diff_sq": np.sum(wdet * dp**2),
+           "area": wdet.sum()}
+    for key, val in ref.items():
+        assert abs(err[key] - val) < 1e-12 * max(1.0, abs(val)), key

@@ -5,6 +5,7 @@ from ietistokes.bspline import (
     TensorSplineSpace,
     UnivariateSplineSpace,
     element_rule,
+    eval_all_derivatives,
     gauss_rule,
     gauss_rule_1d,
     insert_knot,
@@ -29,6 +30,34 @@ def naive_bspline(knots, degree, i, x):
             knots[i + degree + 1] - knots[i + 1]
         ) * naive_bspline(knots, degree - 1, i + 1, x)
     return left + right
+
+
+def naive_bspline_derivative(knots, degree, i, x, der, left_limit=False):
+    # k-th derivative by the recursive difference formula, down to the
+    # degree-0 indicators; left_limit uses half-open intervals (a, b] so the
+    # value at the right end of the knot vector is the left limit.
+    if der == 0:
+        if degree == 0:
+            lo, hi = knots[i], knots[i + 1]
+            inside = lo < x <= hi if left_limit else lo <= x < hi
+            return 1.0 if inside else 0.0
+        out = 0.0
+        if knots[i + degree] > knots[i]:
+            out += (x - knots[i]) / (knots[i + degree] - knots[i]) * naive_bspline_derivative(
+                knots, degree - 1, i, x, 0, left_limit)
+        if knots[i + degree + 1] > knots[i + 1]:
+            out += (knots[i + degree + 1] - x) / (
+                knots[i + degree + 1] - knots[i + 1]
+            ) * naive_bspline_derivative(knots, degree - 1, i + 1, x, 0, left_limit)
+        return out
+    out = 0.0
+    if knots[i + degree] > knots[i]:
+        out += degree / (knots[i + degree] - knots[i]) * naive_bspline_derivative(
+            knots, degree - 1, i, x, der - 1, left_limit)
+    if knots[i + degree + 1] > knots[i + 1]:
+        out -= degree / (knots[i + degree + 1] - knots[i + 1]) * naive_bspline_derivative(
+            knots, degree - 1, i + 1, x, der - 1, left_limit)
+    return out
 
 
 def eval_spline(space, coeffs, x, der=0):
@@ -75,6 +104,47 @@ def test_values_match_naive_recursion(degree, smoothness):
         dense[first : first + degree + 1] = vals
         naive = np.array([naive_bspline(sp.knots, degree, i, x) for i in range(sp.dim)])
         assert np.abs(dense - naive).max() < 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("continuity", ["C0", "Cmax"])
+def test_batched_evaluation_matches_naive_recursion(degree, continuity):
+    # one call over an array holding the ends, the interior breakpoints and
+    # random points; breakpoints are right limits, x = 1 the left limit
+    smoothness = 0 if continuity == "C0" else degree - 1
+    z = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+    sp = UnivariateSplineSpace(z, degree, smoothness)
+    rng = np.random.default_rng(degree)
+    xs = np.concatenate([z, rng.uniform(0.0, 1.0, 12)])
+    first, ders = eval_all_derivatives(sp.knots, degree, xs, degree)
+    assert first.shape == xs.shape and ders.shape == (degree + 1, xs.size, degree + 1)
+    for der in range(degree + 1):
+        naive = np.array([
+            [naive_bspline_derivative(sp.knots, degree, i, x, der, left_limit=x == 1.0)
+             for i in range(sp.dim)]
+            for x in xs
+        ])
+        scale = max(1.0, np.abs(naive).max())
+        assert np.abs(sp.collocation(xs, der=der) - naive).max() < 1e-11 * scale
+        dense = np.zeros((xs.size, sp.dim))
+        cols = first[:, None] + np.arange(degree + 1)
+        dense[np.arange(xs.size)[:, None], cols] = ders[der]
+        assert np.abs(dense - naive).max() < 1e-11 * scale
+    # the scalar call is the same kernel on one point
+    for j, x in enumerate(xs):
+        f, d = eval_all_derivatives(sp.knots, degree, x, degree)
+        assert f == first[j] and np.array_equal(d, ders[:, j])
+
+
+def test_tabulate_rejects_point_outside_element():
+    sp = UnivariateSplineSpace([0.0, 0.5, 1.0], 2, 1)
+    pts, _ = element_rule(sp.breakpoints, 3)
+    first, vals = sp.tabulate(pts)
+    assert vals.shape == (2, 2, 3, 3)
+    assert list(first) == list(sp.element_span_starts())
+    pts[1, 2] = 0.25  # lies in element 0
+    with pytest.raises(ValueError, match="not in element 1"):
+        sp.tabulate(pts)
 
 
 def test_partition_of_unity():

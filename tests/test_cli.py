@@ -51,6 +51,31 @@ def test_missing_domain_exits_2(capsys):
     assert main(["bench-ieti"]) == 2
 
 
+def test_non_integer_threads_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("IETISTOKES_THREADS", "two")
+    with pytest.raises(ConfigError):
+        parse_config(["study-infsup", "--domain", "grid(1,1)"])
+    assert main(["study-infsup", "--domain", "grid(1,1)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "IETISTOKES_THREADS" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_pcg_breakdown_exits_1(monkeypatch, capsys):
+    import ietistokes.ieti as ieti
+
+    def broken_pcg(apply_op, apply_prec, g, **kwargs):
+        return np.zeros(len(g)), ieti.SolveReport(
+            0, [1.0], False, 1.0, 1.0, 1.0, breakdown="nonpositive curvature")
+
+    monkeypatch.setattr(ieti, "solve_pcg", broken_pcg)
+    args = ["--domain", "grid(2,1)", "--degrees", "1", "--levels", "1"]
+    assert main(["solve"] + args) == 1
+    assert "breakdown: nonpositive curvature" in capsys.readouterr().out
+    assert main(["bench-ieti"] + args) == 1
+    assert "breakdown: nonpositive curvature" in capsys.readouterr().out
+
+
 def test_threads_env_override(monkeypatch):
     monkeypatch.setenv("IETISTOKES_THREADS", "3")
     config = parse_config(["study-infsup", "--domain", "grid(1,1)", "--threads", "1"])

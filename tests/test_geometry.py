@@ -76,6 +76,32 @@ def test_degenerate_jacobian_detected():
         g.check_regular()
 
 
+def test_rational_eval_shapes_match_pointwise():
+    geo = quarter_annulus_patch()
+    rng = np.random.default_rng(4)
+    u = rng.uniform(0.0, 1.0, (3, 4))
+    v = rng.uniform(0.0, 1.0, (3, 4))
+    u[0, 0], v[0, 0], u[2, 3], v[2, 3] = 0.0, 0.0, 1.0, 1.0
+    pts, jac = geo.eval(u, v)
+    assert pts.shape == (3, 4, 2) and jac.shape == (3, 4, 2, 2)
+    for i in range(3):
+        for j in range(4):
+            p1, j1 = geo.eval(u[i, j], v[i, j])
+            assert p1.shape == (2,) and j1.shape == (2, 2)
+            assert np.allclose(pts[i, j], p1, rtol=0.0, atol=1e-14)
+            assert np.allclose(jac[i, j], j1, rtol=0.0, atol=1e-13)
+    # points lie on the annulus; the Jacobian matches central differences
+    assert np.allclose(np.linalg.norm(pts, axis=-1), 1.0 + u, atol=1e-13)
+    h = 1e-6
+    ui, vi = np.clip(u, h, 1 - h), np.clip(v, h, 1 - h)
+    _, jac_i = geo.eval(ui, vi)
+    fd_u = (geo(ui + h, vi) - geo(ui - h, vi)) / (2 * h)
+    fd_v = (geo(ui, vi + h) - geo(ui, vi - h)) / (2 * h)
+    assert np.abs(jac_i - np.stack([fd_u, fd_v], axis=-1)).max() < 1e-7
+    only_pts, none = geo.eval(u, v, nders=0)
+    assert none is None and np.array_equal(only_pts, pts)
+
+
 def test_grid_topology_counts():
     mp = grid_domain(2, 2)
     assert mp.n_patches == 4

@@ -322,6 +322,39 @@ def test_pcg_seed_reproducible():
         assert np.abs(us3[k] - us4[k]).max() < 1e-8
 
 
+def test_pcg_stops_on_nonpositive_curvature():
+    # an indefinite operator: CG must stop at p.Fp <= 0 instead of dividing
+    A = np.diag([2.0, 1.0, -3.0, 0.5])
+    g = np.array([1.0, 1.0, 1.0, 1.0])
+    lam, rep = solve_pcg(lambda x: A @ x, lambda r: r, g, seed=3)
+    assert not rep.converged
+    assert rep.breakdown == "nonpositive curvature"
+    assert np.isfinite(lam).all() and np.isfinite(rep.residuals).all()
+    assert np.isfinite([rep.eig_min, rep.eig_max, rep.kappa]).all()
+    assert len(rep.residuals) == rep.iterations + 1
+    assert "breakdown" in repr(rep)
+
+
+def test_pcg_stops_on_non_finite_residual():
+    A = np.diag([1.0, 2.0, 3.0])
+    calls = []
+
+    def overflowing(x):  # healthy for the initial residual and one step
+        calls.append(1)
+        return A @ x if len(calls) < 3 else np.full_like(x, np.inf)
+
+    with np.errstate(invalid="ignore"):  # 0 * inf in the failing step
+        lam, rep = solve_pcg(overflowing, lambda r: r, np.ones(3), tol=1e-12)
+    assert not rep.converged and rep.breakdown == "non-finite residual"
+    assert rep.iterations == 1 and np.isfinite(lam).all()
+    lam, rep = solve_pcg(lambda x: x * np.nan, lambda r: r, np.ones(3))
+    assert not rep.converged and rep.breakdown == "non-finite residual"
+    assert rep.iterations == 0
+    # a healthy operator never reports a breakdown
+    lam, rep = solve_pcg(lambda x: A @ x, lambda r: r, np.ones(3), tol=1e-12)
+    assert rep.converged and rep.breakdown is None
+
+
 def test_solve_report_fields():
     mp, spaces, glob = build_grid_problem(2, 2)
     us, ps, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
