@@ -16,14 +16,12 @@ import numpy as np
 __all__ = (
     "UnivariateSplineSpace",
     "TensorSplineSpace",
-    "TensorQuadrature",
     "make_open_knots",
     "find_span",
     "eval_all_derivatives",
     "insert_knot",
     "promote_coefficients",
     "gauss_rule_1d",
-    "gauss_rule",
 )
 
 
@@ -316,41 +314,6 @@ def element_rule(breakpoints, n):
     a = z[:-1][:, None]
     h = np.diff(z)[:, None]
     return a + h * x[None, :], h * w[None, :]
-
-
-class TensorQuadrature:
-    """Per-element tensor Gauss rule on the breakpoint mesh of a tensor space."""
-
-    def __init__(self, breakpoints_x, breakpoints_y, n):
-        self.n = int(n)
-        self.xs, self.wx = element_rule(breakpoints_x, n)
-        self.ys, self.wy = element_rule(breakpoints_y, n)
-
-    @property
-    def nel(self):
-        return self.xs.shape[0] * self.ys.shape[0]
-
-
-def gauss_rule(*spaces):
-    """Tensor rule with max(degree) + 2 points per direction.
-
-    All spaces must share breakpoints; the rule is exact for every entry of
-    the mixed forms on polynomial geometry.
-    """
-    if not spaces:
-        raise ValueError("need at least one space")
-    degs = []
-    for sp in spaces:
-        degs += [sp.space_x.degree, sp.space_y.degree]
-    zx = spaces[0].space_x.breakpoints
-    zy = spaces[0].space_y.breakpoints
-    for sp in spaces[1:]:
-        if not (
-            np.array_equal(sp.space_x.breakpoints, zx)
-            and np.array_equal(sp.space_y.breakpoints, zy)
-        ):
-            raise ValueError("spaces must share breakpoints")
-    return TensorQuadrature(zx, zy, max(degs) + 2)
 
 
 class TensorSplineSpace:

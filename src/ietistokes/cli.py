@@ -37,7 +37,7 @@ from .assembly import (
 )
 from .domains import load_domain as _load_domain
 from .domains import parse_domain, quarter_annulus_patch
-from .geometry import bilinear_patch
+from .geometry import DegenerateJacobianError, TopologyError, bilinear_patch
 from .ieti import (
     IetiOperator,
     SingularLocalSystemError,
@@ -543,7 +543,8 @@ def main(argv=None):
         return 2
     try:
         return COMMANDS[config.command](config)
-    except (ConfigError, ValueError, OSError, SingularLocalSystemError) as exc:
+    except (ConfigError, ValueError, OSError, SingularLocalSystemError,
+            TopologyError, DegenerateJacobianError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -1,11 +1,17 @@
 """Geometry maps and multi-patch topology.
 
 A patch is the image of the unit square under a (possibly rational)
-tensor-product spline map. Patches are glued along whole edges; partial edge
-overlaps (T-junctions) are rejected. Sides are named west/east/south/north
-(west: xi1 = 0, east: xi1 = 1, south: xi2 = 0, north: xi2 = 1); the edge
-parameter runs with increasing xi2 on west/east and increasing xi1 on
-south/north.
+tensor-product spline map. Sides are named west/east/south/north (west:
+xi1 = 0, east: xi1 = 1, south: xi2 = 0, north: xi2 = 1); the edge parameter
+runs with increasing xi2 on west/east and increasing xi1 on south/north.
+
+The topology of a multi-patch domain follows from one decision: which patch
+corners are the same vertex. A corner joins the first vertex, in patch
+order, whose first point lies within tol (default: 1e-8 times the median
+patch diameter). A side is the pair of its end vertices, and two sides of
+different patches with the same pair form an interface. Patches are glued
+along whole edges: a vertex inside an unmatched side is a partial edge
+overlap (T-junction) and is rejected.
 """
 
 import numpy as np
@@ -274,12 +280,16 @@ class Vertex:
 class MultiPatch:
     """Patches, interfaces, boundary tags and shared vertices."""
 
-    def __init__(self, patches, interfaces, boundary, vertices, tol):
+    def __init__(self, patches, interfaces, boundary, vertices, tol, diameters=None):
         self.patches = list(patches)
         self.interfaces = list(interfaces)
         self.boundary = dict(boundary)  # (patch, side) -> "dirichlet" | "neumann"
         self.vertices = list(vertices)
         self.tol = float(tol)
+        if diameters is None:
+            diameters = [g.diameter() for g in self.patches]
+        self._diameters = np.array(diameters, dtype=float)
+        self._diameters.flags.writeable = False  # shared by every caller
         self._side_roles = {}
         for iface in self.interfaces:
             self._side_roles[(iface.a, iface.side_a)] = "interface"
@@ -301,7 +311,8 @@ class MultiPatch:
         return [i for i in self.interfaces if k in (i.a, i.b)]
 
     def diameters(self):
-        return np.array([g.diameter() for g in self.patches])
+        """Patch diameters (GeometryMap.diameter), computed once per domain."""
+        return self._diameters
 
     def areas(self, n=6):
         return np.array([g.area(n) for g in self.patches])
@@ -326,103 +337,122 @@ class MultiPatch:
         return [j for j, v in enumerate(self.vertices) if self.vertex_is_dirichlet(v)]
 
 
-def _detect_interfaces(patches, tol):
-    """Match sides by their corner point pairs; flag partial overlaps."""
-    corners = [g.corners() for g in patches]
-    sides = []
+def _cluster_corners(patches, tol):
+    """Cluster the patch corners into vertices.
+
+    This is the one place where points are tested for coincidence. Corners
+    are visited in patch order and in corners() order; a corner joins the
+    first vertex whose first point lies within tol, otherwise it starts a new
+    vertex. Returns the vertices and the map (patch, corner) -> vertex id.
+    """
+    points = np.empty((4 * len(patches), 2))
+    vertices = []
+    ids = {}
     for k, g in enumerate(patches):
+        for corner, pt in g.corners().items():
+            j = len(vertices)
+            near = np.linalg.norm(points[:j] - pt, axis=1) < tol
+            if near.any():
+                j = int(near.argmax())
+                vertices[j].members.append((k, corner))
+            else:
+                points[j] = pt
+                vertices.append(Vertex(pt, [(k, corner)]))
+            ids[(k, corner)] = j
+    return vertices, ids
+
+
+def _match_sides(n_patches, ids):
+    """Interfaces: sides of different patches with the same pair of end vertices.
+
+    The groups keep the order of their first side, so the interfaces come
+    sorted by (a, side_a).
+    """
+    groups = {}
+    for k in range(n_patches):
         for side in SIDES:
-            (c0, c1) = side_corners(side)
-            sides.append((k, side, corners[k][c0], corners[k][c1]))
-
+            ends = tuple(ids[(k, c)] for c in side_corners(side))
+            groups.setdefault(tuple(sorted(ends)), []).append((k, side, ends))
     interfaces = []
-    matched = set()
-    for i in range(len(sides)):
-        k, sk, a0, a1 = sides[i]
-        for j in range(i + 1, len(sides)):
-            l, sl, b0, b1 = sides[j]
-            if l == k:
-                continue
-            aligned = np.linalg.norm(a0 - b0) < tol and np.linalg.norm(a1 - b1) < tol
-            reverse = np.linalg.norm(a0 - b1) < tol and np.linalg.norm(a1 - b0) < tol
-            if not (aligned or reverse):
-                continue
-            if (k, sk) in matched or (l, sl) in matched:
-                raise TopologyError(
-                    "side (%d, %s) or (%d, %s) matches more than one side" % (k, sk, l, sl)
-                )
-            interfaces.append(Interface(k, sk, l, sl, reversed_=not aligned))
-            matched.add((k, sk))
-            matched.add((l, sl))
-    return interfaces, matched
+    for group in groups.values():
+        if len(group) > 2:
+            raise TopologyError(
+                "%d sides share the end vertices %s: %s"
+                % (len(group), group[0][2], ", ".join("%d.%s" % (k, s) for k, s, _ in group))
+            )
+        if len(group) == 2 and group[0][0] != group[1][0]:
+            (a, side_a, ends_a), (b, side_b, ends_b) = group
+            interfaces.append(Interface(a, side_a, b, side_b, reversed_=ends_a != ends_b))
+    return interfaces
 
 
-def _find_partial_overlaps(patches, matched, tol, nsample=17):
-    """Unmatched side pairs whose traces overlap: T-junction violations."""
-    t = np.linspace(0.0, 1.0, nsample)
-    samples = {}
-    boxes = {}
+def _reject_hanging_vertices(patches, vertices, ids, matched, tol):
+    """Raise TopologyError for a vertex lying inside an unmatched side.
+
+    Every partial edge overlap (T-junction) of positive length puts the end
+    vertex of one side inside another, unmatched, side. Candidates are the
+    vertices in the bounding box of the side's control points (with positive
+    weights the side lies in their convex hull); the closest point on the
+    side is found by five Gauss-Newton steps on the edge parameter, started
+    from the nearest of 17 samples.
+    """
+    points = np.array([v.point for v in vertices])
+    t0 = np.linspace(0.0, 1.0, 17)
     for k, g in enumerate(patches):
         for side in SIDES:
             if (k, side) in matched:
                 continue
-            pts = g.side_points(side, t)
-            samples[(k, side)] = pts
-            boxes[(k, side)] = (pts.min(axis=0) - tol, pts.max(axis=0) + tol)
-    keys = sorted(samples.keys())
-    violations = []
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            (k, sk), (l, sl) = keys[i], keys[j]
-            if k == l:
+            ctrl = g.control[g.space.side_dofs(side)]
+            lo, hi = ctrl.min(axis=0) - tol, ctrl.max(axis=0) + tol
+            inside = np.all((points >= lo) & (points <= hi), axis=1)
+            inside[[ids[(k, c)] for c in side_corners(side)]] = False
+            cand = np.flatnonzero(inside)
+            if not cand.size:
                 continue
-            lo1, hi1 = boxes[(k, sk)]
-            lo2, hi2 = boxes[(l, sl)]
-            if (lo1 > hi2).any() or (lo2 > hi1).any():
-                continue
-            p = samples[(k, sk)]
-            q = samples[(l, sl)]
-            d2 = np.sum((p[:, None, :] - q[None, :, :]) ** 2, axis=-1)
-            # interior sample of one side sitting on the other side
-            near = np.sqrt(d2.min(axis=1)) < tol
-            if near[1:-1].any():
-                violations.append((k, sk, l, sl))
-    return violations
+            p = points[cand]
+            samples = g.side_points(side, t0)
+            t = t0[np.argmin(np.sum((p[:, None] - samples[None]) ** 2, axis=-1), axis=1)]
+            col = 1 if side in ("west", "east") else 0
+            for _ in range(5):
+                x, jac = g.eval(*side_param(side, t))
+                tang = jac[:, :, col]
+                step = np.sum((x - p) * tang, axis=1) / np.sum(tang * tang, axis=1)
+                t = np.clip(t - step, 0.0, 1.0)
+            dist = np.linalg.norm(g.side_points(side, t) - p, axis=1)
+            if (dist < tol).any():
+                j = int(cand[np.argmax(dist < tol)])
+                raise TopologyError(
+                    "vertex %d at %s lies inside side %d.%s: partial edge overlap (T-junction)"
+                    % (j, np.round(vertices[j].point, 6), k, side)
+                )
 
 
-def _cluster_vertices(patches, tol):
-    vertices = []
-    for k, g in enumerate(patches):
-        for corner, pt in g.corners().items():
-            for v in vertices:
-                if np.linalg.norm(v.point - pt) < tol:
-                    v.members.append((k, corner))
-                    break
-            else:
-                vertices.append(Vertex(pt, [(k, corner)]))
-    return vertices
+def build_multipatch(patches, boundary="dirichlet", tol=None):
+    """Derive interfaces and vertices from the patch corners; assemble a MultiPatch.
 
-
-def build_multipatch(patches, boundary="dirichlet", tol=None, check=True):
-    """Detect interfaces and vertices and assemble a MultiPatch.
+    The corners are clustered into vertices first: a corner joins the first
+    vertex whose first point lies within tol, in patch order. tol defaults to
+    1e-8 times the median patch diameter. A side is the pair of its end
+    vertices; two sides of different patches with the same pair form an
+    interface, reversed when the pair is swapped, and a pair shared by more
+    than two sides raises TopologyError. So does a vertex lying within tol of
+    the interior of an unmatched side (a T-junction), and a patch whose
+    Jacobian is not positive raises DegenerateJacobianError.
 
     boundary assigns tags to the non-interface sides: a single tag for all of
     them, a dict {(patch, side): tag} of overrides (default "dirichlet"), or a
     callable (patch, side, midpoint) -> tag.
     """
     patches = list(patches)
+    diameters = np.array([g.diameter() for g in patches])
     if tol is None:
-        tol = 1e-8 * float(np.median([g.diameter() for g in patches]))
-    if check:
-        for g in patches:
-            g.check_regular()
-    interfaces, matched = _detect_interfaces(patches, tol)
-    overlaps = _find_partial_overlaps(patches, matched, tol)
-    if overlaps:
-        raise TopologyError(
-            "partial edge overlaps (T-junctions) detected: %s"
-            % ", ".join("%d.%s/%d.%s" % v for v in overlaps)
-        )
+        tol = 1e-8 * float(np.median(diameters))
+    for g in patches:
+        g.check_regular()
+    vertices, ids = _cluster_corners(patches, tol)
+    interfaces = _match_sides(len(patches), ids)
+    matched = {(i.a, i.side_a) for i in interfaces} | {(i.b, i.side_b) for i in interfaces}
+    _reject_hanging_vertices(patches, vertices, ids, matched, tol)
     tags = {}
     for k, g in enumerate(patches):
         for side in SIDES:
@@ -438,8 +468,7 @@ def build_multipatch(patches, boundary="dirichlet", tol=None, check=True):
     for key, tag in tags.items():
         if tag not in ("dirichlet", "neumann"):
             raise ValueError("unknown boundary tag %r for side %s" % (tag, key))
-    vertices = _cluster_vertices(patches, tol)
-    return MultiPatch(patches, interfaces, tags, vertices, tol)
+    return MultiPatch(patches, interfaces, tags, vertices, tol, diameters)
 
 
 class TopologyReport:
@@ -474,12 +503,13 @@ def validate_topology(mp, tol=None, nsample=17):
         if dmin <= 0.0:
             violations.append(("jacobian", k, dmin))
     t = np.linspace(0.0, 1.0, nsample)
+    diameters = mp.diameters()
     for iface in mp.interfaces:
         ga, gb = mp.patches[iface.a], mp.patches[iface.b]
         tb = 1.0 - t if iface.reversed_ else t
         pa = ga.side_points(iface.side_a, t)
         pb = gb.side_points(iface.side_b, tb)
-        scale = max(ga.diameter(), gb.diameter())
+        scale = max(diameters[iface.a], diameters[iface.b])
         gap = float(np.linalg.norm(pa - pb, axis=1).max())
         if gap > 100 * tol * max(scale, 1.0):
             violations.append(("trace", iface.astuple(), gap))
@@ -522,6 +552,7 @@ def check_interface_matching(mp, spaces, tol=1e-10):
     agree at the Greville points of the edge space. Returns a MatchReport.
     """
     problems = []
+    diameters = mp.diameters()
     for iface in mp.interfaces:
         ea = spaces[iface.a].side_space(iface.side_a)
         eb = spaces[iface.b].side_space(iface.side_b)
@@ -536,7 +567,7 @@ def check_interface_matching(mp, spaces, tol=1e-10):
         tb = 1.0 - t if iface.reversed_ else t
         pa = mp.patches[iface.a].side_points(iface.side_a, t)
         pb = mp.patches[iface.b].side_points(iface.side_b, tb)
-        scale = max(mp.patches[iface.a].diameter(), 1.0)
+        scale = max(diameters[iface.a], 1.0)
         gap = float(np.linalg.norm(pa - pb, axis=1).max())
         if gap > 1e-8 * scale:
             problems.append(("trace", iface.astuple(), gap))
@@ -557,7 +588,7 @@ def save_multipatch(mp, path):
         ...
         weights                 # optional, nx*ny lines
         ...
-        interfaces <n>          # optional; re-detected when absent
+        interfaces <n>          # optional; must agree with the derived ones
         <a> <side_a> <b> <side_b> <aligned|reversed>
         boundaries <n>
         <k> <side> <dirichlet|neumann>

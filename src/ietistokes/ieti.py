@@ -283,8 +283,7 @@ class IetiOperator:
             gloc = px.T @ bx + pm.T @ constraints.shifts[k]
             np.add.at(b_pi, G, s * gloc)
             BG = self.Bs[k] @ px[: 2 * ths.n_gamma, :]
-            for j in range(len(G)):
-                B_pi[:, G[j]] += s[j] * BG[:, j]
+            B_pi[:, G] += BG * s  # G has no repeats within a patch
         self.A_pi = A_pi
         self.B_pi = B_pi
         self.b_pi = b_pi

@@ -6,7 +6,6 @@ from ietistokes.bspline import (
     UnivariateSplineSpace,
     element_rule,
     eval_all_derivatives,
-    gauss_rule,
     gauss_rule_1d,
     insert_knot,
     make_open_knots,
@@ -242,14 +241,6 @@ def test_tensor_indexing_and_sides():
     assert list(sp.side_dofs("north")) == [8, 9, 10, 11]
     assert sp.corner_dof(1, 1) == 11
     assert sp.side_space("west") is sp.space_y
-
-
-def test_gauss_rule_from_spaces():
-    vel = TensorSplineSpace.from_breakpoints([0, 0.5, 1], [0, 0.5, 1], 3, 1)
-    pre = TensorSplineSpace.from_breakpoints([0, 0.5, 1], [0, 0.5, 1], 2, 1)
-    rule = gauss_rule(vel, pre)
-    assert rule.n == 5  # max degree 3, plus 2
-    assert rule.xs.shape == (2, 5)
 
 
 def test_validation_errors():

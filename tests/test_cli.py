@@ -47,6 +47,29 @@ def test_invalid_domain_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def write_bilinear_patches(path, quads):
+    lines = ["patches %d" % len(quads)]
+    for k, quad in enumerate(quads):
+        lines += ["patch %d" % k, "degrees 1 1", "breakpoints_x 0 1", "breakpoints_y 0 1",
+                  "controlpoints"] + ["%r %r" % p for p in quad]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("quads, reason", [
+    # the corner (1, 1) of the left patches hangs on the right one
+    ([((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 1), (1, 1), (0, 1.7), (1, 1.7)),
+      ((1, 0), (2, 0), (1, 1.7), (2, 1.7))], "T-junction"),
+    ([((0, 0), (1, 0), (1, 0.5), (0, 0.5))], "degenerate"),  # crossed quad
+], ids=["t_junction", "crossed_quad"])
+def test_bad_geometry_file_exits_2(tmp_path, capsys, quads, reason):
+    path = tmp_path / "bad.mp"
+    write_bilinear_patches(path, quads)
+    assert main(["solve", "--domain", str(path), "--degrees", "1", "--levels", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_domain_exits_2(capsys):
     assert main(["bench-ieti"]) == 2
 

@@ -151,6 +151,73 @@ def test_t_junction_rejected():
         build_multipatch([a, b, c])
 
 
+def square(x0, y0, x1, y1):
+    return bilinear_patch((x0, y0), (x1, y0), (x0, y1), (x1, y1))
+
+
+@pytest.mark.parametrize("h", [0.7, np.sqrt(2.0)])
+def test_t_junction_with_non_dyadic_edge_ratio_rejected(h):
+    # the vertex (1, 1) of a and b lies inside c's west side, at a height no
+    # uniform sample of that side hits
+    a, b, c = square(0, 0, 1, 1), square(0, 1, 1, 1 + h), square(1, 0, 2, 1 + h)
+    with pytest.raises(TopologyError, match="2.west"):
+        build_multipatch([a, b, c])
+
+
+def test_curved_t_junction_rejected():
+    # two inner quarter-annulus rings against one outer ring: the split
+    # vertex at angle 1/3 of the arc hangs on the outer ring's inner arc
+    inner = build_domain("quarter_annulus", r_in=1.0, r_out=1.5, m=1, n=3).patches
+    outer = quarter_annulus_patch(1.5, 2.0)
+    with pytest.raises(TopologyError, match="3.west"):
+        build_multipatch(inner + [outer])
+
+
+def test_side_shared_by_three_patches_rejected():
+    with pytest.raises(TopologyError, match="3 sides"):
+        build_multipatch([unit_square(), unit_square(), square(1, 0, 2, 1)])
+
+
+def test_corner_tolerance_decides_vertices_and_interfaces():
+    tol = 1e-8 * np.sqrt(2.0)  # default: 1e-8 times the median diameter
+    mp = build_multipatch([unit_square(), square(1 + 1e-3 * tol, 0, 2, 1)])
+    assert mp.tol == pytest.approx(tol)
+    assert len(mp.vertices) == 6
+    assert [i.astuple() for i in mp.interfaces] == [(0, "east", 1, "west", False)]
+    mp = build_multipatch([unit_square(), square(1 + 1e3 * tol, 0, 2, 1)])
+    assert len(mp.vertices) == 8
+    assert mp.interfaces == []
+    assert mp.side_role(0, "east") == mp.side_role(1, "west") == "dirichlet"
+
+
+def test_grid_interface_order_and_vertex_members():
+    mp = grid_domain(2, 2)
+    assert [i.astuple() for i in mp.interfaces] == [
+        (0, "east", 1, "west", False),
+        (0, "north", 2, "south", False),
+        (1, "north", 3, "south", False),
+        (2, "east", 3, "west", False),
+    ]
+    assert [(v.point.tolist(), v.members) for v in mp.vertices] == [
+        ([0.0, 0.0], [(0, (0, 0))]),
+        ([1.0, 0.0], [(0, (1, 0)), (1, (0, 0))]),
+        ([0.0, 1.0], [(0, (0, 1)), (2, (0, 0))]),
+        ([1.0, 1.0], [(0, (1, 1)), (1, (0, 1)), (2, (1, 0)), (3, (0, 0))]),
+        ([2.0, 0.0], [(1, (1, 0))]),
+        ([2.0, 1.0], [(1, (1, 1)), (3, (1, 0))]),
+        ([0.0, 2.0], [(2, (0, 1))]),
+        ([1.0, 2.0], [(2, (1, 1)), (3, (0, 1))]),
+        ([2.0, 2.0], [(3, (1, 1))]),
+    ]
+
+
+def test_diameters_computed_once_per_domain():
+    mp = grid_domain(2, 1)
+    d = mp.diameters()
+    assert d is mp.diameters() and not d.flags.writeable
+    assert np.array_equal(d, [g.diameter() for g in mp.patches])
+
+
 def test_quarter_annulus_domain_counts_and_area():
     mp = quarter_annulus_domain(1.0, 2.0, 8, 8)
     assert mp.n_patches == 64
