@@ -20,7 +20,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_global, taylor_hood_spaces
+from .assembly import assemble_global, factorize, taylor_hood_spaces
 from .domains import load_domain
 
 __all__ = (
@@ -74,7 +74,7 @@ def _mean_row(Mp):
 
 
 def _dense_extremes(K, D, Mp):
-    lu = spla.splu(sp.csc_matrix(K))
+    lu = factorize(K, "velocity stiffness")
     T = D @ lu.solve(D.toarray().T)
     T = 0.5 * (T + T.T)
     Z = sla.null_space(_mean_row(Mp)[None, :])
@@ -85,7 +85,7 @@ def _dense_extremes(K, D, Mp):
 
 
 def _iterative_extremes(K, D, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
-    lu = spla.splu(sp.csc_matrix(K))
+    lu = factorize(K, "velocity stiffness")
     n = Mp.shape[0]
     Dc = sp.csr_matrix(D)
 
@@ -111,25 +111,26 @@ def _iterative_extremes(K, D, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
     return out[0], out[1]
 
 
-def pressure_schur_extremes(K, D, Mp, method="auto", dense_limit=DENSE_LIMIT):
+def pressure_schur_extremes(K, D, Mp, method="auto"):
     """Spectrum bounds of the mass-preconditioned pressure Schur complement.
 
     K is the velocity stiffness on the unconstrained dofs (components
     stacked), D the matching divergence block and M_p the pressure mass. The
     constant-pressure direction is removed: dense work restricts to an
     explicit orthogonal complement of M_p 1, the iterative path keeps the
-    LOBPCG block orthogonal to it. A non-converged iterative solve falls
-    back to the dense path when the size permits.
+    LOBPCG block orthogonal to it. "auto" picks the dense path up to
+    DENSE_LIMIT dofs. A non-converged iterative solve falls back to the
+    dense path when the size permits.
     """
     dofs = K.shape[0] + Mp.shape[0]
     if method == "auto":
-        method = "dense" if dofs <= dense_limit else "iterative"
+        method = "dense" if dofs <= DENSE_LIMIT else "iterative"
     if method == "iterative":
         try:
             lmin, lmax = _iterative_extremes(K, D, Mp)
             return SchurSpectrum(lmin, lmax, dofs, "iterative")
         except _NotConverged:
-            if dofs > dense_limit:
+            if dofs > DENSE_LIMIT:
                 raise RuntimeError(
                     "iterative eigensolve did not converge and the problem "
                     "is too large for the dense fallback (%d dofs)" % dofs)
@@ -140,19 +141,19 @@ def pressure_schur_extremes(K, D, Mp, method="auto", dense_limit=DENSE_LIMIT):
     return SchurSpectrum(lmin, lmax, dofs, "dense")
 
 
-def pressure_schur_spectrum(glob, method="auto", dense_limit=DENSE_LIMIT):
+def pressure_schur_spectrum(glob, method="auto"):
     """SchurSpectrum of an assembled global system (Dirichlet eliminated)."""
     Kff, Df, _, _ = glob.free_blocks()
-    return pressure_schur_extremes(Kff, Df, glob.Mp, method, dense_limit)
+    return pressure_schur_extremes(Kff, Df, glob.Mp, method)
 
 
-def pressure_schur_condition(glob, method="auto", dense_limit=DENSE_LIMIT):
+def pressure_schur_condition(glob, method="auto"):
     """kappa = sqrt(lambda_max / lambda_min), the quantity tabulated in the
     inf-sup condition studies."""
-    return pressure_schur_spectrum(glob, method, dense_limit).kappa
+    return pressure_schur_spectrum(glob, method).kappa
 
 
-def local_infsup(system, method="auto", dense_limit=DENSE_LIMIT):
+def local_infsup(system, method="auto"):
     """Inf-sup constant beta_k of a single patch.
 
     The patch system must have Dirichlet conditions on the whole velocity
@@ -161,8 +162,7 @@ def local_infsup(system, method="auto", dense_limit=DENSE_LIMIT):
     """
     if system.ths.n_gamma:
         raise ValueError("local inf-sup needs a fully Dirichlet velocity boundary")
-    spec = pressure_schur_extremes(system.K_ii, system.D_i, system.Mp,
-                                   method, dense_limit)
+    spec = pressure_schur_extremes(system.K_ii, system.D_i, system.Mp, method)
     return spec.beta
 
 
@@ -228,21 +228,19 @@ class InfSupStudy:
     can run on a thread pool.
     """
 
-    def __init__(self, domain, degrees, levels, smoothness=None,
-                 method="auto", dense_limit=DENSE_LIMIT):
+    def __init__(self, domain, degrees, levels, smoothness=None, method="auto"):
         self.domain = domain
         self.degrees = list(degrees)
         self.levels = list(levels)
         self.smoothness = smoothness
         self.method = method
-        self.dense_limit = dense_limit
 
     def run_cell(self, degree, level):
         t0 = time.perf_counter()
         mp = load_domain(self.domain)
         spaces = taylor_hood_spaces(mp, degree, self.smoothness, level)
         glob = assemble_global(mp, spaces)
-        spec = pressure_schur_spectrum(glob, self.method, self.dense_limit)
+        spec = pressure_schur_spectrum(glob, self.method)
         return {
             "domain": self.domain,
             "degree": degree,

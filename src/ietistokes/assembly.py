@@ -24,6 +24,8 @@ from .bspline import TensorSplineSpace, element_rule
 from .geometry import DegenerateJacobianError, check_interface_matching, side_param
 
 __all__ = (
+    "SingularLocalSystemError",
+    "factorize",
     "TaylorHoodPatchSpace",
     "PatchStokesSystem",
     "GlobalStokesSystem",
@@ -42,6 +44,35 @@ __all__ = (
     "manufactured_pressure",
     "manufactured_rhs",
 )
+
+
+# ---------------------------------------------------------------------------
+# the one checked factorization
+
+
+class SingularLocalSystemError(RuntimeError):
+    """A system handed to `factorize` is singular or numerically singular."""
+
+
+def factorize(A, what):
+    """Checked sparse LU of A; every direct solve in the package uses it.
+
+    SuperLU with its default ordering. A zero pivot, or a relative residual
+    above 1e-6 on a seeded random right-hand side, raises
+    SingularLocalSystemError naming `what`: pivoted LU of a singular saddle
+    system can succeed with garbage factors. Returns the SuperLU object.
+    """
+    A = sp.csc_matrix(A)
+    try:
+        lu = spla.splu(A)
+    except RuntimeError as err:
+        raise SingularLocalSystemError("%s is singular: %s" % (what, err))
+    b = np.random.default_rng(7).standard_normal(A.shape[0])
+    rel = np.linalg.norm(A @ lu.solve(b) - b) / np.linalg.norm(b)
+    if not rel <= 1e-6:
+        raise SingularLocalSystemError(
+            "%s is numerically singular (residual %.2e)" % (what, rel))
+    return lu
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +332,7 @@ class PatchStokesSystem:
         Ks = self.Ks.tocsr()
         Kg, Ki = Ks[g], Ks[i]
         Kgg, Kgi, Kii = Kg[:, g], Kg[:, i], Ki[:, i]
+        self.scalar_blocks = (Kgg, Kgi, Kii)  # one velocity component
         self.K_gg = sp.block_diag((Kgg, Kgg)).tocsr()
         self.K_gi = sp.block_diag((Kgi, Kgi)).tocsr()
         self.K_ii = sp.block_diag((Kii, Kii)).tocsr()
@@ -634,7 +666,7 @@ class GlobalStokesSystem:
         else:
             A = sp.bmat([[Kff, Df.T], [Df, None]], format="csc")
             b = np.concatenate([rhs_f, h])
-        x = spla.spsolve(A, b)
+        x = factorize(A, "monolithic Stokes system").solve(b)
         uf = x[:nU].reshape(2, -1)
         p = x[nU : nU + self.n_pressure]
         uglob = self.dir_values.copy()

@@ -1,13 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import ietistokes
 from ietistokes.assembly import (
+    SingularLocalSystemError,
     assemble_global,
     assemble_patch,
     build_taylor_hood,
     divergence_bubble,
     edge_flux_matrix,
+    factorize,
     fortin_correction,
     manufactured_pressure,
     manufactured_rhs,
@@ -231,6 +238,56 @@ def test_neumann_outlet_solvable_without_mean_constraint():
         uglob[:, l2g] = us[k]
     uf = np.concatenate([uglob[c, glob.free] for c in (0, 1)])
     assert np.abs(Df @ uf - h).max() < 1e-9
+
+
+def test_singular_monolithic_solve_raises():
+    # with Dirichlet data on the whole boundary the pressure is fixed only up
+    # to a constant; without the mean row the solve must fail, not return a
+    # shifted pressure
+    mp = build_domain("grid", m=2, n=2)
+    spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
+    glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    with pytest.raises(SingularLocalSystemError, match="monolithic Stokes system"):
+        glob.solve(fix_pressure_mean=False)
+
+
+def test_factorize_matches_plain_splu():
+    sysk = assemble_patch(unit_square(), build_taylor_hood(unit_square(), 2, refinement=2))
+    rng = np.random.default_rng(5)
+    general = sp.random(60, 60, density=0.1, random_state=5, format="csc") + 4 * sp.eye(60)
+    for A in (sysk.K_ii.tocsc(), general.tocsc()):
+        b = rng.standard_normal((A.shape[0], 2))
+        assert np.array_equal(factorize(A, "test").solve(b), spla.splu(A).solve(b))
+
+
+def test_factorize_rejects_singular_matrices():
+    A = (sp.random(30, 30, density=0.2, random_state=1) + 5 * sp.eye(30)).tolil()
+    A[:, 3] = 0.0  # structurally singular: SuperLU meets a zero pivot
+    with pytest.raises(SingularLocalSystemError, match="zero column is singular"):
+        factorize(A, "zero column")
+    # the scalar stiffness of a patch without boundary conditions keeps the
+    # constants in its kernel; only the residual check sees that
+    Ks = assemble_patch(unit_square(), build_taylor_hood(unit_square(), 1, refinement=1)).Ks
+    with pytest.raises(SingularLocalSystemError, match="floating stiffness is numerically"):
+        factorize(Ks, "floating stiffness")
+
+
+def test_direct_solves_only_in_factorize():
+    # every LU in the package goes through the checked factorization
+    src = Path(ietistokes.__file__).parent
+    tree = ast.parse((src / "assembly.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "factorize")
+    inside = range(fn.lineno, fn.end_lineno + 1)
+    calls = ("splu(", "spsolve(", "lu_factor(", "lu_solve(")
+    hits = [
+        (path.name, lineno, call)
+        for path in sorted(src.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for call in calls if call in line
+    ]
+    assert [h for h in hits if not (h[0] == "assembly.py" and h[1] in inside)] == []
+    assert [h[2] for h in hits] == ["splu("]
 
 
 def test_edge_flux_constant_field():

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from ietistokes.assembly import (
     manufactured_velocity,
     taylor_hood_spaces,
 )
+from ietistokes.cli import RunConfig, _suite_algebra
 from ietistokes.domains import build_domain
 from ietistokes.geometry import bilinear_patch, build_multipatch
 from ietistokes.ieti import (
@@ -31,6 +34,15 @@ def build_grid_problem(m, n, degree=1, refinement=1, rhs=manufactured_rhs,
     spaces = taylor_hood_spaces(mp, degree=degree, refinement=refinement)
     glob = assemble_global(mp, spaces, rhs=rhs, dirichlet=dirichlet)
     return mp, spaces, glob
+
+
+@lru_cache(maxsize=None)
+def algebra_checks(degree):
+    """Outcome of each `verify --suite algebra` check on grid(2,2), level 1."""
+    tag = " p=%d l=1" % degree
+    checks = _suite_algebra(RunConfig("verify", "grid(2,2)", [degree], [1]))
+    assert all(name.endswith(tag) for name, _, _ in checks)
+    return {name[: -len(tag)]: ok for name, ok, _ in checks}
 
 
 def test_primal_counts_interior_patch():
@@ -90,14 +102,12 @@ def test_flux_row_with_dirichlet_shift_gives_total_flux():
 def test_primal_basis_structure_affine():
     mp, spaces, glob = build_grid_problem(2, 2)
     op = IetiOperator(mp, spaces, glob.systems)
-    for k, ths in enumerate(spaces):
+    for k in range(len(spaces)):
         C = op.constraints.rows[k].toarray()
         psi = op.psi_x[k]
         assert np.abs(C @ psi - np.eye(C.shape[0])).max() < 1e-10
-        # averaging column: velocity identically zero, pressure constant one
-        nu = 2 * (ths.n_gamma + ths.n_inner)
-        assert np.abs(psi[:nu, 0]).max() < 1e-10
-        assert np.abs(psi[nu:, 0] - 1.0).max() < 1e-10
+    # averaging column: velocity identically zero, pressure constant one
+    assert algebra_checks(1)["averaging basis structure"]
 
 
 def test_jump_operator_shape_and_identity():
@@ -110,35 +120,13 @@ def test_jump_operator_shape_and_identity():
     assert np.abs(Bg @ np.ones(Bg.shape[1])).max() < 1e-14
     assert (abs(Bg) @ np.ones(Bg.shape[1]) == 2).all()
     # B D^-1 B^T B = B with D = 2 I
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = rng.standard_normal(Bg.shape[1])
-        lhs = Bg @ (0.5 * (Bg.T @ (Bg @ v)))
-        assert np.abs(lhs - Bg @ v).max() < 1e-12
+    assert algebra_checks(1)["jump operator projection identity"]
 
 
 def test_jump_representation_and_antisymmetry():
     # w = D^-1 B^T B v carries the inter-patch difference: w_a - w_b = v_a - v_b
     # on every matched non-corner pair, and w_a = -w_b
-    mp, spaces, glob = build_grid_problem(2, 2, degree=2)
-    op = IetiOperator(mp, spaces, glob.systems)
-    rng = np.random.default_rng(4)
-    vs = [rng.standard_normal(2 * t.n_gamma) for t in spaces]
-    jump = np.zeros(op.n_lambda)
-    for k in range(4):
-        jump += op.Bs[k] @ vs[k]
-    ws = [0.5 * (op.Bs[k].T @ jump) for k in range(4)]
-    from ietistokes.assembly import matched_side_dofs
-
-    for iface in op.constraints.interfaces:
-        da, db = matched_side_dofs(mp, spaces, iface)
-        for c in (0, 1):
-            for i in range(1, len(da) - 1):
-                pa = spaces[iface.a].gamma_pos(c, da[i])
-                pb = spaces[iface.b].gamma_pos(c, db[i])
-                diff = vs[iface.a][pa] - vs[iface.b][pb]
-                assert abs((ws[iface.a][pa] - ws[iface.b][pb]) - diff) < 1e-12
-                assert abs(ws[iface.a][pa] + ws[iface.b][pb]) < 1e-12
+    assert algebra_checks(2)["jump carries inter-patch differences"]
 
 
 def test_scaled_jumps_stay_in_constrained_space():
@@ -192,18 +180,9 @@ def test_scaled_jumps_stay_in_constrained_space():
 
 
 def test_F_symmetric_positive_semidefinite():
-    mp, spaces, glob = build_grid_problem(2, 2)
-    op = IetiOperator(mp, spaces, glob.systems)
-    rng = np.random.default_rng(6)
-    scale = 0.0
-    for _ in range(20):
-        l1 = rng.standard_normal(op.n_lambda)
-        l2 = rng.standard_normal(op.n_lambda)
-        f1, f2 = op.apply_F(l1), op.apply_F(l2)
-        scale = max(scale, np.linalg.norm(f1) / np.linalg.norm(l1))
-        s12, s21 = f1 @ l2, l1 @ f2
-        assert abs(s12 - s21) < 1e-10 * max(1.0, abs(s12))
-        assert l1 @ f1 >= -1e-10 * scale * (l1 @ l1)
+    checks = algebra_checks(1)
+    assert checks["dual operator symmetric"]
+    assert checks["dual operator positive semidefinite"]
 
 
 def test_rhs_antisymmetric_under_patch_relabeling():
@@ -379,6 +358,23 @@ def test_preconditioner_spd():
         m1, m2 = pc.apply(l1), pc.apply(l2)
         assert abs(m1 @ l2 - l1 @ m2) < 1e-10 * max(1.0, abs(m1 @ l2))
         assert l1 @ m1 > 0
+
+
+def test_preconditioner_applies_scaled_schur_complements():
+    # M lam = sum_k B_k D^-1 S_K D^-1 B_k^T lam, D = 2 I, with S_K built
+    # densely per velocity component from the scalar patch stiffness
+    mp, spaces, glob = build_grid_problem(3, 3)
+    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
+    lam = np.random.default_rng(13).standard_normal(op.n_lambda)
+    ref = np.zeros(op.n_lambda)
+    for k, ths in enumerate(spaces):
+        Ks = glob.systems[k].Ks.toarray()
+        g, i = ths.gamma, ths.inner
+        S = Ks[np.ix_(g, g)] - Ks[np.ix_(g, i)] @ np.linalg.solve(
+            Ks[np.ix_(i, i)], Ks[np.ix_(i, g)])
+        B = op.Bs[k].toarray()
+        ref += B @ (0.5 * (np.kron(np.eye(2), S) @ (0.5 * (B.T @ lam))))
+    assert np.abs(pc.apply(lam) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_supmat_identities():
