@@ -12,8 +12,18 @@ index major), D the divergence rows (one per pressure basis function) and h
 the lift contribution of inhomogeneous Dirichlet data. Velocity dofs are
 classified as eliminated (Dirichlet), interface (nonzero trace on an
 interface edge or shared vertex) or interior.
+
+The free dofs of a patch are ordered [u_gamma | u_inner | p], each velocity
+block component major; TaylorHoodPatchSpace.pos maps every (component,
+scalar dof) to its position in that order, or to -1 when it is eliminated.
+assemble_patch computes the element matrices of a patch with batched
+matmuls. PatchStokesSystem builds everything else from them when it is
+first asked for: the saddle matrix on the free dofs in one scatter, its
+right-hand side with the Dirichlet lift, the full forms Ks, D, Mp and the
+block views K_gg, K_gi, K_ii, D_g, D_i, scalar_blocks.
 """
 
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,7 +95,8 @@ class TaylorHoodPatchSpace:
     Scalar velocity dofs are classified once; both components share the
     classification. Block ordering of the local system is
     [u_gamma | u_inner | p] with the two components stacked component-major
-    inside each velocity block.
+    inside each velocity block. pos (2, vel.dim) is the position of each
+    (component, scalar dof) in that order, -1 for an eliminated Dirichlet dof.
     """
 
     def __init__(self, geo, degree, smoothness, refinement, side_roles,
@@ -124,8 +135,11 @@ class TaylorHoodPatchSpace:
         self.gamma = np.array(sorted(gamma_set), dtype=int)
         inner = set(range(vel.dim)) - dir_set - gamma_set
         self.inner = np.array(sorted(inner), dtype=int)
-        self._gamma_pos = {d: i for i, d in enumerate(self.gamma)}
-        self._inner_pos = {d: i for i, d in enumerate(self.inner)}
+        ng, ni = len(self.gamma), len(self.inner)
+        self.pos = np.full((2, vel.dim), -1, dtype=int)
+        for c in (0, 1):
+            self.pos[c, self.gamma] = c * ng + np.arange(ng)
+            self.pos[c, self.inner] = 2 * ng + c * ni + np.arange(ni)
 
     @property
     def n_gamma(self):
@@ -144,8 +158,15 @@ class TaylorHoodPatchSpace:
         return 2 * (self.n_gamma + self.n_inner) + self.n_pressure
 
     def gamma_pos(self, comp, scalar):
-        """Position of a velocity dof inside the u_gamma block."""
-        return comp * self.n_gamma + self._gamma_pos[scalar]
+        """Positions of interface velocity dofs inside the u_gamma block.
+
+        comp and scalar broadcast against each other; a dof that is not an
+        interface dof raises KeyError.
+        """
+        pos = self.pos[comp, scalar]
+        if np.any((pos < 0) | (pos >= 2 * self.n_gamma)):
+            raise KeyError("not an interface dof: %r" % (scalar,))
+        return pos
 
     def free_scalar(self):
         return np.concatenate([self.gamma, self.inner])
@@ -313,67 +334,146 @@ def _tensor_ids(space, fx, fy):
 
 
 class PatchStokesSystem:
-    """Assembled Stokes forms and right-hand side of one patch."""
+    """Assembled Stokes forms and right-hand side of one patch.
 
-    def __init__(self, ths, Ks, D, Mp, load, area, dirichlet_values):
+    Holds the element matrices of the patch (see _element_forms), its load
+    and area, and the Dirichlet coefficients. Every assembled form is built
+    from them on first use and then cached:
+
+    - saddle_matrix(): [[K, D^T], [D, 0]] on the free dofs, in the
+      [u_gamma | u_inner | p] order of ths.pos (CSC), scattered once from
+      the element matrices; rhs(): its right-hand side, the load minus the
+      Dirichlet lift through K in the velocity rows and minus the lift
+      through D in the pressure rows, formed element by element;
+    - Ks (scalar stiffness, vel.dim x vel.dim), D (divergence, pre.dim x
+      2*vel.dim, component major) and Mp (pressure mass), over all dofs
+      including the Dirichlet ones;
+    - K_gg, K_gi, K_ii, D_g, D_i (both components) and scalar_blocks (K_gg,
+      K_gi, K_ii of one component), as slices of the saddle matrix.
+
+    The IETI path uses the saddle matrix, its right-hand side and the scalar
+    blocks; the monolithic path only Ks, D and Mp.
+    """
+
+    def __init__(self, ths, elements, dirichlet_values):
         self.ths = ths
-        self.Ks = Ks          # scalar stiffness, vel.dim x vel.dim
-        self.D = D            # divergence, pre.dim x 2*vel.dim (component major)
-        self.Mp = Mp          # pressure mass
-        self.load = load      # 2 x vel.dim component loads
-        self.area = area
+        self._el = elements  # the namespace of _element_forms
+        self.load = elements.load  # 2 x vel.dim component loads
+        self.area = elements.area
         self.dirichlet_values = dirichlet_values  # (2, len(ths.dirichlet))
-        self._split()
-
-    def _split(self):
-        ths = self.ths
-        nv = ths.vel.dim
-        g, i, d = ths.gamma, ths.inner, ths.dirichlet
-        Ks = self.Ks.tocsr()
-        Kg, Ki = Ks[g], Ks[i]
-        Kgg, Kgi, Kii = Kg[:, g], Kg[:, i], Ki[:, i]
-        self.scalar_blocks = (Kgg, Kgi, Kii)  # one velocity component
-        self.K_gg = sp.block_diag((Kgg, Kgg)).tocsr()
-        self.K_gi = sp.block_diag((Kgi, Kgi)).tocsr()
-        self.K_ii = sp.block_diag((Kii, Kii)).tocsr()
-        cols_g = np.concatenate([c * nv + g for c in (0, 1)])
-        cols_i = np.concatenate([c * nv + i for c in (0, 1)])
-        cols_d = np.concatenate([c * nv + d for c in (0, 1)])
-        Dc = self.D.tocsc()
-        self.D_g = Dc[:, cols_g].tocsr()
-        self.D_i = Dc[:, cols_i].tocsr()
-        gd = self.dirichlet_values  # (comp, n_dirichlet); blocks are component major
-        self.f_g = (self.load[:, g] - (Kg[:, d] @ gd.T).T).ravel()
-        self.f_i = (self.load[:, i] - (Ki[:, d] @ gd.T).T).ravel()
-        self.h = -(Dc[:, cols_d] @ gd.ravel())
 
     def saddle_matrix(self):
         """Full patch saddle matrix on free dofs, blocks [u_g | u_i | p]."""
-        return sp.bmat(
-            [
-                [self.K_gg, self.K_gi, self.D_g.T],
-                [self.K_gi.T, self.K_ii, self.D_i.T],
-                [self.D_g, self.D_i, None],
-            ],
-            format="csc",
-        )
+        return self._saddle
 
     def rhs(self):
-        return np.concatenate([self.f_g, self.f_i, self.h])
+        return self._rhs.copy()
 
     def pressure_average_row(self):
         """Row evaluating the patch average of the pressure."""
-        return np.asarray(self.Mp.sum(axis=0)).ravel() / self.area
+        el = self._el
+        mass = np.bincount(el.ip.ravel(), weights=el.Me.sum(axis=1).ravel(),
+                           minlength=self.ths.pre.dim)  # column sums of Mp
+        return mass / self.area
 
-    def expand(self, u_g, u_i, p=None):
+    @cached_property
+    def _saddle(self):
+        ths, el = self.ths, self._el
+        nu = 2 * (ths.n_gamma + ths.n_inner)
+        n = nu + ths.pre.dim
+        # free positions (e, comp, l) of the velocity functions, -1 if
+        # eliminated, and (e, m) of the pressure functions; D^T reuses the
+        # entries of D
+        pv = ths.pos[:, el.iv].transpose(1, 0, 2).astype(np.int32)
+        pp = (nu + el.ip).astype(np.int32)
+        rk, ck, vk = _free_entries(el.Ke[:, None], pv[..., None], pv[:, :, None, :])
+        rd, cd, vd = _free_entries(el.De, pp[:, None, :, None], pv[:, :, None, :])
+        return sp.csc_matrix(
+            (np.concatenate([vk, vd, vd]),
+             (np.concatenate([rk, rd, cd]), np.concatenate([ck, cd, rd]))),
+            shape=(n, n))
+
+    @cached_property
+    def _rhs(self):
+        ths, el = self.ths, self._el
+        nv, npre = ths.vel.dim, ths.pre.dim
+        nu = 2 * (ths.n_gamma + ths.n_inner)
+        g = np.zeros((2, nv))
+        g[:, ths.dirichlet] = self.dirichlet_values
+        gloc = g[:, el.iv].transpose(1, 0, 2)[..., None]  # (e, comp, l, 1)
+        lift_u = (el.Ke[:, None] @ gloc)[..., 0]  # (e, comp, l)
+        lift_p = (el.De @ gloc).sum(axis=1)[..., 0]  # (e, m)
+        fu = self.load - np.stack([
+            np.bincount(el.iv.ravel(), weights=lift_u[:, c].ravel(), minlength=nv)
+            for c in (0, 1)])
+        b = np.empty(nu + npre)
+        free = ths.pos >= 0
+        b[ths.pos[free]] = fu[free]
+        b[nu:] = -np.bincount(el.ip.ravel(), weights=lift_p.ravel(), minlength=npre)
+        return b
+
+    @cached_property
+    def Ks(self):
+        el, nv = self._el, self.ths.vel.dim
+        return _coo(el.Ke, el.iv[:, :, None], el.iv[:, None, :], (nv, nv))
+
+    @cached_property
+    def D(self):
+        el, nv = self._el, self.ths.vel.dim
+        cols = np.arange(2)[None, :, None] * nv + el.iv[:, None, :]  # (nel, comp, nlv)
+        return _coo(el.De, el.ip[:, None, :, None], cols[:, :, None, :],
+                    (self.ths.pre.dim, 2 * nv))
+
+    @cached_property
+    def Mp(self):
+        el, npre = self._el, self.ths.pre.dim
+        return _coo(el.Me, el.ip[:, :, None], el.ip[:, None, :], (npre, npre))
+
+    def _ranges(self):
+        ng, ni = self.ths.n_gamma, self.ths.n_inner
+        return slice(0, 2 * ng), slice(2 * ng, 2 * (ng + ni)), slice(2 * (ng + ni), None)
+
+    @cached_property
+    def K_gg(self):
+        g, _, _ = self._ranges()
+        return self._saddle[g, g]
+
+    @cached_property
+    def K_gi(self):
+        g, i, _ = self._ranges()
+        return self._saddle[g, i]
+
+    @cached_property
+    def K_ii(self):
+        _, i, _ = self._ranges()
+        return self._saddle[i, i]
+
+    @cached_property
+    def D_g(self):
+        g, _, p = self._ranges()
+        return self._saddle[p, g]
+
+    @cached_property
+    def D_i(self):
+        _, i, p = self._ranges()
+        return self._saddle[p, i]
+
+    @cached_property
+    def scalar_blocks(self):
+        """(K_gg, K_gi, K_ii) of one velocity component."""
+        ng, ni = self.ths.n_gamma, self.ths.n_inner
+        g, i = slice(0, ng), slice(2 * ng, 2 * ng + ni)
+        A = self._saddle
+        return A[g, g], A[g, i], A[i, i]
+
+    def expand(self, u_g, u_i):
         """Velocity coefficients (2, nv) from block vectors plus Dirichlet data."""
         ths = self.ths
+        x = np.concatenate([u_g, u_i])
         out = np.zeros((2, ths.vel.dim))
-        ng, ni = ths.n_gamma, ths.n_inner
-        for c in (0, 1):
-            out[c, ths.gamma] = u_g[c * ng : (c + 1) * ng]
-            out[c, ths.inner] = u_i[c * ni : (c + 1) * ni]
-            out[c, ths.dirichlet] = self.dirichlet_values[c]
+        free = ths.pos >= 0
+        out[free] = x[ths.pos[free]]
+        out[:, ths.dirichlet] = self.dirichlet_values
         return out
 
 
@@ -434,39 +534,53 @@ def _dirichlet_values(geo, ths, data):
     return values
 
 
+def _element_forms(geo, ths, nq, rhs):
+    """Element matrices, load and area of one patch, batched over elements.
+
+    Returns a namespace with Ke (nel, nlv, nlv), the scalar stiffness; De
+    (nel, 2, nlp, nlv), the divergence per component; Me (nel, nlp, nlp),
+    the pressure mass; iv (nel, nlv) and ip (nel, nlp), the scalar dof ids
+    of the local functions; load (2, vel.dim) and area. The quadrature
+    tables are dropped on return; assembled systems keep only these arrays.
+    """
+    t = _element_tables(geo, ths, nq)
+    # physical gradients times sqrt(weight * det), laid out (e, l, a, q) so
+    # that one matmul contracts derivative direction and quadrature point
+    sw = np.sqrt(t.wdet)
+    jt = t.jinv.transpose(0, 2, 3, 1) * sw[:, None, None, :]  # (e, b, a, q)
+    grad = t.gu.transpose(0, 2, 1)[:, :, None, :] * jt[:, None, 0]
+    grad += t.gv.transpose(0, 2, 1)[:, :, None, :] * jt[:, None, 1]
+    nel, nlv, _, npts = grad.shape
+    flat = grad.reshape(nel, nlv, 2 * npts)
+    Nw = t.Np.transpose(0, 2, 1) * sw[:, None, :]  # (e, m, q)
+
+    nv = ths.vel.dim
+    load = np.zeros((2, nv))
+    if rhs is not None:
+        wf = t.wdet[..., None] * np.asarray(rhs(t.pts), dtype=float)
+        for c in (0, 1):
+            loc = t.Nv.transpose(0, 2, 1) @ wf[..., c, None]  # (nel, nlv, 1)
+            load[c] = np.bincount(t.ids_v.ravel(), weights=loc.ravel(), minlength=nv)
+    return SimpleNamespace(
+        Ke=flat @ flat.transpose(0, 2, 1),
+        De=Nw[:, None] @ grad.transpose(0, 2, 3, 1),
+        Me=Nw @ Nw.transpose(0, 2, 1),
+        iv=t.ids_v, ip=t.ids_p, load=load,
+        area=float(sum(t.wdet.sum(axis=1))),  # summed element by element
+    )
+
+
 def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None):
     """Assemble the Stokes forms of one patch.
 
     rhs and dirichlet are callables taking an (..., 2) array of physical
     points and returning (..., 2) vectors; None means zero. The quadrature
     uses nquad (default: velocity degree + 2) Gauss points per direction per
-    element.
+    element. The assembled matrices are built when first asked for (see
+    PatchStokesSystem).
     """
-    vel, pre = ths.vel, ths.pre
-    nv, npre = vel.dim, pre.dim
-    t = _element_tables(geo, ths, int(nquad) if nquad else vel.space_x.degree + 2)
-    iv, ip = t.ids_v, t.ids_p
-    grad = t.gu[..., None] * t.jinv[..., None, 0, :]  # physical gradients (e, q, l, a)
-    grad += t.gv[..., None] * t.jinv[..., None, 1, :]
-    # plain einsum (no optimize): every entry is summed in the order a
-    # per-element einsum uses, so the matrices and hence the LU pivoting of
-    # the patch systems do not depend on batching
-    Ke = np.einsum("eq,eqla,eqma->elm", t.wdet, grad, grad)
-    De = np.einsum("eq,eqlc,eqm->ecml", t.wdet, grad, t.Np)
-    Me = np.einsum("eq,eqm,eqn->emn", t.wdet, t.Np, t.Np)
-    cols_d = np.arange(2)[None, :, None] * nv + iv[:, None, :]  # (nel, comp, nlv)
-    Ks = _coo(Ke, iv[:, :, None], iv[:, None, :], (nv, nv))
-    D = _coo(De, ip[:, None, :, None], cols_d[:, :, None, :], (npre, 2 * nv))
-    Mp = _coo(Me, ip[:, :, None], ip[:, None, :], (npre, npre))
-    load = np.zeros((2, nv))
-    if rhs is not None:
-        wf = t.wdet[..., None] * np.asarray(rhs(t.pts), dtype=float)
-        for c in (0, 1):
-            loc = t.Nv.transpose(0, 2, 1) @ wf[..., c, None]  # (nel, nlv, 1)
-            load[c] = np.bincount(iv.ravel(), weights=loc.ravel(), minlength=nv)
-    gdir = _dirichlet_values(geo, ths, dirichlet)
-    area = float(sum(t.wdet.sum(axis=1)))  # summed element by element
-    return PatchStokesSystem(ths, Ks, D, Mp, load, area, gdir)
+    el = _element_forms(geo, ths, int(nquad) if nquad else ths.vel.space_x.degree + 2, rhs)
+    return PatchStokesSystem(ths, el, _dirichlet_values(geo, ths, dirichlet))
 
 
 def _coo(vals, rows, cols, shape):
@@ -474,6 +588,14 @@ def _coo(vals, rows, cols, shape):
     rows = np.broadcast_to(rows, vals.shape)
     cols = np.broadcast_to(cols, vals.shape)
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+
+def _free_entries(vals, rows, cols):
+    """(rows, cols, vals) of the entries with a free (nonnegative) row and
+    column; the three arrays are broadcast together first."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], vals[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +754,16 @@ class GlobalStokesSystem:
         """(K_ff, D_f, f, h) on free velocity dofs, components stacked."""
         f = self.free
         d = np.flatnonzero(self.dir_mask)
-        Ks = self.Ks
-        Kff = sp.block_diag((Ks[f][:, f], Ks[f][:, f])).tocsr()
+        Kf = self.Ks[f]
+        Kff = sp.block_diag((Kf[:, f],) * 2).tocsr()
         NV = self.n_scalar
         Dc = self.D.tocsc()
         cols_f = np.concatenate([c * NV + f for c in (0, 1)])
         cols_d = np.concatenate([c * NV + d for c in (0, 1)])
         gd = np.concatenate([self.dir_values[c, d] for c in (0, 1)])
         Df = Dc[:, cols_f].tocsr()
-        Kfd = sp.block_diag((Ks[f][:, d], Ks[f][:, d])).tocsr()
-        rhs_f = np.concatenate([self.load[c, f] for c in (0, 1)]) - Kfd @ gd
+        lift = Kf[:, d] @ self.dir_values[:, d].T  # one column per component
+        rhs_f = (self.load[:, f] - lift.T).ravel()
         h = -(Dc[:, cols_d].tocsr() @ gd)
         return Kff, Df, rhs_f, h
 

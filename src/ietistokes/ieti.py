@@ -14,6 +14,8 @@ preconditioner. The Lanczos tridiagonal matrix assembled from the CG
 coefficients provides the condition number estimate.
 """
 
+import time
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -111,7 +113,7 @@ class PrimalConstraints:
                 gd = sysk.dirichlet_values[:, np.searchsorted(ths.dirichlet, dofs[is_dir])]
                 free = dofs[~is_dir]
                 ri.extend([nrow] * (2 * len(free)))
-                ci.extend(ths.gamma_pos(c, dof) for dof in free for c in (0, 1))
+                ci.extend(ths.gamma_pos(np.arange(2), free[:, None]).ravel().tolist())
                 vals.extend(R[~is_dir].ravel().tolist())
                 shifts.append(-float(np.sum(R[is_dir] * gd.T)))
                 globs.append(self.flux_offset + fi)
@@ -128,33 +130,28 @@ class PrimalConstraints:
 
 
 def build_jump_operator(constraints, spaces):
-    """Signed jump matrices B^(k) over the u_gamma blocks.
+    """Signed jump matrix B over the u_gamma blocks of all patches, stacked.
 
-    One multiplier row per matched non-corner interface dof pair and
-    component: +1 on the lower patch, -1 on the higher. Rows are ordered by
-    (patch pair, component, position along the edge).
+    Columns offsets[k]:offsets[k+1] are the u_gamma block of patch k, in its
+    own order. One multiplier row per matched non-corner interface dof pair
+    and component: +1 on the lower patch, -1 on the higher. Rows are ordered
+    by (patch pair, component, position along the edge). Returns (B, offsets).
     """
     mp = constraints.mp
-    entries = [([], [], []) for _ in spaces]
-    nrow = 0
+    offsets = np.cumsum([0] + [2 * ths.n_gamma for ths in spaces])
+    comp = np.arange(2)[:, None]
+    cols = [np.zeros((2, 0), dtype=int)]  # per row: column on the lower, on the higher patch
     for iface in constraints.interfaces:
         da, db = matched_side_dofs(mp, spaces, iface)
-        for c in (0, 1):
-            for i in range(1, len(da) - 1):
-                ra, ca, va = entries[iface.a]
-                ra.append(nrow)
-                ca.append(spaces[iface.a].gamma_pos(c, da[i]))
-                va.append(1.0)
-                rb, cb, vb = entries[iface.b]
-                rb.append(nrow)
-                cb.append(spaces[iface.b].gamma_pos(c, db[i]))
-                vb.append(-1.0)
-                nrow += 1
-    Bs = []
-    for k, ths in enumerate(spaces):
-        r, c, v = entries[k]
-        Bs.append(sp.coo_matrix((v, (r, c)), shape=(nrow, 2 * ths.n_gamma)).tocsr())
-    return Bs, nrow
+        cols.append(np.stack([
+            offsets[iface.a] + spaces[iface.a].gamma_pos(comp, da[1:-1]).ravel(),
+            offsets[iface.b] + spaces[iface.b].gamma_pos(comp, db[1:-1]).ravel(),
+        ]))
+    cols = np.concatenate(cols, axis=1)
+    n = cols.shape[1]
+    B = sp.csr_matrix((np.repeat([1.0, -1.0], n), (np.tile(np.arange(n), 2), cols.ravel())),
+                      shape=(n, offsets[-1]))
+    return B, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +167,27 @@ class AugmentedLocalSystem:
 
     def __init__(self, system, C, shifts, label=""):
         self.A3 = system.saddle_matrix()
-        self.n_x = self.A3.shape[0]
+        self.n_x = n = self.A3.shape[0]
         self.n_mu = C.shape[0]
         self.C = C
         self.shifts = shifts
+        a, c = self.A3.tocoo(), C.tocoo()
+        aug = sp.csc_matrix(  # [[A3, C^T], [C, 0]]
+            (np.concatenate([a.data, c.data, c.data]),
+             (np.concatenate([a.row, c.row + n, c.col]),
+              np.concatenate([a.col, c.col, c.row + n]))),
+            shape=(n + self.n_mu, n + self.n_mu))
         self.lu = factorize(
-            sp.bmat([[self.A3, C.T], [C, None]], format="csc"),
-            "augmented patch system %s (%d constraint rows)" % (label, self.n_mu))
+            aug, "augmented patch system %s (%d constraint rows)" % (label, self.n_mu))
 
     def solve_x(self, rhs_x, rhs_mu=None):
-        """Solve with the given equilibrium/constraint rhs, return the x part."""
+        """Solve with the given equilibrium/constraint rhs, return the x part.
+
+        A rhs_x shorter than n_x fills the leading entries (the u_gamma
+        block); the rest of the equilibrium rhs is zero.
+        """
         rhs = np.zeros(self.n_x + self.n_mu)
-        rhs[: self.n_x] = rhs_x
+        rhs[: len(rhs_x)] = rhs_x
         if rhs_mu is not None:
             rhs[self.n_x :] = rhs_mu
         return self.lu.solve(rhs)[: self.n_x]
@@ -226,6 +232,13 @@ def build_primal_basis(aug, ths):
 
 
 class IetiOperator:
+    """The dual-primal operator F, its right-hand side and the recovery.
+
+    B is the jump matrix over all patches' u_gamma blocks (columns
+    gamma_slices[k] for patch k); apply_F, rhs and recover each make one
+    product with B^T and one with B around the per-patch solves.
+    """
+
     def __init__(self, mp, spaces, systems, use_global_pressure_mean=True):
         self.mp = mp
         self.spaces = spaces
@@ -233,13 +246,15 @@ class IetiOperator:
         self.constraints = constraints = PrimalConstraints(mp, spaces, systems)
         self.use_global_pressure_mean = use_global_pressure_mean
 
-        self.Bs, self.n_lambda = build_jump_operator(constraints, spaces)
+        self.B, offsets = build_jump_operator(constraints, spaces)
+        self.n_lambda = self.B.shape[0]
+        self.gamma_slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.locals_ = []
         self.psi_x = []
         self.psi_mu = []
         n_pi = constraints.n_primal
         A_pi = np.zeros((n_pi, n_pi))
-        B_pi = np.zeros((self.n_lambda, n_pi))
+        psi_g = ([], [], [])  # signed u_gamma rows of the primal basis, on B's columns
         b_pi = np.zeros(n_pi)
         for k, ths in enumerate(spaces):
             aug = AugmentedLocalSystem(
@@ -258,10 +273,14 @@ class IetiOperator:
             bx = systems[k].rhs()
             gloc = px.T @ bx + pm.T @ constraints.shifts[k]
             np.add.at(b_pi, G, s * gloc)
-            BG = self.Bs[k] @ px[: 2 * ths.n_gamma, :]
-            B_pi[:, G] += BG * s  # G has no repeats within a patch
+            ng2 = 2 * ths.n_gamma
+            psi_g[0].append(np.repeat(offsets[k] + np.arange(ng2), len(G)))
+            psi_g[1].append(np.tile(G, ng2))  # G has no repeats within a patch
+            psi_g[2].append((px[:ng2] * s).ravel())
+        rows, cols, vals = (np.concatenate(a) for a in psi_g)
         self.A_pi = A_pi
-        self.B_pi = B_pi
+        self.B_pi = (self.B @ sp.csr_matrix((vals, (rows, cols)),
+                                            shape=(offsets[-1], n_pi))).toarray()
         self.b_pi = b_pi
 
         if use_global_pressure_mean:
@@ -286,33 +305,30 @@ class IetiOperator:
         return self._coarse_lu.solve(rhs)[: self.n_primal]
 
     def apply_F(self, lam):
-        out = self.B_pi @ self.coarse_solve(self.B_pi.T @ lam)
-        for k, aug in enumerate(self.locals_):
-            ng2 = 2 * self.spaces[k].n_gamma
-            t = np.zeros(aug.n_x)
-            t[:ng2] = self.Bs[k].T @ lam
-            y = aug.solve_x(t)
-            out += self.Bs[k] @ y[:ng2]
-        return out
+        t = self.B.T @ lam
+        y = np.empty_like(t)
+        for aug, sl in zip(self.locals_, self.gamma_slices):
+            y[sl] = aug.solve_x(t[sl])[: sl.stop - sl.start]
+        return self.B_pi @ self.coarse_solve(self.B_pi.T @ lam) + self.B @ y
 
     def rhs(self):
-        g = self.B_pi @ self.coarse_solve(self.b_pi)
-        for k, aug in enumerate(self.locals_):
-            ng2 = 2 * self.spaces[k].n_gamma
-            y = aug.solve_x(self.systems[k].rhs(), self.constraints.shifts[k])
-            g += self.Bs[k] @ y[:ng2]
-        return g
+        y = np.empty(self.B.shape[1])
+        for k, (aug, sl) in enumerate(zip(self.locals_, self.gamma_slices)):
+            x = aug.solve_x(self.systems[k].rhs(), self.constraints.shifts[k])
+            y[sl] = x[: sl.stop - sl.start]
+        return self.B_pi @ self.coarse_solve(self.b_pi) + self.B @ y
 
     def recover(self, lam):
         """Per-patch velocity and pressure coefficients (Dirichlet re-added)."""
         x_pi = self.coarse_solve(self.b_pi - self.B_pi.T @ lam)
+        t = self.B.T @ lam
         us, ps = [], []
-        for k, aug in enumerate(self.locals_):
+        for k, (aug, sl) in enumerate(zip(self.locals_, self.gamma_slices)):
             ths = self.spaces[k]
             ng2, ni2 = 2 * ths.n_gamma, 2 * ths.n_inner
-            t = self.systems[k].rhs()
-            t[:ng2] -= self.Bs[k].T @ lam
-            x = aug.solve_x(t, self.constraints.shifts[k])
+            r = self.systems[k].rhs()
+            r[:ng2] -= t[sl]
+            x = aug.solve_x(r, self.constraints.shifts[k])
             G, s = self.constraints.globals_[k], self.constraints.signs[k]
             x = x + self.psi_x[k] @ (s * x_pi[G])
             us.append(self.systems[k].expand(x[:ng2], x[ng2 : ng2 + ni2]))
@@ -326,31 +342,43 @@ class ScaledDirichletPreconditioner:
     S_K is the velocity Schur complement on the interface block. Both
     components share the scalar stiffness, so one interior Poisson solve
     with two right-hand-side columns applies it; pressure never enters.
+    B is the stacked jump matrix of IetiOperator. blocks holds per patch
+    (K_gg, K_gi, LU of K_ii) of one component; apply uses K_gg and K_gi
+    stacked block-diagonally over all patches, acting on the interface
+    values arranged one scalar dof per row, one component per column.
     """
 
-    def __init__(self, spaces, systems, Bs):
-        self.spaces = spaces
-        self.Bs = Bs
+    def __init__(self, spaces, systems, B):
+        self.B = B
         self.blocks = []
-        for k, sysk in enumerate(systems):
+        self._interior = []  # (LU of K_ii, its rows in the stacked interior block)
+        cols = [np.zeros((0, 2), dtype=int)]
+        off = inner = 0
+        for k, (ths, sysk) in enumerate(zip(spaces, systems)):
             Kgg, Kgi, Kii = sysk.scalar_blocks
             lu_ii = (factorize(Kii, "interior stiffness of patch %d" % k)
                      if Kii.shape[0] else None)
             self.blocks.append((Kgg, Kgi, lu_ii))
+            ng, ni = ths.n_gamma, ths.n_inner
+            cols.append(off + np.arange(2 * ng).reshape(2, ng).T)
+            if lu_ii is not None:
+                self._interior.append((lu_ii, slice(inner, inner + ni)))
+            off += 2 * ng
+            inner += ni
+        self._cols = np.concatenate(cols)  # column of B per (scalar dof, component)
+        self._Kgg = sp.block_diag([b[0] for b in self.blocks], format="csr")
+        self._Kgi = sp.block_diag([b[1] for b in self.blocks], format="csr")
 
     def apply(self, lam):
-        out = np.zeros_like(lam)
-        for k, ths in enumerate(self.spaces):
-            ng = ths.n_gamma
-            if ng == 0:
-                continue
-            V = 0.5 * (self.Bs[k].T @ lam).reshape(2, ng).T  # one column per component
-            Kgg, Kgi, lu_ii = self.blocks[k]
-            W = Kgg @ V
-            if lu_ii is not None:
-                W -= Kgi @ lu_ii.solve(Kgi.T @ V)
-            out += self.Bs[k] @ (0.5 * W.T.ravel())
-        return out
+        V = 0.5 * (self.B.T @ lam)[self._cols]
+        W = self._Kgg @ V
+        Z = self._Kgi.T @ V
+        for lu_ii, sl in self._interior:
+            Z[sl] = lu_ii.solve(Z[sl])
+        W -= self._Kgi @ Z
+        y = np.empty(self.B.shape[1])
+        y[self._cols] = 0.5 * W
+        return self.B @ y
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +500,31 @@ def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=Tr
         ]
     op = IetiOperator(mp, spaces, systems,
                       use_global_pressure_mean=use_global_pressure_mean)
-    pc = ScaledDirichletPreconditioner(spaces, systems, op.Bs)
+    pc = ScaledDirichletPreconditioner(spaces, systems, op.B)
     return op, pc
 
 
 def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None,
                       use_global_pressure_mean=True, tol=1e-6, max_iter=500,
                       seed=42, nquad=None, systems=None):
-    """Assemble, solve the multiplier system, recover patch solutions."""
+    """Assemble, solve the multiplier system, recover patch solutions.
+
+    report.timings holds the wall seconds of the phases "setup" (assembly
+    when systems is None, local factorizations, primal basis, coarse
+    problem, preconditioner), "rhs", "pcg" and "recover".
+    """
+    t0 = time.perf_counter()
     op, pc = setup_ieti(mp, spaces, rhs, dirichlet, use_global_pressure_mean,
                         nquad, systems)
+    t1 = time.perf_counter()
     g = op.rhs()
+    t2 = time.perf_counter()
     lam, report = solve_pcg(op.apply_F, pc.apply, g, tol=tol, max_iter=max_iter,
                             seed=seed)
+    t3 = time.perf_counter()
     us, ps, _ = op.recover(lam)
+    report.timings = {"setup": t1 - t0, "rhs": t2 - t1, "pcg": t3 - t2,
+                      "recover": time.perf_counter() - t3}
     return us, ps, report
 
 

@@ -409,20 +409,52 @@ def _dense_tables(geo, ths, nq):
     return pts, wdet, tensor(vel), grad, tensor(pre)
 
 
+def _rel_err(got, ref):
+    got = got.toarray() if sp.issparse(got) else np.asarray(got)
+    assert got.shape == ref.shape
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300) if ref.size else 0.0
+
+
 def test_batched_kernel_matches_dense_reference():
     geo = quarter_annulus_patch()  # rational, degrees (1, 2)
-    ths = build_taylor_hood(geo, 2, refinement=1)
-    sysk = assemble_patch(geo, ths, rhs=manufactured_rhs)
-    pts, wdet, N, grad, P = _dense_tables(geo, ths, ths.vel.space_x.degree + 2)
-    K = np.einsum("ij,ijla,ijma->lm", wdet, grad, grad)
-    D = np.concatenate(
-        [np.einsum("ij,ijm,ijl->ml", wdet, P, grad[..., c]) for c in (0, 1)], axis=1)
-    M = np.einsum("ij,ijm,ijn->mn", wdet, P, P)
-    load = np.einsum("ij,ijl,ijc->cl", wdet, N, manufactured_rhs(pts))
-    for got, ref in ((sysk.Ks, K), (sysk.D, D), (sysk.Mp, M)):
-        assert np.abs(got.toarray() - ref).max() < 1e-12 * np.abs(ref).max()
-    assert np.abs(sysk.load - load).max() < 1e-12 * np.abs(load).max()
-    assert abs(sysk.area - wdet.sum()) < 1e-13
+    # all-Dirichlet with zero data, and a patch with interface, Dirichlet and
+    # Neumann sides carrying nonzero Dirichlet data
+    mixed = {"west": "interface", "south": "dirichlet", "east": "neumann",
+             "north": "dirichlet"}
+    for roles, data in ((None, None), (mixed, manufactured_velocity)):
+        ths = build_taylor_hood(geo, 2, refinement=1, side_roles=roles)
+        sysk = assemble_patch(geo, ths, rhs=manufactured_rhs, dirichlet=data)
+        pts, wdet, N, grad, P = _dense_tables(geo, ths, ths.vel.space_x.degree + 2)
+        K = np.einsum("ij,ijla,ijma->lm", wdet, grad, grad)
+        D = np.concatenate(
+            [np.einsum("ij,ijm,ijl->ml", wdet, P, grad[..., c]) for c in (0, 1)], axis=1)
+        M = np.einsum("ij,ijm,ijn->mn", wdet, P, P)
+        load = np.einsum("ij,ijl,ijc->cl", wdet, N, manufactured_rhs(pts))
+        for got, ref in ((sysk.Ks, K), (sysk.D, D), (sysk.Mp, M), (sysk.load, load)):
+            assert _rel_err(got, ref) < 1e-12
+        assert abs(sysk.area - wdet.sum()) < 1e-13
+
+        # the free-dof saddle system [u_g | u_i | p] and its blocks, sliced
+        # from the dense forms; the rhs carries the Dirichlet lift
+        nv = ths.vel.dim
+        g, i, d = (np.concatenate([c * nv + dofs for c in (0, 1)])
+                   for dofs in (ths.gamma, ths.inner, ths.dirichlet))
+        K2 = np.kron(np.eye(2), K)
+        u = np.concatenate([g, i])
+        npre = ths.pre.dim
+        A = np.block([[K2[np.ix_(u, u)], D[:, u].T], [D[:, u], np.zeros((npre, npre))]])
+        gd = sysk.dirichlet_values.ravel()
+        b = np.concatenate([load.ravel()[u] - K2[np.ix_(u, d)] @ gd, -D[:, d] @ gd])
+        assert _rel_err(sysk.saddle_matrix(), A) < 1e-12
+        assert _rel_err(sysk.rhs(), b) < 1e-12
+        for got, ref in ((sysk.K_gg, K2[np.ix_(g, g)]), (sysk.K_gi, K2[np.ix_(g, i)]),
+                         (sysk.K_ii, K2[np.ix_(i, i)]), (sysk.D_g, D[:, g]), (sysk.D_i, D[:, i])):
+            assert _rel_err(got, ref) < 1e-12
+        sg, si = ths.gamma, ths.inner
+        for got, ref in zip(sysk.scalar_blocks,
+                            (K[np.ix_(sg, sg)], K[np.ix_(sg, si)], K[np.ix_(si, si)])):
+            assert _rel_err(got, ref) < 1e-12
+    assert ths.n_gamma and np.abs(gd).max() > 0.1  # the mixed case really has both
 
     rng = np.random.default_rng(2)
     u = rng.standard_normal((2, ths.vel.dim))

@@ -1,3 +1,4 @@
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_jump_operator_shape_and_identity():
     op = IetiOperator(mp, spaces, glob.systems)
     # 4 interfaces, 3 non-corner dofs each, 2 components
     assert op.n_lambda == 24
-    Bg = sp.hstack(op.Bs).tocsr()
+    Bg = op.B
     # each row: one +1 and one -1
     assert np.abs(Bg @ np.ones(Bg.shape[1])).max() < 1e-14
     assert (abs(Bg) @ np.ones(Bg.shape[1]) == 2).all()
@@ -155,19 +156,17 @@ def test_scaled_jumps_stay_in_constrained_space():
         b = iface.b
         direction = rows[1].copy()
         for dof in spaces[b].vel.corner_dofs().values():
-            if dof in spaces[b]._gamma_pos:
+            if np.isin(dof, spaces[b].gamma):
                 for c in (0, 1):
                     direction[spaces[b].gamma_pos(c, dof)] = 0.0
         # opposite outward normals: continuity means the two fluxes cancel
         mism = rows[0] @ vs[iface.a] + rows[1] @ vs[b]
         vs[b] -= mism * direction / (rows[1] @ direction)
-    jump = np.zeros(op.n_lambda)
-    for k in range(4):
-        jump += op.Bs[k] @ vs[k]
+    jump = op.B @ np.concatenate(vs)
     for k, ths in enumerate(spaces):
-        w = 0.5 * (op.Bs[k].T @ jump)
+        w = 0.5 * (op.B.T @ jump)[op.gamma_slices[k]]
         for dof in ths.vel.corner_dofs().values():
-            if dof in ths._gamma_pos:
+            if np.isin(dof, ths.gamma):
                 for c in (0, 1):
                     assert w[ths.gamma_pos(c, dof)] == 0.0
         C = cons.rows[k]
@@ -348,6 +347,48 @@ def test_solve_report_fields():
     assert rep.residuals[-1] <= 1e-6 * rep.residuals[0]
 
 
+def test_solve_report_timings():
+    mp, spaces, glob = build_grid_problem(2, 2)
+    t0 = time.perf_counter()
+    _, _, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
+                                  dirichlet=manufactured_velocity, systems=glob.systems)
+    elapsed = time.perf_counter() - t0
+    assert sorted(rep.timings) == ["pcg", "recover", "rhs", "setup"]
+    assert all(v >= 0.0 for v in rep.timings.values())
+    assert sum(rep.timings.values()) <= elapsed
+
+
+def test_benchmark_counts_contract():
+    # perfbench/run.py:ieti_counts reads these after setup_ieti for its
+    # fill, size, primal and preconditioner counts
+    mp, spaces, glob = build_grid_problem(2, 2)
+    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
+    cons = op.constraints
+    rng = np.random.default_rng(5)
+    for k, (aug, ths) in enumerate(zip(op.locals_, spaces)):
+        n_x = 2 * (ths.n_gamma + ths.n_inner) + ths.n_pressure
+        assert aug.n_x == n_x and aug.A3.shape == (n_x, n_x)
+        assert (aug.A3 != glob.systems[k].saddle_matrix()).nnz == 0
+        assert aug.n_mu == cons.n_local(k) and (aug.C != cons.rows[k]).nnz == 0
+        # lu factors [[A3, C^T], [C, 0]], whose size and nnz the counts report
+        aug_mat = sp.bmat([[aug.A3, aug.C.T], [aug.C, None]], format="csc")
+        assert aug_mat.nnz == aug.A3.nnz + 2 * aug.C.nnz
+        assert aug.lu.shape == aug_mat.shape and aug.lu.L.nnz > 0 and aug.lu.U.nnz > 0
+        x = rng.standard_normal(n_x + aug.n_mu)
+        assert np.abs(aug.lu.solve(aug_mat @ x) - x).max() < 1e-8
+    assert op.n_primal == cons.n_primal == 2 * 1 + 4 + 4  # center vertex, fluxes, averages
+    assert op.n_lambda == op.B.shape[0] == 24
+    assert len(pc.blocks) == len(spaces)
+    for (Kgg, Kgi, lu), ths, sysk in zip(pc.blocks, spaces, glob.systems):
+        Ks = sysk.Ks.toarray()
+        g, i = ths.gamma, ths.inner
+        assert np.abs(Kgg.toarray() - Ks[np.ix_(g, g)]).max() < 1e-12
+        assert np.abs(Kgi.toarray() - Ks[np.ix_(g, i)]).max() < 1e-12
+        x = rng.standard_normal(len(i))
+        assert np.abs(lu.solve(Ks[np.ix_(i, i)] @ x) - x).max() < 1e-8
+        assert lu.L.nnz > 0 and lu.U.nnz > 0
+
+
 def test_preconditioner_spd():
     mp, spaces, glob = build_grid_problem(3, 3)
     op, pc = setup_ieti(mp, spaces, systems=glob.systems)
@@ -372,7 +413,7 @@ def test_preconditioner_applies_scaled_schur_complements():
         g, i = ths.gamma, ths.inner
         S = Ks[np.ix_(g, g)] - Ks[np.ix_(g, i)] @ np.linalg.solve(
             Ks[np.ix_(i, i)], Ks[np.ix_(i, g)])
-        B = op.Bs[k].toarray()
+        B = op.B[:, op.gamma_slices[k]].toarray()
         ref += B @ (0.5 * (np.kron(np.eye(2), S) @ (0.5 * (B.T @ lam))))
     assert np.abs(pc.apply(lam) - ref).max() <= 1e-12 * np.abs(ref).max()
 
