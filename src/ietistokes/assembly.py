@@ -21,6 +21,10 @@ matmuls. PatchStokesSystem builds everything else from them when it is
 first asked for: the saddle matrix on the free dofs in one scatter, its
 right-hand side with the Dirichlet lift, the full forms Ks, D, Mp and the
 block views K_gg, K_gi, K_ii, D_g, D_i, scalar_blocks.
+
+Along patch sides, the Dirichlet projection and the interface flux rows
+(edge_flux_rows) take points, tangents and outward normals from
+geometry.side_traces, one evaluation of the map per patch.
 """
 
 from functools import cached_property
@@ -31,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bspline import TensorSplineSpace, element_rule
-from .geometry import DegenerateJacobianError, check_interface_matching, side_param
+from .geometry import DegenerateJacobianError, check_interface_matching, side_traces
 
 __all__ = (
     "SingularLocalSystemError",
@@ -45,6 +49,7 @@ __all__ = (
     "assemble_global",
     "matched_side_dofs",
     "edge_flux_matrix",
+    "edge_flux_rows",
     "divergence_bubble",
     "fortin_correction",
     "patch_errors",
@@ -167,9 +172,6 @@ class TaylorHoodPatchSpace:
         if np.any((pos < 0) | (pos >= 2 * self.n_gamma)):
             raise KeyError("not an interface dof: %r" % (scalar,))
         return pos
-
-    def free_scalar(self):
-        return np.concatenate([self.gamma, self.inner])
 
 
 def build_taylor_hood(geo, degree, smoothness=None, refinement=0, side_roles=None,
@@ -477,61 +479,40 @@ class PatchStokesSystem:
         return out
 
 
-def _edge_speed(geo, side, t):
-    u, v = side_param(side, t)
-    _, jac = geo.eval(u, v)
-    axis = 1 if side in ("west", "east") else 0
-    return np.linalg.norm(jac[..., :, axis], axis=-1)
-
-
 def _dirichlet_values(geo, ths, data):
     """Coefficients of the boundary data on the eliminated dofs.
 
     Corner dofs are interpolated exactly; the remaining dofs of each
     Dirichlet side come from the L2 projection of the trace (in the physical
-    arc length) with the corner values held fixed.
+    arc length, with degree + 3 Gauss points per element) with the corner
+    values held fixed.
     """
     vel = ths.vel
-    ndir = len(ths.dirichlet)
-    values = np.zeros((2, ndir))
-    if ndir == 0:
-        return values
-    pos = {d: i for i, d in enumerate(ths.dirichlet)}
+    if data is None or not len(ths.dirichlet):
+        return np.zeros((2, len(ths.dirichlet)))
+    values = np.zeros((2, vel.dim))  # over all scalar dofs
+    corners = vel.corner_dofs()
+    dofs = np.array(list(corners.values()))
+    pts = geo.corners()
+    on = np.isin(dofs, ths.dirichlet)
+    values[:, dofs[on]] = np.asarray(
+        data(np.array([pts[c] for c in corners])[on]), dtype=float).T
 
-    def gfun(pts):
-        if data is None:
-            return np.zeros(pts.shape)
-        return np.asarray(data(pts), dtype=float)
-
-    # corner interpolation first: every eliminated corner dof gets the exact value
-    corners = geo.corners()
-    for corner, dof in vel.corner_dofs().items():
-        if dof in pos:
-            values[:, pos[dof]] = gfun(corners[corner][None, :])[0]
-
-    for side, role in ths.side_roles.items():
-        if role != "dirichlet":
-            continue
-        espace = vel.side_space(side)
-        dofs = vel.side_dofs(side)
-        n = espace.dim
-        tq, wq = element_rule(espace.breakpoints, espace.degree + 3)
-        tq, wq = tq.ravel(), wq.ravel()
-        B = espace.collocation(tq)
-        speed = _edge_speed(geo, side, tq)
-        upar, vpar = side_param(side, tq)
-        gvals = gfun(geo(upar, vpar))
-        M = B.T @ (B * (wq * speed)[:, None])
-        ends = np.array([0, n - 1])
-        mid = np.arange(1, n - 1)
-        for c in (0, 1):
-            b = B.T @ (wq * speed * gvals[:, c])
-            gc = np.array([values[c, pos[dofs[0]]], values[c, pos[dofs[-1]]]])
-            if len(mid):
-                sol = np.linalg.solve(M[np.ix_(mid, mid)], b[mid] - M[np.ix_(mid, ends)] @ gc)
-                for j, coeff in zip(mid, sol):
-                    values[c, pos[dofs[j]]] = coeff
-    return values
+    rules = {side: element_rule(vel.side_space(side).breakpoints,
+                                vel.side_space(side).degree + 3)
+             for side, role in ths.side_roles.items() if role == "dirichlet"}
+    traces = side_traces(geo, {side: tq for side, (tq, _) in rules.items()})
+    for side, (tq, wq) in rules.items():
+        x, tangent, _ = traces[side]
+        w = wq.ravel() * np.linalg.norm(tangent, axis=-1)
+        B = vel.side_space(side).collocation(tq)
+        M = B.T @ (B * w[:, None])
+        b = B.T @ (w[:, None] * np.asarray(data(x), dtype=float))
+        sd = vel.side_dofs(side)
+        # interior dofs of the side, with the two end (corner) values fixed
+        values[:, sd[1:-1]] = np.linalg.solve(
+            M[1:-1, 1:-1], b[1:-1] - M[1:-1, [0, -1]] @ values[:, sd[[0, -1]]].T).T
+    return values[:, ths.dirichlet]
 
 
 def _element_forms(geo, ths, nq, rhs):
@@ -602,24 +583,34 @@ def _free_entries(vals, rows, cols):
 # edge fluxes and the divergence bubble
 
 
-def edge_flux_matrix(geo, vel, side, nq=None):
-    """Rows evaluating int_edge N_i n_c ds for the dofs with trace on a side.
+def edge_flux_rows(geo, vel, sides):
+    """Rows evaluating int_edge N_i n_c ds for the dofs with trace on each side.
 
-    Returns (side_dofs, R) with R of shape (len(side_dofs), 2); the flux of a
-    velocity coefficient field u is sum_c R[:, c] . u[c, side_dofs].
+    Returns {side: (side_dofs, R)} with R of shape (len(side_dofs), 2); the
+    flux of a velocity coefficient field u through the side is
+    sum_c R[:, c] . u[c, side_dofs]. Each side uses edge degree + geometry
+    degree + 2 Gauss points per element; the geometry is evaluated once for
+    all sides.
     """
-    espace = vel.side_space(side)
-    n = espace.degree + (max(geo.space.space_x.degree, geo.space.space_y.degree) + 2)
-    if nq:
-        n = int(nq)
-    tq, wq = element_rule(espace.breakpoints, n)
-    tq, wq = tq.ravel(), wq.ravel()
-    B = espace.collocation(tq)
-    ndir = geo.side_normal(side, tq)  # outward normal times length element
-    R = np.empty((espace.dim, 2))
-    for c in (0, 1):
-        R[:, c] = B.T @ (wq * ndir[:, c])
-    return vel.side_dofs(side), R
+    gdeg = max(geo.space.space_x.degree, geo.space.space_y.degree)
+    rules = {side: element_rule(vel.side_space(side).breakpoints,
+                                vel.side_space(side).degree + gdeg + 2)
+             for side in sides}
+    traces = side_traces(geo, {side: tq for side, (tq, _) in rules.items()})
+    out = {}
+    for side, (tq, wq) in rules.items():
+        B = vel.side_space(side).collocation(tq)
+        normal = traces[side][2]  # outward normal times length element
+        R = np.empty((B.shape[1], 2))
+        for c in (0, 1):
+            R[:, c] = B.T @ (wq.ravel() * normal[:, c])
+        out[side] = vel.side_dofs(side), R
+    return out
+
+
+def edge_flux_matrix(geo, vel, side):
+    """edge_flux_rows for a single side: (side_dofs, R)."""
+    return edge_flux_rows(geo, vel, [side])[side]
 
 
 def divergence_bubble(ths, side):
@@ -655,6 +646,7 @@ def fortin_correction(mp, spaces, u_list):
     orthogonal to the patchwise-constant pressures with zero global mean.
     """
     out = [np.zeros_like(u) for u in u_list]
+    diameters = mp.diameters()
     for iface in mp.interfaces:
         k = iface.a
         geo = mp.patches[k]
@@ -665,7 +657,7 @@ def fortin_correction(mp, spaces, u_list):
         bub_a = divergence_bubble(ths, iface.side_a)
         psi_a = nbar[:, None] * bub_a[None, :]
         flux_psi = sum(R[:, c] @ psi_a[c, dofs] for c in (0, 1))
-        if abs(flux_psi) < 1e-14 * max(1.0, geo.diameter()):
+        if abs(flux_psi) < 1e-14 * max(1.0, diameters[k]):
             raise ValueError("degenerate bubble flux on interface %r" % (iface,))
         bub_b = divergence_bubble(spaces[iface.b], iface.side_b)
         scale = flux_u / flux_psi

@@ -221,22 +221,6 @@ class UnivariateSplineSpace:
     def nel(self):
         return len(self.breakpoints) - 1
 
-    @property
-    def hmax(self):
-        return float(np.max(np.diff(self.breakpoints)))
-
-    @property
-    def hmin(self):
-        return float(np.min(np.diff(self.breakpoints)))
-
-    def eval_basis(self, x, der=0):
-        """(first, values) of the degree+1 active functions at x.
-
-        values[j] is the der-th derivative of basis function first+j.
-        """
-        first, ders = eval_all_derivatives(self.knots, self.degree, x, der)
-        return first, ders[der]
-
     def eval_all(self, x, nders=1):
         return eval_all_derivatives(self.knots, self.degree, x, nders)
 
@@ -342,18 +326,6 @@ class TensorSplineSpace:
 
     def index(self, ix, iy):
         return iy * self.nx + ix
-
-    @property
-    def hmax(self):
-        return max(self.space_x.hmax, self.space_y.hmax)
-
-    @property
-    def hmin(self):
-        return min(self.space_x.hmin, self.space_y.hmin)
-
-    @property
-    def quasi_uniformity(self):
-        return self.hmin / self.hmax
 
     def refine_uniform(self, levels=1):
         return TensorSplineSpace(

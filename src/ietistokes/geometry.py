@@ -12,6 +12,12 @@ patch diameter). A side is the pair of its end vertices, and two sides of
 different patches with the same pair form an interface. Patches are glued
 along whole edges: a vertex inside an unmatched side is a partial edge
 overlap (T-junction) and is rejected.
+
+side_traces evaluates the map along any set of sides of a patch in one
+call: points, tangents dx/dt and outward normals times the length element.
+It alone knows a side's tangent column and outward rotation; the flux
+constraints, the Dirichlet projection, side_normal, diameter and the
+T-junction search read it.
 """
 
 import numpy as np
@@ -33,6 +39,7 @@ __all__ = (
     "save_multipatch",
     "load_multipatch",
     "bilinear_patch",
+    "side_traces",
 )
 
 SIDES = ("west", "east", "south", "north")
@@ -54,20 +61,52 @@ class TopologyError(RuntimeError):
     """The patches do not form an admissible multi-patch decomposition."""
 
 
+# per side: (index of the parameter fixed on it, its value, signs turning
+# the tangent (t_y, t_x) into the outward normal)
+_SIDE_FRAMES = {
+    "west": (0, 0.0, (-1.0, 1.0)),
+    "east": (0, 1.0, (1.0, -1.0)),
+    "south": (1, 0.0, (1.0, -1.0)),
+    "north": (1, 1.0, (-1.0, 1.0)),
+}
+
+
 def side_param(side, t):
     """Parameter-square points of a side at edge parameters t."""
+    if side not in _SIDE_FRAMES:
+        raise ValueError("unknown side %r" % (side,))
+    fixed, value, _ = _SIDE_FRAMES[side]
     t = np.asarray(t, dtype=float)
-    zeros = np.zeros_like(t)
-    ones = np.ones_like(t)
-    if side == "west":
-        return zeros, t
-    if side == "east":
-        return ones, t
-    if side == "south":
-        return t, zeros
-    if side == "north":
-        return t, ones
-    raise ValueError("unknown side %r" % (side,))
+    edge = np.full_like(t, value)
+    return (edge, t) if fixed == 0 else (t, edge)
+
+
+def side_traces(geo, params):
+    """The geometry along patch sides, from one evaluation of the map.
+
+    params maps each side to a 1d array of edge parameters t. Returns a dict
+    mapping each side to (points, tangent, normal), arrays of shape
+    (len(t), 2): the physical points, the tangent dx/dt and the outward
+    normal times the length element, so that the integral of f n ds over
+    the side is the integral over t in [0, 1] of f(t) * normal(t). This is
+    the one place that decides which parameter runs along a side, which
+    Jacobian column is its tangent and which rotation points outward.
+    """
+    sides = list(params)
+    if not sides:
+        return {}
+    ts = [np.asarray(params[side], dtype=float).ravel() for side in sides]
+    uv = [side_param(side, t) for side, t in zip(sides, ts)]
+    pts, jac = geo.eval(np.concatenate([u for u, _ in uv]), np.concatenate([v for _, v in uv]))
+    out = {}
+    start = 0
+    for side, t in zip(sides, ts):
+        rows = slice(start, start + t.size)
+        start = rows.stop
+        fixed, _, signs = _SIDE_FRAMES[side]
+        tangent = jac[rows, :, 1 - fixed]
+        out[side] = (pts[rows], tangent, tangent[:, ::-1] * signs)
+    return out
 
 
 def side_corners(side):
@@ -157,24 +196,12 @@ class GeometryMap:
         return self(u, v)
 
     def side_normal(self, side, t, unit=False):
-        """Outward normal along a side.
+        """Outward normal along a side at edge parameters t (1d).
 
         Without unit=True the result is the outward normal times the length
-        element, so that integral_edge f n ds = integral_0^1 f(t) * result dt.
+        element (see side_traces).
         """
-        u, v = side_param(side, t)
-        _, jac = self.eval(u, v)
-        if side in ("west", "east"):
-            tang = jac[..., :, 1]
-        else:
-            tang = jac[..., :, 0]
-        n = np.empty_like(tang)
-        if side in ("east", "south"):
-            n[..., 0] = tang[..., 1]
-            n[..., 1] = -tang[..., 0]
-        else:
-            n[..., 0] = -tang[..., 1]
-            n[..., 1] = tang[..., 0]
+        n = side_traces(self, {side: t})[side][2]
         if unit:
             n = n / np.linalg.norm(n, axis=-1, keepdims=True)
         return n
@@ -211,7 +238,7 @@ class GeometryMap:
     def diameter(self, n=9):
         """Diameter of the patch, estimated from boundary samples."""
         t = np.linspace(0.0, 1.0, n)
-        pts = np.concatenate([self.side_points(side, t) for side in SIDES])
+        pts = np.concatenate([x for x, _, _ in side_traces(self, dict.fromkeys(SIDES, t)).values()])
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(d2.max()))
 
@@ -307,9 +334,6 @@ class MultiPatch:
     def side_roles(self, k):
         return {side: self.side_role(k, side) for side in SIDES}
 
-    def interfaces_of(self, k):
-        return [i for i in self.interfaces if k in (i.a, i.b)]
-
     def diameters(self):
         """Patch diameters (GeometryMap.diameter), computed once per domain."""
         return self._diameters
@@ -332,9 +356,6 @@ class MultiPatch:
             for j, v in enumerate(self.vertices)
             if len(v.patches) >= 2 and not self.vertex_is_dirichlet(v)
         ]
-
-    def dirichlet_vertices(self):
-        return [j for j, v in enumerate(self.vertices) if self.vertex_is_dirichlet(v)]
 
 
 def _cluster_corners(patches, tol):
@@ -412,10 +433,8 @@ def _reject_hanging_vertices(patches, vertices, ids, matched, tol):
             p = points[cand]
             samples = g.side_points(side, t0)
             t = t0[np.argmin(np.sum((p[:, None] - samples[None]) ** 2, axis=-1), axis=1)]
-            col = 1 if side in ("west", "east") else 0
             for _ in range(5):
-                x, jac = g.eval(*side_param(side, t))
-                tang = jac[:, :, col]
+                x, tang, _ = side_traces(g, {side: t})[side]
                 step = np.sum((x - p) * tang, axis=1) / np.sum(tang * tang, axis=1)
                 t = np.clip(t - step, 0.0, 1.0)
             dist = np.linalg.norm(g.side_points(side, t) - p, axis=1)

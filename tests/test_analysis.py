@@ -13,10 +13,13 @@ from ietistokes.assembly import (
     assemble_global,
     assemble_patch,
     build_taylor_hood,
+    manufactured_rhs,
+    manufactured_velocity,
     taylor_hood_spaces,
 )
 from ietistokes.domains import build_domain, quarter_annulus_patch
 from ietistokes.geometry import GeometryMap, bilinear_patch, build_multipatch
+from ietistokes.ieti import solve_stokes_ieti
 
 FLOATING = {s: "interface" for s in ("west", "east", "south", "north")}
 ALL_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -121,6 +124,23 @@ def test_strip_kappa_grows_with_length():
     k1 = global_kappa(build_domain("strip", length=1).patches, degree=1)
     k4 = global_kappa(build_domain("strip", length=4).patches, degree=1)
     assert k4 > k1 * 1.05
+
+
+def test_ieti_kappa_stays_flat_while_infsup_kappa_grows():
+    # the paper's claim on strip(L), p=2, l=2: the inf-sup condition number
+    # grows with the elongation (2.58 to 17.68 for L = 2 to 16), the IETI-DP
+    # one does not (1.97 to 2.05, 7-8 iterations)
+    infsup, ieti = [], []
+    for length in (2, 4, 8, 16):
+        infsup.append(InfSupStudy("strip(%d)" % length, [2], [2]).run_cell(2, 2)["kappa"])
+        mp = build_domain("strip", length=length)
+        spaces = taylor_hood_spaces(mp, degree=2, refinement=2)
+        _, _, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
+                                      dirichlet=manufactured_velocity)
+        assert rep.converged and rep.iterations <= 15
+        ieti.append(rep.kappa)
+    assert infsup[-1] >= 5 * infsup[0]
+    assert max(ieti) <= 3
 
 
 def test_dense_and_iterative_paths_agree():

@@ -27,6 +27,7 @@ from ietistokes.assembly import (
 from ietistokes.bspline import element_rule
 from ietistokes.domains import build_domain, quarter_annulus_patch
 from ietistokes.geometry import (
+    SIDES,
     DegenerateJacobianError,
     bilinear_patch,
     build_multipatch,
@@ -164,6 +165,59 @@ def test_dirichlet_projection_reproduces_linear_data():
             assert np.abs(B @ u[c, dofs] - gexact[:, c]).max() < 1e-10
 
 
+def reference_dirichlet_values(geo, ths, data):
+    """The Dirichlet projection written out per side, component and dof."""
+    vel = ths.vel
+    pos = {d: i for i, d in enumerate(ths.dirichlet)}
+    values = np.zeros((2, len(ths.dirichlet)))
+    corners = geo.corners()
+    for corner, dof in vel.corner_dofs().items():
+        if dof in pos:
+            values[:, pos[dof]] = data(corners[corner][None, :])[0]
+    for side, role in ths.side_roles.items():
+        if role != "dirichlet":
+            continue
+        espace = vel.side_space(side)
+        dofs = vel.side_dofs(side)
+        n = espace.dim
+        tq, wq = element_rule(espace.breakpoints, espace.degree + 3)
+        tq, wq = tq.ravel(), wq.ravel()
+        B = espace.collocation(tq)
+        pts, jac = geo.eval(*side_param(side, tq))
+        speed = np.linalg.norm(jac[:, :, 1 if side in ("west", "east") else 0], axis=-1)
+        if side in ("west", "east"):  # the arcs: the arc-length weight matters
+            assert np.ptp(speed) > 0.1 * speed.mean()
+        gvals = data(pts)
+        M = B.T @ (B * (wq * speed)[:, None])
+        mid, ends = np.arange(1, n - 1), np.array([0, n - 1])
+        for c in (0, 1):
+            b = B.T @ (wq * speed * gvals[:, c])
+            gc = np.array([values[c, pos[dofs[0]]], values[c, pos[dofs[-1]]]])
+            sol = np.linalg.solve(M[np.ix_(mid, mid)], b[mid] - M[np.ix_(mid, ends)] @ gc)
+            for j, coeff in zip(mid, sol):
+                values[c, pos[dofs[j]]] = coeff
+    return values
+
+
+@pytest.mark.parametrize("roles,corners", [
+    ({side: "dirichlet" for side in SIDES}, ()),
+    ({"west": "dirichlet", "east": "neumann", "south": "dirichlet", "north": "interface"},
+     ((1, 1),)),  # a Dirichlet corner off the patch's Dirichlet sides
+])
+def test_dirichlet_projection_on_curved_sides(roles, corners):
+    geo = quarter_annulus_patch()
+    ths = build_taylor_hood(geo, degree=2, refinement=1, side_roles=roles,
+                            dirichlet_corners=corners)
+
+    def data(pts):  # shifted so that the corner values are not zero
+        return manufactured_velocity(pts + 0.25)
+
+    sys = assemble_patch(geo, ths, dirichlet=data)
+    ref = reference_dirichlet_values(geo, ths, data)
+    assert sys.dirichlet_values.shape == ref.shape
+    assert np.abs(sys.dirichlet_values - ref).max() < 1e-13 * np.abs(ref).max()
+
+
 def test_global_scalar_numbering_grid22():
     mp = build_domain("grid", m=2, n=2)
     spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
@@ -290,18 +344,42 @@ def test_direct_solves_only_in_factorize():
     assert [h[2] for h in hits] == ["splu("]
 
 
+def test_side_param_only_in_side_kernel():
+    # which parameter runs along a side, its tangent column and the outward
+    # rotation are decided in side_traces alone (side_points needs no
+    # derivatives and reads only side_param)
+    src = Path(ietistokes.__file__).parent
+    tree = ast.parse((src / "geometry.py").read_text())
+    allowed = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("side_param", "side_traces", "side_points")]
+    hits = [
+        (path.name, lineno)
+        for path in sorted(src.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "side_param(" in line
+    ]
+    assert hits and [h for h in hits if not (
+        h[0] == "geometry.py" and any(h[1] in r for r in allowed))] == []
+
+
 def test_edge_flux_constant_field():
-    geo = unit_square()
-    ths = build_taylor_hood(geo, degree=1, refinement=1)
-    total = np.zeros(2)
-    for side in ("west", "east", "south", "north"):
-        dofs, R = edge_flux_matrix(geo, ths.vel, side)
-        # flux of u = e_c through this side is the integral of n_c
-        total += R.sum(axis=0)
-        if side == "east":
-            assert abs(R[:, 0].sum() - 1.0) < 1e-13
-            assert abs(R[:, 1].sum()) < 1e-13
-    assert np.abs(total).max() < 1e-13  # closed boundary
+    # the flux of u = e_c through a side is the integral of n_c: the chord
+    # of the side turned outward (away from the patch centre)
+    for geo, degree, tol in ((unit_square(), 1, 1e-13),
+                             (quarter_annulus_patch(), 2, 1e-10)):  # two curved sides
+        ths = build_taylor_hood(geo, degree=degree, refinement=1)
+        centre = geo(0.5, 0.5)
+        total = np.zeros(2)
+        for side in SIDES:
+            dofs, R = edge_flux_matrix(geo, ths.vel, side)
+            a, mid, b = geo.side_points(side, np.array([0.0, 0.5, 1.0]))
+            normal = np.array([b[1] - a[1], a[0] - b[0]])
+            if normal @ (mid - centre) < 0:
+                normal = -normal
+            assert np.abs(R.sum(axis=0) - normal).max() < tol
+            total += R.sum(axis=0)
+        assert np.abs(total).max() < tol  # closed boundary
 
 
 def test_divergence_bubble_flux_is_one_sixth():

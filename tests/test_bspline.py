@@ -60,8 +60,8 @@ def naive_bspline_derivative(knots, degree, i, x, der, left_limit=False):
 
 
 def eval_spline(space, coeffs, x, der=0):
-    first, vals = space.eval_basis(x, der)
-    return vals @ coeffs[first : first + space.degree + 1]
+    first, ders = space.eval_all(x, der)
+    return ders[der] @ coeffs[first : first + space.degree + 1]
 
 
 def test_dimension_examples():
@@ -85,9 +85,9 @@ def test_dimension_formula_brute_force(degree):
 
 def test_eval_example_hats():
     sp = UnivariateSplineSpace([0, 0.5, 1], 1, 0)
-    first, vals = sp.eval_basis(0.25)
+    first, ders = sp.eval_all(0.25, 0)
     assert first == 0
-    assert np.allclose(vals, [0.5, 0.5], atol=1e-14)
+    assert np.allclose(ders[0], [0.5, 0.5], atol=1e-14)
 
 
 @pytest.mark.parametrize("degree,smoothness", [(1, 0), (2, 1), (3, 0), (3, 2), (4, 1), (5, 4)])
@@ -98,9 +98,9 @@ def test_values_match_naive_recursion(degree, smoothness):
     for x in rng.uniform(0.0, 0.999, size=60):
         if np.min(np.abs(sp.knots - x)) < 1e-9:
             continue
-        first, vals = sp.eval_basis(x)
+        first, ders = sp.eval_all(x, 0)
         dense = np.zeros(sp.dim)
-        dense[first : first + degree + 1] = vals
+        dense[first : first + degree + 1] = ders[0]
         naive = np.array([naive_bspline(sp.knots, degree, i, x) for i in range(sp.dim)])
         assert np.abs(dense - naive).max() < 1e-12
 
@@ -150,10 +150,9 @@ def test_partition_of_unity():
     rng = np.random.default_rng(42)
     sp = UnivariateSplineSpace(np.linspace(0, 1, 9), 3, 1)
     for x in rng.uniform(0, 1, size=1000):
-        _, vals = sp.eval_basis(x)
-        assert abs(vals.sum() - 1.0) < 1e-12
-        _, dvals = sp.eval_basis(x, der=1)
-        assert abs(dvals.sum()) < 1e-9
+        _, ders = sp.eval_all(x, 1)
+        assert abs(ders[0].sum() - 1.0) < 1e-12
+        assert abs(ders[1].sum()) < 1e-9
 
 
 def test_endpoint_conventions():
@@ -166,7 +165,7 @@ def test_endpoint_conventions():
     from_right = (eval_spline(sp, c, 0.5 + eps) - eval_spline(sp, c, 0.5)) / eps
     assert abs(eval_spline(sp, c, 0.5, der=1) - from_right) < 1e-5
     assert abs(eval_spline(sp, c, 1.0) - eval_spline(sp, c, 1.0 - eps)) < 1e-6
-    first, _ = sp.eval_basis(1.0)
+    first, _ = sp.eval_all(1.0, 0)
     assert first == sp.dim - 3  # last element's functions stay active at 1
 
 
