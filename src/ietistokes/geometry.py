@@ -568,28 +568,37 @@ def check_interface_matching(mp, spaces, tol=1e-10):
     spaces is one TensorSplineSpace per patch. Along each interface the edge
     spaces must have the same degree and smoothness and matching breakpoints
     (mirrored when the orientation is reversed), and the geometry traces must
-    agree at the Greville points of the edge space. Returns a MatchReport.
+    agree at the Greville points of the edge space. The traces of a patch's
+    interface sides come from one side_traces call. Returns a MatchReport.
     """
-    problems = []
-    diameters = mp.diameters()
+    params = [{} for _ in mp.patches]  # per patch: side -> Greville points
+    found = []  # per interface: a problem, or None while its traces are unchecked
     for iface in mp.interfaces:
         ea = spaces[iface.a].side_space(iface.side_a)
         eb = spaces[iface.b].side_space(iface.side_b)
         if ea.degree != eb.degree or ea.smoothness != eb.smoothness:
-            problems.append(("degree", iface.astuple(), (ea.degree, eb.degree)))
+            found.append(("degree", iface.astuple(), (ea.degree, eb.degree)))
             continue
         zb = eb.breakpoints if not iface.reversed_ else _mirror_breakpoints(eb.breakpoints)
         if len(ea.breakpoints) != len(zb) or np.abs(ea.breakpoints - zb).max() > tol:
-            problems.append(("breakpoints", iface.astuple(), None))
+            found.append(("breakpoints", iface.astuple(), None))
             continue
         t = ea.greville()
-        tb = 1.0 - t if iface.reversed_ else t
-        pa = mp.patches[iface.a].side_points(iface.side_a, t)
-        pb = mp.patches[iface.b].side_points(iface.side_b, tb)
-        scale = max(diameters[iface.a], 1.0)
-        gap = float(np.linalg.norm(pa - pb, axis=1).max())
-        if gap > 1e-8 * scale:
-            problems.append(("trace", iface.astuple(), gap))
+        params[iface.a][iface.side_a] = t
+        params[iface.b][iface.side_b] = 1.0 - t if iface.reversed_ else t
+        found.append(None)
+    traces = [side_traces(g, p) for g, p in zip(mp.patches, params)]
+    diameters = mp.diameters()
+    problems = []
+    for iface, problem in zip(mp.interfaces, found):
+        if problem is None:
+            pa = traces[iface.a][iface.side_a][0]
+            pb = traces[iface.b][iface.side_b][0]
+            gap = float(np.linalg.norm(pa - pb, axis=1).max())
+            if gap > 1e-8 * max(diameters[iface.a], 1.0):
+                problem = ("trace", iface.astuple(), gap)
+        if problem is not None:
+            problems.append(problem)
     return MatchReport(ok=not problems, problems=problems)
 
 

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 import ietistokes
 from ietistokes.assembly import (
     SingularLocalSystemError,
+    _geometry_tables,
     assemble_global,
     assemble_patch,
     build_taylor_hood,
@@ -491,6 +492,23 @@ def _rel_err(got, ref):
     got = got.toarray() if sp.issparse(got) else np.asarray(got)
     assert got.shape == ref.shape
     return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300) if ref.size else 0.0
+
+
+@pytest.mark.parametrize("geo", [
+    quarter_annulus_patch(),  # rational, degrees (1, 2)
+    bilinear_patch((0.0, 0.0), (2.0, 0.3), (0.4, 1.0), (1.7, 1.6)),
+])
+def test_geometry_tables_match_pointwise_map(geo):
+    # the sum-factorized tables on a tensor grid with different point counts
+    # per direction against GeometryMap.eval at each grid point
+    xs = element_rule(np.linspace(0.0, 1.0, 4), 3)[0].ravel()
+    ys = element_rule(np.linspace(0.0, 1.0, 3), 5)[0].ravel()
+    pts, jac, det = _geometry_tables(geo, xs, ys)
+    uu, vv = np.meshgrid(xs, ys, indexing="ij")
+    ref_pts, ref_jac = geo.eval(uu, vv)
+    ref_det = ref_jac[..., 0, 0] * ref_jac[..., 1, 1] - ref_jac[..., 0, 1] * ref_jac[..., 1, 0]
+    for got, ref in ((pts, ref_pts), (jac, ref_jac), (det, ref_det)):
+        assert _rel_err(got, ref) < 1e-14
 
 
 def test_batched_kernel_matches_dense_reference():

@@ -14,6 +14,7 @@ from ietistokes.domains import (
 from ietistokes.geometry import (
     DegenerateJacobianError,
     GeometryMap,
+    MultiPatch,
     TopologyError,
     bilinear_patch,
     build_multipatch,
@@ -309,6 +310,73 @@ def test_matching_with_reversed_orientation():
     assert check_interface_matching(mp, spaces).ok
     spaces_bad = [spaces[0], spaces[0]]
     assert not check_interface_matching(mp, spaces_bad).ok
+
+
+def test_matching_evaluates_each_patch_once(monkeypatch):
+    # the interface traces of a patch come from one evaluation of its map
+    mp = grid_domain(3, 3)
+    spaces = [TensorSplineSpace.from_breakpoints([0, 0.5, 1], [0, 0.5, 1], 2, 1)
+              for _ in range(mp.n_patches)]
+    evaluated = []
+    real_eval = GeometryMap.eval
+
+    def counting_eval(self, *args, **kwargs):
+        evaluated.append(self)
+        return real_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeometryMap, "eval", counting_eval)
+    assert check_interface_matching(mp, spaces).ok
+    assert evaluated == mp.patches
+
+
+def _matching_problems_per_interface(mp, spaces, tol=1e-10):
+    # reference: two side evaluations per interface, in interface order
+    problems = []
+    for iface in mp.interfaces:
+        ea = spaces[iface.a].side_space(iface.side_a)
+        eb = spaces[iface.b].side_space(iface.side_b)
+        if ea.degree != eb.degree or ea.smoothness != eb.smoothness:
+            problems.append(("degree", iface.astuple(), (ea.degree, eb.degree)))
+            continue
+        zb = np.sort(1.0 - eb.breakpoints) if iface.reversed_ else eb.breakpoints
+        if len(ea.breakpoints) != len(zb) or np.abs(ea.breakpoints - zb).max() > tol:
+            problems.append(("breakpoints", iface.astuple(), None))
+            continue
+        t = ea.greville()
+        pa = mp.patches[iface.a].side_points(iface.side_a, t)
+        pb = mp.patches[iface.b].side_points(iface.side_b, 1.0 - t if iface.reversed_ else t)
+        gap = float(np.linalg.norm(pa - pb, axis=1).max())
+        if gap > 1e-8 * max(mp.diameters()[iface.a], 1.0):
+            problems.append(("trace", iface.astuple(), gap))
+    return problems
+
+
+def test_matching_problems_follow_interface_order():
+    # a moved middle patch (trace gaps), a refined last patch (breakpoints)
+    # and a raised degree (degree), on straight, reversed and curved domains
+    grid = grid_domain(3, 1)
+    moved = GeometryMap(grid.patches[1].space, grid.patches[1].control + [0.0, 0.1])
+    shifted = MultiPatch([grid.patches[0], moved, grid.patches[2]], grid.interfaces,
+                         grid.boundary, grid.vertices, grid.tol)
+    a = unit_square()
+    b = bilinear_patch((2, 1), (1, 1), (2, 0), (1, 0))
+    z = [0, 0.5, 1]
+    cases = []
+    for mp in (grid, shifted, build_multipatch([a, b]), quarter_annulus_domain(m=2, n=2),
+               rectangle_with_hole_domain()):
+        base = [TensorSplineSpace.from_breakpoints(z, z, 2, 1) for _ in range(mp.n_patches)]
+        cases.append((mp, base))
+        cases.append((mp, base[:-1] + [base[-1].refine_uniform(1)]))
+        cases.append((mp, [TensorSplineSpace.from_breakpoints(z, z, 3, 2)] + base[1:]))
+    kinds = set()
+    for mp, spaces in cases:
+        ref = _matching_problems_per_interface(mp, spaces)
+        rep = check_interface_matching(mp, spaces)
+        assert rep.problems == ref and rep.ok == (not ref)
+        kinds.update(p[0] for p in ref)
+    assert kinds == {"degree", "breakpoints", "trace"}
+    rep = check_interface_matching(shifted, cases[4][1])
+    assert [p[0] for p in rep.problems] == ["trace", "breakpoints"]
 
 
 def test_geometry_file_roundtrip(tmp_path):
