@@ -18,9 +18,10 @@ block component major; TaylorHoodPatchSpace.pos maps every (component,
 scalar dof) to its position in that order, or to -1 when it is eliminated.
 assemble_patch computes the element matrices of a patch with batched
 matmuls. PatchStokesSystem builds everything else from them when it is
-first asked for: the saddle matrix on the free dofs in one scatter, its
-right-hand side with the Dirichlet lift, the full forms Ks, D, Mp and the
-block views K_gg, K_gi, K_ii, D_g, D_i, scalar_blocks.
+first asked for: the saddle matrix on the free dofs in one scatter (or its
+unsummed triplets), its right-hand side with the Dirichlet lift, the full
+forms Ks, D, Mp and the block views K_gg, K_gi, K_ii, D_g, D_i,
+scalar_blocks.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 (edge_flux_rows) take points, tangents and outward normals from
@@ -31,6 +32,7 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -69,20 +71,90 @@ class SingularLocalSystemError(RuntimeError):
     """A system handed to `factorize` is singular or numerically singular."""
 
 
-def factorize(A, what):
-    """Checked sparse LU of A; every direct solve in the package uses it.
+DENSE_LU_ROWS = 350  # systems up to this many rows are factored dense
 
-    SuperLU with its default ordering. A zero pivot, or a relative residual
-    above 1e-6 on a seeded random right-hand side, raises
-    SingularLocalSystemError naming `what`: pivoted LU of a singular saddle
-    system can succeed with garbage factors. Returns the SuperLU object.
+
+class DenseLU:
+    """LAPACK LU factors of a small system, with the SuperLU interface the
+    package reads: shape, solve (1-D or 2-D right-hand sides) and the unit
+    lower and upper triangles L and U, built on demand as sparse matrices.
     """
-    A = sp.csc_matrix(A)
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as err:
-        raise SingularLocalSystemError("%s is singular: %s" % (what, err))
-    b = np.random.default_rng(7).standard_normal(A.shape[0])
+
+    def __init__(self, lu, piv):
+        self._lu, self._piv = lu, piv
+        self.shape = lu.shape
+        self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+
+    def solve(self, b):
+        # LAPACK getrs without lu_solve's argument checks, which cost more
+        # than the solve itself on these sizes
+        x, _ = self._getrs(self._lu, self._piv, b)
+        return x
+
+    @property
+    def L(self):
+        return sp.csc_matrix(np.tril(self._lu, -1) + np.eye(self.shape[0]))
+
+    @property
+    def U(self):
+        return sp.csc_matrix(np.triu(self._lu))
+
+
+def factorize(A, what):
+    """Checked LU of A; every direct solve in the package uses it.
+
+    A is a dense array or any sparse matrix; COO input may repeat entries,
+    which are summed. A system of at most DENSE_LU_ROWS rows is densified and
+    factored in place by LAPACK getrf (a DenseLU is returned); a larger one
+    goes to SuperLU with its default ordering (the SuperLU object is
+    returned). On either path a zero pivot, or a relative residual above 1e-6
+    on a seeded random right-hand side, raises SingularLocalSystemError
+    naming `what`: pivoted LU of a singular saddle system can succeed with
+    garbage factors.
+
+    The cut comes from the augmented systems of one patch of
+    quarter_annulus(1,2,2,2) at degree p, level l and smoothness s (default
+    p-1), as factor time, solve time for 1 and 20 columns, and factor bytes
+    (SuperLU: 12 per fill entry; dense: 8 per entry), one 2-core host, BLAS
+    on one thread:
+
+        rows  system     factor ms      1-col solve us  20-col solve us  MB
+                         splu   getrf   splu   dense    splu   dense     SuperLU dense
+        158   p1 l2      0.42   0.11    12     11       109    64        0.13    0.20
+        203   p2 l2      0.62   0.21    16     13       121    95        0.31    0.33
+        254   p3 l2      1.51   0.39    25     16       300    137       0.60    0.52
+        311   p4 l2      2.49   0.67    35     20       441    204       0.90    0.77
+        374   p2 l2 s0   1.60   1.09    41     28       596    288       0.75    1.12
+        374   p5 l2      3.82   1.11    49     27       606    303       1.36    1.12
+        443   p3 l2 s1   2.66   1.59    56     37       812    349       1.29    1.57
+        518   p7 l2      9.51   2.60    117    55       1260   463       2.86    2.15
+        598   p1 l3      2.38   3.20    52     90       741    556       0.88    2.86
+        683   p2 l3      6.56   4.65    112    127      1701   717       2.41    3.73
+        774   p3 l3      10.84  6.71    159    165      2051   867       3.58    4.79
+
+    Dense factors faster on every system up to 518 rows; at 598 rows it
+    loses on the sparse p1 l3 system, and from 598 rows its 1-column solves
+    are slower. From 374 rows a dense factor of a sparse (C0) system holds
+    1.5x SuperLU's bytes, 3.3x at 598. The cut sits between 311, where
+    dense wins time and bytes on every system measured, and 374.
+    """
+    n = A.shape[0]
+    if n <= DENSE_LU_ROWS:
+        A = sp.coo_matrix(A)
+        dense = np.bincount(A.col.astype(np.int64) * n + A.row, weights=A.data,
+                            minlength=n * n).reshape((n, n), order="F")
+        getrf, = sla.get_lapack_funcs(("getrf",), (dense,))
+        lu, piv, info = getrf(dense, overwrite_a=True)
+        if info > 0:
+            raise SingularLocalSystemError("%s is singular: Factor is exactly singular" % what)
+        lu = DenseLU(lu, piv)
+    else:
+        A = sp.csc_matrix(A)
+        try:
+            lu = spla.splu(A)
+        except RuntimeError as err:
+            raise SingularLocalSystemError("%s is singular: %s" % (what, err))
+    b = np.random.default_rng(7).standard_normal(n)
     rel = np.linalg.norm(A @ lu.solve(b) - b) / np.linalg.norm(b)
     if not rel <= 1e-6:
         raise SingularLocalSystemError(
@@ -352,17 +424,21 @@ class PatchStokesSystem:
 
     - saddle_matrix(): [[K, D^T], [D, 0]] on the free dofs, in the
       [u_gamma | u_inner | p] order of ths.pos (CSC), scattered once from
-      the element matrices; rhs(): its right-hand side, the load minus the
-      Dirichlet lift through K in the velocity rows and minus the lift
-      through D in the pressure rows, formed element by element;
+      the element matrices; saddle_entries(): the same entries as unsummed
+      triplets; rhs(): its right-hand side, the load minus the Dirichlet
+      lift through K in the velocity rows and minus the lift through D in
+      the pressure rows, formed element by element;
     - Ks (scalar stiffness, vel.dim x vel.dim), D (divergence, pre.dim x
       2*vel.dim, component major) and Mp (pressure mass), over all dofs
       including the Dirichlet ones;
-    - K_gg, K_gi, K_ii, D_g, D_i (both components) and scalar_blocks (K_gg,
-      K_gi, K_ii of one component), as slices of the saddle matrix.
+    - K_gg, K_gi, K_ii, D_g, D_i (both components), as slices of the saddle
+      matrix, and scalar_blocks (K_gg, K_gi, K_ii of one component),
+      scattered from the scalar element stiffness on each access and not
+      cached: the preconditioner reads it once and keeps only K_gg, K_gi.
 
-    The IETI path uses the saddle matrix, its right-hand side and the scalar
-    blocks; the monolithic path only Ks, D and Mp.
+    The IETI path uses the saddle triplets, the right-hand side and the
+    scalar blocks, and never assembles the saddle matrix; the monolithic
+    path only Ks, D and Mp.
     """
 
     def __init__(self, ths, elements, dirichlet_values):
@@ -376,6 +452,21 @@ class PatchStokesSystem:
         """Full patch saddle matrix on free dofs, blocks [u_g | u_i | p]."""
         return self._saddle
 
+    def saddle_entries(self):
+        """(rows, cols, vals) of the saddle matrix, one triplet per element
+        contribution: repeated positions are to be summed."""
+        ths, el = self.ths, self._el
+        nu = 2 * (ths.n_gamma + ths.n_inner)
+        # free positions (e, comp, l) of the velocity functions, -1 if
+        # eliminated, and (e, m) of the pressure functions; D^T reuses the
+        # entries of D
+        pv = ths.pos[:, el.iv].transpose(1, 0, 2).astype(np.int32)
+        pp = (nu + el.ip).astype(np.int32)
+        rk, ck, vk = _free_entries(el.Ke[:, None], pv[..., None], pv[:, :, None, :])
+        rd, cd, vd = _free_entries(el.De, pp[:, None, :, None], pv[:, :, None, :])
+        return (np.concatenate([rk, rd, cd]), np.concatenate([ck, cd, rd]),
+                np.concatenate([vk, vd, vd]))
+
     def rhs(self):
         return self._rhs.copy()
 
@@ -388,20 +479,9 @@ class PatchStokesSystem:
 
     @cached_property
     def _saddle(self):
-        ths, el = self.ths, self._el
-        nu = 2 * (ths.n_gamma + ths.n_inner)
-        n = nu + ths.pre.dim
-        # free positions (e, comp, l) of the velocity functions, -1 if
-        # eliminated, and (e, m) of the pressure functions; D^T reuses the
-        # entries of D
-        pv = ths.pos[:, el.iv].transpose(1, 0, 2).astype(np.int32)
-        pp = (nu + el.ip).astype(np.int32)
-        rk, ck, vk = _free_entries(el.Ke[:, None], pv[..., None], pv[:, :, None, :])
-        rd, cd, vd = _free_entries(el.De, pp[:, None, :, None], pv[:, :, None, :])
-        return sp.csc_matrix(
-            (np.concatenate([vk, vd, vd]),
-             (np.concatenate([rk, rd, cd]), np.concatenate([ck, cd, rd]))),
-            shape=(n, n))
+        rows, cols, vals = self.saddle_entries()
+        n = self.ths.n_local
+        return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
     @cached_property
     def _rhs(self):
@@ -468,13 +548,20 @@ class PatchStokesSystem:
         _, i, p = self._ranges()
         return self._saddle[p, i]
 
-    @cached_property
+    @property
     def scalar_blocks(self):
-        """(K_gg, K_gi, K_ii) of one velocity component."""
-        ng, ni = self.ths.n_gamma, self.ths.n_inner
-        g, i = slice(0, ng), slice(2 * ng, 2 * ng + ni)
-        A = self._saddle
-        return A[g, g], A[g, i], A[i, i]
+        """(K_gg, K_gi, K_ii) of one velocity component as COO matrices with
+        unsummed entries, scattered from the scalar element stiffness."""
+        ths, el = self.ths, self._el
+        ng, ni = ths.n_gamma, ths.n_inner
+        pos = np.where(ths.pos[0] < 2 * ng, ths.pos[0], ths.pos[0] - ng)  # [u_g | u_i]
+        pe = pos[el.iv].astype(np.int32)
+        rows, cols, vals = _free_entries(el.Ke, pe[:, :, None], pe[:, None, :])
+        rg, cg = rows < ng, cols < ng
+        return tuple(
+            sp.coo_matrix((vals[m], (rows[m] - r0, cols[m] - c0)), shape=shape)
+            for m, r0, c0, shape in ((rg & cg, 0, 0, (ng, ng)), (rg & ~cg, 0, ng, (ng, ni)),
+                                     (~rg & ~cg, ng, ng, (ni, ni))))
 
     def expand(self, u_g, u_i):
         """Velocity coefficients (2, nv) from block vectors plus Dirichlet data."""
@@ -872,9 +959,12 @@ def patch_errors(geo, ths, u, p, exact_u=None, exact_grad_u=None, exact_p=None, 
     """Squared error moments of a discrete solution on one patch.
 
     Returns a dict with the squared H1 seminorm and L2 errors of the
-    velocity, and for the pressure the raw moments (integral of the
-    difference, of its square, and the area) so the caller can adjust for the
-    mean across patches.
+    velocity, and for the pressure difference its integral p_diff, the area
+    and its centred second moment p_diff_m2, the integral of the squared
+    deviation from the patch mean. The moment is formed two-pass (mean
+    first, then the squared deviations), so a constant offset of the
+    pressure does not cancel away its digits; total_errors combines the
+    patches.
     """
     t = _element_tables(geo, ths, int(nquad) if nquad else ths.vel.space_x.degree + 3)
     uloc = u.T[t.ids_v]  # (nel, nlv, comp)
@@ -884,38 +974,42 @@ def patch_errors(geo, ths, u, p, exact_u=None, exact_grad_u=None, exact_p=None, 
     ge = exact_grad_u(t.pts) if exact_grad_u is not None else 0.0
     l2 = np.sum(t.wdet * np.sum((uh - ue) ** 2, axis=-1))
     h1 = np.sum(t.wdet * np.sum((guh - ge) ** 2, axis=(-2, -1)))
-    pdiff = pdiff2 = 0.0
+    area = t.wdet.sum()
+    pdiff = pm2 = 0.0
     if p is not None:
         ph = np.einsum("eqm,em->eq", t.Np, p[t.ids_p])
         d = ph - (exact_p(t.pts) if exact_p is not None else 0.0)
         pdiff = np.sum(t.wdet * d)
-        pdiff2 = np.sum(t.wdet * d**2)
-    area = t.wdet.sum()
+        pm2 = np.sum(t.wdet * (d - pdiff / area) ** 2)
     return {
         "h1_u_sq": float(h1),
         "l2_u_sq": float(l2),
         "p_diff": float(pdiff),
-        "p_diff_sq": float(pdiff2),
+        "p_diff_m2": float(pm2),
         "area": float(area),
     }
 
 
 def total_errors(mp, spaces, us, ps, exact_u=None, exact_grad_u=None, exact_p=None):
-    """Velocity H1 seminorm error and mean-adjusted pressure L2 error."""
-    acc = {"h1_u_sq": 0.0, "l2_u_sq": 0.0, "p_diff": 0.0, "p_diff_sq": 0.0, "area": 0.0}
-    for k in range(mp.n_patches):
-        e = patch_errors(
-            mp.patches[k], spaces[k], us[k], None if ps is None else ps[k],
-            exact_u, exact_grad_u, exact_p,
-        )
-        for key in acc:
-            acc[key] += e[key]
-    h1 = np.sqrt(acc["h1_u_sq"])
-    l2u = np.sqrt(acc["l2_u_sq"])
+    """Velocity H1 seminorm error and mean-adjusted pressure L2 error.
+
+    The pressure error is the L2 norm of the difference minus its mean over
+    the domain: the patches' centred moments plus the between-patch term
+    sum_k a_k (s_k/a_k - s/a)^2 (Chan, Golub & LeVeque's parallel variance),
+    with s_k the patch integrals, a_k the areas, s and a their sums.
+    """
+    errs = [
+        patch_errors(mp.patches[k], spaces[k], us[k], None if ps is None else ps[k],
+                     exact_u, exact_grad_u, exact_p)
+        for k in range(mp.n_patches)
+    ]
+    h1 = np.sqrt(sum(e["h1_u_sq"] for e in errs))
+    l2u = np.sqrt(sum(e["l2_u_sq"] for e in errs))
     if ps is None:
         return h1, l2u, None
-    var = acc["p_diff_sq"] - acc["p_diff"] ** 2 / acc["area"]
-    return h1, l2u, float(np.sqrt(max(var, 0.0)))
+    s, a = (np.array([e[key] for e in errs]) for key in ("p_diff", "area"))
+    m2 = sum(e["p_diff_m2"] for e in errs) + np.sum(a * (s / a - s.sum() / a.sum()) ** 2)
+    return h1, l2u, float(np.sqrt(m2))
 
 
 # ---------------------------------------------------------------------------

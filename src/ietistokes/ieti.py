@@ -12,6 +12,13 @@ jump operator B and Lagrange multipliers lambda, leading to
 solved by preconditioned conjugate gradients with the scaled Dirichlet
 preconditioner. The Lanczos tridiagonal matrix assembled from the CG
 coefficients provides the condition number estimate.
+
+The local primal basis psi of a patch solves the augmented system with unit
+constraint values, [[A3, C^T], [C, 0]] [psi; psi_mu] = [0; I]. Since
+A3 psi + C^T psi_mu = 0 and C psi = I, its coarse contribution is
+psi^T A3 psi = -psi_mu (Farhat, Lesoinne, Le Tallec, Pierson & Rixen, IJNME
+2001), so Acoarse is read off the multipliers of the basis solve, and no
+patch saddle matrix is ever assembled on this path.
 """
 
 import time
@@ -162,24 +169,33 @@ def build_jump_operator(constraints, spaces):
 class AugmentedLocalSystem:
     """Checked factorization of one augmented patch matrix.
 
-    A failed check means the constraint set leaves the saddle system
-    singular (e.g. a floating patch stripped of its corner and flux rows).
+    [[A3, C^T], [C, 0]] goes to factorize as unsummed COO triplets, taken
+    from the element contributions of the patch saddle matrix A3 and the
+    constraint rows C; A3 itself is assembled only when asked for. A failed
+    check means the constraint set leaves the saddle system singular (e.g.
+    a floating patch stripped of its corner and flux rows).
     """
 
     def __init__(self, system, C, shifts, label=""):
-        self.A3 = system.saddle_matrix()
-        self.n_x = n = self.A3.shape[0]
+        self.system = system
+        self.n_x = n = system.ths.n_local
         self.n_mu = C.shape[0]
         self.C = C
         self.shifts = shifts
-        a, c = self.A3.tocoo(), C.tocoo()
-        aug = sp.csc_matrix(  # [[A3, C^T], [C, 0]]
-            (np.concatenate([a.data, c.data, c.data]),
-             (np.concatenate([a.row, c.row + n, c.col]),
-              np.concatenate([a.col, c.col, c.row + n]))),
+        rows, cols, vals = system.saddle_entries()
+        c = C.tocoo()
+        aug = sp.coo_matrix(
+            (np.concatenate([vals, c.data, c.data]),
+             (np.concatenate([rows, c.row + n, c.col]),
+              np.concatenate([cols, c.col, c.row + n]))),
             shape=(n + self.n_mu, n + self.n_mu))
         self.lu = factorize(
             aug, "augmented patch system %s (%d constraint rows)" % (label, self.n_mu))
+
+    @property
+    def A3(self):
+        """The patch saddle matrix (assembled on first use)."""
+        return self.system.saddle_matrix()
 
     def solve_x(self, rhs_x, rhs_mu=None):
         """Solve with the given equilibrium/constraint rhs, return the x part.
@@ -241,6 +257,13 @@ class IetiOperator:
     B is the jump matrix over all patches' u_gamma blocks (columns
     gamma_slices[k] for patch k); apply_F, rhs and recover each make one
     product with B^T and one with B around the per-patch solves.
+
+    The coarse layer stays sparse. A_pi sums, over the patches, the signed
+    symmetric part of -psi_mu (which equals psi^T A3 psi, see the module
+    docstring) at the patch's global primal indices; B_pi = B Psi_gamma is
+    the sparse product of B with the signed u_gamma rows of the primal
+    bases. The coarse system, A_pi bordered by the pressure-mean row when
+    use_global_pressure_mean, goes to factorize as COO triplets.
     """
 
     def __init__(self, mp, spaces, systems, use_global_pressure_mean=True):
@@ -257,7 +280,7 @@ class IetiOperator:
         self.psi_x = []
         self.psi_mu = []
         n_pi = constraints.n_primal
-        A_pi = np.zeros((n_pi, n_pi))
+        a_pi = ([], [], [])  # triplets of A_pi
         psi_g = ([], [], [])  # signed u_gamma rows of the primal basis, on B's columns
         b_pi = np.zeros(n_pi)
         for k, ths in enumerate(spaces):
@@ -272,8 +295,11 @@ class IetiOperator:
 
             G = constraints.globals_[k]
             s = constraints.signs[k]
-            contrib = px.T @ (aug.A3 @ px)
-            np.add.at(A_pi, (G[:, None], G[None, :]), (s[:, None] * s[None, :]) * contrib)
+            # psi^T A3 psi = -psi_mu, from A3 psi + C^T psi_mu = 0 and C psi = I
+            contrib = -0.5 * (pm + pm.T)
+            a_pi[0].append(np.repeat(G, len(G)))
+            a_pi[1].append(np.tile(G, len(G)))
+            a_pi[2].append(((s[:, None] * s[None, :]) * contrib).ravel())
             bx = systems[k].rhs()
             gloc = px.T @ bx + pm.T @ constraints.shifts[k]
             np.add.at(b_pi, G, s * gloc)
@@ -282,23 +308,25 @@ class IetiOperator:
             psi_g[1].append(np.tile(G, ng2))  # G has no repeats within a patch
             psi_g[2].append((px[:ng2] * s).ravel())
         rows, cols, vals = (np.concatenate(a) for a in psi_g)
-        self.A_pi = A_pi
-        self.B_pi = (self.B @ sp.csr_matrix((vals, (rows, cols)),
-                                            shape=(offsets[-1], n_pi))).toarray()
+        self.B_pi = self.B @ sp.csr_matrix((vals, (rows, cols)), shape=(offsets[-1], n_pi))
         self.b_pi = b_pi
+        rows, cols, vals = (np.concatenate(a) for a in a_pi)
+        self.A_pi = sp.csr_matrix((vals, (rows, cols)), shape=(n_pi, n_pi))
 
         if use_global_pressure_mean:
             areas = np.array([s.area for s in systems])
             row = np.zeros(n_pi)
             row[constraints.avg_offset :] = areas / areas.sum()
             self.C_pi = row
-            coarse = np.zeros((n_pi + 1, n_pi + 1))
-            coarse[:n_pi, :n_pi] = A_pi
-            coarse[:n_pi, n_pi] = row
-            coarse[n_pi, :n_pi] = row
+            avg = constraints.avg_offset + np.arange(len(areas))
+            border = np.full(len(areas), n_pi)
+            coarse = sp.coo_matrix(  # [[A_pi, row^T], [row, 0]]
+                (np.concatenate([vals, row[avg], row[avg]]),
+                 (np.concatenate([rows, avg, border]), np.concatenate([cols, border, avg]))),
+                shape=(n_pi + 1, n_pi + 1))
         else:
             self.C_pi = None
-            coarse = A_pi
+            coarse = self.A_pi
         self._coarse_lu = factorize(coarse, "coarse primal system")
         self.n_coarse = coarse.shape[0]
         self.n_primal = n_pi

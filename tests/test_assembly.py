@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 import ietistokes
 from ietistokes.assembly import (
+    DENSE_LU_ROWS,
     SingularLocalSystemError,
     _geometry_tables,
     assemble_global,
@@ -26,7 +27,7 @@ from ietistokes.assembly import (
     total_errors,
 )
 from ietistokes.bspline import element_rule
-from ietistokes.domains import build_domain, quarter_annulus_patch
+from ietistokes.domains import build_domain, parse_domain, quarter_annulus_patch
 from ietistokes.geometry import (
     SIDES,
     DegenerateJacobianError,
@@ -254,6 +255,27 @@ def monolithic_errors(mp, degree, refinement):
                         manufactured_velocity_gradient, manufactured_pressure)
 
 
+def test_pressure_error_ignores_constant_offsets():
+    # a constant added to the exact pressure leaves the mean-free error
+    # unchanged; subtracting squared means instead of centring lost it to
+    # cancellation (the 1e4 offset gave 0.0 on the square)
+    for domain, degree, level in (("grid(1,1)", 2, 4), ("quarter_annulus(1,2,2,2)", 2, 2)):
+        mp = parse_domain(domain)
+        spaces = taylor_hood_spaces(mp, degree=degree, refinement=level)
+        glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        us, ps = glob.solve()
+
+        def l2p(offset):
+            return total_errors(mp, spaces, us, ps, manufactured_velocity,
+                                manufactured_velocity_gradient,
+                                lambda x: manufactured_pressure(x) + offset)[2]
+
+        ref = l2p(0.0)
+        assert ref > 0.0
+        for offset in (1e2, 1e4):
+            assert abs(l2p(offset) - ref) <= 1e-6 * ref, (domain, offset)
+
+
 def test_single_patch_convergence_smoke():
     mp = build_multipatch([unit_square()])
     h1 = [monolithic_errors(mp, 1, l)[0] for l in (2, 3)]
@@ -306,43 +328,77 @@ def test_singular_monolithic_solve_raises():
         glob.solve(fix_pressure_mean=False)
 
 
+def _stiffness_ii(degree, refinement):
+    ths = build_taylor_hood(unit_square(), degree, refinement=refinement)
+    return assemble_patch(unit_square(), ths).K_ii.tocsc()
+
+
+def _random_matrix(n, seed):
+    return (sp.random(n, n, density=min(1.0, 6.0 / n), random_state=seed)
+            + 4 * sp.eye(n)).tocsc()
+
+
 def test_factorize_matches_plain_splu():
-    sysk = assemble_patch(unit_square(), build_taylor_hood(unit_square(), 2, refinement=2))
+    # above DENSE_LU_ROWS factorize is SuperLU, bit for bit; at or below it
+    # the dense LAPACK factors solve to round-off, for 1-D and 2-D inputs
     rng = np.random.default_rng(5)
-    general = sp.random(60, 60, density=0.1, random_state=5, format="csc") + 4 * sp.eye(60)
-    for A in (sysk.K_ii.tocsc(), general.tocsc()):
+    big = (_stiffness_ii(2, 4), _random_matrix(DENSE_LU_ROWS + 40, 5))
+    small = (_stiffness_ii(2, 2), _random_matrix(60, 5), _random_matrix(DENSE_LU_ROWS, 6))
+    assert min(A.shape[0] for A in big) > DENSE_LU_ROWS >= max(A.shape[0] for A in small)
+    for A in big:
         b = rng.standard_normal((A.shape[0], 2))
         assert np.array_equal(factorize(A, "test").solve(b), spla.splu(A).solve(b))
+    for A in small:
+        b = rng.standard_normal((A.shape[0], 2))
+        ref = np.linalg.solve(A.toarray(), b)
+        lu = factorize(A, "test")
+        assert lu.shape == A.shape
+        for got, want in ((lu.solve(b), ref), (lu.solve(b[:, 0]), ref[:, 0])):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the triangles the fill counts read multiply back to the matrix,
+        # rows permuted by the partial pivoting
+        prod = (lu.L @ lu.U).toarray()
+        assert np.abs(np.sort(prod, axis=0) - np.sort(A.toarray(), axis=0)).max() < 1e-12
 
 
 def test_factorize_rejects_singular_matrices():
-    A = (sp.random(30, 30, density=0.2, random_state=1) + 5 * sp.eye(30)).tolil()
-    A[:, 3] = 0.0  # structurally singular: SuperLU meets a zero pivot
-    with pytest.raises(SingularLocalSystemError, match="zero column is singular"):
-        factorize(A, "zero column")
+    # both backends, on either side of DENSE_LU_ROWS, raise the same messages
+    for n in (30, DENSE_LU_ROWS + 30):
+        A = _random_matrix(n, 1).tolil()
+        A[:, 3] = 0.0  # structurally singular: a zero pivot
+        with pytest.raises(SingularLocalSystemError, match="zero column is singular"):
+            factorize(A, "zero column")
     # the scalar stiffness of a patch without boundary conditions keeps the
     # constants in its kernel; only the residual check sees that
-    Ks = assemble_patch(unit_square(), build_taylor_hood(unit_square(), 1, refinement=1)).Ks
-    with pytest.raises(SingularLocalSystemError, match="floating stiffness is numerically"):
-        factorize(Ks, "floating stiffness")
+    sizes = []
+    for degree, refinement in ((1, 1), (2, 4)):
+        Ks = assemble_patch(unit_square(), build_taylor_hood(unit_square(), degree,
+                                                             refinement=refinement)).Ks
+        sizes.append(Ks.shape[0])
+        with pytest.raises(SingularLocalSystemError, match="floating stiffness is numerically"):
+            factorize(Ks, "floating stiffness")
+    assert sizes[0] <= DENSE_LU_ROWS < sizes[1]
 
 
 def test_direct_solves_only_in_factorize():
-    # every LU in the package goes through the checked factorization
+    # every LU in the package goes through the checked factorization:
+    # SuperLU and LAPACK getrf in factorize, getrs in its dense factor class
     src = Path(ietistokes.__file__).parent
     tree = ast.parse((src / "assembly.py").read_text())
-    fn = next(node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "factorize")
-    inside = range(fn.lineno, fn.end_lineno + 1)
-    calls = ("splu(", "spsolve(", "lu_factor(", "lu_solve(")
-    hits = [
-        (path.name, lineno, call)
+    scopes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name in ("factorize", "DenseLU")}
+    calls = ("splu(", "spsolve(", "lu_factor(", "lu_solve(", "getrf", "getrs")
+    hits = {
+        (path.name, next((name for name, lines in scopes.items()
+                          if path.name == "assembly.py" and lineno in lines), None), call)
         for path in sorted(src.glob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         for call in calls if call in line
-    ]
-    assert [h for h in hits if not (h[0] == "assembly.py" and h[1] in inside)] == []
-    assert [h[2] for h in hits] == ["splu("]
+    }
+    assert hits == {("assembly.py", "factorize", "splu("), ("assembly.py", "factorize", "getrf"),
+                    ("assembly.py", "DenseLU", "getrs")}
 
 
 def test_side_param_only_in_side_kernel():
@@ -564,7 +620,8 @@ def test_batched_kernel_matches_dense_reference():
     dp = P @ p - manufactured_pressure(pts)
     ref = {"l2_u_sq": np.sum(wdet * np.sum(du**2, axis=-1)),
            "h1_u_sq": np.sum(wdet * np.sum(dg**2, axis=(-2, -1))),
-           "p_diff": np.sum(wdet * dp), "p_diff_sq": np.sum(wdet * dp**2),
+           "p_diff": np.sum(wdet * dp),
+           "p_diff_m2": np.sum(wdet * (dp - np.sum(wdet * dp) / wdet.sum()) ** 2),
            "area": wdet.sum()}
     for key, val in ref.items():
         assert abs(err[key] - val) < 1e-12 * max(1.0, abs(val)), key

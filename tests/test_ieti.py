@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ietistokes import assembly
 from ietistokes.assembly import (
+    DenseLU,
+    PatchStokesSystem,
     assemble_global,
     assemble_patch,
     build_taylor_hood,
@@ -421,6 +424,70 @@ def test_benchmark_counts_contract():
         x = rng.standard_normal(len(i))
         assert np.abs(lu.solve(Ks[np.ix_(i, i)] @ x) - x).max() < 1e-8
         assert lu.L.nnz > 0 and lu.U.nnz > 0
+
+
+@pytest.mark.parametrize("domain, degree", [("grid(3,3)", 1), ("quarter_annulus(1,2,3,2)", 2)])
+def test_coarse_matrix_from_basis_multipliers(domain, degree):
+    # A_pi is read off the multipliers of the primal basis solve (-psi_mu);
+    # it must equal the Galerkin product psi^T A3 psi summed over patches
+    mp = parse_domain(domain)
+    spaces = taylor_hood_spaces(mp, degree=degree, refinement=1)
+    op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    cons = op.constraints
+    ref = np.zeros((op.n_primal, op.n_primal))
+    for k, aug in enumerate(op.locals_):
+        psi = op.psi_x[k] * cons.signs[k]
+        G = cons.globals_[k]
+        np.add.at(ref, (G[:, None], G[None, :]), psi.T @ (aug.A3 @ psi))
+    assert sp.issparse(op.A_pi) and sp.issparse(op.B_pi)
+    assert np.abs(op.A_pi.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
+    # the local factorizations take the saddle triplets and the coarse matrix
+    # comes from the basis solve; only tests and the benchmark counters ask
+    # for the assembled patch saddle matrix
+    mp, spaces, glob = build_grid_problem(3, 3)
+    asked = []
+    real = PatchStokesSystem.saddle_matrix
+
+    def counting_saddle_matrix(self):
+        asked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PatchStokesSystem, "saddle_matrix", counting_saddle_matrix)
+    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
+    op.apply_F(op.rhs())
+    pc.apply(op.rhs())
+    assert asked == []
+    assert not any("_saddle" in sysk.__dict__ for sysk in glob.systems)
+    assert op.locals_[4].A3.shape == (op.locals_[4].n_x,) * 2  # still there on demand
+    assert asked == [glob.systems[4]]
+
+
+def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
+    # every system here is small enough to be factored dense; with the cut at
+    # zero all of them go to SuperLU instead, and the solve must not notice
+    mp = parse_domain("quarter_annulus(1,2,4,4)")
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+
+    def solve():
+        op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs())
+        us, ps, _ = op.recover(lam)
+        dense = [isinstance(f, DenseLU)
+                 for f in [a.lu for a in op.locals_] + [b[2] for b in pc.blocks]
+                 + [op._coarse_lu]]
+        return us, ps, rep, dense
+
+    us, ps, rep, dense = solve()
+    monkeypatch.setattr(assembly, "DENSE_LU_ROWS", 0)
+    us0, ps0, rep0, dense0 = solve()
+    assert all(dense) and not any(dense0)
+    assert rep.converged and rep.iterations == rep0.iterations
+    assert abs(rep.kappa - rep0.kappa) <= 1e-12 * rep0.kappa
+    for a, b in zip(us + ps, us0 + ps0):
+        assert np.abs(a - b).max() <= 1e-10
 
 
 def test_preconditioner_spd():
