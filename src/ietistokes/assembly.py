@@ -18,17 +18,17 @@ block component major; TaylorHoodPatchSpace.pos maps every (component,
 scalar dof) to its position in that order, or to -1 when it is eliminated.
 assemble_patch computes the element matrices of a patch with batched
 matmuls. PatchStokesSystem builds everything else from them when it is
-first asked for: the saddle matrix on the free dofs in one scatter (or its
-unsummed triplets), its right-hand side with the Dirichlet lift, the full
-forms Ks, D, Mp and the block views K_gg, K_gi, K_ii, D_g, D_i,
-scalar_blocks.
+first asked for: the saddle matrix on the free dofs in one scatter, its
+right-hand side with the Dirichlet lift, the full forms Ks, D, Mp, the
+block views K_gg, K_gi, K_ii, D_g, D_i, and the dense scalar blocks that
+static condensation reads.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 (edge_flux_rows) take points, tangents and outward normals from
 geometry.side_traces, one evaluation of the map per patch.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,17 +100,26 @@ class DenseLU:
         return sp.csc_matrix(np.triu(self._lu))
 
 
+@lru_cache(maxsize=64)
+def _check_vector(n):
+    """The seeded random right-hand side of factorize's residual check."""
+    b = np.random.default_rng(7).standard_normal(n)
+    b.flags.writeable = False
+    return b
+
+
 def factorize(A, what):
     """Checked LU of A; every direct solve in the package uses it.
 
-    A is a dense array or any sparse matrix; COO input may repeat entries,
-    which are summed. A system of at most DENSE_LU_ROWS rows is densified and
-    factored in place by LAPACK getrf (a DenseLU is returned); a larger one
-    goes to SuperLU with its default ordering (the SuperLU object is
-    returned). On either path a zero pivot, or a relative residual above 1e-6
-    on a seeded random right-hand side, raises SingularLocalSystemError
-    naming `what`: pivoted LU of a singular saddle system can succeed with
-    garbage factors.
+    A is a dense ndarray or any sparse matrix; COO input may repeat entries,
+    which are summed. A dense ndarray goes straight to LAPACK getrf at any
+    size, which factors a copy; a sparse matrix of at most DENSE_LU_ROWS rows
+    is densified and factored in place by getrf; both return a DenseLU. A
+    larger sparse matrix goes to SuperLU with its default ordering (the
+    SuperLU object is returned). On either path a zero pivot, or a relative
+    residual above 1e-6 on a seeded random right-hand side (drawn once per
+    size), raises SingularLocalSystemError naming `what`: pivoted LU of a
+    singular saddle system can succeed with garbage factors.
 
     The cut comes from the augmented systems of one patch of
     quarter_annulus(1,2,2,2) at degree p, level l and smoothness s (default
@@ -139,12 +148,16 @@ def factorize(A, what):
     dense wins time and bytes on every system measured, and 374.
     """
     n = A.shape[0]
-    if n <= DENSE_LU_ROWS:
-        A = sp.coo_matrix(A)
-        dense = np.bincount(A.col.astype(np.int64) * n + A.row, weights=A.data,
-                            minlength=n * n).reshape((n, n), order="F")
-        getrf, = sla.get_lapack_funcs(("getrf",), (dense,))
-        lu, piv, info = getrf(dense, overwrite_a=True)
+    dense = isinstance(A, np.ndarray)
+    if dense or n <= DENSE_LU_ROWS:
+        if dense:
+            work = A  # getrf factors a copy
+        else:
+            A = sp.coo_matrix(A)
+            work = np.bincount(A.col.astype(np.int64) * n + A.row, weights=A.data,
+                               minlength=n * n).reshape((n, n), order="F")
+        getrf, = sla.get_lapack_funcs(("getrf",), (work,))
+        lu, piv, info = getrf(work, overwrite_a=not dense)
         if info > 0:
             raise SingularLocalSystemError("%s is singular: Factor is exactly singular" % what)
         lu = DenseLU(lu, piv)
@@ -154,7 +167,7 @@ def factorize(A, what):
             lu = spla.splu(A)
         except RuntimeError as err:
             raise SingularLocalSystemError("%s is singular: %s" % (what, err))
-    b = np.random.default_rng(7).standard_normal(n)
+    b = _check_vector(n)
     rel = np.linalg.norm(A @ lu.solve(b) - b) / np.linalg.norm(b)
     if not rel <= 1e-6:
         raise SingularLocalSystemError(
@@ -424,21 +437,22 @@ class PatchStokesSystem:
 
     - saddle_matrix(): [[K, D^T], [D, 0]] on the free dofs, in the
       [u_gamma | u_inner | p] order of ths.pos (CSC), scattered once from
-      the element matrices; saddle_entries(): the same entries as unsummed
-      triplets; rhs(): its right-hand side, the load minus the Dirichlet
-      lift through K in the velocity rows and minus the lift through D in
-      the pressure rows, formed element by element;
+      the element matrices; rhs(): its right-hand side, the load minus the
+      Dirichlet lift through K in the velocity rows and minus the lift
+      through D in the pressure rows, formed element by element;
     - Ks (scalar stiffness, vel.dim x vel.dim), D (divergence, pre.dim x
       2*vel.dim, component major) and Mp (pressure mass), over all dofs
       including the Dirichlet ones;
     - K_gg, K_gi, K_ii, D_g, D_i (both components), as slices of the saddle
-      matrix, and scalar_blocks (K_gg, K_gi, K_ii of one component),
-      scattered from the scalar element stiffness on each access and not
-      cached: the preconditioner reads it once and keeps only K_gg, K_gi.
+      matrix.
 
-    The IETI path uses the saddle triplets, the right-hand side and the
-    scalar blocks, and never assembles the saddle matrix; the monolithic
-    path only Ks, D and Mp.
+    condensation_blocks() is the exception: the scalar stiffness of one
+    component and the divergence on the free dofs, as a dense array and its
+    interior block, scattered from the element matrices on each call and
+    not cached. The
+    IETI path reads it, the right-hand side and the pressure average row,
+    and never assembles the saddle matrix; the monolithic path only Ks, D
+    and Mp.
     """
 
     def __init__(self, ths, elements, dirichlet_values):
@@ -452,21 +466,6 @@ class PatchStokesSystem:
         """Full patch saddle matrix on free dofs, blocks [u_g | u_i | p]."""
         return self._saddle
 
-    def saddle_entries(self):
-        """(rows, cols, vals) of the saddle matrix, one triplet per element
-        contribution: repeated positions are to be summed."""
-        ths, el = self.ths, self._el
-        nu = 2 * (ths.n_gamma + ths.n_inner)
-        # free positions (e, comp, l) of the velocity functions, -1 if
-        # eliminated, and (e, m) of the pressure functions; D^T reuses the
-        # entries of D
-        pv = ths.pos[:, el.iv].transpose(1, 0, 2).astype(np.int32)
-        pp = (nu + el.ip).astype(np.int32)
-        rk, ck, vk = _free_entries(el.Ke[:, None], pv[..., None], pv[:, :, None, :])
-        rd, cd, vd = _free_entries(el.De, pp[:, None, :, None], pv[:, :, None, :])
-        return (np.concatenate([rk, rd, cd]), np.concatenate([ck, cd, rd]),
-                np.concatenate([vk, vd, vd]))
-
     def rhs(self):
         return self._rhs.copy()
 
@@ -479,9 +478,18 @@ class PatchStokesSystem:
 
     @cached_property
     def _saddle(self):
-        rows, cols, vals = self.saddle_entries()
-        n = self.ths.n_local
-        return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        ths, el = self.ths, self._el
+        nu = 2 * (ths.n_gamma + ths.n_inner)
+        # free positions (e, comp, l) of the velocity functions, -1 if
+        # eliminated, and (e, m) of the pressure functions; D^T reuses the
+        # entries of D
+        pv = ths.pos[:, el.iv].transpose(1, 0, 2).astype(np.int32)
+        pp = (nu + el.ip).astype(np.int32)
+        rk, ck, vk = _free_entries(el.Ke[:, None], pv[..., None], pv[:, :, None, :])
+        rd, cd, vd = _free_entries(el.De, pp[:, None, :, None], pv[:, :, None, :])
+        return sp.csc_matrix((np.concatenate([vk, vd, vd]),
+                              (np.concatenate([rk, rd, cd]), np.concatenate([ck, cd, rd]))),
+                             shape=(ths.n_local, ths.n_local))
 
     @cached_property
     def _rhs(self):
@@ -548,20 +556,31 @@ class PatchStokesSystem:
         _, i, p = self._ranges()
         return self._saddle[p, i]
 
-    @property
-    def scalar_blocks(self):
-        """(K_gg, K_gi, K_ii) of one velocity component as COO matrices with
-        unsummed entries, scattered from the scalar element stiffness."""
+    def condensation_blocks(self):
+        """(K_ii, W): the scalar stiffness and the divergence on the free dofs.
+
+        W is dense. Its columns are the scalar free dofs [u_inner | u_gamma]
+        of one velocity component; its rows [K_i | K_g | D_0 | D_1] are those
+        of the scalar stiffness, then the divergence rows acting on each
+        component. K_ii is W's interior block, in the form factorize is to
+        take it: a dense view up to DENSE_LU_ROWS rows and CSC above, so
+        that a large one goes to SuperLU. One scatter of the element
+        matrices, on each call; eliminated dofs land in a leading row and
+        column that are cut off.
+        """
         ths, el = self.ths, self._el
-        ng, ni = ths.n_gamma, ths.n_inner
-        pos = np.where(ths.pos[0] < 2 * ng, ths.pos[0], ths.pos[0] - ng)  # [u_g | u_i]
-        pe = pos[el.iv].astype(np.int32)
-        rows, cols, vals = _free_entries(el.Ke, pe[:, :, None], pe[:, None, :])
-        rg, cg = rows < ng, cols < ng
-        return tuple(
-            sp.coo_matrix((vals[m], (rows[m] - r0, cols[m] - c0)), shape=shape)
-            for m, r0, c0, shape in ((rg & cg, 0, 0, (ng, ng)), (rg & ~cg, 0, ng, (ng, ni)),
-                                     (~rg & ~cg, ng, ng, (ni, ni))))
+        ni, n, npre = ths.n_inner, ths.n_inner + ths.n_gamma, ths.n_pressure
+        s = np.zeros(ths.vel.dim, dtype=np.int64)  # 0: eliminated
+        s[ths.inner] = np.arange(1, ni + 1)
+        s[ths.gamma] = np.arange(ni + 1, n + 1)
+        sv = s[el.iv]
+        rows = n + 1 + npre * np.arange(2)[:, None, None] + el.ip[:, None, :, None]
+        idx = np.concatenate([(sv[:, :, None] * (n + 1) + sv[:, None, :]).ravel(),
+                              (rows * (n + 1) + sv[:, None, None, :]).ravel()])
+        W = np.bincount(idx, weights=np.concatenate([el.Ke.ravel(), el.De.ravel()]),
+                        minlength=(n + 1 + 2 * npre) * (n + 1)).reshape(-1, n + 1)[1:, 1:]
+        K_ii = W[:ni, :ni]
+        return (K_ii if ni <= DENSE_LU_ROWS else sp.csc_matrix(K_ii)), W
 
     def expand(self, u_g, u_i):
         """Velocity coefficients (2, nv) from block vectors plus Dirichlet data."""

@@ -13,6 +13,17 @@ solved by preconditioned conjugate gradients with the scaled Dirichlet
 preconditioner. The Lanczos tridiagonal matrix assembled from the CG
 coefficients provides the condition number estimate.
 
+Abar_k^-1 maps interface values to interface values, so each patch is
+condensed onto its interface once, at setup (Farhat et al. below; Li &
+Widlund, SISC 2006, for BDDC on incompressible Stokes): the interior
+velocity is eliminated through one factor of the scalar interior stiffness
+K_ii, which both components share, and the dense reduced system on
+[u_gamma | p | mu] is factored. Its inverse's u_gamma block F_k, and the
+scalar Schur complement S_K = K_gg - K_gi K_ii^-1 K_ig of the
+preconditioner, are read off as dense blocks. A PCG iteration then applies
+the local part of F and the preconditioner as products with the block
+diagonals of the F_k and of the S_K, and solves only the coarse system.
+
 The local primal basis psi of a patch solves the augmented system with unit
 constraint values, [[A3, C^T], [C, 0]] [psi; psi_mu] = [0; I]. Since
 A3 psi + C^T psi_mu = 0 and C psi = I, its coarse contribution is
@@ -38,6 +49,7 @@ from .assembly import (
 __all__ = (
     "SingularLocalSystemError",
     "PrimalConstraints",
+    "CondensedLU",
     "AugmentedLocalSystem",
     "IetiOperator",
     "ScaledDirichletPreconditioner",
@@ -87,51 +99,49 @@ class PrimalConstraints:
 
         for k, ths in enumerate(spaces):
             sysk = systems[k]
-            n_g, n_i = ths.n_gamma, ths.n_inner
-            n_x = 2 * (n_g + n_i) + ths.n_pressure
-            p_off = 2 * (n_g + n_i)
-            ri, ci, vals = [], [], []
-            shifts, globs, signs = [], [], []
-            nrow = 0
+            p_off = 2 * (ths.n_gamma + ths.n_inner)
+            n_x = p_off + ths.n_pressure
+            faces = patch_faces[k]
+            fis = np.array([f[0] for f in faces], dtype=int)
+            flux = edge_flux_rows(mp.patches[k], ths.vel, [f[1] for f in faces])
+            sides = [flux[f[1]] for f in faces]
+            dofs = np.concatenate([d for d, _ in sides] + [np.zeros(0, dtype=int)])
+            R = np.concatenate([r for _, r in sides] + [np.zeros((0, 2))])
+            face = np.repeat(np.arange(len(faces)), [len(d) for d, _ in sides])
+            is_dir = np.isin(dofs, ths.dirichlet)
+            free = ~is_dir
+            corners = vertex_corners[k]
+            nc = len(corners)
+            cdofs = np.array([ths.vel.corner_dof(*c) for _, c in corners], dtype=int)
 
-            avg = sysk.pressure_average_row()
-            ri.extend([nrow] * len(avg))
-            ci.extend((p_off + np.arange(ths.n_pressure)).tolist())
-            vals.extend(avg.tolist())
-            shifts.append(0.0)
-            globs.append(self.avg_offset + k)
-            signs.append(1.0)
-            nrow += 1
+            # rows [average | (vertex, component) | face]; the velocity
+            # entries, one per (scalar dof, component), come from one
+            # gamma_pos call
+            scalar = np.repeat(np.concatenate([cdofs, dofs[free]]), 2)
+            ri = np.concatenate([np.zeros(ths.n_pressure, dtype=int), 1 + np.arange(2 * nc),
+                                 np.repeat(1 + 2 * nc + face[free], 2)])
+            ci = np.concatenate([p_off + np.arange(ths.n_pressure),
+                                 ths.gamma_pos(np.arange(len(scalar)) % 2, scalar)])
+            vals = np.concatenate([sysk.pressure_average_row(), np.ones(2 * nc),
+                                   R[free].ravel()])
+            nrow = 1 + 2 * nc + len(faces)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(ri, minlength=nrow))])
+            rows = sp.csr_matrix((vals, ci, indptr), shape=(nrow, n_x))
+            rows.sort_indices()
+            self.rows.append(rows)
 
-            for vi, corner in vertex_corners[k]:
-                dof = ths.vel.corner_dof(*corner)
-                for c in (0, 1):
-                    ri.append(nrow)
-                    ci.append(ths.gamma_pos(c, dof))
-                    vals.append(1.0)
-                    shifts.append(0.0)
-                    globs.append(2 * vi + c)
-                    signs.append(1.0)
-                    nrow += 1
-
-            flux = edge_flux_rows(mp.patches[k], ths.vel, [f[1] for f in patch_faces[k]])
-            for fi, side, sign in patch_faces[k]:
-                dofs, R = flux[side]
-                is_dir = np.isin(dofs, ths.dirichlet)
-                gd = sysk.dirichlet_values[:, np.searchsorted(ths.dirichlet, dofs[is_dir])]
-                free = dofs[~is_dir]
-                ri.extend([nrow] * (2 * len(free)))
-                ci.extend(ths.gamma_pos(np.arange(2), free[:, None]).ravel().tolist())
-                vals.extend(R[~is_dir].ravel().tolist())
-                shifts.append(-float(np.sum(R[is_dir] * gd.T)))
-                globs.append(self.flux_offset + fi)
-                signs.append(sign)
-                nrow += 1
-
-            self.rows.append(sp.coo_matrix((vals, (ri, ci)), shape=(nrow, n_x)).tocsr())
-            self.shifts.append(np.array(shifts))
-            self.globals_.append(np.array(globs, dtype=int))
-            self.signs.append(np.array(signs))
+            # flux shifts from the eliminated Dirichlet dofs on each face: at
+            # most its two end dofs, so bincount's running sums are np.sum's
+            # (an empty bincount is integer, hence the cast)
+            gd = sysk.dirichlet_values[:, np.searchsorted(ths.dirichlet, dofs[is_dir])]
+            lift = np.bincount(np.repeat(face[is_dir], 2), weights=(R[is_dir] * gd.T).ravel(),
+                               minlength=len(faces))
+            vi = np.array([v for v, _ in corners], dtype=int)
+            self.shifts.append(np.concatenate([np.zeros(1 + 2 * nc), -lift.astype(float)]))
+            self.globals_.append(np.concatenate([[self.avg_offset + k],
+                                                 (2 * vi[:, None] + np.arange(2)).ravel(),
+                                                 self.flux_offset + fis]))
+            self.signs.append(np.concatenate([np.ones(1 + 2 * nc), [f[2] for f in faces]]))
 
     def n_local(self, k):
         return self.rows[k].shape[0]
@@ -166,31 +176,118 @@ def build_jump_operator(constraints, spaces):
 # local factorizations and the primal basis
 
 
-class AugmentedLocalSystem:
-    """Checked factorization of one augmented patch matrix.
+class CondensedLU:
+    """Solver of an augmented patch system through its interior condensation.
 
-    [[A3, C^T], [C, 0]] goes to factorize as unsummed COO triplets, taken
-    from the element contributions of the patch saddle matrix A3 and the
-    constraint rows C; A3 itself is assembled only when asked for. A failed
-    check means the constraint set leaves the saddle system singular (e.g.
-    a floating patch stripped of its corner and flux rows).
+    The unknowns are ordered [u_gamma | u_inner | p | mu], each velocity
+    block component major; the reduced ones [u_gamma | p | mu]. interior is
+    the factor of the scalar interior stiffness K_ii, which both velocity
+    components share; reduced the factor of the dense reduced system R; X
+    is K_ii^-1 [K_ig | D_0i^T | D_1i^T]. solve takes a full right-hand side
+    (1-D or one column per solve): one K_ii solve with two columns per
+    column, one R solve, and products with X. L and U are the block
+    diagonals of the two factors' triangles, the fill the solver holds.
+    """
+
+    def __init__(self, interior, reduced, X, n_gamma, n_pressure):
+        self.interior, self.reduced, self._X = interior, reduced, X
+        self._ng, self._ni, self._np = n_gamma, X.shape[0], n_pressure
+        n = reduced.shape[0] + 2 * self._ni
+        self.shape = (n, n)
+
+    def solve(self, b):
+        ng, ni, npre, X = self._ng, self._ni, self._np, self._X
+        nu = 2 * (ng + ni)
+        B = b.reshape(len(b), -1)
+        k = B.shape[1]
+        # interior rhs, one column per (component, solve)
+        b_i = B[2 * ng : nu].reshape(2, ni, k).transpose(1, 0, 2).reshape(ni, 2 * k)
+        z = self.interior.solve(b_i) if ni else b_i
+        P = X.T @ b_i
+        r = np.concatenate([B[: 2 * ng], B[nu:]])
+        r[:ng] -= P[:ng, :k]
+        r[ng : 2 * ng] -= P[:ng, k:]
+        r[2 * ng : 2 * ng + npre] -= P[ng : ng + npre, :k] + P[ng + npre :, k:]
+        y = self.reduced.solve(r)
+        V = np.zeros((X.shape[1], 2 * k))
+        V[:ng, :k] = y[:ng]
+        V[:ng, k:] = y[ng : 2 * ng]
+        V[ng : ng + npre, :k] = V[ng + npre :, k:] = y[2 * ng : 2 * ng + npre]
+        x_i = z - X @ V
+        out = np.concatenate([y[: 2 * ng],
+                              x_i.reshape(ni, 2, k).transpose(1, 0, 2).reshape(2 * ni, k),
+                              y[2 * ng :]])
+        return out.reshape(b.shape)
+
+    @property
+    def L(self):
+        return sp.block_diag([f.L for f in (self.interior, self.reduced) if f is not None],
+                             format="csc")
+
+    @property
+    def U(self):
+        return sp.block_diag([f.U for f in (self.interior, self.reduced) if f is not None],
+                             format="csc")
+
+
+class AugmentedLocalSystem:
+    """Condensed factorization of one augmented patch matrix.
+
+    [[A3, C^T], [C, 0]] is never formed. The interior velocity is eliminated
+    at setup: K_ii, the scalar interior stiffness, is factored once for both
+    components, and the dense reduced system R on [u_gamma | p | mu],
+
+        R = [[K_gg, D_g^T, C_g^T], [D_g, 0, C_p^T], [C_g, C_p, 0]]
+            - [K_gi; D_i; 0] K_ii^-1 [K_ig, D_i^T, 0],
+
+    is factored next, both through factorize from the element blocks of
+    PatchStokesSystem.condensation_blocks. The constraint rows C must not
+    act on interior velocity dofs. Read off at setup:
+
+    - F: the u_gamma x u_gamma block of the augmented inverse (that of
+      R^-1), the patch's share of the dual-primal operator;
+    - S: the scalar Schur complement K_gg - K_gi K_ii^-1 K_ig, which the
+      preconditioner applies to each component.
+
+    lu solves the whole augmented system (see CondensedLU); A3 is assembled
+    only when asked for. A failed check on R means the constraint set
+    leaves the saddle system singular (e.g. a floating patch stripped of its
+    corner and flux rows).
     """
 
     def __init__(self, system, C, shifts, label=""):
         self.system = system
-        self.n_x = n = system.ths.n_local
+        ths = system.ths
+        self.n_x = ths.n_local
         self.n_mu = C.shape[0]
         self.C = C
         self.shifts = shifts
-        rows, cols, vals = system.saddle_entries()
-        c = C.tocoo()
-        aug = sp.coo_matrix(
-            (np.concatenate([vals, c.data, c.data]),
-             (np.concatenate([rows, c.row + n, c.col]),
-              np.concatenate([cols, c.col, c.row + n]))),
-            shape=(n + self.n_mu, n + self.n_mu))
-        self.lu = factorize(
-            aug, "augmented patch system %s (%d constraint rows)" % (label, self.n_mu))
+        ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
+        ng2, nu = 2 * ng, 2 * (ng + ni)
+        Cd = C.toarray()
+        if Cd[:, ng2:nu].any():
+            raise ValueError("constraint rows of patch %s act on interior velocity dofs" % label)
+
+        K_ii, W = system.condensation_blocks()
+        Q = W[ni:, :ni]  # [K_gi; D_0i; D_1i]
+        lu_ii = factorize(K_ii, "interior stiffness of patch %s" % label) if ni else None
+        X = lu_ii.solve(Q.T) if ni else np.zeros((0, len(Q)))
+        G = W[ni:, ni:] - Q @ X[:, :ng]  # [S; condensed D_0g; condensed D_1g]
+        self.S = G[:ng]
+        p0, p1 = slice(ng, ng + npre), slice(ng + npre, None)  # D_0, D_1 rows of Q
+        p = slice(ng2, ng2 + npre)
+        R = np.zeros((ng2 + npre + self.n_mu,) * 2)
+        R[:ng, :ng] = R[ng:ng2, ng:ng2] = self.S
+        R[p, :ng] = G[p0]
+        R[p, ng:ng2] = G[p1]
+        R[p, p] = -(Q[p0] @ X[:, p0] + Q[p1] @ X[:, p1])
+        R[p.stop :, :ng2] = Cd[:, :ng2]
+        R[p.stop :, p] = Cd[:, nu:]
+        R[: p.stop, p.stop :] = R[p.stop :, : p.stop].T
+        R[:ng2, p] = R[p, :ng2].T
+        lu_r = factorize(R, "condensed patch system %s (%d constraint rows)" % (label, self.n_mu))
+        self.F = lu_r.solve(np.eye(len(R), ng2))[:ng2]
+        self.lu = CondensedLU(lu_ii, lu_r, X, ng, npre)
 
     @property
     def A3(self):
@@ -251,12 +348,29 @@ def build_primal_basis(aug, ths):
 # the dual-primal operator
 
 
+def _block_diagonal(blocks):
+    """CSR matrix with the dense square blocks on its diagonal, every entry
+    of every block stored. Built in one pass: scipy's block_diag converts
+    each block on its own (4.7 against 1.0 ms for the 64 F_k of
+    quarter_annulus(1,2,8,8), p=2, l=2)."""
+    sizes = [len(b) for b in blocks]
+    starts = np.cumsum([0] + sizes)
+    indices = np.concatenate([np.tile(np.arange(a, b, dtype=np.int32), b - a)
+                              for a, b in zip(starts[:-1], starts[1:])])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(sizes, sizes))])
+    return sp.csr_matrix((np.concatenate([b.ravel() for b in blocks]), indices, indptr),
+                         shape=(starts[-1],) * 2)
+
+
 class IetiOperator:
     """The dual-primal operator F, its right-hand side and the recovery.
 
     B is the jump matrix over all patches' u_gamma blocks (columns
-    gamma_slices[k] for patch k); apply_F, rhs and recover each make one
-    product with B^T and one with B around the per-patch solves.
+    gamma_slices[k] for patch k). F is the CSR block diagonal of the
+    patches' condensed blocks F_k, on the same columns: apply_F is the
+    coarse term plus B F B^T lam, with no local solve. rhs and recover
+    solve each patch's augmented system once, between one product with B^T
+    and one with B.
 
     The coarse layer stays sparse. A_pi sums, over the patches, the signed
     symmetric part of -psi_mu (which equals psi^T A3 psi, see the module
@@ -330,6 +444,7 @@ class IetiOperator:
         self._coarse_lu = factorize(coarse, "coarse primal system")
         self.n_coarse = coarse.shape[0]
         self.n_primal = n_pi
+        self.F = _block_diagonal([aug.F for aug in self.locals_])
 
     def coarse_solve(self, rhs_primal):
         rhs = np.zeros(self.n_coarse)
@@ -337,11 +452,8 @@ class IetiOperator:
         return self._coarse_lu.solve(rhs)[: self.n_primal]
 
     def apply_F(self, lam):
-        t = self.B.T @ lam
-        y = np.empty_like(t)
-        for aug, sl in zip(self.locals_, self.gamma_slices):
-            y[sl] = aug.solve_x(t[sl])[: sl.stop - sl.start]
-        return self.B_pi @ self.coarse_solve(self.B_pi.T @ lam) + self.B @ y
+        return (self.B_pi @ self.coarse_solve(self.B_pi.T @ lam)
+                + self.B @ (self.F @ (self.B.T @ lam)))
 
     def rhs(self):
         y = np.empty(self.B.shape[1])
@@ -372,45 +484,30 @@ class ScaledDirichletPreconditioner:
     """M_sD = sum_k B^k D^-1 S_K^k D^-1 B^k,T with D = 2 I.
 
     S_K is the velocity Schur complement on the interface block. Both
-    components share the scalar stiffness, so one interior Poisson solve
-    with two right-hand-side columns applies it; pressure never enters.
-    B is the stacked jump matrix of IetiOperator. blocks holds per patch
-    (K_gg, K_gi, LU of K_ii) of one component; apply uses K_gg and K_gi
-    stacked block-diagonally over all patches, acting on the interface
-    values arranged one scalar dof per row, one component per column.
+    components share the scalar complement S that each local system read
+    off at setup, from the K_ii factor it holds; apply makes one product
+    with the block diagonal of the S, once per patch and component, between
+    the products with the stacked jump matrix B of IetiOperator.
     """
 
-    def __init__(self, spaces, systems, B):
+    def __init__(self, locals_, B):
         self.B = B
-        self.blocks = []
-        self._interior = []  # (LU of K_ii, its rows in the stacked interior block)
-        cols = [np.zeros((0, 2), dtype=int)]
-        off = inner = 0
-        for k, (ths, sysk) in enumerate(zip(spaces, systems)):
-            Kgg, Kgi, Kii = sysk.scalar_blocks
-            lu_ii = (factorize(Kii, "interior stiffness of patch %d" % k)
-                     if Kii.shape[0] else None)
-            self.blocks.append((Kgg, Kgi, lu_ii))
-            ng, ni = ths.n_gamma, ths.n_inner
-            cols.append(off + np.arange(2 * ng).reshape(2, ng).T)
-            if lu_ii is not None:
-                self._interior.append((lu_ii, slice(inner, inner + ni)))
-            off += 2 * ng
-            inner += ni
-        self._cols = np.concatenate(cols)  # column of B per (scalar dof, component)
-        self._Kgg = sp.block_diag([b[0] for b in self.blocks], format="csr")
-        self._Kgi = sp.block_diag([b[1] for b in self.blocks], format="csr")
+        self.locals_ = locals_
+        self.S = _block_diagonal([aug.S for aug in locals_ for _ in (0, 1)])
+
+    @property
+    def blocks(self):
+        """Per patch (K_gg, K_gi, factor of K_ii) of one velocity component,
+        K_gg and K_gi sparse; scattered again on each access."""
+        out = []
+        for aug in self.locals_:
+            ni, ng = aug.system.ths.n_inner, aug.system.ths.n_gamma
+            K = aug.system.condensation_blocks()[1][ni : ni + ng]
+            out.append((sp.csr_matrix(K[:, ni:]), sp.csr_matrix(K[:, :ni]), aug.lu.interior))
+        return out
 
     def apply(self, lam):
-        V = 0.5 * (self.B.T @ lam)[self._cols]
-        W = self._Kgg @ V
-        Z = self._Kgi.T @ V
-        for lu_ii, sl in self._interior:
-            Z[sl] = lu_ii.solve(Z[sl])
-        W -= self._Kgi @ Z
-        y = np.empty(self.B.shape[1])
-        y[self._cols] = 0.5 * W
-        return self.B @ y
+        return 0.25 * (self.B @ (self.S @ (self.B.T @ lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +629,7 @@ def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=Tr
         ]
     op = IetiOperator(mp, spaces, systems,
                       use_global_pressure_mean=use_global_pressure_mean)
-    pc = ScaledDirichletPreconditioner(spaces, systems, op.B)
+    pc = ScaledDirichletPreconditioner(op.locals_, op.B)
     return op, pc
 
 

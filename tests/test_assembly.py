@@ -9,7 +9,9 @@ import scipy.sparse.linalg as spla
 import ietistokes
 from ietistokes.assembly import (
     DENSE_LU_ROWS,
+    DenseLU,
     SingularLocalSystemError,
+    _check_vector,
     _geometry_tables,
     assemble_global,
     assemble_patch,
@@ -381,6 +383,61 @@ def test_factorize_rejects_singular_matrices():
     assert sizes[0] <= DENSE_LU_ROWS < sizes[1]
 
 
+def test_factorize_sends_dense_arrays_to_getrf():
+    # a dense array goes to LAPACK at any size, with the same checks, and is
+    # left as it was; the residual check draws its vector once per size, the
+    # same vector as default_rng(7)
+    rng = np.random.default_rng(8)
+    for n in (40, DENSE_LU_ROWS + 40):
+        A = _random_matrix(n, 3).toarray()
+        before = A.copy()
+        lu = factorize(A, "test")
+        assert isinstance(lu, DenseLU) and lu.shape == A.shape
+        assert np.array_equal(A, before)
+        b = rng.standard_normal((n, 2))
+        ref = np.linalg.solve(A, b)
+        assert np.abs(lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+        v = _check_vector(n)
+        assert v is _check_vector(n) and not v.flags.writeable
+        assert np.array_equal(v, np.random.default_rng(7).standard_normal(n))
+        A[:, 3] = 0.0
+        with pytest.raises(SingularLocalSystemError, match="zero column is singular"):
+            factorize(A, "zero column")
+    # numerically singular: a floating stiffness, dense, above the cut
+    Ks = assemble_patch(unit_square(), build_taylor_hood(unit_square(), 2, refinement=4)).Ks
+    assert Ks.shape[0] > DENSE_LU_ROWS
+    with pytest.raises(SingularLocalSystemError, match="floating stiffness is numerically"):
+        factorize(Ks.toarray(), "floating stiffness")
+
+
+def _dotted(node, aliases):
+    """Full dotted name of a Name/Attribute chain, import aliases resolved."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(aliases.get(node.id, node.id))
+    return ".".join(reversed(parts))
+
+
+def _dense_solver_calls(tree):
+    """(scope, call) of every numpy/scipy dense solve or inverse in each
+    top-level function and class of a module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            aliases.update({a.asname or a.name: node.module + "." + a.name for a in node.names})
+    banned = {m + "." + f for m in ("numpy.linalg", "scipy.linalg") for f in ("solve", "inv")}
+    return {(scope.name, name)
+            for scope in tree.body if isinstance(scope, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(scope) if isinstance(node, ast.Call)
+            for name in [_dotted(node.func, aliases)] if name in banned}
+
+
 def test_direct_solves_only_in_factorize():
     # every LU in the package goes through the checked factorization:
     # SuperLU and LAPACK getrf in factorize, getrs in its dense factor class
@@ -399,6 +456,13 @@ def test_direct_solves_only_in_factorize():
     }
     assert hits == {("assembly.py", "factorize", "splu("), ("assembly.py", "factorize", "getrf"),
                     ("assembly.py", "DenseLU", "getrs")}
+    # and no local solve of the IETI layer bypasses it through a dense
+    # numpy/scipy solve or inverse; the brute-force checks may use them
+    found = _dense_solver_calls(ast.parse((src / "ieti.py").read_text()))
+    local = {"CondensedLU", "AugmentedLocalSystem", "build_primal_basis", "IetiOperator",
+             "ScaledDirichletPreconditioner"}
+    assert not {scope for scope, _ in found} & local
+    assert ("_brute_sup_matrix", "numpy.linalg.solve") in found  # the scan sees them
 
 
 def test_side_param_only_in_side_kernel():
@@ -602,10 +666,14 @@ def test_batched_kernel_matches_dense_reference():
         for got, ref in ((sysk.K_gg, K2[np.ix_(g, g)]), (sysk.K_gi, K2[np.ix_(g, i)]),
                          (sysk.K_ii, K2[np.ix_(i, i)]), (sysk.D_g, D[:, g]), (sysk.D_i, D[:, i])):
             assert _rel_err(got, ref) < 1e-12
-        sg, si = ths.gamma, ths.inner
-        for got, ref in zip(sysk.scalar_blocks,
-                            (K[np.ix_(sg, sg)], K[np.ix_(sg, si)], K[np.ix_(si, si)])):
-            assert _rel_err(got, ref) < 1e-12
+        # the dense blocks static condensation reads: rows [K_i | K_g | D_0 |
+        # D_1], columns the scalar free dofs [u_inner | u_gamma]
+        si = ths.inner
+        s = np.concatenate([si, ths.gamma])
+        W = np.concatenate([K[np.ix_(s, s)]] + [D[:, c * nv + s] for c in (0, 1)])
+        K_ii, got = sysk.condensation_blocks()
+        assert _rel_err(got, W) < 1e-12
+        assert K_ii.shape == (ths.n_inner,) * 2 and _rel_err(K_ii, K[np.ix_(si, si)]) < 1e-12
     assert ths.n_gamma and np.abs(gd).max() > 0.1  # the mixed case really has both
 
     rng = np.random.default_rng(2)

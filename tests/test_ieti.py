@@ -21,6 +21,7 @@ from ietistokes.domains import build_domain, parse_domain
 from ietistokes.geometry import GeometryMap, bilinear_patch, build_multipatch
 from ietistokes.ieti import (
     AugmentedLocalSystem,
+    CondensedLU,
     IetiOperator,
     PrimalConstraints,
     ScaledDirichletPreconditioner,
@@ -319,6 +320,17 @@ def test_singularity_detected_without_constraints():
         AugmentedLocalSystem(sysk, C, np.zeros(1), label="unconstrained")
 
 
+def test_constraint_rows_on_interior_dofs_are_rejected():
+    # the condensation eliminates the interior velocity before the
+    # constraints enter, so a row reading an interior dof cannot be honoured
+    mp, spaces, glob = build_grid_problem(2, 2)
+    ths = spaces[0]
+    col = 2 * ths.n_gamma  # the first interior velocity dof
+    C = sp.csr_matrix(([1.0], ([0], [col])), shape=(1, ths.n_local))
+    with pytest.raises(ValueError, match="interior velocity"):
+        AugmentedLocalSystem(glob.systems[0], C, np.zeros(1), label="0")
+
+
 def test_pcg_seed_reproducible():
     mp, spaces, glob = build_grid_problem(2, 2)
     op, pc = setup_ieti(mp, spaces, systems=glob.systems)
@@ -426,6 +438,189 @@ def test_benchmark_counts_contract():
         assert lu.L.nnz > 0 and lu.U.nnz > 0
 
 
+def _neumann_outlet_grid():
+    # grid(2,1) with a Neumann (outflow) east side on the second patch
+    mp0 = build_domain("grid", m=2, n=1)
+    tags = {(k, s): "dirichlet" for k in (0, 1)
+            for s in ("west", "east", "south", "north")}
+    tags[(1, "east")] = "neumann"
+    return build_multipatch(mp0.patches, boundary=lambda k, s, m: tags[(k, s)])
+
+
+def _patch_without_interior():
+    # one square patch whose velocity dofs are all interface dofs (p=1, one
+    # element: the centre dof is reclassified), with average and corner rows
+    geo = bilinear_patch((0, 0), (1, 0), (0, 1), (1, 1))
+    roles = {s: "interface" for s in ("west", "east", "south", "north")}
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    ths = build_taylor_hood(geo, degree=1, side_roles=roles, gamma_corners=corners)
+    ths.gamma, ths.inner = np.arange(ths.vel.dim), np.zeros(0, dtype=int)
+    ths.pos[:] = np.arange(2 * ths.vel.dim).reshape(2, -1)
+    sysk = assemble_patch(geo, ths, rhs=manufactured_rhs)
+    avg = sysk.pressure_average_row()
+    dofs = [ths.vel.corner_dof(*c) for c in corners]
+    rows = np.concatenate([np.zeros(len(avg), dtype=int), 1 + np.arange(8)])
+    cols = np.concatenate([2 * ths.vel.dim + np.arange(len(avg)),
+                           ths.gamma_pos(np.tile([0, 1], 4), np.repeat(dofs, 2))])
+    C = sp.csr_matrix((np.concatenate([avg, np.ones(8)]), (rows, cols)), shape=(9, ths.n_local))
+    assert ths.n_inner == 0
+    return [AugmentedLocalSystem(sysk, C, np.zeros(9), label="no interior")]
+
+
+def _local_systems(case):
+    if case == "neumann outlet":
+        mp = _neumann_outlet_grid()
+        spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
+        op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity,
+                           use_global_pressure_mean=False)
+    elif case == "rectangle_with_hole":
+        mp = parse_domain(case)
+        spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
+        op, _ = setup_ieti(mp, spaces, dirichlet=channel_inlet, use_global_pressure_mean=False,
+                           nquad=6)
+    elif case == "quarter_annulus(1,2,3,2)":
+        mp = parse_domain(case)
+        spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+        op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    else:
+        return _patch_without_interior()
+    return op.locals_
+
+
+@pytest.mark.parametrize("case", ["neumann outlet", "rectangle_with_hole",
+                                  "quarter_annulus(1,2,3,2)", "no interior"])
+def test_condensed_solve_matches_the_augmented_matrix(case):
+    # the condensed factors solve [[A3, C^T], [C, 0]] for whole vectors, and
+    # F is the u_gamma block of its inverse
+    rng = np.random.default_rng(21)
+    for aug in _local_systems(case):
+        A = sp.bmat([[aug.A3, aug.C.T], [aug.C, None]]).toarray()
+        assert aug.lu.shape == A.shape
+        b = rng.standard_normal((len(A), 3))
+        ref = np.linalg.solve(A, b)
+        for got, want in ((aug.lu.solve(b), ref), (aug.lu.solve(b[:, 1]), ref[:, 1])):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        ng2 = 2 * aug.system.ths.n_gamma
+        F = np.linalg.inv(A)[:ng2, :ng2]
+        assert aug.F.shape == F.shape
+        assert np.abs(aug.F - F).max() <= 1e-10 * np.abs(F).max()
+
+
+def test_pcg_makes_no_local_solves(monkeypatch):
+    # every PCG iteration applies F and the preconditioner through the
+    # matrices read off at setup; only the coarse factor is solved with
+    mp, spaces, glob = build_grid_problem(3, 3, degree=2)
+    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
+    g = op.rhs()
+    local = [f for aug in op.locals_ for f in (aug.lu, aug.lu.interior, aug.lu.reduced)]
+    assert all(isinstance(f, DenseLU) for f in local[1::3] + local[2::3])
+    solved = []
+    for cls in (DenseLU, CondensedLU):
+        real = cls.solve
+
+        def counting_solve(self, b, real=real):
+            solved.append(self)
+            return real(self, b)
+
+        monkeypatch.setattr(cls, "solve", counting_solve)
+    lam, rep = solve_pcg(op.apply_F, pc.apply, g)
+    assert rep.converged and rep.iterations > 0
+    assert solved and all(f is op._coarse_lu for f in solved)
+    assert not any(f is l for f in solved for l in local)
+
+
+def test_preconditioner_shares_the_interior_factor():
+    mp, spaces, glob = build_grid_problem(3, 3)
+    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
+    blocks = pc.blocks
+    assert len(blocks) == len(op.locals_)
+    for (_, _, lu), aug in zip(blocks, op.locals_):
+        assert lu is aug.lu.interior
+
+
+def _per_row_constraints(mp, spaces, systems, cons):
+    """The constraint rows built one row at a time, as a reference."""
+    from ietistokes.assembly import edge_flux_rows
+
+    vertex_corners = [[] for _ in range(mp.n_patches)]
+    for vi, j in enumerate(cons.vertices):
+        for k, corner in mp.vertices[j].members:
+            vertex_corners[k].append((vi, corner))
+    patch_faces = [[] for _ in range(mp.n_patches)]
+    for fi, iface in enumerate(cons.interfaces):
+        patch_faces[iface.a].append((fi, iface.side_a, 1.0))
+        patch_faces[iface.b].append((fi, iface.side_b, -1.0))
+    out = []
+    for k, ths in enumerate(spaces):
+        sysk = systems[k]
+        n_x = 2 * (ths.n_gamma + ths.n_inner) + ths.n_pressure
+        p_off = 2 * (ths.n_gamma + ths.n_inner)
+        ri, ci, vals, shifts, globs, signs = [], [], [], [], [], []
+        avg = sysk.pressure_average_row()
+        ri.extend([0] * len(avg))
+        ci.extend((p_off + np.arange(ths.n_pressure)).tolist())
+        vals.extend(avg.tolist())
+        shifts.append(0.0)
+        globs.append(cons.avg_offset + k)
+        signs.append(1.0)
+        nrow = 1
+        for vi, corner in vertex_corners[k]:
+            dof = ths.vel.corner_dof(*corner)
+            for c in (0, 1):
+                ri.append(nrow)
+                ci.append(ths.gamma_pos(c, dof))
+                vals.append(1.0)
+                shifts.append(0.0)
+                globs.append(2 * vi + c)
+                signs.append(1.0)
+                nrow += 1
+        flux = edge_flux_rows(mp.patches[k], ths.vel, [f[1] for f in patch_faces[k]])
+        for fi, side, sign in patch_faces[k]:
+            dofs, R = flux[side]
+            is_dir = np.isin(dofs, ths.dirichlet)
+            gd = sysk.dirichlet_values[:, np.searchsorted(ths.dirichlet, dofs[is_dir])]
+            free = dofs[~is_dir]
+            ri.extend([nrow] * (2 * len(free)))
+            ci.extend(ths.gamma_pos(np.arange(2), free[:, None]).ravel().tolist())
+            vals.extend(R[~is_dir].ravel().tolist())
+            shifts.append(-float(np.sum(R[is_dir] * gd.T)))
+            globs.append(cons.flux_offset + fi)
+            signs.append(sign)
+            nrow += 1
+        out.append((sp.coo_matrix((vals, (ri, ci)), shape=(nrow, n_x)).tocsr(),
+                    np.array(shifts), np.array(globs, dtype=int), np.array(signs)))
+    return out
+
+
+@pytest.mark.parametrize("domain, degree, data", [
+    ("grid(3,3)", 1, manufactured_velocity),
+    ("quarter_annulus(1,2,3,2)", 2, manufactured_velocity),
+    ("rectangle_with_hole", 1, channel_inlet),
+    ("neumann outlet", 2, manufactured_velocity),
+])
+def test_constraint_rows_match_the_per_row_algorithm(domain, degree, data):
+    mp = _neumann_outlet_grid() if domain == "neumann outlet" else parse_domain(domain)
+    spaces = taylor_hood_spaces(mp, degree=degree, refinement=1)
+    systems = [assemble_patch(mp.patches[k], spaces[k], dirichlet=data)
+               for k in range(mp.n_patches)]
+    cons = PrimalConstraints(mp, spaces, systems)
+    ref = _per_row_constraints(mp, spaces, systems, cons)
+    assert any(np.any(shift) for _, shift, _, _ in ref)  # Dirichlet ends on some face
+
+    def same(a, b):  # bitwise, down to the sign of zero
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for k, (rows, shifts, globs, signs) in enumerate(ref):
+        got = cons.rows[k]
+        assert got.shape == rows.shape and got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert same(getattr(got, name), getattr(rows, name)), (k, name)
+        assert same(cons.shifts[k], shifts), k
+        assert same(cons.globals_[k], globs), k
+        assert same(cons.signs[k], signs), k
+
+
 @pytest.mark.parametrize("domain, degree", [("grid(3,3)", 1), ("quarter_annulus(1,2,3,2)", 2)])
 def test_coarse_matrix_from_basis_multipliers(domain, degree):
     # A_pi is read off the multipliers of the primal basis solve (-psi_mu);
@@ -444,9 +639,9 @@ def test_coarse_matrix_from_basis_multipliers(domain, degree):
 
 
 def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
-    # the local factorizations take the saddle triplets and the coarse matrix
-    # comes from the basis solve; only tests and the benchmark counters ask
-    # for the assembled patch saddle matrix
+    # the local condensation takes the dense element blocks and the coarse
+    # matrix comes from the basis solve; only tests and the benchmark
+    # counters ask for the assembled patch saddle matrix
     mp, spaces, glob = build_grid_problem(3, 3)
     asked = []
     real = PatchStokesSystem.saddle_matrix
@@ -466,8 +661,10 @@ def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
 
 
 def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
-    # every system here is small enough to be factored dense; with the cut at
-    # zero all of them go to SuperLU instead, and the solve must not notice
+    # every sparse system here (the interior stiffnesses and the coarse
+    # system) is small enough to be factored dense; with the cut at zero all
+    # of them go to SuperLU instead, and the solve must not notice. The
+    # reduced systems are dense arrays and stay dense either way.
     mp = parse_domain("quarter_annulus(1,2,4,4)")
     spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
 
@@ -475,8 +672,9 @@ def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
         op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
         lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs())
         us, ps, _ = op.recover(lam)
+        assert all(isinstance(a.lu.reduced, DenseLU) for a in op.locals_)
         dense = [isinstance(f, DenseLU)
-                 for f in [a.lu for a in op.locals_] + [b[2] for b in pc.blocks]
+                 for f in [a.lu.interior for a in op.locals_] + [b[2] for b in pc.blocks]
                  + [op._coarse_lu]]
         return us, ps, rep, dense
 
