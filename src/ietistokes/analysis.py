@@ -12,6 +12,7 @@ complement. The skeleton routines compare the boundary Schur complement of
 the full saddle point system with the one of the vector Laplacian.
 """
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,7 +39,12 @@ DENSE_LIMIT = 20000
 
 
 class SchurSpectrum:
-    """Extreme nonzero generalized eigenvalues of (D K^-1 D^T, M_p)."""
+    """Extreme nonzero generalized eigenvalues of (D K^-1 D^T, M_p).
+
+    When lam_min <= 0, beta is 0 and kappa inf. An inf-sup unstable pair
+    may also give a lam_min of round-off size above 0; that is reported as
+    is, with a tiny beta and a large finite kappa.
+    """
 
     def __init__(self, lam_min, lam_max, dofs, method):
         self.lam_min = float(lam_min)
@@ -49,7 +55,7 @@ class SchurSpectrum:
     @property
     def beta(self):
         """Discrete inf-sup constant."""
-        return np.sqrt(self.lam_min)
+        return math.sqrt(self.lam_min) if self.lam_min > 0 else 0.0
 
     @property
     def delta(self):
@@ -58,7 +64,7 @@ class SchurSpectrum:
 
     @property
     def kappa(self):
-        return np.sqrt(self.lam_max / self.lam_min)
+        return math.sqrt(self.lam_max / self.lam_min) if self.lam_min > 0 else math.inf
 
     def __repr__(self):
         return "SchurSpectrum(beta=%.4g, delta=%.4g, kappa=%.4g, method=%s)" % (

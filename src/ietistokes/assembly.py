@@ -16,9 +16,21 @@ interface edge or shared vertex) or interior.
 The free dofs of a patch are ordered [u_gamma | u_inner | p], each velocity
 block component major; TaylorHoodPatchSpace.pos maps every (component,
 scalar dof) to its position in that order, or to -1 when it is eliminated.
-assemble_patch computes the element matrices of a patch with batched
-matmuls. PatchStokesSystem builds everything else from them when it is
-first asked for: the saddle matrix on the free dofs in one scatter, its
+
+Patches with equal geometry, velocity and pressure spaces (degrees and
+knots compared by value) that are all rational or all polynomial form a
+family; taylor_hood_spaces gives the patches with equal breakpoints one
+shared vel/pre pair. One element-quadrature kernel, _element_tables, serves
+a whole family: it tabulates the splines once, builds the geometry tables
+of the stacked control nets by sum factorization, and runs over chunks of
+the family's patches cut so that no chunk's physical gradients exceed
+CHUNK_BYTES (1 MB; at least one patch a chunk). The element matrices
+(_element_forms) and the error moments (_error_moments) are its two
+readers. element_forms and total_errors run it once per family;
+assemble_patch takes its patch's element matrices from element_forms, or
+treats the patch as a family of one, as patch_errors does.
+PatchStokesSystem builds everything else from the element matrices when it
+is first asked for: the saddle matrix on the free dofs in one scatter, its
 right-hand side with the Dirichlet lift, the full forms Ks, D, Mp, the
 block views K_gg, K_gi, K_ii, D_g, D_i, and the dense scalar blocks that
 static condensation reads.
@@ -48,6 +60,7 @@ __all__ = (
     "build_taylor_hood",
     "taylor_hood_spaces",
     "assemble_patch",
+    "element_forms",
     "assemble_global",
     "matched_side_dofs",
     "edge_flux_matrix",
@@ -190,17 +203,15 @@ class TaylorHoodPatchSpace:
     """
 
     def __init__(self, geo, degree, smoothness, refinement, side_roles,
-                 dirichlet_corners=(), gamma_corners=()):
+                 dirichlet_corners=(), gamma_corners=(), pair=None):
         if degree < 1:
             raise ValueError("pressure degree must be at least 1")
-        zx = geo.space.space_x.breakpoints
-        zy = geo.space.space_y.breakpoints
         self.geo = geo
         self.degree = int(degree)
         self.smoothness = int(smoothness)
         self.refinement = int(refinement)
-        self.vel = TensorSplineSpace.from_breakpoints(zx, zy, degree + 1, smoothness).refine_uniform(refinement)
-        self.pre = TensorSplineSpace.from_breakpoints(zx, zy, degree, smoothness).refine_uniform(refinement)
+        # pair: (vel, pre) of another patch with the same breakpoints, shared
+        self.vel, self.pre = pair or _taylor_hood_pair(geo, degree, smoothness, refinement)
         self.side_roles = dict(side_roles)
         for side, role in self.side_roles.items():
             if role not in ("interface", "dirichlet", "neumann"):
@@ -259,6 +270,14 @@ class TaylorHoodPatchSpace:
         return pos
 
 
+def _taylor_hood_pair(geo, degree, smoothness, refinement):
+    """(vel, pre) on the breakpoints of geo: degrees degree+1 and degree."""
+    zx = geo.space.space_x.breakpoints
+    zy = geo.space.space_y.breakpoints
+    return tuple(TensorSplineSpace.from_breakpoints(zx, zy, d, smoothness).refine_uniform(refinement)
+                 for d in (degree + 1, degree))
+
+
 def build_taylor_hood(geo, degree, smoothness=None, refinement=0, side_roles=None,
                       dirichlet_corners=(), gamma_corners=()):
     """Taylor-Hood space on a single patch.
@@ -280,7 +299,8 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
     Corner dofs at vertices on the closure of the Dirichlet boundary are
     eliminated in every patch that touches the vertex; corner dofs at shared
     non-Dirichlet vertices count as interface dofs even when the patches only
-    touch at the corner.
+    touch at the corner. Patches with equal breakpoints (by value) share one
+    vel/pre pair; the spaces are never modified after construction.
     """
     if smoothness is None:
         smoothness = degree - 1
@@ -293,11 +313,14 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
         elif len(v.patches) >= 2:
             for k, corner in v.members:
                 gam_corners[k].append(corner)
-    spaces = [
-        TaylorHoodPatchSpace(mp.patches[k], degree, smoothness, refinement,
-                             mp.side_roles(k), dir_corners[k], gam_corners[k])
-        for k in range(mp.n_patches)
-    ]
+    pairs = {}
+    spaces = []
+    for k, geo in enumerate(mp.patches):
+        key = tuple(s.breakpoints.tobytes() for s in (geo.space.space_x, geo.space.space_y))
+        ths = TaylorHoodPatchSpace(geo, degree, smoothness, refinement, mp.side_roles(k),
+                                   dir_corners[k], gam_corners[k], pairs.get(key))
+        pairs.setdefault(key, (ths.vel, ths.pre))
+        spaces.append(ths)
     report = check_interface_matching(mp, [s.vel for s in spaces])
     if not report.ok:
         raise ValueError("interface discretizations do not match: %r" % report.problems)
@@ -305,57 +328,100 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
 
 
 # ---------------------------------------------------------------------------
-# batched element quadrature
+# patch families and the batched element quadrature
+
+CHUNK_BYTES = 2**20  # bound on a chunk's physical gradients in _element_forms
 
 
-def _geometry_tables(geo, xs, ys):
-    """Jacobian data of the map on the tensor grid xs x ys (1d point arrays).
+def _space_key(space):
+    """Degrees and knot bytes of a tensor spline space, per direction."""
+    return tuple((s.degree, s.knots.tobytes()) for s in (space.space_x, space.space_y))
 
-    Returns pts (len(xs), len(ys), 2), jac (..., 2, 2) and det (...). The
-    control net is contracted one direction at a time (sum factorization,
-    Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 2015): once with
-    each y-table, then each result with an x-table, so every table costs two
-    matrix products.
+
+def _families(patches, spaces):
+    """Patch numbers grouped into families, each list increasing.
+
+    The patches of a family have equal geometry, velocity and pressure
+    spaces (degrees and knots, compared by value) and are all rational or
+    all polynomial, so their element quadrature differs only in the control
+    nets. Families come in the order of their first patch.
     """
-    sx, sy = geo.space.space_x, geo.space.space_y
-    if geo.weights is None:
-        hom = geo.control
-        ncomp = 2
+    groups = {}
+    for k, (geo, ths) in enumerate(zip(patches, spaces)):
+        key = (_space_key(geo.space), geo.is_rational, _space_key(ths.vel), _space_key(ths.pre))
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+def _per_family(patches, spaces, kernel, *args):
+    """Run kernel(patches, members, ths, *args), which returns one result
+    per member, on every family; the results in patch order."""
+    out = [None] * len(patches)
+    for members in _families(patches, spaces):
+        for k, res in zip(members, kernel(patches, members, spaces[members[0]], *args)):
+            out[k] = res
+    return out
+
+
+def _chunks(n, per_patch):
+    """Consecutive slices of range(n), each of at least one and at most
+    CHUNK_BYTES // per_patch patches."""
+    size = max(1, CHUNK_BYTES // per_patch)
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _geometry_tables(geos, xs, ys):
+    """Jacobian data of a family of maps on the tensor grid xs x ys.
+
+    geos share one geometry space and are all rational or all polynomial.
+    Returns pts (P, len(xs), len(ys), 2), jac (..., 2, 2) and det (...) for
+    the P = len(geos) maps. The stacked control nets are contracted one
+    direction at a time (sum factorization, Antolin, Buffa, Calabro,
+    Martinelli & Sangalli, CMAME 2015): once with each y-table, then each
+    result with an x-table, so every table costs two matrix products
+    whatever P is.
+    """
+    space = geos[0].space
+    sx, sy = space.space_x, space.space_y
+    rational = geos[0].weights is not None
+    if rational:
+        hom = np.stack([np.column_stack([g.control * g.weights[:, None], g.weights])
+                        for g in geos])
     else:
-        hom = np.column_stack([geo.control * geo.weights[:, None], geo.weights])
-        ncomp = 3
-    net = hom.reshape(geo.space.ny, geo.space.nx * ncomp)
-    shape = (len(ys), geo.space.nx, ncomp)
-    t0 = (sy.collocation(ys) @ net).reshape(shape)
-    t1 = (sy.collocation(ys, der=1) @ net).reshape(shape)
+        hom = np.stack([g.control for g in geos])
+    P, _, ncomp = hom.shape
+    nx, ny = space.nx, space.ny
+    net = hom.reshape(P, ny, nx * ncomp).transpose(1, 0, 2).reshape(ny, -1)
+    # (nx, ys * P * ncomp): the y-contracted nets, x index leading
+    t0, t1 = ((sy.collocation(ys, der=d) @ net).reshape(len(ys), P, nx, ncomp)
+              .transpose(2, 0, 1, 3).reshape(nx, -1) for d in (0, 1))
     gx0 = sx.collocation(xs)
     gx1 = sx.collocation(xs, der=1)
-    s = (gx0 @ t0).transpose(1, 0, 2)
-    su = (gx1 @ t0).transpose(1, 0, 2)
-    sv = (gx0 @ t1).transpose(1, 0, 2)
-    if geo.weights is None:
-        pts = s
-        jac = np.stack([su, sv], axis=-1)
-    else:
+    s, su, sv = ((gx @ t).reshape(len(xs), len(ys), P, ncomp).transpose(2, 0, 1, 3)
+                 for gx, t in ((gx0, t0), (gx1, t0), (gx0, t1)))
+    if rational:
         w = s[..., 2]
         pts = s[..., :2] / w[..., None]
         ju = (su[..., :2] * w[..., None] - s[..., :2] * su[..., 2:]) / w[..., None] ** 2
         jv = (sv[..., :2] * w[..., None] - s[..., :2] * sv[..., 2:]) / w[..., None] ** 2
         jac = np.stack([ju, jv], axis=-1)
+    else:
+        pts = s
+        jac = np.stack([su, sv], axis=-1)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     return pts, jac, det
 
 
 def _per_element(grid_values, nelx, nely, nq):
-    """(nelx*nq, nely*nq, ...) tensor-grid values as (nel, nq*nq, ...).
+    """(P, nelx*nq, nely*nq, ...) tensor-grid values as (P, nel, nq*nq, ...).
 
     Elements run y-major (x element index fastest) and the quadrature points
     of an element x-major.
     """
-    rest = grid_values.shape[2:]
-    v = grid_values.reshape((nelx, nq, nely, nq) + rest)
-    v = v.transpose((2, 0, 1, 3) + tuple(range(4, 4 + len(rest))))
-    return v.reshape((nely * nelx, nq * nq) + rest)
+    P, rest = grid_values.shape[0], grid_values.shape[3:]
+    v = grid_values.reshape((P, nelx, nq, nely, nq) + rest)
+    v = v.transpose((0, 3, 1, 2, 4) + tuple(range(5, 5 + len(rest))))
+    return v.reshape((P, nely * nelx, nq * nq) + rest)
 
 
 def _tensor_table(tx, ty):
@@ -369,18 +435,26 @@ def _tensor_table(tx, ty):
     return np.einsum("xib,yjc->yxijcb", tx, ty).reshape(nely * nelx, nq * nq, ny * nx)
 
 
-def _element_tables(geo, ths, nq):
-    """Quadrature tables of one patch, batched over all elements.
+def _element_tables(patches, members, ths, nq):
+    """Quadrature tables of a family of patches, in chunks of patches.
 
-    Uses nq Gauss points per direction per element. Returns a namespace with
-    wdet (nel, Q): weights times det(jac); pts (nel, Q, 2): physical points;
-    Nv, gu, gv (nel, Q, nlv): velocity basis values and their parametric
-    derivatives; jinv (nel, Q, 2, 2): inverse Jacobians, so that the
-    physical gradient of function l is gu[..., l] jinv[0] + gv[..., l] jinv[1];
-    Np (nel, Q, nlp): pressure basis values; ids_v (nel, nlv) and ids_p
-    (nel, nlp): scalar dof ids of the local functions. Raises
-    DegenerateJacobianError when det(jac) is not positive at some quadrature
-    point.
+    members are the numbers of the family's patches in patches, and ths the
+    Taylor-Hood space of any of them. Uses nq Gauss points per direction per
+    element. The tables the family shares are computed once: w (nel, Q),
+    the quadrature weights; Nv, gu, gv (nel, Q, nlv), the velocity basis
+    values and their parametric derivatives; Np (nel, Q, nlp), the pressure
+    basis values; ids_v (nel, nlv) and ids_p (nel, nlp), the scalar dof ids
+    of the local functions. Yields (chunk, t) for consecutive slices chunk
+    of members: t holds the shared tables and, with a leading axis over the
+    chunk's P patches, wdet (P, nel, Q), the weights times det(jac); pts
+    (P, nel, Q, 2), the physical points; jinv (P, nel, Q, 2, 2), the inverse
+    Jacobians, so that the physical gradient of function l is
+    gu[..., l] jinv[..., 0, :] + gv[..., l] jinv[..., 1, :]. A chunk is cut
+    so that its physical gradients in _element_forms (16 nel nlv Q bytes a
+    patch, the largest temporary of either caller) fit in CHUNK_BYTES.
+    Raises DegenerateJacobianError when det(jac) is not positive at some
+    quadrature point, naming the patch by its number in patches when there
+    is more than one.
     """
     vel, pre = ths.vel, ths.pre
     qx, wx = element_rule(vel.space_x.breakpoints, nq)
@@ -389,23 +463,27 @@ def _element_tables(geo, ths, nq):
     fvy, tvy = vel.space_y.tabulate(qy)
     fpx, tpx = pre.space_x.tabulate(qx)
     fpy, tpy = pre.space_y.tabulate(qy)
-
-    nelx, nely = qx.shape[0], qy.shape[0]
-    pts, jac, det = (_per_element(a, nelx, nely, nq)
-                     for a in _geometry_tables(geo, qx.ravel(), qy.ravel()))
-    if det.min() <= 0.0:
-        raise DegenerateJacobianError("nonpositive Jacobian inside patch")
-    return SimpleNamespace(
-        wdet=_tensor_table(wx[..., None], wy[..., None])[..., 0] * det,
-        pts=pts,
+    shared = dict(
+        w=_tensor_table(wx[..., None], wy[..., None])[..., 0],
         Nv=_tensor_table(tvx[0], tvy[0]),
         gu=_tensor_table(tvx[1], tvy[0]),
         gv=_tensor_table(tvx[0], tvy[1]),
-        jinv=_inverse_jacobian(jac, det),
         Np=_tensor_table(tpx[0], tpy[0]),
         ids_v=_tensor_ids(vel, fvx, fvy),
         ids_p=_tensor_ids(pre, fpx, fpy),
     )
+    nelx, nely = qx.shape[0], qy.shape[0]
+    nel, npts, nlv = shared["Nv"].shape
+    for chunk in _chunks(len(members), 16 * nel * nlv * npts):
+        ks = members[chunk]
+        pts, jac, det = (_per_element(a, nelx, nely, nq) for a in
+                         _geometry_tables([patches[k] for k in ks], qx.ravel(), qy.ravel()))
+        bad = det.reshape(len(ks), -1).min(axis=1) <= 0.0
+        if bad.any():
+            number = " %d" % ks[bad.argmax()] if len(patches) > 1 else ""
+            raise DegenerateJacobianError("nonpositive Jacobian inside patch" + number)
+        yield chunk, SimpleNamespace(wdet=shared["w"] * det, pts=pts,
+                                     jinv=_inverse_jacobian(jac, det), **shared)
 
 
 def _inverse_jacobian(jac, det):
@@ -629,53 +707,74 @@ def _dirichlet_values(geo, ths, data):
     return values[:, ths.dirichlet]
 
 
-def _element_forms(geo, ths, nq, rhs):
-    """Element matrices, load and area of one patch, batched over elements.
+def _element_forms(patches, members, ths, nquad, rhs):
+    """Element matrices, load and area of each patch of a family.
 
-    Returns a namespace with Ke (nel, nlv, nlv), the scalar stiffness; De
-    (nel, 2, nlp, nlv), the divergence per component; Me (nel, nlp, nlp),
-    the pressure mass; iv (nel, nlv) and ip (nel, nlp), the scalar dof ids
-    of the local functions; load (2, vel.dim) and area. The quadrature
-    tables are dropped on return; assembled systems keep only these arrays.
+    Returns one namespace per member, in order, with Ke (nel, nlv, nlv), the
+    scalar stiffness; De (nel, 2, nlp, nlv), the divergence per component;
+    Me (nel, nlp, nlp), the pressure mass; iv (nel, nlv) and ip (nel, nlp),
+    the scalar dof ids of the local functions (one pair for the family);
+    load (2, vel.dim) and area. The quadrature uses nquad (default: velocity
+    degree + 2) Gauss points per direction per element; its tables are
+    dropped chunk by chunk, and assembled systems keep only these arrays.
     """
-    t = _element_tables(geo, ths, nq)
-    # physical gradients times sqrt(weight * det), laid out (e, l, a, q) so
-    # that one matmul contracts derivative direction and quadrature point
-    sw = np.sqrt(t.wdet)
-    jt = t.jinv.transpose(0, 2, 3, 1) * sw[:, None, None, :]  # (e, b, a, q)
-    grad = t.gu.transpose(0, 2, 1)[:, :, None, :] * jt[:, None, 0]
-    grad += t.gv.transpose(0, 2, 1)[:, :, None, :] * jt[:, None, 1]
-    nel, nlv, _, npts = grad.shape
-    flat = grad.reshape(nel, nlv, 2 * npts)
-    Nw = t.Np.transpose(0, 2, 1) * sw[:, None, :]  # (e, m, q)
-
+    nq = int(nquad) if nquad else ths.vel.space_x.degree + 2
     nv = ths.vel.dim
-    load = np.zeros((2, nv))
-    if rhs is not None:
-        wf = t.wdet[..., None] * np.asarray(rhs(t.pts), dtype=float)
-        for c in (0, 1):
-            loc = t.Nv.transpose(0, 2, 1) @ wf[..., c, None]  # (nel, nlv, 1)
-            load[c] = np.bincount(t.ids_v.ravel(), weights=loc.ravel(), minlength=nv)
-    return SimpleNamespace(
-        Ke=flat @ flat.transpose(0, 2, 1),
-        De=Nw[:, None] @ grad.transpose(0, 2, 3, 1),
-        Me=Nw @ Nw.transpose(0, 2, 1),
-        iv=t.ids_v, ip=t.ids_p, load=load,
-        area=float(sum(t.wdet.sum(axis=1))),  # summed element by element
-    )
+    out = []
+    for _, t in _element_tables(patches, members, ths, nq):
+        # physical gradients times sqrt(weight * det), laid out (patch, e, l,
+        # a, q) with q contiguous, so that one matmul contracts derivative
+        # direction and quadrature point
+        sw = np.sqrt(t.wdet)
+        P, nel, npts = sw.shape
+        gu, gv = (np.ascontiguousarray(g.transpose(0, 2, 1)) for g in (t.gu, t.gv))  # (e, l, q)
+        grad = np.empty((P, nel, gu.shape[1], 2, npts))
+        for a in (0, 1):
+            np.multiply(gu, (t.jinv[..., 0, a] * sw)[:, :, None], out=grad[..., a, :])
+            grad[..., a, :] += gv * (t.jinv[..., 1, a] * sw)[:, :, None]
+        flat = grad.reshape(P, nel, -1, 2 * npts)
+        Nw = t.Np.transpose(0, 2, 1) * sw[:, :, None, :]  # (P, e, m, q)
+        Ke = flat @ flat.swapaxes(-1, -2)
+        De = Nw[:, :, None] @ grad.transpose(0, 1, 3, 4, 2)
+        Me = Nw @ Nw.swapaxes(-1, -2)
+        load = np.zeros((P, 2, nv))
+        if rhs is not None:
+            wf = t.wdet[..., None] * np.asarray(rhs(t.pts), dtype=float)  # (P, e, q, c)
+            loc = t.Nv.transpose(0, 2, 1) @ wf  # (P, e, l, c)
+            bins = (2 * np.arange(P)[:, None, None, None] + np.arange(2)) * nv + t.ids_v[..., None]
+            load = np.bincount(bins.ravel(), weights=loc.ravel(),
+                               minlength=P * 2 * nv).reshape(P, 2, nv)
+        area = np.cumsum(t.wdet.sum(axis=2), axis=1)[:, -1]  # summed element by element
+        out.extend(SimpleNamespace(Ke=Ke[j], De=De[j], Me=Me[j], iv=t.ids_v, ip=t.ids_p,
+                                   load=load[j], area=float(area[j])) for j in range(P))
+    return out
 
 
-def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None):
+def element_forms(patches, spaces, rhs=None, nquad=None):
+    """Element matrices, load and area of every patch, in patch order, for
+    the elements argument of assemble_patch.
+
+    rhs and nquad are those of assemble_patch. The element kernel runs once
+    per family of patches (equal spaces, see _families), over chunks of the
+    family's patches.
+    """
+    return _per_family(patches, spaces, _element_forms, nquad, rhs)
+
+
+def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None, elements=None):
     """Assemble the Stokes forms of one patch.
 
     rhs and dirichlet are callables taking an (..., 2) array of physical
     points and returning (..., 2) vectors; None means zero. The quadrature
     uses nquad (default: velocity degree + 2) Gauss points per direction per
-    element. The assembled matrices are built when first asked for (see
-    PatchStokesSystem).
+    element. elements are the patch's entry of element_forms, which reads
+    rhs and nquad in their place; when None, the patch is a family of one
+    for the element kernel. The assembled matrices are built when first
+    asked for (see PatchStokesSystem).
     """
-    el = _element_forms(geo, ths, int(nquad) if nquad else ths.vel.space_x.degree + 2, rhs)
-    return PatchStokesSystem(ths, el, _dirichlet_values(geo, ths, dirichlet))
+    if elements is None:
+        elements, = _element_forms([geo], [0], ths, nquad, rhs)
+    return PatchStokesSystem(ths, elements, _dirichlet_values(geo, ths, dirichlet))
 
 
 def _coo(vals, rows, cols, shape):
@@ -937,10 +1036,9 @@ def matched_side_dofs(mp, spaces, iface):
 def assemble_global(mp, spaces, rhs=None, dirichlet=None, nquad=None, systems=None):
     """Assemble the conforming coupled system for a whole multi-patch domain."""
     if systems is None:
-        systems = [
-            assemble_patch(mp.patches[k], spaces[k], rhs, dirichlet, nquad)
-            for k in range(mp.n_patches)
-        ]
+        forms = element_forms(mp.patches, spaces, rhs, nquad)
+        systems = [assemble_patch(geo, ths, dirichlet=dirichlet, elements=el)
+                   for geo, ths, el in zip(mp.patches, spaces, forms)]
     offsets = np.cumsum([0] + [s.vel.dim for s in spaces])
     uf = _UnionFind(int(offsets[-1]))
     for iface in mp.interfaces:
@@ -974,6 +1072,41 @@ def assemble_global(mp, spaces, rhs=None, dirichlet=None, nquad=None, systems=No
 # errors against a known solution
 
 
+def _error_moments(patches, members, ths, us, ps, exact_u, exact_grad_u, exact_p, nquad):
+    """patch_errors of each patch of a family, one dict per member in order.
+
+    us[k] and ps[k] are the coefficients of patch k; ps may be None.
+    """
+    nq = int(nquad) if nquad else ths.vel.space_x.degree + 3
+
+    def per_patch(values):  # sums over elements and points, one per patch
+        return values.reshape(len(values), -1).sum(axis=1)
+
+    out = []
+    for chunk, t in _element_tables(patches, members, ths, nq):
+        ks = members[chunk]
+        uloc = np.stack([us[k] for k in ks]).transpose(0, 2, 1)[:, t.ids_v]  # (P, e, l, comp)
+        uh = t.Nv @ uloc
+        du, dv = (g @ uloc for g in (t.gu, t.gv))  # parametric derivatives (P, e, q, comp)
+        guh = (du[..., None] * t.jinv[..., None, 0, :]
+               + dv[..., None] * t.jinv[..., None, 1, :])  # (P, e, q, comp, d/dx)
+        ue = exact_u(t.pts) if exact_u is not None else 0.0
+        ge = exact_grad_u(t.pts) if exact_grad_u is not None else 0.0
+        l2 = per_patch(t.wdet * np.sum((uh - ue) ** 2, axis=-1))
+        h1 = per_patch(t.wdet * np.sum((guh - ge) ** 2, axis=(-2, -1)))
+        area = per_patch(t.wdet)
+        pdiff = pm2 = np.zeros(len(ks))
+        if ps is not None:
+            ploc = np.stack([ps[k] for k in ks])[:, t.ids_p]  # (P, e, m)
+            d = (t.Np @ ploc[..., None])[..., 0]
+            d = d - (exact_p(t.pts) if exact_p is not None else 0.0)
+            pdiff = per_patch(t.wdet * d)
+            pm2 = per_patch(t.wdet * (d - (pdiff / area)[:, None, None]) ** 2)
+        out.extend({"h1_u_sq": float(h1[j]), "l2_u_sq": float(l2[j]), "p_diff": float(pdiff[j]),
+                    "p_diff_m2": float(pm2[j]), "area": float(area[j])} for j in range(len(ks)))
+    return out
+
+
 def patch_errors(geo, ths, u, p, exact_u=None, exact_grad_u=None, exact_p=None, nquad=None):
     """Squared error moments of a discrete solution on one patch.
 
@@ -983,45 +1116,26 @@ def patch_errors(geo, ths, u, p, exact_u=None, exact_grad_u=None, exact_p=None, 
     deviation from the patch mean. The moment is formed two-pass (mean
     first, then the squared deviations), so a constant offset of the
     pressure does not cancel away its digits; total_errors combines the
-    patches.
+    patches. The quadrature uses nquad (default: velocity degree + 3) Gauss
+    points per direction per element. A family of one patch for the element
+    kernel.
     """
-    t = _element_tables(geo, ths, int(nquad) if nquad else ths.vel.space_x.degree + 3)
-    uloc = u.T[t.ids_v]  # (nel, nlv, comp)
-    uh = t.Nv @ uloc
-    guh = np.stack([t.gu @ uloc, t.gv @ uloc], axis=-1) @ t.jinv  # (e, q, comp, d/dx)
-    ue = exact_u(t.pts) if exact_u is not None else 0.0
-    ge = exact_grad_u(t.pts) if exact_grad_u is not None else 0.0
-    l2 = np.sum(t.wdet * np.sum((uh - ue) ** 2, axis=-1))
-    h1 = np.sum(t.wdet * np.sum((guh - ge) ** 2, axis=(-2, -1)))
-    area = t.wdet.sum()
-    pdiff = pm2 = 0.0
-    if p is not None:
-        ph = np.einsum("eqm,em->eq", t.Np, p[t.ids_p])
-        d = ph - (exact_p(t.pts) if exact_p is not None else 0.0)
-        pdiff = np.sum(t.wdet * d)
-        pm2 = np.sum(t.wdet * (d - pdiff / area) ** 2)
-    return {
-        "h1_u_sq": float(h1),
-        "l2_u_sq": float(l2),
-        "p_diff": float(pdiff),
-        "p_diff_m2": float(pm2),
-        "area": float(area),
-    }
+    return _error_moments([geo], [0], ths, [u], None if p is None else [p],
+                          exact_u, exact_grad_u, exact_p, nquad)[0]
 
 
 def total_errors(mp, spaces, us, ps, exact_u=None, exact_grad_u=None, exact_p=None):
     """Velocity H1 seminorm error and mean-adjusted pressure L2 error.
 
-    The pressure error is the L2 norm of the difference minus its mean over
-    the domain: the patches' centred moments plus the between-patch term
-    sum_k a_k (s_k/a_k - s/a)^2 (Chan, Golub & LeVeque's parallel variance),
-    with s_k the patch integrals, a_k the areas, s and a their sums.
+    The patch moments are those of patch_errors, computed once per family
+    of patches. The pressure error is the L2 norm of the difference minus
+    its mean over the domain: the patches' centred moments plus the
+    between-patch term sum_k a_k (s_k/a_k - s/a)^2 (Chan, Golub & LeVeque's
+    parallel variance), with s_k the patch integrals, a_k the areas, s and a
+    their sums.
     """
-    errs = [
-        patch_errors(mp.patches[k], spaces[k], us[k], None if ps is None else ps[k],
-                     exact_u, exact_grad_u, exact_p)
-        for k in range(mp.n_patches)
-    ]
+    errs = _per_family(mp.patches, spaces, _error_moments, us, ps,
+                       exact_u, exact_grad_u, exact_p, None)
     h1 = np.sqrt(sum(e["h1_u_sq"] for e in errs))
     l2u = np.sqrt(sum(e["l2_u_sq"] for e in errs))
     if ps is None:

@@ -20,6 +20,8 @@ constraints, the Dirichlet projection, side_normal, diameter and the
 T-junction search read it.
 """
 
+import math
+
 import numpy as np
 
 from .bspline import TensorSplineSpace, UnivariateSplineSpace, element_rule
@@ -363,24 +365,52 @@ def _cluster_corners(patches, tol):
 
     This is the one place where points are tested for coincidence. Corners
     are visited in patch order and in corners() order; a corner joins the
-    first vertex whose first point lies within tol, otherwise it starts a new
-    vertex. Returns the vertices and the map (patch, corner) -> vertex id.
+    lowest-numbered vertex whose first point lies within tol, otherwise it
+    starts a new vertex. Returns the vertices and the map (patch, corner) ->
+    vertex id.
+
+    The first points are hashed into square cells of side tol, so a point
+    within tol of a corner lies in the corner's cell or one of the eight
+    around it: each corner is compared with the vertices of those nine
+    cells only, not with all vertices before it.
     """
-    points = np.empty((4 * len(patches), 2))
     vertices = []
+    firsts = []  # the first point of each vertex, as floats
     ids = {}
+    cells = {}  # cell -> numbers of the vertices whose first point is in it
     for k, g in enumerate(patches):
         for corner, pt in g.corners().items():
+            x, y = float(pt[0]), float(pt[1])
+            cell = _cell(x, y, tol)
             j = len(vertices)
-            near = np.linalg.norm(points[:j] - pt, axis=1) < tol
-            if near.any():
-                j = int(near.argmax())
+            if cell is not None:
+                cx, cy = cell
+                for i in (i for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                          for i in cells.get((cx + dx, cy + dy), ())):
+                    ex, ey = firsts[i][0] - x, firsts[i][1] - y
+                    if i < j and math.sqrt(ex * ex + ey * ey) < tol:
+                        j = i
+            if j < len(vertices):
                 vertices[j].members.append((k, corner))
             else:
-                points[j] = pt
                 vertices.append(Vertex(pt, [(k, corner)]))
+                firsts.append((x, y))
+                if cell is not None:
+                    cells.setdefault(cell, []).append(j)
             ids[(k, corner)] = j
     return vertices, ids
+
+
+def _cell(x, y, tol):
+    """The (floor(x / tol), floor(y / tol)) cell of a point, or None when
+    nothing can lie within tol of it (tol not positive, or a non-finite
+    point)."""
+    if not tol > 0:
+        return None
+    u, v = x / tol, y / tol
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return None
+    return math.floor(u), math.floor(v)
 
 
 def _match_sides(n_patches, ids):

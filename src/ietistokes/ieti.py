@@ -42,6 +42,7 @@ from .assembly import (
     SingularLocalSystemError,
     assemble_patch,
     edge_flux_rows,
+    element_forms,
     factorize,
     matched_side_dofs,
 )
@@ -350,16 +351,22 @@ def build_primal_basis(aug, ths):
 
 def _block_diagonal(blocks):
     """CSR matrix with the dense square blocks on its diagonal, every entry
-    of every block stored. Built in one pass: scipy's block_diag converts
-    each block on its own (4.7 against 1.0 ms for the 64 F_k of
+    of every block stored, and the blocks as views of its data.
+
+    Returns (matrix, views): views[k] is blocks[k]'s place in matrix.data,
+    reshaped to a square, so a caller that keeps the views in place of the
+    blocks holds each entry once. Built in one pass: scipy's block_diag
+    converts each block on its own (4.7 against 1.0 ms for the 64 F_k of
     quarter_annulus(1,2,8,8), p=2, l=2)."""
     sizes = [len(b) for b in blocks]
     starts = np.cumsum([0] + sizes)
     indices = np.concatenate([np.tile(np.arange(a, b, dtype=np.int32), b - a)
                               for a, b in zip(starts[:-1], starts[1:])])
     indptr = np.concatenate([[0], np.cumsum(np.repeat(sizes, sizes))])
-    return sp.csr_matrix((np.concatenate([b.ravel() for b in blocks]), indices, indptr),
-                         shape=(starts[-1],) * 2)
+    A = sp.csr_matrix((np.concatenate([b.ravel() for b in blocks]), indices, indptr),
+                      shape=(starts[-1],) * 2)
+    ends = np.cumsum([n * n for n in sizes])
+    return A, [A.data[e - n * n : e].reshape(n, n) for n, e in zip(sizes, ends)]
 
 
 class IetiOperator:
@@ -367,7 +374,8 @@ class IetiOperator:
 
     B is the jump matrix over all patches' u_gamma blocks (columns
     gamma_slices[k] for patch k). F is the CSR block diagonal of the
-    patches' condensed blocks F_k, on the same columns: apply_F is the
+    patches' condensed blocks F_k, on the same columns, and the only copy
+    of them: each local system's F is a view of F.data. apply_F is the
     coarse term plus B F B^T lam, with no local solve. rhs and recover
     solve each patch's augmented system once, between one product with B^T
     and one with B.
@@ -378,9 +386,14 @@ class IetiOperator:
     the sparse product of B with the signed u_gamma rows of the primal
     bases. The coarse system, A_pi bordered by the pressure-mean row when
     use_global_pressure_mean, goes to factorize as COO triplets.
+
+    setup_phases holds the wall seconds of "constraints" (primal rows and
+    the jump matrix), "local" (condensation, primal bases and F) and
+    "coarse" (the coarse matrices and their factorization).
     """
 
     def __init__(self, mp, spaces, systems, use_global_pressure_mean=True):
+        t0 = time.perf_counter()
         self.mp = mp
         self.spaces = spaces
         self.systems = systems
@@ -388,6 +401,7 @@ class IetiOperator:
         self.use_global_pressure_mean = use_global_pressure_mean
 
         self.B, offsets = build_jump_operator(constraints, spaces)
+        t1 = time.perf_counter()
         self.n_lambda = self.B.shape[0]
         self.gamma_slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.locals_ = []
@@ -421,6 +435,10 @@ class IetiOperator:
             psi_g[0].append(np.repeat(offsets[k] + np.arange(ng2), len(G)))
             psi_g[1].append(np.tile(G, ng2))  # G has no repeats within a patch
             psi_g[2].append((px[:ng2] * s).ravel())
+        self.F, views = _block_diagonal([aug.F for aug in self.locals_])
+        for aug, F in zip(self.locals_, views):
+            aug.F = F
+        t2 = time.perf_counter()
         rows, cols, vals = (np.concatenate(a) for a in psi_g)
         self.B_pi = self.B @ sp.csr_matrix((vals, (rows, cols)), shape=(offsets[-1], n_pi))
         self.b_pi = b_pi
@@ -444,7 +462,8 @@ class IetiOperator:
         self._coarse_lu = factorize(coarse, "coarse primal system")
         self.n_coarse = coarse.shape[0]
         self.n_primal = n_pi
-        self.F = _block_diagonal([aug.F for aug in self.locals_])
+        self.setup_phases = {"constraints": t1 - t0, "local": t2 - t1,
+                             "coarse": time.perf_counter() - t2}
 
     def coarse_solve(self, rhs_primal):
         rhs = np.zeros(self.n_coarse)
@@ -485,15 +504,28 @@ class ScaledDirichletPreconditioner:
 
     S_K is the velocity Schur complement on the interface block. Both
     components share the scalar complement S that each local system read
-    off at setup, from the K_ii factor it holds; apply makes one product
-    with the block diagonal of the S, once per patch and component, between
-    the products with the stacked jump matrix B of IetiOperator.
+    off at setup, from the K_ii factor it holds. The CSR block diagonal S of
+    these is their only copy (each local system's S becomes a view of
+    S.data), and it acts on both components at once: apply multiplies it
+    with a two-column block, between products with the jump matrix B of
+    IetiOperator whose columns are reordered to [component 0 of every patch
+    | component 1 of every patch].
     """
 
     def __init__(self, locals_, B):
         self.B = B
         self.locals_ = locals_
-        self.S = _block_diagonal([aug.S for aug in locals_ for _ in (0, 1)])
+        self.S, views = _block_diagonal([aug.S for aug in locals_])
+        for aug, S in zip(locals_, views):
+            aug.S = S
+        # B's columns run over the patches' u_gamma blocks [component 0 |
+        # component 1]; new[j] is column j's place in the reordered B
+        sizes = [len(S) for S in views]
+        starts, n = np.cumsum([0] + sizes), sum(sizes)
+        new = np.concatenate([np.zeros(0, dtype=np.int64)] +
+                             [np.arange(c * n + a, c * n + a + m)
+                              for a, m in zip(starts, sizes) for c in (0, 1)])
+        self._B = sp.csr_matrix((B.data, new[B.indices], B.indptr), shape=B.shape)
 
     @property
     def blocks(self):
@@ -507,7 +539,8 @@ class ScaledDirichletPreconditioner:
         return out
 
     def apply(self, lam):
-        return 0.25 * (self.B @ (self.S @ (self.B.T @ lam)))
+        v = (self._B.T @ lam).reshape(2, -1).T  # one column per component
+        return 0.25 * (self._B @ (self.S @ v).T.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +553,7 @@ class SolveReport:
     breakdown is None, or why the iteration stopped early: "nonpositive
     curvature" (p.Fp <= 0, F or the preconditioner is not positive definite)
     or "non-finite residual". A breakdown always means converged is False.
+    timings and setup_phases hold wall seconds (see solve_stokes_ieti).
     """
 
     def __init__(self, iterations, residuals, converged, eig_min, eig_max, kappa,
@@ -531,6 +565,7 @@ class SolveReport:
         self.eig_max = eig_max
         self.kappa = kappa
         self.timings = timings or {}
+        self.setup_phases = {}
         self.breakdown = breakdown
 
     def __repr__(self):
@@ -622,14 +657,27 @@ def solve_pcg(apply_op, apply_prec, g, tol=1e-6, max_iter=500, seed=42):
 
 def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=True,
                nquad=None, systems=None):
+    """The dual-primal operator and the scaled Dirichlet preconditioner.
+
+    The patch systems are assembled unless given: the element matrices
+    once per family of patches (element_forms), the rest per patch
+    (assemble_patch).
+    op.setup_phases holds the wall seconds of "assembly" (next to nothing
+    when systems are given), "constraints", "local", "coarse" (see
+    IetiOperator) and "preconditioner".
+    """
+    t0 = time.perf_counter()
     if systems is None:
-        systems = [
-            assemble_patch(mp.patches[k], spaces[k], rhs, dirichlet, nquad)
-            for k in range(mp.n_patches)
-        ]
+        forms = element_forms(mp.patches, spaces, rhs, nquad)
+        systems = [assemble_patch(geo, ths, dirichlet=dirichlet, elements=el)
+                   for geo, ths, el in zip(mp.patches, spaces, forms)]
+    t1 = time.perf_counter()
     op = IetiOperator(mp, spaces, systems,
                       use_global_pressure_mean=use_global_pressure_mean)
+    t2 = time.perf_counter()
     pc = ScaledDirichletPreconditioner(op.locals_, op.B)
+    op.setup_phases = {"assembly": t1 - t0, **op.setup_phases,
+                       "preconditioner": time.perf_counter() - t2}
     return op, pc
 
 
@@ -640,7 +688,8 @@ def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None,
 
     report.timings holds the wall seconds of the phases "setup" (assembly
     when systems is None, local factorizations, primal basis, coarse
-    problem, preconditioner), "rhs", "pcg" and "recover".
+    problem, preconditioner), "rhs", "pcg" and "recover";
+    report.setup_phases splits "setup" (see setup_ieti).
     """
     t0 = time.perf_counter()
     op, pc = setup_ieti(mp, spaces, rhs, dirichlet, use_global_pressure_mean,
@@ -654,6 +703,7 @@ def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None,
     us, ps, _ = op.recover(lam)
     report.timings = {"setup": t1 - t0, "rhs": t2 - t1, "pcg": t3 - t2,
                       "recover": time.perf_counter() - t3}
+    report.setup_phases = op.setup_phases
     return us, ps, report
 
 

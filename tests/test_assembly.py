@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from ietistokes.assembly import (
     taylor_hood_spaces,
     total_errors,
 )
-from ietistokes.bspline import element_rule
+from ietistokes.bspline import TensorSplineSpace, element_rule
 from ietistokes.domains import build_domain, parse_domain, quarter_annulus_patch
 from ietistokes.geometry import (
     SIDES,
     DegenerateJacobianError,
+    GeometryMap,
     bilinear_patch,
     build_multipatch,
     side_param,
@@ -620,15 +622,19 @@ def _rel_err(got, ref):
 ])
 def test_geometry_tables_match_pointwise_map(geo):
     # the sum-factorized tables on a tensor grid with different point counts
-    # per direction against GeometryMap.eval at each grid point
+    # per direction against GeometryMap.eval at each grid point, for a
+    # family of the map and a sheared copy with the same space
     xs = element_rule(np.linspace(0.0, 1.0, 4), 3)[0].ravel()
     ys = element_rule(np.linspace(0.0, 1.0, 3), 5)[0].ravel()
-    pts, jac, det = _geometry_tables(geo, xs, ys)
+    family = [geo, GeometryMap(geo.space, geo.control @ [[2.0, 0.5], [0.0, 1.0]] + 1.0,
+                               geo.weights)]
+    tables = _geometry_tables(family, xs, ys)
     uu, vv = np.meshgrid(xs, ys, indexing="ij")
-    ref_pts, ref_jac = geo.eval(uu, vv)
-    ref_det = ref_jac[..., 0, 0] * ref_jac[..., 1, 1] - ref_jac[..., 0, 1] * ref_jac[..., 1, 0]
-    for got, ref in ((pts, ref_pts), (jac, ref_jac), (det, ref_det)):
-        assert _rel_err(got, ref) < 1e-14
+    for j, g in enumerate(family):
+        ref_pts, ref_jac = g.eval(uu, vv)
+        ref_det = ref_jac[..., 0, 0] * ref_jac[..., 1, 1] - ref_jac[..., 0, 1] * ref_jac[..., 1, 0]
+        for got, ref in zip(tables, (ref_pts, ref_jac, ref_det)):
+            assert _rel_err(got[j], ref) < 1e-14
 
 
 def test_batched_kernel_matches_dense_reference():
@@ -693,3 +699,143 @@ def test_batched_kernel_matches_dense_reference():
            "area": wdet.sum()}
     for key, val in ref.items():
         assert abs(err[key] - val) < 1e-12 * max(1.0, abs(val)), key
+
+
+def _mixed_family_strip():
+    # a row of five patches: 0 and 2 bilinear squares of one element; 1, 3
+    # and 4 with a breakpoint across the row and a bent middle line, 4 with
+    # weights. So two families of different knots whose members alternate,
+    # and a rational patch with the knots of the second on its own
+    space = TensorSplineSpace.from_breakpoints([0.0, 0.5, 1.0], [0.0, 1.0], 1, 0)
+    patches = []
+    for k in range(5):
+        if k in (0, 2):
+            patches.append(bilinear_patch((k, 0), (k + 1, 0), (k, 1), (k + 1, 1)))
+        else:
+            patches.append(GeometryMap(space, [(k, 0), (k + 0.6, 0), (k + 1, 0),
+                                               (k, 1), (k + 0.4, 1), (k + 1, 1)],
+                                       [1.0, 1.5, 1.0, 1.0, 1.5, 1.0] if k == 4 else None))
+    return build_multipatch(patches)
+
+
+FAMILY_CASES = {
+    "quarter_annulus(1,2,8,8)": [list(range(64))],  # rational, one family
+    "grid(3,3)": [list(range(9))],
+    "rectangle_with_hole": None,
+    "mixed families": [[0, 2], [1, 3], [4]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_family_kernel_matches_a_per_patch_reference(case):
+    from ietistokes.assembly import _error_moments, _families, _per_family, element_forms
+
+    mp = _mixed_family_strip() if case == "mixed families" else parse_domain(case)
+    spaces = taylor_hood_spaces(mp, 2, refinement=1)
+    families = _families(mp.patches, spaces)
+    if FAMILY_CASES[case] is not None:
+        assert families == FAMILY_CASES[case]
+    assert sorted(k for f in families for k in f) == list(range(mp.n_patches))
+    for f in families:  # the members share one velocity/pressure pair
+        assert all(spaces[k].vel is spaces[f[0]].vel and spaces[k].pre is spaces[f[0]].pre
+                   for k in f)
+    if case == "mixed families":  # the rational patch shares the spaces of 1 and 3
+        assert spaces[0].vel is not spaces[1].vel and spaces[4].vel is spaces[1].vel
+
+    data = manufactured_velocity if case != "rectangle_with_hole" else None
+    forms = element_forms(mp.patches, spaces, rhs=manufactured_rhs)
+    systems = [assemble_patch(geo, ths, dirichlet=data, elements=el)
+               for geo, ths, el in zip(mp.patches, spaces, forms)]
+    rng = np.random.default_rng(5)
+    us = [rng.standard_normal((2, ths.vel.dim)) for ths in spaces]
+    ps = [rng.standard_normal(ths.pre.dim) for ths in spaces]
+    exact = (manufactured_velocity, manufactured_velocity_gradient, manufactured_pressure)
+    errs = _per_family(mp.patches, spaces, _error_moments, us, ps, *exact, None)
+    for k, (geo, ths, sysk) in enumerate(zip(mp.patches, spaces, systems)):
+        # the dense reference of this patch alone
+        pts, wdet, N, grad, P = _dense_tables(geo, ths, ths.vel.space_x.degree + 2)
+        K = np.einsum("ij,ijla,ijma->lm", wdet, grad, grad)
+        D = np.concatenate(
+            [np.einsum("ij,ijm,ijl->ml", wdet, P, grad[..., c]) for c in (0, 1)], axis=1)
+        M = np.einsum("ij,ijm,ijn->mn", wdet, P, P)
+        load = np.einsum("ij,ijl,ijc->cl", wdet, N, manufactured_rhs(pts))
+        for got, ref in ((sysk.Ks, K), (sysk.D, D), (sysk.Mp, M), (sysk.load, load)):
+            assert _rel_err(got, ref) < 1e-13
+        assert abs(sysk.area - wdet.sum()) < 1e-13 * wdet.sum()
+        assert sysk.ths is ths
+        # the element arrays equal those of the patch as a family of one
+        alone = assemble_patch(geo, ths, rhs=manufactured_rhs, dirichlet=data)
+        for key in ("Ke", "De", "Me", "load"):
+            assert _rel_err(getattr(sysk._el, key), getattr(alone._el, key)) < 1e-13, key
+        assert np.array_equal(sysk.dirichlet_values, alone.dirichlet_values)
+
+        pts, wdet, N, grad, P = _dense_tables(geo, ths, ths.vel.space_x.degree + 3)
+        du = np.einsum("ijl,cl->ijc", N, us[k]) - manufactured_velocity(pts)
+        dg = np.einsum("ijla,cl->ijca", grad, us[k]) - manufactured_velocity_gradient(pts)
+        dp = P @ ps[k] - manufactured_pressure(pts)
+        ref = {"l2_u_sq": np.sum(wdet * np.sum(du**2, axis=-1)),
+               "h1_u_sq": np.sum(wdet * np.sum(dg**2, axis=(-2, -1))),
+               "p_diff": np.sum(wdet * dp),
+               "p_diff_m2": np.sum(wdet * (dp - np.sum(wdet * dp) / wdet.sum()) ** 2),
+               "area": wdet.sum()}
+        assert set(errs[k]) == set(ref)
+        for key, val in ref.items():
+            assert abs(errs[k][key] - val) <= 1e-13 * abs(val), (k, key)
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17])
+def test_family_chunks_keep_patch_order(count, monkeypatch):
+    # chunks of 16 patches: one family of the first `count` annulus patches
+    # against each patch as a family of one
+    from ietistokes import assembly
+
+    mp = parse_domain("quarter_annulus(1,2,8,8)")
+    spaces = taylor_hood_spaces(mp, 2, refinement=1)
+    patches, members, ths = mp.patches, list(range(count)), spaces[0]
+    nel = ths.vel.space_x.nel * ths.vel.space_y.nel
+    nlv = (ths.vel.space_x.degree + 1) ** 2
+    cuts = []
+    real = assembly._chunks
+    monkeypatch.setattr(assembly, "_chunks", lambda n, per: cuts.append(real(n, per)) or cuts[-1])
+
+    def chunks_of_16(nq):  # the bound that fits 16 patches' physical gradients
+        monkeypatch.setattr(assembly, "CHUNK_BYTES", 16 * (16 * nel * nlv * nq**2))
+
+    chunks_of_16(ths.vel.space_x.degree + 2)  # the default rule of the forms
+    forms = assembly._element_forms(patches, members, ths, None, manufactured_rhs)
+    rng = np.random.default_rng(9)
+    us = [rng.standard_normal((2, ths.vel.dim)) for _ in members]
+    ps = [rng.standard_normal(ths.pre.dim) for _ in members]
+    exact = (manufactured_velocity, manufactured_velocity_gradient, manufactured_pressure)
+    chunks_of_16(ths.vel.space_x.degree + 3)  # ... and of the errors
+    errs = assembly._error_moments(patches, members, ths, us, ps, *exact, None)
+    want = [slice(0, min(count, 16))] + ([slice(16, count)] if count > 16 else [])
+    assert cuts == [want, want]
+    monkeypatch.undo()
+    assert len(forms) == len(errs) == count
+    for k in members:
+        alone, = assembly._element_forms([patches[k]], [0], ths, None, manufactured_rhs)
+        for key in ("Ke", "De", "Me", "load"):
+            assert _rel_err(getattr(forms[k], key), getattr(alone, key)) < 1e-13, (k, key)
+        assert forms[k].area == alone.area
+        err = patch_errors(patches[k], ths, us[k], ps[k], *exact)
+        for key, val in err.items():
+            assert abs(errs[k][key] - val) <= 1e-13 * abs(val), (k, key)
+
+
+def test_degenerate_patch_inside_a_family_is_named():
+    from ietistokes.assembly import element_forms
+
+    squares = [bilinear_patch((k, 0), (k + 1, 0), (k, 1), (k + 1, 1)) for k in range(4)]
+    squares[2] = bilinear_patch((0, 0), (1, 0), (1, 0.5), (0, 0.5))  # det changes sign
+    spaces = [build_taylor_hood(g, 1) for g in squares]
+    zeros = [np.zeros((2, s.vel.dim)) for s in spaces]
+    with pytest.raises(DegenerateJacobianError, match="patch 2$"):
+        element_forms(squares, spaces)
+    with pytest.raises(DegenerateJacobianError, match="patch 2$"):
+        total_errors(SimpleNamespace(patches=squares), spaces, zeros, None)
+    # a patch on its own has no number to report, whatever its place in a domain
+    with pytest.raises(DegenerateJacobianError, match="inside patch$"):
+        assemble_patch(squares[2], spaces[2])
+    with pytest.raises(DegenerateJacobianError, match="inside patch$"):
+        patch_errors(squares[2], spaces[2], zeros[2], None)

@@ -154,6 +154,32 @@ def test_study_csv_schema(tmp_path):
     assert int(row["dofs"]) > 0
 
 
+def test_study_reports_an_infsup_unstable_cell():
+    # Q2/Q1 on one element (p=1, level 0) is inf-sup unstable and its
+    # lam_min comes out at or below 0, so the cell reads kappa inf and beta
+    # 0, with no sqrt warnings; a fresh interpreter shows what reaches stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ietistokes
+
+    src = str(Path(ietistokes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ietistokes.cli", "study-infsup",
+         "--domain", "grid(1,1)", "--degrees", "1", "--levels", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    head = lines.index(",".join(STUDY_COLUMNS))
+    assert lines[head - 1].split() == ["0", "inf", "0.0000"]  # the table row
+    (row,) = (dict(zip(STUDY_COLUMNS, r)) for r in csv.reader(lines[head + 1:]))
+    assert float(row["kappa"]) == np.inf and float(row["beta"]) == 0.0
+
+
 def test_solve_zero_data_exports_zero_fields(tmp_path, capsys):
     out = tmp_path / "fields.txt"
     assert main(["solve", "--domain", "grid(2,1)", "--degrees", "1",

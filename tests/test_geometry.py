@@ -191,6 +191,62 @@ def test_corner_tolerance_decides_vertices_and_interfaces():
     assert mp.side_role(0, "east") == mp.side_role(1, "west") == "dirichlet"
 
 
+def _quadratic_clustering(patches, tol):
+    # the rule written as a scan over all earlier vertices: a corner joins
+    # the lowest-numbered vertex whose first point lies within tol
+    points = np.empty((4 * len(patches), 2))
+    vertices, ids = [], {}
+    for k, g in enumerate(patches):
+        for corner, pt in g.corners().items():
+            j = len(vertices)
+            near = np.linalg.norm(points[:j] - pt, axis=1) < tol
+            if near.any():
+                j = int(near.argmax())
+                vertices[j][1].append((k, corner))
+            else:
+                points[j] = pt
+                vertices.append((pt, [(k, corner)]))
+            ids[(k, corner)] = j
+    return vertices, ids
+
+
+def _perturbed_squares(tol):
+    # unit squares whose lower left corners sit on a cell edge of the grid
+    # hash (x = 3 tol, y = 5 tol) or are moved off it, across the edge or
+    # the cell corner, by 0.4 and 0.9 tol (joined) and by 1.1 tol (not);
+    # then, at y = 9 tol, two vertices 1.5 tol apart in the cells on either
+    # side of x = 3 tol, the lower-numbered one first in the scan order, and
+    # a corner 0.75 tol from both, which joins the lower-numbered one
+    moves = [(0, 0), (-0.4, 0), (0.4, 0), (-0.9, 0), (0.9, 0), (0, -0.4), (0, -0.9),
+             (-0.6, -0.6), (0.6, -0.6), (-1.1, 0), (0, 1.1),
+             (-0.3, 4), (1.2, 4), (0.45, 4)]
+    return [bilinear_patch(*((np.array([3.0, 5.0]) + m) * tol + c for c in
+                             ((0, 0), (1, 0), (0, 1), (1, 1)))) for m in moves]
+
+
+@pytest.mark.parametrize("case", ["quarter_annulus(1,2,32,32)", "perturbed"])
+def test_corner_hash_matches_the_quadratic_scan(case):
+    from ietistokes.geometry import _cluster_corners
+
+    if case == "perturbed":
+        tol = 2.0**-10  # cell edges at exact multiples of tol
+        patches = _perturbed_squares(tol)
+    else:
+        mp = parse_domain(case)
+        patches, tol = mp.patches, mp.tol
+    vertices, ids = _cluster_corners(patches, tol)
+    ref_vertices, ref_ids = _quadratic_clustering(patches, tol)
+    assert ids == ref_ids
+    assert [v.members for v in vertices] == [m for _, m in ref_vertices]
+    assert all(np.array_equal(v.point, p) for v, (p, _) in zip(vertices, ref_vertices))
+    if case == "perturbed":
+        # the first nine lower left corners are one vertex, the next two not;
+        # each square that starts a vertex starts four
+        assert [ids[(k, (0, 0))] for k in range(len(patches))] == [0] * 9 + [4, 8, 12, 16, 12]
+    else:
+        assert len(vertices) == 33 * 33
+
+
 def test_grid_interface_order_and_vertex_members():
     mp = grid_domain(2, 2)
     assert [i.astuple() for i in mp.interfaces] == [

@@ -407,6 +407,59 @@ def test_solve_report_timings():
     assert sum(rep.timings.values()) <= elapsed
 
 
+def test_setup_phases_split_the_setup_time():
+    mp = build_domain("grid", m=2, n=2)
+    spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
+    _, _, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
+                                  dirichlet=manufactured_velocity)
+    assert list(rep.setup_phases) == ["assembly", "constraints", "local", "coarse",
+                                      "preconditioner"]
+    assert all(v >= 0.0 for v in rep.setup_phases.values())
+    assert rep.setup_phases["assembly"] > 0.0
+    assert sum(rep.setup_phases.values()) <= rep.timings["setup"]
+    mp, spaces, glob = build_grid_problem(2, 2)
+    op, _ = setup_ieti(mp, spaces, systems=glob.systems)
+    assert op.setup_phases["assembly"] < op.setup_phases["local"]  # nothing assembled
+
+
+def test_block_diagonals_hold_the_only_copy_of_each_local_block():
+    mp = parse_domain("quarter_annulus(1,2,3,2)")
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    for matrix, name in ((op.F, "F"), (pc.S, "S")):
+        blocks = [getattr(aug, name) for aug in op.locals_]
+        assert all(np.shares_memory(b, matrix.data) for b in blocks)
+        assert sum(b.nbytes for b in blocks) == matrix.data.nbytes
+        dense = matrix.toarray()
+        start = 0
+        for b in blocks:
+            n = len(b)
+            assert np.array_equal(dense[start : start + n, start : start + n], b)
+            start += n
+        assert start == matrix.shape[0]
+    # the preconditioner applies each S_K to both velocity components
+    S2 = sp.block_diag([aug.S for aug in op.locals_ for _ in (0, 1)], format="csr")
+    lam = np.random.default_rng(3).standard_normal(op.n_lambda)
+    ref = 0.25 * (op.B @ (S2 @ (op.B.T @ lam)))
+    assert np.abs(pc.apply(lam) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ieti_kappa_levels_off_on_unit_square_grids():
+    # p=2, l=1 (fixed H/h), tol 1e-8, seed 1: kappa went 3.74, 4.21 and 4.38
+    # at 64, 256 and 576 patches, so on patches of one shape it levels off
+    # in the number of patches
+    kappas = []
+    for n in (16, 24):
+        mp = parse_domain("grid(%d,%d)" % (n, n))
+        spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+        _, _, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
+                                      dirichlet=manufactured_velocity, tol=1e-8, seed=1)
+        assert rep.converged
+        kappas.append(rep.kappa)
+    assert max(kappas) < 5.0
+    assert kappas[1] - kappas[0] < 0.5
+
+
 def test_benchmark_counts_contract():
     # perfbench/run.py:ieti_counts reads these after setup_ieti for its
     # fill, size, primal and preconditioner counts
