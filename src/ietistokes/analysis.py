@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assemble_global, factorize, taylor_hood_spaces
 from .domains import load_domain
+from .geometry import SIDES
 
 __all__ = (
     "SchurSpectrum",
@@ -163,12 +164,19 @@ def local_infsup(system, method="auto"):
     """Inf-sup constant beta_k of a single patch.
 
     The patch system must have Dirichlet conditions on the whole velocity
-    boundary; beta_k is the square root of the smallest nonzero generalized
-    eigenvalue of (D_I K_II^-1 D_I^T, M_p).
+    boundary (ValueError otherwise); beta_k is the square root of the
+    smallest nonzero generalized eigenvalue of (D_I K_II^-1 D_I^T, M_p),
+    with K_II the vector Laplacian on the interior dofs and D_I = [D_0I |
+    D_1I] the divergence acting on them, read off condensation_blocks().
     """
-    if system.ths.n_gamma:
+    ths = system.ths
+    if any(ths.side_roles.get(side) != "dirichlet" for side in SIDES):
         raise ValueError("local inf-sup needs a fully Dirichlet velocity boundary")
-    spec = pressure_schur_extremes(system.K_ii, system.D_i, system.Mp, method)
+    K_ii, W = system.condensation_blocks()
+    ni, npre = ths.n_inner, ths.n_pressure
+    D_i = np.hstack(W[ni:].reshape(2, npre, ni))
+    spec = pressure_schur_extremes(sp.block_diag((K_ii, K_ii), format="csc"),
+                                   sp.csr_matrix(D_i), system.Mp, method)
     return spec.beta
 
 
@@ -179,24 +187,26 @@ def local_infsup(system, method="auto"):
 def skeleton_matrices(system):
     """Dense (S_A, S_K) on the boundary velocity dofs of a floating patch.
 
-    S_A eliminates interior velocity, pressure and the pressure-average
-    multiplier from the full saddle point matrix; S_K eliminates the interior
-    velocity from the vector Laplacian alone.
+    A floating patch has an interface on every side and no Dirichlet dof
+    (ValueError otherwise). S_A eliminates interior velocity, pressure and
+    the pressure-average multiplier from the full saddle point matrix; S_K
+    eliminates the interior velocity from the vector Laplacian alone, both
+    read off condensation_blocks().
     """
     ths = system.ths
-    if len(ths.dirichlet):
+    if len(ths.dirichlet) or any(ths.side_roles.get(side) != "interface" for side in SIDES):
         raise ValueError("skeleton matrices are defined for floating patches")
-    Kgg = system.K_gg.toarray()
-    Kgi = system.K_gi.toarray()
-    Kii = system.K_ii.toarray()
-    Dg = system.D_g.toarray()
-    Di = system.D_i.toarray()
+    ni, n, npre = ths.n_inner, ths.n_inner + ths.n_gamma, ths.n_pressure
+    _, W = system.condensation_blocks()
+    i, g = slice(0, ni), slice(ni, n)
+    K, D = W[:n], W[n:].reshape(2, npre, n)
+    Kgg, Kgi, Kii = (np.kron(np.eye(2), K[a, b]) for a, b in ((g, g), (g, i), (i, i)))
+    Dg, Di = np.hstack(D[:, :, g]), np.hstack(D[:, :, i])
     ca = system.pressure_average_row()
-    ni, npre = Kii.shape[0], Dg.shape[0]
     inner = np.block([
-        [Kii, Di.T, np.zeros((ni, 1))],
+        [Kii, Di.T, np.zeros((2 * ni, 1))],
         [Di, np.zeros((npre, npre)), ca[:, None]],
-        [np.zeros((1, ni)), ca[None, :], np.zeros((1, 1))],
+        [np.zeros((1, 2 * ni)), ca[None, :], np.zeros((1, 1))],
     ])
     R = np.vstack([Kgi.T, Dg, np.zeros((1, Kgg.shape[0]))])
     S_A = Kgg - R.T @ np.linalg.solve(inner, R)

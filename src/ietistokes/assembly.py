@@ -29,11 +29,11 @@ CHUNK_BYTES (1 MB; at least one patch a chunk). The element matrices
 readers. element_forms and total_errors run it once per family;
 assemble_patch takes its patch's element matrices from element_forms, or
 treats the patch as a family of one, as patch_errors does.
-PatchStokesSystem builds everything else from the element matrices when it
-is first asked for: the saddle matrix on the free dofs in one scatter, its
-right-hand side with the Dirichlet lift, the full forms Ks, D, Mp, the
-block views K_gg, K_gi, K_ii, D_g, D_i, and the dense scalar blocks that
-static condensation reads.
+PatchStokesSystem scatters the element matrices in two places when first
+asked for: the sparse all-dof forms Ks, D, Mp, and the dense scalar blocks
+on the free dofs that static condensation and the patch analysis read
+(condensation_blocks). The free-dof saddle matrix is a slice of Ks and D;
+the right-hand side with the Dirichlet lift is formed element by element.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 (edge_flux_rows) take points, tangents and outward normals from
@@ -510,27 +510,23 @@ class PatchStokesSystem:
     """Assembled Stokes forms and right-hand side of one patch.
 
     Holds the element matrices of the patch (see _element_forms), its load
-    and area, and the Dirichlet coefficients. Every assembled form is built
-    from them on first use and then cached:
+    and area, and the Dirichlet coefficients. The element matrices are
+    scattered in two places, each built on demand:
 
-    - saddle_matrix(): [[K, D^T], [D, 0]] on the free dofs, in the
-      [u_gamma | u_inner | p] order of ths.pos (CSC), scattered once from
-      the element matrices; rhs(): its right-hand side, the load minus the
-      Dirichlet lift through K in the velocity rows and minus the lift
-      through D in the pressure rows, formed element by element;
     - Ks (scalar stiffness, vel.dim x vel.dim), D (divergence, pre.dim x
-      2*vel.dim, component major) and Mp (pressure mass), over all dofs
-      including the Dirichlet ones;
-    - K_gg, K_gi, K_ii, D_g, D_i (both components), as slices of the saddle
-      matrix.
+      2*vel.dim, component major) and Mp (pressure mass): sparse, over all
+      dofs including the Dirichlet ones, cached;
+    - condensation_blocks(): the scalar stiffness of one component and the
+      divergence on the free dofs, as a dense array and its interior block,
+      scattered on each call and not cached.
 
-    condensation_blocks() is the exception: the scalar stiffness of one
-    component and the divergence on the free dofs, as a dense array and its
-    interior block, scattered from the element matrices on each call and
-    not cached. The
-    IETI path reads it, the right-hand side and the pressure average row,
-    and never assembles the saddle matrix; the monolithic path only Ks, D
-    and Mp.
+    rhs() is the right-hand side on the free dofs, the load minus the
+    Dirichlet lift through K in the velocity rows and minus the lift
+    through D in the pressure rows, formed element by element and cached.
+    saddle_matrix() is a slice of Ks and D, a reference for tests and
+    counts. The IETI path reads condensation_blocks(), the right-hand side
+    and the pressure average row, and builds none of Ks, D, Mp; the
+    monolithic path reads only Ks, D and Mp.
     """
 
     def __init__(self, ths, elements, dirichlet_values):
@@ -541,8 +537,18 @@ class PatchStokesSystem:
         self.dirichlet_values = dirichlet_values  # (2, len(ths.dirichlet))
 
     def saddle_matrix(self):
-        """Full patch saddle matrix on free dofs, blocks [u_g | u_i | p]."""
-        return self._saddle
+        """[[K, D^T], [D, 0]] on the free dofs, blocks [u_g | u_i | p] (CSC).
+
+        Sliced from Ks and D at the free positions of ths.pos on each call;
+        the entries of their scatter, explicit zeros included, stay as they
+        are.
+        """
+        ths = self.ths
+        free = np.empty(2 * (ths.n_gamma + ths.n_inner), dtype=int)
+        free[ths.pos[ths.pos >= 0]] = np.flatnonzero(ths.pos >= 0)  # c * vel.dim + dof
+        K = sp.block_diag((self.Ks, self.Ks), format="csr")[free][:, free]
+        D = self.D[:, free]
+        return sp.bmat([[K, D.T], [D, None]], format="csc")
 
     def rhs(self):
         return self._rhs.copy()
@@ -553,21 +559,6 @@ class PatchStokesSystem:
         mass = np.bincount(el.ip.ravel(), weights=el.Me.sum(axis=1).ravel(),
                            minlength=self.ths.pre.dim)  # column sums of Mp
         return mass / self.area
-
-    @cached_property
-    def _saddle(self):
-        ths, el = self.ths, self._el
-        nu = 2 * (ths.n_gamma + ths.n_inner)
-        # free positions (e, comp, l) of the velocity functions, -1 if
-        # eliminated, and (e, m) of the pressure functions; D^T reuses the
-        # entries of D
-        pv = ths.pos[:, el.iv].transpose(1, 0, 2).astype(np.int32)
-        pp = (nu + el.ip).astype(np.int32)
-        rk, ck, vk = _free_entries(el.Ke[:, None], pv[..., None], pv[:, :, None, :])
-        rd, cd, vd = _free_entries(el.De, pp[:, None, :, None], pv[:, :, None, :])
-        return sp.csc_matrix((np.concatenate([vk, vd, vd]),
-                              (np.concatenate([rk, rd, cd]), np.concatenate([ck, cd, rd]))),
-                             shape=(ths.n_local, ths.n_local))
 
     @cached_property
     def _rhs(self):
@@ -604,35 +595,6 @@ class PatchStokesSystem:
     def Mp(self):
         el, npre = self._el, self.ths.pre.dim
         return _coo(el.Me, el.ip[:, :, None], el.ip[:, None, :], (npre, npre))
-
-    def _ranges(self):
-        ng, ni = self.ths.n_gamma, self.ths.n_inner
-        return slice(0, 2 * ng), slice(2 * ng, 2 * (ng + ni)), slice(2 * (ng + ni), None)
-
-    @cached_property
-    def K_gg(self):
-        g, _, _ = self._ranges()
-        return self._saddle[g, g]
-
-    @cached_property
-    def K_gi(self):
-        g, i, _ = self._ranges()
-        return self._saddle[g, i]
-
-    @cached_property
-    def K_ii(self):
-        _, i, _ = self._ranges()
-        return self._saddle[i, i]
-
-    @cached_property
-    def D_g(self):
-        g, _, p = self._ranges()
-        return self._saddle[p, g]
-
-    @cached_property
-    def D_i(self):
-        _, i, p = self._ranges()
-        return self._saddle[p, i]
 
     def condensation_blocks(self):
         """(K_ii, W): the scalar stiffness and the divergence on the free dofs.
@@ -782,14 +744,6 @@ def _coo(vals, rows, cols, shape):
     rows = np.broadcast_to(rows, vals.shape)
     cols = np.broadcast_to(cols, vals.shape)
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
-
-
-def _free_entries(vals, rows, cols):
-    """(rows, cols, vals) of the entries with a free (nonnegative) row and
-    column; the three arrays are broadcast together first."""
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], vals[keep]
 
 
 # ---------------------------------------------------------------------------

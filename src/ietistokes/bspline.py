@@ -33,6 +33,7 @@ import functools
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = (
     "UnivariateSplineSpace",
@@ -277,8 +278,8 @@ class UnivariateSplineSpace:
         return eval_all_derivatives(self.knots, self.degree, x, nders)
 
     def greville(self):
-        p = self.degree
-        return np.array([self.knots[i + 1 : i + p + 1].mean() for i in range(self.dim)])
+        """Greville abscissae: the mean of knots i+1 .. i+p for each function i."""
+        return sliding_window_view(self.knots[1:-1], self.degree).mean(axis=1)
 
     def collocation(self, points, der=0):
         """Dense matrix of basis (derivative) values at the given points."""

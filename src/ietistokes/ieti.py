@@ -250,7 +250,7 @@ class AugmentedLocalSystem:
     - S: the scalar Schur complement K_gg - K_gi K_ii^-1 K_ig, which the
       preconditioner applies to each component.
 
-    lu solves the whole augmented system (see CondensedLU); A3 is assembled
+    lu solves the whole augmented system (see CondensedLU); A3 is built
     only when asked for. A failed check on R means the constraint set
     leaves the saddle system singular (e.g. a floating patch stripped of its
     corner and flux rows).
@@ -292,7 +292,7 @@ class AugmentedLocalSystem:
 
     @property
     def A3(self):
-        """The patch saddle matrix (assembled on first use)."""
+        """The patch saddle matrix, built on each access."""
         return self.system.saddle_matrix()
 
     def solve_x(self, rhs_x, rhs_mu=None):

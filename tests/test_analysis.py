@@ -54,7 +54,10 @@ def test_beta_and_delta_bounded():
                 bilinear_patch((0, 0), (4, 0), (0, 1), (4, 1))):
         sysk = dirichlet_patch_system(geo, 1, 2)
         from ietistokes.analysis import pressure_schur_extremes
-        spec = pressure_schur_extremes(sysk.K_ii, sysk.D_i, sysk.Mp)
+        # all-Dirichlet: the free velocity dofs are the interior ones
+        n = 2 * sysk.ths.n_inner
+        A = sysk.saddle_matrix()
+        spec = pressure_schur_extremes(A[:n, :n], A[n:, :n], sysk.Mp)
         assert spec.beta <= np.sqrt(2.0) + 1e-10
         assert spec.delta <= 2.0 + 1e-10
         assert spec.lam_min > 0
@@ -68,13 +71,16 @@ def test_stretched_patch_has_smaller_beta():
 
 
 def test_local_infsup_rejects_interface_sides():
+    # an interface side, a Neumann side, and a side left natural (no role)
     geo = unit_square()
-    ths = build_taylor_hood(geo, 1, refinement=1,
-                            side_roles={"west": "interface", "east": "dirichlet",
-                                        "south": "dirichlet", "north": "dirichlet"})
-    sysk = assemble_patch(geo, ths)
-    with pytest.raises(ValueError):
-        local_infsup(sysk)
+    dirichlet = dict.fromkeys(("west", "east", "south", "north"), "dirichlet")
+    for roles in (dict(dirichlet, west="interface"), dict(dirichlet, east="neumann"),
+                  {s: r for s, r in dirichlet.items() if s != "east"}):
+        for level in (1, 2):
+            sysk = assemble_patch(geo, build_taylor_hood(geo, 1, refinement=level,
+                                                         side_roles=roles))
+            with pytest.raises(ValueError):
+                local_infsup(sysk)
 
 
 def global_kappa(patches, degree=2, refinement=1):
@@ -175,6 +181,11 @@ def test_skeleton_spectra_within_infsup_bounds():
 
 
 def test_skeleton_matrices_need_floating_patch():
-    sysk = dirichlet_patch_system(unit_square(), 1, 1)
-    with pytest.raises(ValueError):
-        skeleton_matrices(sysk)
+    geo = unit_square()
+    neumann_east = dict(FLOATING, east="neumann")
+    for sysk in (dirichlet_patch_system(geo, 1, 1),
+                 assemble_patch(geo, build_taylor_hood(geo, 1, refinement=1,
+                                                       side_roles=neumann_east,
+                                                       gamma_corners=ALL_CORNERS))):
+        with pytest.raises(ValueError):
+            skeleton_matrices(sysk)

@@ -90,6 +90,18 @@ def test_dimension_formula_brute_force(degree):
         assert np.linalg.matrix_rank(coll) == sp.dim
 
 
+def test_greville_is_the_per_function_knot_mean_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for degree in range(1, 8):
+        for s in range(degree):
+            for nint in (0, 1, 5):
+                z = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, size=nint)), [1.0]])
+                sp = UnivariateSplineSpace(z, degree, s)
+                ref = np.array([sp.knots[i + 1 : i + degree + 1].mean() for i in range(sp.dim)])
+                got = sp.greville()
+                assert got.shape == (sp.dim,) and np.array_equal(got, ref)
+
+
 def test_eval_example_hats():
     sp = UnivariateSplineSpace([0, 0.5, 1], 1, 0)
     first, ders = sp.eval_all(0.25, 0)

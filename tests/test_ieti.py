@@ -1,5 +1,5 @@
 import time
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -478,6 +478,10 @@ def test_benchmark_counts_contract():
         assert aug.lu.shape == aug_mat.shape and aug.lu.L.nnz > 0 and aug.lu.U.nnz > 0
         x = rng.standard_normal(n_x + aug.n_mu)
         assert np.abs(aug.lu.solve(aug_mat @ x) - x).max() < 1e-8
+    # the saddle matrices are slices of Ks and D and keep the explicit zeros
+    # of their scatter, which ieti.aug.nnz counts; a rebuild from the dense
+    # condensation blocks would drop them (2,380 entries)
+    assert sum(aug.A3.nnz for aug in op.locals_) == 2448
     assert op.n_primal == cons.n_primal == 2 * 1 + 4 + 4  # center vertex, fluxes, averages
     assert op.n_lambda == op.B.shape[0] == 24
     assert len(pc.blocks) == len(spaces)
@@ -694,8 +698,12 @@ def test_coarse_matrix_from_basis_multipliers(domain, degree):
 def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
     # the local condensation takes the dense element blocks and the coarse
     # matrix comes from the basis solve; only tests and the benchmark
-    # counters ask for the assembled patch saddle matrix
-    mp, spaces, glob = build_grid_problem(3, 3)
+    # counters ask for the patch saddle matrix. A whole IETI solve (setup,
+    # rhs, PCG, recovery) caches only the patch right-hand sides and builds
+    # none of the sparse all-dof forms Ks, D, Mp the saddle matrix is
+    # sliced from
+    mp = build_domain("grid", m=3, n=3)
+    spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
     asked = []
     real = PatchStokesSystem.saddle_matrix
 
@@ -704,13 +712,18 @@ def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(PatchStokesSystem, "saddle_matrix", counting_saddle_matrix)
-    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
-    op.apply_F(op.rhs())
-    pc.apply(op.rhs())
+    op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs(), tol=1e-8)
+    us, _, _ = op.recover(lam)
+    assert rep.converged and len(us) == 9
     assert asked == []
-    assert not any("_saddle" in sysk.__dict__ for sysk in glob.systems)
+    cached = {name for name, v in vars(PatchStokesSystem).items()
+              if isinstance(v, cached_property)}
+    assert cached == {"_rhs", "Ks", "D", "Mp"}
+    for sysk in op.systems:
+        assert cached & set(vars(sysk)) == {"_rhs"}
     assert op.locals_[4].A3.shape == (op.locals_[4].n_x,) * 2  # still there on demand
-    assert asked == [glob.systems[4]]
+    assert asked == [op.systems[4]]
 
 
 def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
