@@ -104,6 +104,10 @@ def _iterative_extremes(K, D, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
     ones = np.ones((n, 1))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, min(block, max(1, n - 2))))
+    if n - 1 < 5 * X.shape[1]:
+        # lobpcg's own switch to a dense eigensolver, which takes no
+        # constraint Y: leave such small problems to the dense path
+        raise _NotConverged("%d pressure dofs are too few for lobpcg" % n)
     out = []
     for largest in (False, True):
         w, V = spla.lobpcg(T, X.copy(), B=Mp, Y=ones, largest=largest,
@@ -127,7 +131,8 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
     explicit orthogonal complement of M_p 1, the iterative path keeps the
     LOBPCG block orthogonal to it. "auto" picks the dense path up to
     DENSE_LIMIT dofs. A non-converged iterative solve falls back to the
-    dense path when the size permits.
+    dense path when the size permits, and so does a problem too small for
+    LOBPCG's iterations; spectrum.method then reads "dense".
     """
     dofs = K.shape[0] + Mp.shape[0]
     if method == "auto":

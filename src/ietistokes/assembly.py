@@ -22,13 +22,15 @@ knots compared by value) that are all rational or all polynomial form a
 family; taylor_hood_spaces gives the patches with equal breakpoints one
 shared vel/pre pair. One element-quadrature kernel, _element_tables, serves
 a whole family: it tabulates the splines once, builds the geometry tables
-of the stacked control nets by sum factorization, and runs over chunks of
-the family's patches cut so that no chunk's physical gradients exceed
-CHUNK_BYTES (1 MB; at least one patch a chunk). The element matrices
-(_element_forms) and the error moments (_error_moments) are its two
-readers. element_forms and total_errors run it once per family;
-assemble_patch takes its patch's element matrices from element_forms, or
-treats the patch as a family of one, as patch_errors does.
+of the stacked control nets with the map kernel of geometry
+(_geometry_tables), and runs over chunks of the family's patches cut so
+that no chunk's physical gradients exceed geometry.CHUNK_BYTES (1 MB; at
+least one patch a chunk). The element matrices (_element_forms) and the
+error moments (_error_moments) are its two readers. element_forms and
+total_errors run it once per family, and element_forms also projects the
+Dirichlet data of the whole family (_dirichlet_values); assemble_patch
+takes its patch's entry of element_forms, or treats the patch as a family
+of one, as patch_errors does.
 PatchStokesSystem scatters the element matrices in two places when first
 asked for: the sparse all-dof forms Ks, D, Mp, and the dense scalar blocks
 on the free dofs that static condensation and the patch analysis read
@@ -36,8 +38,9 @@ on the free dofs that static condensation and the patch analysis read
 the right-hand side with the Dirichlet lift is formed element by element.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
-(edge_flux_rows) take points, tangents and outward normals from
-geometry.side_traces, one evaluation of the map per patch.
+take points, tangents and outward normals from geometry.side_traces, one
+kernel call per family and side: family_flux_rows forms the flux rows of
+all patches of a family at once, and edge_flux_rows is its family of one.
 """
 
 from functools import cached_property, lru_cache
@@ -49,7 +52,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bspline import TensorSplineSpace, element_rule
-from .geometry import DegenerateJacobianError, check_interface_matching, side_traces
+from .geometry import (
+    _CORNERS,
+    SIDES,
+    DegenerateJacobianError,
+    _chunks,
+    _corner_points,
+    _geometry_tables,
+    _outline,
+    _patch_side_traces,
+    _space_key,
+    check_interface_matching,
+    side_traces,
+)
 
 __all__ = (
     "SingularLocalSystemError",
@@ -65,6 +80,7 @@ __all__ = (
     "matched_side_dofs",
     "edge_flux_matrix",
     "edge_flux_rows",
+    "family_flux_rows",
     "divergence_bubble",
     "fortin_correction",
     "patch_errors",
@@ -330,14 +346,6 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
 # ---------------------------------------------------------------------------
 # patch families and the batched element quadrature
 
-CHUNK_BYTES = 2**20  # bound on a chunk's physical gradients in _element_forms
-
-
-def _space_key(space):
-    """Degrees and knot bytes of a tensor spline space, per direction."""
-    return tuple((s.degree, s.knots.tobytes()) for s in (space.space_x, space.space_y))
-
-
 def _families(patches, spaces):
     """Patch numbers grouped into families, each list increasing.
 
@@ -361,55 +369,6 @@ def _per_family(patches, spaces, kernel, *args):
         for k, res in zip(members, kernel(patches, members, spaces[members[0]], *args)):
             out[k] = res
     return out
-
-
-def _chunks(n, per_patch):
-    """Consecutive slices of range(n), each of at least one and at most
-    CHUNK_BYTES // per_patch patches."""
-    size = max(1, CHUNK_BYTES // per_patch)
-    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
-
-
-def _geometry_tables(geos, xs, ys):
-    """Jacobian data of a family of maps on the tensor grid xs x ys.
-
-    geos share one geometry space and are all rational or all polynomial.
-    Returns pts (P, len(xs), len(ys), 2), jac (..., 2, 2) and det (...) for
-    the P = len(geos) maps. The stacked control nets are contracted one
-    direction at a time (sum factorization, Antolin, Buffa, Calabro,
-    Martinelli & Sangalli, CMAME 2015): once with each y-table, then each
-    result with an x-table, so every table costs two matrix products
-    whatever P is.
-    """
-    space = geos[0].space
-    sx, sy = space.space_x, space.space_y
-    rational = geos[0].weights is not None
-    if rational:
-        hom = np.stack([np.column_stack([g.control * g.weights[:, None], g.weights])
-                        for g in geos])
-    else:
-        hom = np.stack([g.control for g in geos])
-    P, _, ncomp = hom.shape
-    nx, ny = space.nx, space.ny
-    net = hom.reshape(P, ny, nx * ncomp).transpose(1, 0, 2).reshape(ny, -1)
-    # (nx, ys * P * ncomp): the y-contracted nets, x index leading
-    t0, t1 = ((sy.collocation(ys, der=d) @ net).reshape(len(ys), P, nx, ncomp)
-              .transpose(2, 0, 1, 3).reshape(nx, -1) for d in (0, 1))
-    gx0 = sx.collocation(xs)
-    gx1 = sx.collocation(xs, der=1)
-    s, su, sv = ((gx @ t).reshape(len(xs), len(ys), P, ncomp).transpose(2, 0, 1, 3)
-                 for gx, t in ((gx0, t0), (gx1, t0), (gx0, t1)))
-    if rational:
-        w = s[..., 2]
-        pts = s[..., :2] / w[..., None]
-        ju = (su[..., :2] * w[..., None] - s[..., :2] * su[..., 2:]) / w[..., None] ** 2
-        jv = (sv[..., :2] * w[..., None] - s[..., :2] * sv[..., 2:]) / w[..., None] ** 2
-        jac = np.stack([ju, jv], axis=-1)
-    else:
-        pts = s
-        jac = np.stack([su, sv], axis=-1)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    return pts, jac, det
 
 
 def _per_element(grid_values, nelx, nely, nq):
@@ -451,7 +410,8 @@ def _element_tables(patches, members, ths, nq):
     Jacobians, so that the physical gradient of function l is
     gu[..., l] jinv[..., 0, :] + gv[..., l] jinv[..., 1, :]. A chunk is cut
     so that its physical gradients in _element_forms (16 nel nlv Q bytes a
-    patch, the largest temporary of either caller) fit in CHUNK_BYTES.
+    patch, the largest temporary of either caller) fit in
+    geometry.CHUNK_BYTES.
     Raises DegenerateJacobianError when det(jac) is not positive at some
     quadrature point, naming the patch by its number in patches when there
     is more than one.
@@ -633,40 +593,52 @@ class PatchStokesSystem:
         return out
 
 
-def _dirichlet_values(geo, ths, data):
-    """Coefficients of the boundary data on the eliminated dofs.
+def _dirichlet_values(patches, members, ths, spaces, data):
+    """Coefficients of the boundary data on the eliminated dofs of each
+    patch of a family, one (2, len(spaces[k].dirichlet)) array per member.
 
-    Corner dofs are interpolated exactly; the remaining dofs of each
-    Dirichlet side come from the L2 projection of the trace (in the physical
-    arc length, with degree + 3 Gauss points per element) with the corner
-    values held fixed.
+    spaces[k] is the Taylor-Hood space of patch k; the members share
+    ths.vel. Corner dofs are interpolated exactly; the remaining dofs of
+    each Dirichlet side come from the L2 projection of the trace (in the
+    physical arc length, with degree + 3 Gauss points per element) with the
+    corner values held fixed. The corner points come from one kernel call,
+    the traces of each side from one side_traces call over the members with
+    that side on the Dirichlet boundary, and data is called once on all of
+    these points.
     """
+    out = [np.zeros((2, len(spaces[k].dirichlet))) for k in members]
+    if data is None or not any(o.size for o in out):
+        return out
     vel = ths.vel
-    if data is None or not len(ths.dirichlet):
-        return np.zeros((2, len(ths.dirichlet)))
-    values = np.zeros((2, vel.dim))  # over all scalar dofs
-    corners = vel.corner_dofs()
-    dofs = np.array(list(corners.values()))
-    pts = geo.corners()
-    on = np.isin(dofs, ths.dirichlet)
-    values[:, dofs[on]] = np.asarray(
-        data(np.array([pts[c] for c in corners])[on]), dtype=float).T
-
-    rules = {side: element_rule(vel.side_space(side).breakpoints,
-                                vel.side_space(side).degree + 3)
-             for side, role in ths.side_roles.items() if role == "dirichlet"}
-    traces = side_traces(geo, {side: tq for side, (tq, _) in rules.items()})
-    for side, (tq, wq) in rules.items():
-        x, tangent, _ = traces[side]
-        w = wq.ravel() * np.linalg.norm(tangent, axis=-1)
+    geos = [patches[k] for k in members]
+    cdofs = np.array([vel.corner_dof(*c) for c in _CORNERS])
+    on = np.array([np.isin(cdofs, spaces[k].dirichlet) for k in members])  # (P, 4)
+    points = [_corner_points(_outline(geos))[on]]
+    sides = []  # (side, member positions, Gauss points, weights times |dx/dt| (m, n))
+    for side in SIDES:
+        js = [j for j, k in enumerate(members) if spaces[k].side_roles.get(side) == "dirichlet"]
+        if js:
+            espace = vel.side_space(side)
+            tq, wq = element_rule(espace.breakpoints, espace.degree + 3)
+            x, tangent, _ = side_traces([geos[j] for j in js], {side: tq})[side]
+            w = wq.ravel() * np.linalg.norm(tangent, axis=-1)
+            sides.append((side, np.array(js), tq, w))
+            points.append(x.reshape(-1, 2))
+    g = np.asarray(data(np.concatenate(points)), dtype=float)
+    g = np.split(g, np.cumsum([len(x) for x in points[:-1]]))
+    values = np.zeros((len(members), 2, vel.dim))  # over all scalar dofs
+    pj, cj = np.nonzero(on)
+    values[pj, :, cdofs[cj]] = g[0]
+    for (side, js, tq, w), gs in zip(sides, g[1:]):
         B = vel.side_space(side).collocation(tq)
-        M = B.T @ (B * w[:, None])
-        b = B.T @ (w[:, None] * np.asarray(data(x), dtype=float))
+        M = B.T @ (B * w[..., None])  # (m, nb, nb)
+        b = B.T @ (w[..., None] * gs.reshape(len(js), -1, 2))  # (m, nb, comp)
         sd = vel.side_dofs(side)
         # interior dofs of the side, with the two end (corner) values fixed
-        values[:, sd[1:-1]] = np.linalg.solve(
-            M[1:-1, 1:-1], b[1:-1] - M[1:-1, [0, -1]] @ values[:, sd[[0, -1]]].T).T
-    return values[:, ths.dirichlet]
+        ends = values[js][:, :, sd[[0, -1]]].transpose(0, 2, 1)  # (m, end, comp)
+        values[js[:, None], :, sd[None, 1:-1]] = np.linalg.solve(
+            M[:, 1:-1, 1:-1], b[:, 1:-1] - M[:, 1:-1][:, :, [0, -1]] @ ends)
+    return [values[j][:, spaces[k].dirichlet] for j, k in enumerate(members)]
 
 
 def _element_forms(patches, members, ths, nquad, rhs):
@@ -712,15 +684,20 @@ def _element_forms(patches, members, ths, nquad, rhs):
     return out
 
 
-def element_forms(patches, spaces, rhs=None, nquad=None):
-    """Element matrices, load and area of every patch, in patch order, for
-    the elements argument of assemble_patch.
+def element_forms(patches, spaces, rhs=None, nquad=None, dirichlet=None):
+    """Element matrices, load, area and Dirichlet coefficients of every
+    patch, in patch order, for the elements argument of assemble_patch.
 
-    rhs and nquad are those of assemble_patch. The element kernel runs once
-    per family of patches (equal spaces, see _families), over chunks of the
-    family's patches.
+    rhs, nquad and dirichlet are those of assemble_patch. The element kernel
+    and the Dirichlet projection run once per family of patches (equal
+    spaces, see _families), the element kernel over chunks of the family's
+    patches.
     """
-    return _per_family(patches, spaces, _element_forms, nquad, rhs)
+    forms = _per_family(patches, spaces, _element_forms, nquad, rhs)
+    for el, values in zip(forms, _per_family(patches, spaces, _dirichlet_values, spaces,
+                                             dirichlet)):
+        el.dirichlet_values = values
+    return forms
 
 
 def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None, elements=None):
@@ -730,13 +707,17 @@ def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None, elements=None
     points and returning (..., 2) vectors; None means zero. The quadrature
     uses nquad (default: velocity degree + 2) Gauss points per direction per
     element. elements are the patch's entry of element_forms, which reads
-    rhs and nquad in their place; when None, the patch is a family of one
-    for the element kernel. The assembled matrices are built when first
-    asked for (see PatchStokesSystem).
+    rhs, nquad and the Dirichlet data in their place; a dirichlet given here
+    too is projected again, for this patch alone. When elements is None,
+    the patch is a family of one. The assembled matrices are built when
+    first asked for (see PatchStokesSystem).
     """
     if elements is None:
-        elements, = _element_forms([geo], [0], ths, nquad, rhs)
-    return PatchStokesSystem(ths, elements, _dirichlet_values(geo, ths, dirichlet))
+        elements, = element_forms([geo], [ths], rhs, nquad)
+    values = elements.dirichlet_values
+    if dirichlet is not None:
+        values, = _dirichlet_values([geo], [0], ths, [ths], dirichlet)
+    return PatchStokesSystem(ths, elements, values)
 
 
 def _coo(vals, rows, cols, shape):
@@ -750,28 +731,49 @@ def _coo(vals, rows, cols, shape):
 # edge fluxes and the divergence bubble
 
 
+def _side_flux_rows(geos, vel, side):
+    """(side_dofs, R) of one side for a family of maps sharing vel, with R
+    of shape (len(geos), len(side_dofs), 2): the rows of edge_flux_rows of
+    every map, from one side_traces call and one collocation table."""
+    gdeg = max(geos[0].space.space_x.degree, geos[0].space.space_y.degree)
+    espace = vel.side_space(side)
+    tq, wq = element_rule(espace.breakpoints, espace.degree + gdeg + 2)
+    normal = side_traces(geos, {side: tq})[side][2]  # outward normal times length element
+    return vel.side_dofs(side), espace.collocation(tq).T @ (wq.reshape(-1, 1) * normal)
+
+
 def edge_flux_rows(geo, vel, sides):
     """Rows evaluating int_edge N_i n_c ds for the dofs with trace on each side.
 
     Returns {side: (side_dofs, R)} with R of shape (len(side_dofs), 2); the
     flux of a velocity coefficient field u through the side is
     sum_c R[:, c] . u[c, side_dofs]. Each side uses edge degree + geometry
-    degree + 2 Gauss points per element; the geometry is evaluated once for
-    all sides.
+    degree + 2 Gauss points per element. The patch is a family of one for
+    the kernel of family_flux_rows.
     """
-    gdeg = max(geo.space.space_x.degree, geo.space.space_y.degree)
-    rules = {side: element_rule(vel.side_space(side).breakpoints,
-                                vel.side_space(side).degree + gdeg + 2)
-             for side in sides}
-    traces = side_traces(geo, {side: tq for side, (tq, _) in rules.items()})
     out = {}
-    for side, (tq, wq) in rules.items():
-        B = vel.side_space(side).collocation(tq)
-        normal = traces[side][2]  # outward normal times length element
-        R = np.empty((B.shape[1], 2))
-        for c in (0, 1):
-            R[:, c] = B.T @ (wq.ravel() * normal[:, c])
-        out[side] = vel.side_dofs(side), R
+    for side in sides:
+        dofs, R = _side_flux_rows([geo], vel, side)
+        out[side] = dofs, R[0]
+    return out
+
+
+def family_flux_rows(patches, spaces, sides):
+    """edge_flux_rows of many patches: sides[k] lists the sides of patch k.
+
+    Returns per patch {side: (side_dofs, R)}. The rows of a side are formed
+    for all patches of a family (_families) that list it at once, from one
+    side_traces call.
+    """
+    out = [{} for _ in patches]
+    for members in _families(patches, spaces):
+        vel = spaces[members[0]].vel
+        for side in SIDES:
+            ks = [k for k in members if side in sides[k]]
+            if ks:
+                dofs, R = _side_flux_rows([patches[k] for k in ks], vel, side)
+                for k, r in zip(ks, R):
+                    out[k][side] = dofs, r
     return out
 
 
@@ -811,16 +813,22 @@ def fortin_correction(mp, spaces, u_list):
     with zero trace on the domain boundary. The returned field (same layout)
     has, on every interface, the same net flux as u, so u minus the result is
     orthogonal to the patchwise-constant pressures with zero global mean.
+    The flux rows and the mid-side normals are evaluated once per family.
     """
     out = [np.zeros_like(u) for u in u_list]
     diameters = mp.diameters()
+    sides = [[] for _ in mp.patches]  # the a-sides of the interfaces, per patch
+    for iface in mp.interfaces:
+        sides[iface.a].append(iface.side_a)
+    flux = family_flux_rows(mp.patches, spaces, sides)
+    mid = _patch_side_traces(mp.patches, [dict.fromkeys(s, [0.5]) for s in sides])
     for iface in mp.interfaces:
         k = iface.a
-        geo = mp.patches[k]
         ths = spaces[k]
-        dofs, R = edge_flux_matrix(geo, ths.vel, iface.side_a)
+        dofs, R = flux[k][iface.side_a]
         flux_u = sum(R[:, c] @ u_list[k][c, dofs] for c in (0, 1))
-        nbar = geo.side_normal(iface.side_a, np.array([0.5]), unit=True)[0]
+        nbar = mid[k][iface.side_a][2][0]
+        nbar = nbar / np.linalg.norm(nbar)
         bub_a = divergence_bubble(ths, iface.side_a)
         psi_a = nbar[:, None] * bub_a[None, :]
         flux_psi = sum(R[:, c] @ psi_a[c, dofs] for c in (0, 1))
@@ -990,8 +998,8 @@ def matched_side_dofs(mp, spaces, iface):
 def assemble_global(mp, spaces, rhs=None, dirichlet=None, nquad=None, systems=None):
     """Assemble the conforming coupled system for a whole multi-patch domain."""
     if systems is None:
-        forms = element_forms(mp.patches, spaces, rhs, nquad)
-        systems = [assemble_patch(geo, ths, dirichlet=dirichlet, elements=el)
+        forms = element_forms(mp.patches, spaces, rhs, nquad, dirichlet)
+        systems = [assemble_patch(geo, ths, elements=el)
                    for geo, ths, el in zip(mp.patches, spaces, forms)]
     offsets = np.cumsum([0] + [s.vel.dim for s in spaces])
     uf = _UnionFind(int(offsets[-1]))

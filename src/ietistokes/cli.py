@@ -37,7 +37,7 @@ from .assembly import (
 )
 from .domains import load_domain as _load_domain
 from .domains import parse_domain, quarter_annulus_patch
-from .geometry import DegenerateJacobianError, TopologyError, bilinear_patch
+from .geometry import DegenerateJacobianError, TopologyError, bilinear_patch, grid_points
 from .ieti import (
     IetiOperator,
     SingularLocalSystemError,
@@ -237,6 +237,7 @@ def export_solution(path, mp, spaces, us, ps, samples):
         fh.write("# ietistokes field export\n")
         fh.write("# patches: %d\n" % mp.n_patches)
         ts = np.linspace(0.0, 1.0, samples)
+        points = grid_points(mp.patches, ts, ts)  # [k, i, j]: at (ts[i], ts[j])
         for k in range(mp.n_patches):
             vel, pre = spaces[k].vel, spaces[k].pre
             fh.write("patch %d\n" % k)
@@ -249,7 +250,7 @@ def export_solution(path, mp, spaces, us, ps, samples):
             for row in ps[k].reshape(pre.ny, pre.nx):
                 fh.write(" ".join("%.17g" % v for v in row) + "\n")
             fh.write("samples %d %d\n" % (samples, samples))
-            pts, _ = mp.patches[k].eval(ts[None, :], ts[:, None], nders=0)
+            pts = points[k].transpose(1, 0, 2)
             Bu = [spaces[k].vel.space_x.collocation(ts),
                   spaces[k].vel.space_y.collocation(ts)]
             Bp = [pre.space_x.collocation(ts), pre.space_y.collocation(ts)]

@@ -89,14 +89,15 @@ def _split_bezier(geo, m, n):
         for _ in range(py):
             ky, net = insert_knot(ky, py, net, j / n)
 
+    # the Bezier patches share one space, which is never modified
+    space = TensorSplineSpace.from_breakpoints(
+        [0.0, 1.0], [0.0, 1.0], (px, py), (max(px - 1, 0), max(py - 1, 0))
+    )
     patches = []
     for j in range(n):
         for i in range(m):
             block = net[j * py : j * py + py + 1, i * px : i * px + px + 1, :]
             flat = block.reshape(-1, ncomp)
-            space = TensorSplineSpace.from_breakpoints(
-                [0.0, 1.0], [0.0, 1.0], (px, py), (max(px - 1, 0), max(py - 1, 0))
-            )
             if ncomp == 2:
                 patches.append(GeometryMap(space, flat.copy()))
             else:

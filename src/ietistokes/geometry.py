@@ -13,11 +13,21 @@ different patches with the same pair form an interface. Patches are glued
 along whole edges: a vertex inside an unmatched side is a partial edge
 overlap (T-junction) and is rejected.
 
-side_traces evaluates the map along any set of sides of a patch in one
-call: points, tangents dx/dt and outward normals times the length element.
-It alone knows a side's tangent column and outward rotation; the flux
-constraints, the Dirichlet projection, side_normal, diameter and the
-T-junction search read it.
+Maps with equal geometry spaces (degrees and knots compared by value) that
+are all rational or all polynomial form a family (_map_families). One
+kernel, _geometry_tables, evaluates a family on a tensor grid of parameters
+by sum factorization, and every grid-shaped evaluation of the package runs
+on it, over chunks of the family whose temporaries stay within a bound:
+the element quadrature of assembly (CHUNK_BYTES), the side traces, and the
+corners, diameters, Jacobian extremes, distortions and areas
+(MAP_CHUNK_BYTES). A single map is a family of one, so the GeometryMap
+methods are family-of-one calls of the same code. side_traces evaluates a
+family along a set of sides: points, tangents dx/dt and outward normals
+times the length element. It alone knows a side's tangent column and
+outward rotation; the flux constraints, the Dirichlet projection,
+side_normal, the interface checks and the T-junction search read it.
+GeometryMap.eval evaluates one map at arbitrary points; it is the
+pointwise reference of the tests and no solve calls it.
 """
 
 import math
@@ -41,6 +51,7 @@ __all__ = (
     "save_multipatch",
     "load_multipatch",
     "bilinear_patch",
+    "grid_points",
     "side_traces",
 )
 
@@ -53,6 +64,8 @@ _SIDE_CORNERS = {
     "south": ((0, 0), (1, 0)),
     "north": ((0, 1), (1, 1)),
 }
+
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))  # the order of GeometryMap.corners
 
 
 class DegenerateJacobianError(RuntimeError):
@@ -73,46 +86,269 @@ _SIDE_FRAMES = {
 }
 
 
-def side_param(side, t):
-    """Parameter-square points of a side at edge parameters t."""
+def _side_frame(side):
     if side not in _SIDE_FRAMES:
         raise ValueError("unknown side %r" % (side,))
-    fixed, value, _ = _SIDE_FRAMES[side]
+    return _SIDE_FRAMES[side]
+
+
+def side_param(side, t):
+    """Parameter-square points of a side at edge parameters t."""
+    fixed, value, _ = _side_frame(side)
     t = np.asarray(t, dtype=float)
     edge = np.full_like(t, value)
     return (edge, t) if fixed == 0 else (t, edge)
 
 
-def side_traces(geo, params):
-    """The geometry along patch sides, from one evaluation of the map.
+# ---------------------------------------------------------------------------
+# families of maps and the one map kernel
 
+CHUNK_BYTES = 2**20  # bound on a chunk's temporaries in the element kernel of assembly
+
+# bound on a chunk's temporaries in the map kernels here (side traces and
+# per-map shapes). It stays under glibc's default mmap threshold (128 KB):
+# freeing a larger temporary raises glibc's dynamic threshold, and later
+# mid-size arrays then stay on the heap. With 1 MB chunks here, the peak RSS
+# of a quarter_annulus(1,2,8,8) p2 l2 solve measured 0.5 MB higher.
+MAP_CHUNK_BYTES = 2**17
+
+_GRID_BYTES = 8 * 24  # _geometry_tables' temporaries a grid point and map: 24 floats
+
+
+def _chunks(n, per_patch, bound=None):
+    """Consecutive slices of range(n), each of at least one and at most
+    bound // per_patch patches (bound: CHUNK_BYTES when None)."""
+    size = max(1, (CHUNK_BYTES if bound is None else bound) // per_patch)
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _space_key(space):
+    """Degrees and knot bytes of a tensor spline space, per direction."""
+    return tuple((s.degree, s.knots.tobytes()) for s in (space.space_x, space.space_y))
+
+
+def _map_families(geos):
+    """Map numbers grouped into families, each list increasing.
+
+    The maps of a family have equal geometry spaces (degrees and knots,
+    compared by value) and are all rational or all polynomial, so they
+    differ only in their control nets and weights. Families come in the
+    order of their first map.
+    """
+    groups = {}
+    for k, g in enumerate(geos):
+        groups.setdefault((_space_key(g.space), g.is_rational), []).append(k)
+    return list(groups.values())
+
+
+def _per_map_family(geos, kernel, *args):
+    """Run kernel(family, *args) once per family of geos (_map_families).
+
+    The kernel returns an array, or a tuple of arrays, with a leading axis
+    over the maps of the family it is given; the result has the same
+    arrays with a leading axis over geos, in their order.
+    """
+    geos = list(geos)
+    out = None
+    for members in _map_families(geos):
+        res = kernel([geos[k] for k in members], *args)
+        parts = res if isinstance(res, tuple) else (res,)
+        if out is None:
+            out = tuple(np.empty((len(geos),) + a.shape[1:], dtype=a.dtype) for a in parts)
+        for o, a in zip(out, parts):
+            o[members] = a
+    return out if isinstance(res, tuple) else out[0]
+
+
+def _geometry_tables(geos, xs, ys):
+    """Jacobian data of a family of maps on the tensor grid xs x ys.
+
+    geos share one geometry space and are all rational or all polynomial.
+    Returns pts (P, len(xs), len(ys), 2), jac (..., 2, 2) and det (...) for
+    the P = len(geos) maps. The stacked control nets are contracted one
+    direction at a time (sum factorization, Antolin, Buffa, Calabro,
+    Martinelli & Sangalli, CMAME 2015): once with each y-table, then each
+    result with an x-table, so every table costs two matrix products
+    whatever P is. Its temporaries take about 24 floats a grid point and
+    map (_GRID_BYTES); callers bound them by chunks of the family.
+    """
+    space = geos[0].space
+    sx, sy = space.space_x, space.space_y
+    rational = geos[0].weights is not None
+    hom = np.stack([g.control for g in geos])
+    if rational:
+        w = np.stack([g.weights for g in geos])[..., None]
+        hom = np.concatenate([hom * w, w], axis=-1)
+    P, _, ncomp = hom.shape
+    nx, ny = space.nx, space.ny
+    net = hom.reshape(P, ny, nx * ncomp).transpose(1, 0, 2).reshape(ny, -1)
+    # (nx, ys * P * ncomp): the y-contracted nets, x index leading
+    t0, t1 = ((sy.collocation(ys, der=d) @ net).reshape(len(ys), P, nx, ncomp)
+              .transpose(2, 0, 1, 3).reshape(nx, -1) for d in (0, 1))
+    gx0 = sx.collocation(xs)
+    gx1 = sx.collocation(xs, der=1)
+    s, su, sv = ((gx @ t).reshape(len(xs), len(ys), P, ncomp).transpose(2, 0, 1, 3)
+                 for gx, t in ((gx0, t0), (gx1, t0), (gx0, t1)))
+    if rational:
+        w = s[..., 2]
+        pts = s[..., :2] / w[..., None]
+        ju = (su[..., :2] * w[..., None] - s[..., :2] * su[..., 2:]) / w[..., None] ** 2
+        jv = (sv[..., :2] * w[..., None] - s[..., :2] * sv[..., 2:]) / w[..., None] ** 2
+        jac = np.stack([ju, jv], axis=-1)
+    else:
+        pts = s
+        jac = np.stack([su, sv], axis=-1)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    return pts, jac, det
+
+
+def _on_grid(geos, xs, ys, reduce):
+    """reduce(pts, jac, det) of the family geos on the grid xs x ys.
+
+    The kernel runs over chunks of geos whose tables fit in
+    MAP_CHUNK_BYTES; reduce returns an array with a leading axis over the
+    chunk's maps, and the chunks' arrays are joined in order.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    return np.concatenate([reduce(*_geometry_tables(geos[chunk], xs, ys)) for chunk in
+                           _chunks(len(geos), _GRID_BYTES * xs.size * ys.size, MAP_CHUNK_BYTES)])
+
+
+def grid_points(geos, xs, ys):
+    """(len(geos), len(xs), len(ys), 2): the physical points of each map on
+    the parameter grid xs x ys, one kernel pass per family of maps."""
+    return _per_map_family(geos, _on_grid, xs, ys, lambda pts, jac, det: pts)
+
+
+def side_traces(geos, params):
+    """The geometry of a family of maps along patch sides.
+
+    geos is a family (one geometry space, all rational or all polynomial);
     params maps each side to a 1d array of edge parameters t. Returns a dict
     mapping each side to (points, tangent, normal), arrays of shape
-    (len(t), 2): the physical points, the tangent dx/dt and the outward
-    normal times the length element, so that the integral of f n ds over
-    the side is the integral over t in [0, 1] of f(t) * normal(t). This is
-    the one place that decides which parameter runs along a side, which
-    Jacobian column is its tangent and which rotation points outward.
+    (len(geos), len(t), 2): the physical points, the tangent dx/dt and the
+    outward normal times the length element, so that the integral of f n ds
+    over the side is the integral over t in [0, 1] of f(t) * normal(t). One
+    kernel call per side and chunk of the family. This is the one place
+    that decides which parameter runs along a side, which Jacobian column is
+    its tangent and which rotation points outward.
     """
-    sides = list(params)
-    if not sides:
-        return {}
-    ts = [np.asarray(params[side], dtype=float).ravel() for side in sides]
-    uv = [side_param(side, t) for side, t in zip(sides, ts)]
-    pts, jac = geo.eval(np.concatenate([u for u, _ in uv]), np.concatenate([v for _, v in uv]))
+    geos = list(geos)
     out = {}
-    start = 0
-    for side, t in zip(sides, ts):
-        rows = slice(start, start + t.size)
-        start = rows.stop
-        fixed, _, signs = _SIDE_FRAMES[side]
-        tangent = jac[rows, :, 1 - fixed]
-        out[side] = (pts[rows], tangent, tangent[:, ::-1] * signs)
+    for side, t in params.items():
+        fixed, value, signs = _side_frame(side)
+        t = np.asarray(t, dtype=float).ravel()
+        grid = (np.array([value]), t) if fixed == 0 else (t, np.array([value]))
+        pts = np.empty((len(geos), t.size, 2))
+        tangent = np.empty_like(pts)
+        for chunk in _chunks(len(geos), _GRID_BYTES * t.size, MAP_CHUNK_BYTES):
+            x, jac, _ = _geometry_tables(geos[chunk], *grid)
+            pts[chunk] = x.reshape(-1, t.size, 2)
+            tangent[chunk] = jac[..., 1 - fixed].reshape(-1, t.size, 2)
+        out[side] = (pts, tangent, tangent[..., ::-1] * signs)
+    return out
+
+
+def _patch_side_traces(patches, params):
+    """side_traces of many patches, each at its own sides.
+
+    params[k] maps sides of patch k to edge parameters t. Returns per patch
+    a dict side -> (points, tangent, normal) of shape (len(t), 2), from one
+    side_traces call per family of maps and distinct (side, t).
+    """
+    out = [{} for _ in patches]
+    for members in _map_families(patches):
+        groups = {}  # (side, bytes of t) -> (t, patch numbers)
+        for k in members:
+            for side, t in params[k].items():
+                t = np.asarray(t, dtype=float).ravel()
+                groups.setdefault((side, t.tobytes()), (t, []))[1].append(k)
+        for (side, _), (t, ks) in groups.items():
+            traces = side_traces([patches[k] for k in ks], {side: t})[side]
+            for j, k in enumerate(ks):
+                out[k][side] = tuple(a[j] for a in traces)
     return out
 
 
 def side_corners(side):
     return _SIDE_CORNERS[side]
+
+
+# per-map kernels on a family: each returns arrays with a leading axis over
+# the family's maps
+
+
+def _element_samples(space, n, inner):
+    """n samples per element of a univariate space's breakpoints, the ends
+    included, or (inner) n samples strictly inside each element."""
+    z = space.breakpoints
+    if inner:
+        return np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in zip(z[:-1], z[1:])])
+    return np.concatenate([np.linspace(a, b, n) for a, b in zip(z[:-1], z[1:])])
+
+
+def _outline(geos):
+    """(P, 3, 3, 2): the points at parameters (0, 1/2, 1) x (0, 1/2, 1) of a
+    family, so outline[:, 2 cx, 2 cy] is the corner (cx, cy) and the side
+    midpoints lie between the corners (see _SIDE_MIDS)."""
+    return _on_grid(geos, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0), lambda pts, jac, det: pts)
+
+
+_SIDE_MIDS = {"west": (0, 1), "east": (2, 1), "south": (1, 0), "north": (1, 2)}
+
+
+def _corner_points(outline):
+    """(P, 4, 2) corners, in _CORNERS order, of an outline."""
+    return outline[:, [2 * cx for cx, _ in _CORNERS], [2 * cy for _, cy in _CORNERS]]
+
+
+def _diameters(geos, n=9):
+    """(P,) diameters estimated from n uniform samples on each side: the
+    largest distance between two samples."""
+    t = np.linspace(0.0, 1.0, n)
+    traces = side_traces(geos, {"west": t, "east": t, "south": t[1:-1], "north": t[1:-1]})
+    rim = np.concatenate([x for x, _, _ in traces.values()], axis=1)  # (P, 4n - 4, 2)
+    d2 = np.zeros(len(rim))
+    for chunk in _chunks(len(rim), 4 * rim[0].nbytes, MAP_CHUNK_BYTES):
+        for j in range(rim.shape[1]):  # the farthest sample from each sample
+            far = np.sum((rim[chunk] - rim[chunk, j, None]) ** 2, axis=-1).max(axis=1)
+            d2[chunk] = np.maximum(d2[chunk], far)
+    return np.sqrt(d2)
+
+
+def _jacobian_ranges(geos, n=5):
+    """(P, 2): min and max of det(jac) on an n x n per-element sample grid."""
+    space = geos[0].space
+
+    def extremes(pts, jac, det):
+        det = det.reshape(len(det), -1)
+        return np.stack([det.min(axis=1), det.max(axis=1)], axis=1)
+
+    return _on_grid(geos, _element_samples(space.space_x, n, False),
+                    _element_samples(space.space_y, n, False), extremes)
+
+
+def _distortions(geos, n=4):
+    """(P,): max of ||jac|| * ||jac^-1|| (spectral norms) on n x n samples
+    strictly inside each element."""
+    space = geos[0].space
+
+    def distortion(pts, jac, det):
+        sv = np.linalg.svd(jac, compute_uv=False)
+        return (sv[..., 0] / sv[..., 1]).reshape(len(jac), -1).max(axis=1)
+
+    return _on_grid(geos, _element_samples(space.space_x, n, True),
+                    _element_samples(space.space_y, n, True), distortion)
+
+
+def _areas(geos, n=6):
+    """(P,): areas by per-element Gauss quadrature of det(jac) with n points
+    per direction."""
+    space = geos[0].space
+    xs, wx = element_rule(space.space_x.breakpoints, n)
+    ys, wy = element_rule(space.space_y.breakpoints, n)
+    return _on_grid(geos, xs.ravel(), ys.ravel(),
+                    lambda pts, jac, det: np.einsum("i,j,pij->p", wx.ravel(), wy.ravel(), det))
 
 
 class GeometryMap:
@@ -158,7 +394,9 @@ class GeometryMap:
         u, v are broadcastable arrays; returns (points, jac) with points of
         shape u.shape + (2,) and jac of shape u.shape + (2, 2), jac[..., i, j]
         = d x_i / d xi_j. With nders=0 only points are computed and jac is
-        None.
+        None. The pointwise evaluator, and the tests' reference for the
+        family kernel; the package evaluates maps on grids through
+        _geometry_tables.
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         shape = u.shape
@@ -188,14 +426,16 @@ class GeometryMap:
     def __call__(self, u, v):
         return self.eval(u, v, nders=0)[0]
 
+    # the methods below evaluate the map as a family of one
+
     def corners(self):
         """Physical images of the four parameter corners, keyed by (cx, cy)."""
-        pts = self(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
-        return {(0, 0): pts[0], (1, 0): pts[1], (0, 1): pts[2], (1, 1): pts[3]}
+        pts = _corner_points(_outline([self]))[0]
+        return dict(zip(_CORNERS, pts))
 
     def side_points(self, side, t):
-        u, v = side_param(side, t)
-        return self(u, v)
+        """Physical points of a side at edge parameters t (1d)."""
+        return side_traces([self], {side: t})[side][0][0]
 
     def side_normal(self, side, t, unit=False):
         """Outward normal along a side at edge parameters t (1d).
@@ -203,21 +443,15 @@ class GeometryMap:
         Without unit=True the result is the outward normal times the length
         element (see side_traces).
         """
-        n = side_traces(self, {side: t})[side][2]
+        n = side_traces([self], {side: t})[side][2][0]
         if unit:
             n = n / np.linalg.norm(n, axis=-1, keepdims=True)
         return n
 
     def jacobian_range(self, n=5):
         """Extremes of det(jac) on an n x n per-element sample grid."""
-        zx = self.space.space_x.breakpoints
-        zy = self.space.space_y.breakpoints
-        ux = np.concatenate([np.linspace(a, b, n) for a, b in zip(zx[:-1], zx[1:])])
-        uy = np.concatenate([np.linspace(a, b, n) for a, b in zip(zy[:-1], zy[1:])])
-        uu, vv = np.meshgrid(ux, uy, indexing="ij")
-        _, jac = self.eval(uu, vv)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        return float(det.min()), float(det.max())
+        lo, hi = _jacobian_ranges([self], n)[0]
+        return float(lo), float(hi)
 
     def check_regular(self, n=5):
         dmin, _ = self.jacobian_range(n)
@@ -228,30 +462,15 @@ class GeometryMap:
 
     def distortion(self, n=4):
         """max of ||jac|| * ||jac^-1|| (spectral norms) over a sample grid."""
-        zx = self.space.space_x.breakpoints
-        zy = self.space.space_y.breakpoints
-        ux = np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in zip(zx[:-1], zx[1:])])
-        uy = np.concatenate([np.linspace(a, b, n + 2)[1:-1] for a, b in zip(zy[:-1], zy[1:])])
-        uu, vv = np.meshgrid(ux, uy, indexing="ij")
-        _, jac = self.eval(uu, vv)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        return float(np.max(sv[..., 0] / sv[..., 1]))
+        return float(_distortions([self], n)[0])
 
     def diameter(self, n=9):
         """Diameter of the patch, estimated from boundary samples."""
-        t = np.linspace(0.0, 1.0, n)
-        pts = np.concatenate([x for x, _, _ in side_traces(self, dict.fromkeys(SIDES, t)).values()])
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
+        return float(_diameters([self], n)[0])
 
     def area(self, n=6):
         """Area by per-element Gauss quadrature of det(jac)."""
-        xs, wx = element_rule(self.space.space_x.breakpoints, n)
-        ys, wy = element_rule(self.space.space_y.breakpoints, n)
-        uu, vv = np.meshgrid(xs.ravel(), ys.ravel(), indexing="ij")
-        _, jac = self.eval(uu, vv)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        return float(np.einsum("i,j,ij->", wx.ravel(), wy.ravel(), det))
+        return float(_areas([self], n)[0])
 
 
 def bilinear_patch(p00, p10, p01, p11):
@@ -316,7 +535,7 @@ class MultiPatch:
         self.vertices = list(vertices)
         self.tol = float(tol)
         if diameters is None:
-            diameters = [g.diameter() for g in self.patches]
+            diameters = _per_map_family(self.patches, _diameters)
         self._diameters = np.array(diameters, dtype=float)
         self._diameters.flags.writeable = False  # shared by every caller
         self._side_roles = {}
@@ -341,7 +560,8 @@ class MultiPatch:
         return self._diameters
 
     def areas(self, n=6):
-        return np.array([g.area(n) for g in self.patches])
+        """Patch areas (GeometryMap.area), one kernel pass per family."""
+        return _per_map_family(self.patches, _areas, n)
 
     def vertex_is_dirichlet(self, vertex):
         """True when the vertex lies on the closure of the Dirichlet boundary."""
@@ -360,14 +580,15 @@ class MultiPatch:
         ]
 
 
-def _cluster_corners(patches, tol):
+def _cluster_corners(corners, tol):
     """Cluster the patch corners into vertices.
 
-    This is the one place where points are tested for coincidence. Corners
-    are visited in patch order and in corners() order; a corner joins the
-    lowest-numbered vertex whose first point lies within tol, otherwise it
-    starts a new vertex. Returns the vertices and the map (patch, corner) ->
-    vertex id.
+    corners (K, 4, 2) holds the corners of each patch in the order of
+    GeometryMap.corners. This is the one place where points are tested for
+    coincidence. Corners are visited in patch order and in that order; a
+    corner joins the lowest-numbered vertex whose first point lies within
+    tol, otherwise it starts a new vertex. Returns the vertices and the map
+    (patch, corner) -> vertex id.
 
     The first points are hashed into square cells of side tol, so a point
     within tol of a corner lies in the corner's cell or one of the eight
@@ -378,9 +599,8 @@ def _cluster_corners(patches, tol):
     firsts = []  # the first point of each vertex, as floats
     ids = {}
     cells = {}  # cell -> numbers of the vertices whose first point is in it
-    for k, g in enumerate(patches):
-        for corner, pt in g.corners().items():
-            x, y = float(pt[0]), float(pt[1])
+    for k, row in enumerate(np.asarray(corners).tolist()):
+        for c, (corner, (x, y)) in enumerate(zip(_CORNERS, row)):
             cell = _cell(x, y, tol)
             j = len(vertices)
             if cell is not None:
@@ -393,7 +613,7 @@ def _cluster_corners(patches, tol):
             if j < len(vertices):
                 vertices[j].members.append((k, corner))
             else:
-                vertices.append(Vertex(pt, [(k, corner)]))
+                vertices.append(Vertex(corners[k, c], [(k, corner)]))
                 firsts.append((x, y))
                 if cell is not None:
                     cells.setdefault(cell, []).append(j)
@@ -464,7 +684,7 @@ def _reject_hanging_vertices(patches, vertices, ids, matched, tol):
             samples = g.side_points(side, t0)
             t = t0[np.argmin(np.sum((p[:, None] - samples[None]) ** 2, axis=-1), axis=1)]
             for _ in range(5):
-                x, tang, _ = side_traces(g, {side: t})[side]
+                x, tang, _ = (a[0] for a in side_traces([g], {side: t})[side])
                 step = np.sum((x - p) * tang, axis=1) / np.sum(tang * tang, axis=1)
                 t = np.clip(t - step, 0.0, 1.0)
             dist = np.linalg.norm(g.side_points(side, t) - p, axis=1)
@@ -474,6 +694,12 @@ def _reject_hanging_vertices(patches, vertices, ids, matched, tol):
                     "vertex %d at %s lies inside side %d.%s: partial edge overlap (T-junction)"
                     % (j, np.round(vertices[j].point, 6), k, side)
                 )
+
+
+def _shape(geos):
+    """Per map of a family: its diameter, min det(jac) (jacobian_range) and
+    outline (corners and side midpoints, see _outline)."""
+    return _diameters(geos), _jacobian_ranges(geos)[:, 0], _outline(geos)
 
 
 def build_multipatch(patches, boundary="dirichlet", tol=None):
@@ -486,30 +712,35 @@ def build_multipatch(patches, boundary="dirichlet", tol=None):
     interface, reversed when the pair is swapped, and a pair shared by more
     than two sides raises TopologyError. So does a vertex lying within tol of
     the interior of an unmatched side (a T-junction), and a patch whose
-    Jacobian is not positive raises DegenerateJacobianError.
+    Jacobian is not positive raises DegenerateJacobianError naming the
+    patch. The diameters, the Jacobian extremes, the corners and the side
+    midpoints come from one kernel pass per family of maps.
 
     boundary assigns tags to the non-interface sides: a single tag for all of
     them, a dict {(patch, side): tag} of overrides (default "dirichlet"), or a
     callable (patch, side, midpoint) -> tag.
     """
     patches = list(patches)
-    diameters = np.array([g.diameter() for g in patches])
+    if not patches:
+        raise ValueError("a multi-patch domain needs at least one patch")
+    diameters, det_min, outline = _per_map_family(patches, _shape)
     if tol is None:
         tol = 1e-8 * float(np.median(diameters))
-    for g in patches:
-        g.check_regular()
-    vertices, ids = _cluster_corners(patches, tol)
+    bad = np.flatnonzero(det_min <= 0.0)
+    if bad.size:
+        raise DegenerateJacobianError("geometry map of patch %d is degenerate: min det(jac) = %g"
+                                      % (bad[0], det_min[bad[0]]))
+    vertices, ids = _cluster_corners(_corner_points(outline), tol)
     interfaces = _match_sides(len(patches), ids)
     matched = {(i.a, i.side_a) for i in interfaces} | {(i.b, i.side_b) for i in interfaces}
     _reject_hanging_vertices(patches, vertices, ids, matched, tol)
     tags = {}
-    for k, g in enumerate(patches):
+    for k in range(len(patches)):
         for side in SIDES:
             if (k, side) in matched:
                 continue
             if callable(boundary):
-                mid = g.side_points(side, np.array([0.5]))[0]
-                tags[(k, side)] = boundary(k, side, mid)
+                tags[(k, side)] = boundary(k, side, outline[(k,) + _SIDE_MIDS[side]])
             elif isinstance(boundary, dict):
                 tags[(k, side)] = boundary.get((k, side), "dirichlet")
             else:
@@ -543,31 +774,34 @@ def validate_topology(mp, tol=None, nsample=17):
     Verifies positive Jacobians, that matched sides carry the same trace (not
     just the same corners), that interface normals from both patches are
     opposite, and reports per-patch diameters and distortion. Violations are
-    collected, not raised.
+    collected, not raised. Every evaluation runs once per family of maps
+    (and, for the traces, per distinct side and edge parameters).
     """
     tol = mp.tol if tol is None else float(tol)
     violations = []
-    for k, g in enumerate(mp.patches):
-        dmin, _ = g.jacobian_range()
-        if dmin <= 0.0:
-            violations.append(("jacobian", k, dmin))
+    det_min = _per_map_family(mp.patches, _jacobian_ranges)[:, 0]
+    for k in np.flatnonzero(det_min <= 0.0):
+        violations.append(("jacobian", int(k), float(det_min[k])))
     t = np.linspace(0.0, 1.0, nsample)
+    params = [{} for _ in mp.patches]
+    for iface in mp.interfaces:
+        params[iface.a][iface.side_a] = t
+        params[iface.b][iface.side_b] = 1.0 - t if iface.reversed_ else t
+    traces = _patch_side_traces(mp.patches, params)
     diameters = mp.diameters()
     for iface in mp.interfaces:
-        ga, gb = mp.patches[iface.a], mp.patches[iface.b]
-        tb = 1.0 - t if iface.reversed_ else t
-        pa = ga.side_points(iface.side_a, t)
-        pb = gb.side_points(iface.side_b, tb)
+        pa, _, na = traces[iface.a][iface.side_a]
+        pb, _, nb = traces[iface.b][iface.side_b]
         scale = max(diameters[iface.a], diameters[iface.b])
         gap = float(np.linalg.norm(pa - pb, axis=1).max())
         if gap > 100 * tol * max(scale, 1.0):
             violations.append(("trace", iface.astuple(), gap))
             continue
-        na = ga.side_normal(iface.side_a, t, unit=True)
-        nb = gb.side_normal(iface.side_b, tb, unit=True)
+        na = na / np.linalg.norm(na, axis=-1, keepdims=True)
+        nb = nb / np.linalg.norm(nb, axis=-1, keepdims=True)
         if float(np.abs(na + nb).max()) > 1e-6:
             violations.append(("normal", iface.astuple(), float(np.abs(na + nb).max())))
-    distortions = np.array([g.distortion() for g in mp.patches])
+    distortions = _per_map_family(mp.patches, _distortions)
     maxinc = max((len(v.patches) for v in mp.vertices), default=0)
     return TopologyReport(
         ok=not violations,
@@ -598,8 +832,9 @@ def check_interface_matching(mp, spaces, tol=1e-10):
     spaces is one TensorSplineSpace per patch. Along each interface the edge
     spaces must have the same degree and smoothness and matching breakpoints
     (mirrored when the orientation is reversed), and the geometry traces must
-    agree at the Greville points of the edge space. The traces of a patch's
-    interface sides come from one side_traces call. Returns a MatchReport.
+    agree at the Greville points of the edge space. The traces come from one
+    side_traces call per family of maps and distinct (side, Greville
+    points). Returns a MatchReport.
     """
     params = [{} for _ in mp.patches]  # per patch: side -> Greville points
     found = []  # per interface: a problem, or None while its traces are unchecked
@@ -617,7 +852,7 @@ def check_interface_matching(mp, spaces, tol=1e-10):
         params[iface.a][iface.side_a] = t
         params[iface.b][iface.side_b] = 1.0 - t if iface.reversed_ else t
         found.append(None)
-    traces = [side_traces(g, p) for g, p in zip(mp.patches, params)]
+    traces = _patch_side_traces(mp.patches, params)
     diameters = mp.diameters()
     problems = []
     for iface, problem in zip(mp.interfaces, found):

@@ -41,9 +41,9 @@ import scipy.sparse as sp
 from .assembly import (
     SingularLocalSystemError,
     assemble_patch,
-    edge_flux_rows,
     element_forms,
     factorize,
+    family_flux_rows,
     matched_side_dofs,
 )
 
@@ -73,6 +73,7 @@ class PrimalConstraints:
     one net flux per interface, one average pressure per patch. Per patch the
     constraint rows are stacked [average | corners | fluxes]; flux rows pick
     up a right-hand-side shift from eliminated Dirichlet dofs on the edge.
+    The flux rows come from family_flux_rows, once per family and side.
     """
 
     def __init__(self, mp, spaces, systems):
@@ -98,14 +99,15 @@ class PrimalConstraints:
             patch_faces[iface.a].append((fi, iface.side_a, 1.0))
             patch_faces[iface.b].append((fi, iface.side_b, -1.0))
 
+        fluxes = family_flux_rows(mp.patches, spaces, [[f[1] for f in faces]
+                                                       for faces in patch_faces])
         for k, ths in enumerate(spaces):
             sysk = systems[k]
             p_off = 2 * (ths.n_gamma + ths.n_inner)
             n_x = p_off + ths.n_pressure
             faces = patch_faces[k]
             fis = np.array([f[0] for f in faces], dtype=int)
-            flux = edge_flux_rows(mp.patches[k], ths.vel, [f[1] for f in faces])
-            sides = [flux[f[1]] for f in faces]
+            sides = [fluxes[k][f[1]] for f in faces]
             dofs = np.concatenate([d for d, _ in sides] + [np.zeros(0, dtype=int)])
             R = np.concatenate([r for _, r in sides] + [np.zeros((0, 2))])
             face = np.repeat(np.arange(len(faces)), [len(d) for d, _ in sides])
@@ -659,17 +661,17 @@ def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=Tr
                nquad=None, systems=None):
     """The dual-primal operator and the scaled Dirichlet preconditioner.
 
-    The patch systems are assembled unless given: the element matrices
-    once per family of patches (element_forms), the rest per patch
-    (assemble_patch).
+    The patch systems are assembled unless given: the element matrices and
+    the Dirichlet projection once per family of patches (element_forms),
+    the rest per patch (assemble_patch).
     op.setup_phases holds the wall seconds of "assembly" (next to nothing
     when systems are given), "constraints", "local", "coarse" (see
     IetiOperator) and "preconditioner".
     """
     t0 = time.perf_counter()
     if systems is None:
-        forms = element_forms(mp.patches, spaces, rhs, nquad)
-        systems = [assemble_patch(geo, ths, dirichlet=dirichlet, elements=el)
+        forms = element_forms(mp.patches, spaces, rhs, nquad, dirichlet)
+        systems = [assemble_patch(geo, ths, elements=el)
                    for geo, ths, el in zip(mp.patches, spaces, forms)]
     t1 = time.perf_counter()
     op = IetiOperator(mp, spaces, systems,

@@ -160,6 +160,18 @@ def test_dense_and_iterative_paths_agree():
     assert abs(dense.beta - iterative.beta) < 0.01 * dense.beta
 
 
+def test_iterative_request_on_a_problem_too_small_for_lobpcg_goes_dense():
+    # lobpcg would switch to its dense solver, which rejects the constraint
+    # against constant pressures: the dense path answers instead
+    mp = build_domain("grid", m=1, n=1)
+    glob = assemble_global(mp, taylor_hood_spaces(mp, degree=1, refinement=1))
+    spec = pressure_schur_spectrum(glob, method="iterative")
+    assert spec.method == "dense"
+    assert spec.kappa == pressure_schur_spectrum(glob, method="dense").kappa
+    sysk = dirichlet_patch_system(unit_square(), 1, 2)
+    assert local_infsup(sysk, method="iterative") == local_infsup(sysk, method="dense")
+
+
 def test_skeleton_constant_kernel():
     sysk = floating_patch_system(unit_square(), 1, 1)
     S_A, S_K = skeleton_matrices(sysk)

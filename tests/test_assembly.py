@@ -13,7 +13,6 @@ from ietistokes.assembly import (
     DenseLU,
     SingularLocalSystemError,
     _check_vector,
-    _geometry_tables,
     assemble_global,
     assemble_patch,
     build_taylor_hood,
@@ -35,6 +34,7 @@ from ietistokes.geometry import (
     SIDES,
     DegenerateJacobianError,
     GeometryMap,
+    _geometry_tables,
     bilinear_patch,
     build_multipatch,
     side_param,
@@ -791,7 +791,7 @@ def test_family_kernel_matches_a_per_patch_reference(case):
 def test_family_chunks_keep_patch_order(count, monkeypatch):
     # chunks of 16 patches: one family of the first `count` annulus patches
     # against each patch as a family of one
-    from ietistokes import assembly
+    from ietistokes import assembly, geometry
 
     mp = parse_domain("quarter_annulus(1,2,8,8)")
     spaces = taylor_hood_spaces(mp, 2, refinement=1)
@@ -803,7 +803,7 @@ def test_family_chunks_keep_patch_order(count, monkeypatch):
     monkeypatch.setattr(assembly, "_chunks", lambda n, per: cuts.append(real(n, per)) or cuts[-1])
 
     def chunks_of_16(nq):  # the bound that fits 16 patches' physical gradients
-        monkeypatch.setattr(assembly, "CHUNK_BYTES", 16 * (16 * nel * nlv * nq**2))
+        monkeypatch.setattr(geometry, "CHUNK_BYTES", 16 * (16 * nel * nlv * nq**2))
 
     chunks_of_16(ths.vel.space_x.degree + 2)  # the default rule of the forms
     forms = assembly._element_forms(patches, members, ths, None, manufactured_rhs)

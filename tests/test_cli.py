@@ -60,7 +60,8 @@ def write_bilinear_patches(path, quads):
     ([((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 1), (1, 1), (0, 1.7), (1, 1.7)),
       ((1, 0), (2, 0), (1, 1.7), (2, 1.7))], "T-junction"),
     ([((0, 0), (1, 0), (1, 0.5), (0, 0.5))], "degenerate"),  # crossed quad
-], ids=["t_junction", "crossed_quad"])
+    ([], "at least one patch"),
+], ids=["t_junction", "crossed_quad", "no_patches"])
 def test_bad_geometry_file_exits_2(tmp_path, capsys, quads, reason):
     path = tmp_path / "bad.mp"
     write_bilinear_patches(path, quads)
@@ -178,6 +179,36 @@ def test_study_reports_an_infsup_unstable_cell():
     assert lines[head - 1].split() == ["0", "inf", "0.0000"]  # the table row
     (row,) = (dict(zip(STUDY_COLUMNS, r)) for r in csv.reader(lines[head + 1:]))
     assert float(row["kappa"]) == np.inf and float(row["beta"]) == 0.0
+
+
+def _study_subprocess(method):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ietistokes
+
+    src = str(Path(ietistokes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ietistokes.cli", "study-infsup",
+         "--domain", "grid(1,1)", "--degrees", "1", "--levels", "1", "--method", method],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_study_iterative_on_a_tiny_cell_falls_back_to_dense():
+    # 9 pressure dofs are too few for lobpcg's iterations; the cell is
+    # solved on the dense path, without a traceback or warnings
+    kappas = []
+    for method in ("iterative", "dense"):
+        proc = _study_subprocess(method)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        lines = proc.stdout.splitlines()
+        head = lines.index(",".join(STUDY_COLUMNS))
+        (row,) = (dict(zip(STUDY_COLUMNS, r)) for r in csv.reader(lines[head + 1:]))
+        kappas.append(float(row["kappa"]))
+    assert abs(kappas[0] - kappas[1]) <= 1e-12 * kappas[1]
 
 
 def test_solve_zero_data_exports_zero_fields(tmp_path, capsys):

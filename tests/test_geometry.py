@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ietistokes.bspline import TensorSplineSpace
+from ietistokes.bspline import TensorSplineSpace, element_rule
 from ietistokes.domains import (
     build_domain,
     grid_domain,
@@ -226,7 +226,7 @@ def _perturbed_squares(tol):
 
 @pytest.mark.parametrize("case", ["quarter_annulus(1,2,32,32)", "perturbed"])
 def test_corner_hash_matches_the_quadratic_scan(case):
-    from ietistokes.geometry import _cluster_corners
+    from ietistokes.geometry import _cluster_corners, _corner_points, _outline, _per_map_family
 
     if case == "perturbed":
         tol = 2.0**-10  # cell edges at exact multiples of tol
@@ -234,7 +234,9 @@ def test_corner_hash_matches_the_quadratic_scan(case):
     else:
         mp = parse_domain(case)
         patches, tol = mp.patches, mp.tol
-    vertices, ids = _cluster_corners(patches, tol)
+    # the corners of each family from one kernel pass, as build_multipatch
+    # takes them; the scan reads each patch's own corners()
+    vertices, ids = _cluster_corners(_corner_points(_per_map_family(patches, _outline)), tol)
     ref_vertices, ref_ids = _quadratic_clustering(patches, tol)
     assert ids == ref_ids
     assert [v.members for v in vertices] == [m for _, m in ref_vertices]
@@ -369,20 +371,24 @@ def test_matching_with_reversed_orientation():
 
 
 def test_matching_evaluates_each_patch_once(monkeypatch):
-    # the interface traces of a patch come from one evaluation of its map
+    # each interface side of a patch is evaluated once, in one map-kernel
+    # call per side for the whole family (one family here, with the same
+    # Greville points on every side); the pointwise evaluator is not called
+    from ietistokes import geometry
+
     mp = grid_domain(3, 3)
     spaces = [TensorSplineSpace.from_breakpoints([0, 0.5, 1], [0, 0.5, 1], 2, 1)
               for _ in range(mp.n_patches)]
-    evaluated = []
-    real_eval = GeometryMap.eval
-
-    def counting_eval(self, *args, **kwargs):
-        evaluated.append(self)
-        return real_eval(self, *args, **kwargs)
-
-    monkeypatch.setattr(GeometryMap, "eval", counting_eval)
+    calls = []
+    real = geometry._geometry_tables
+    monkeypatch.setattr(geometry, "_geometry_tables",
+                        lambda geos, xs, ys: calls.append(list(geos)) or real(geos, xs, ys))
+    monkeypatch.setattr(GeometryMap, "eval", None)
     assert check_interface_matching(mp, spaces).ok
-    assert evaluated == mp.patches
+    assert len(calls) == 4
+    evaluated = sorted(mp.patches.index(g) for geos in calls for g in geos)
+    sides = sorted(k for i in mp.interfaces for k in (i.a, i.b))
+    assert evaluated == sides
 
 
 def _matching_problems_per_interface(mp, spaces, tol=1e-10):
@@ -461,3 +467,176 @@ def test_parse_domain_strings():
         parse_domain("doughnut(3)")
     with pytest.raises(ValueError):
         build_domain("doughnut")
+
+
+# ---------------------------------------------------------------------------
+# the family map kernel
+
+FAMILY_DOMAINS = ["quarter_annulus(1,2,8,8)", "grid(3,3)", "rectangle_with_hole"]
+
+
+def _rel(got, ref):
+    return np.abs(np.asarray(got) - ref).max() / np.abs(ref).max()
+
+
+def _pointwise_shape(g):
+    # diameter, Jacobian extremes, distortion, area and corners of one map
+    # as GeometryMap.eval gives them, on the sample points of the methods
+    zx, zy = g.space.space_x.breakpoints, g.space.space_y.breakpoints
+
+    def per_element(z, n, inner):
+        return np.concatenate([np.linspace(a, b, n + 2)[1:-1] if inner else np.linspace(a, b, n)
+                               for a, b in zip(z[:-1], z[1:])])
+
+    t = np.linspace(0.0, 1.0, 9)
+    rim = np.concatenate([g.eval(*np.broadcast_arrays(*uv))[0] for uv in
+                          ((0.0, t), (1.0, t), (t, 0.0), (t, 1.0))])
+    diameter = np.sqrt(np.sum((rim[:, None] - rim[None]) ** 2, axis=-1).max())
+    _, jac = g.eval(*np.meshgrid(per_element(zx, 5, False), per_element(zy, 5, False),
+                                 indexing="ij"))
+    det = np.linalg.det(jac)
+    _, jac = g.eval(*np.meshgrid(per_element(zx, 4, True), per_element(zy, 4, True),
+                                 indexing="ij"))
+    sv = np.linalg.svd(jac, compute_uv=False)
+    xs, wx = element_rule(zx, 6)
+    ys, wy = element_rule(zy, 6)
+    _, jac = g.eval(*np.meshgrid(xs.ravel(), ys.ravel(), indexing="ij"))
+    area = np.einsum("i,j,ij->", wx.ravel(), wy.ravel(), np.linalg.det(jac))
+    corners = g.eval(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))[0]
+    return (diameter, det.min(), det.max(), np.max(sv[..., 0] / sv[..., 1]), area, corners)
+
+
+@pytest.mark.parametrize("spec", FAMILY_DOMAINS)
+def test_family_side_traces_match_family_of_one_and_pointwise_map(spec):
+    from ietistokes.geometry import SIDES, _map_families, side_param, side_traces
+
+    mp = parse_domain(spec)
+    families = _map_families(mp.patches)
+    if spec == "rectangle_with_hole":  # four rational rings, seven bilinear squares
+        assert families == [[0, 1, 2, 3], list(range(4, 11))]
+    else:
+        assert families == [list(range(mp.n_patches))]
+    t = np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 1.0, 9), [1.0]])
+    params = dict.fromkeys(SIDES, t)
+    for members in families:
+        geos = [mp.patches[k] for k in members]
+        family = side_traces(geos, params)
+        for j, g in enumerate(geos):
+            alone = side_traces([g], params)
+            for side in SIDES:
+                assert all(a.shape == (len(geos), len(t), 2) for a in family[side])
+                for got, ref in zip(family[side], alone[side]):
+                    assert np.array_equal(got[j], ref[0]), (j, side)
+                pts, jac = g.eval(*side_param(side, t))
+                tangent = jac[..., 1 if side in ("west", "east") else 0]
+                assert _rel(family[side][0][j], pts) < 1e-13
+                assert _rel(family[side][1][j], tangent) < 1e-13
+
+
+@pytest.mark.parametrize("spec", FAMILY_DOMAINS)
+def test_family_shapes_match_family_of_one_and_pointwise_map(spec):
+    from ietistokes.geometry import _corner_points, _jacobian_ranges, _outline, _per_map_family
+
+    mp = parse_domain(spec)
+    ranges = _per_map_family(mp.patches, _jacobian_ranges)
+    corners = _corner_points(_per_map_family(mp.patches, _outline))
+    report = validate_topology(mp)
+    areas = mp.areas()
+    for k, g in enumerate(mp.patches):
+        # the family's values are the patch's own, bitwise
+        assert mp.diameters()[k] == g.diameter()
+        assert tuple(ranges[k]) == g.jacobian_range()
+        assert np.array_equal(corners[k], np.array(list(g.corners().values())))
+        assert report.distortions[k] == g.distortion() and areas[k] == g.area()
+        # ... and those of the pointwise evaluator, to rounding
+        diameter, dmin, dmax, distortion, area, pts = _pointwise_shape(g)
+        assert abs(mp.diameters()[k] - diameter) <= 1e-13 * diameter
+        assert abs(ranges[k][0] - dmin) <= 1e-13 * abs(dmax)
+        assert abs(ranges[k][1] - dmax) <= 1e-13 * abs(dmax)
+        assert abs(report.distortions[k] - distortion) <= 1e-13 * distortion
+        assert abs(areas[k] - area) <= 1e-13 * area
+        assert _rel(corners[k], pts) < 1e-13
+
+
+def test_degenerate_patch_inside_a_family_is_named_by_build_multipatch():
+    squares = [square(k, 0, k + 1, 1) for k in range(4)]
+    squares[2] = bilinear_patch((2, 0), (3, 0), (3, 0.5), (2, 0.5))  # crossed quad
+    with pytest.raises(DegenerateJacobianError, match="patch 2 is degenerate"):
+        build_multipatch(squares)
+
+
+def test_map_kernel_chunks_keep_patch_order(monkeypatch):
+    # a bound of a few patches a chunk gives the values of one chunk
+    from ietistokes import geometry
+    from ietistokes.geometry import SIDES, _shape, side_traces
+
+    mp = parse_domain("quarter_annulus(1,2,8,8)")
+    t = np.linspace(0.0, 1.0, 7)
+    whole = (_shape(mp.patches), side_traces(mp.patches, dict.fromkeys(SIDES, t)))
+    cuts = []
+    real = geometry._chunks
+    monkeypatch.setattr(geometry, "_chunks",
+                        lambda n, per, bound: cuts.append(real(n, per, bound)) or cuts[-1])
+    monkeypatch.setattr(geometry, "MAP_CHUNK_BYTES", 20 * geometry._GRID_BYTES * 9)
+    chunked = (_shape(mp.patches), side_traces(mp.patches, dict.fromkeys(SIDES, t)))
+    # the diameters' 4 sides and distances, Jacobian grid, outline, 4 sides
+    assert len(cuts) == 11 and all(len(c) >= 2 for c in cuts)
+    assert all(c[0].start == 0 and c[-1].stop == 64 for c in cuts)
+    assert all(a.stop == b.start for c in cuts for a, b in zip(c[:-1], c[1:]))
+    for got, ref in zip(chunked[0], whole[0]):
+        assert np.array_equal(got, ref)
+    for side in SIDES:
+        for got, ref in zip(chunked[1][side], whole[1][side]):
+            assert np.array_equal(got, ref)
+
+
+def _solve_path(spec):
+    from ietistokes.assembly import (
+        manufactured_pressure,
+        manufactured_rhs,
+        manufactured_velocity,
+        manufactured_velocity_gradient,
+        taylor_hood_spaces,
+        total_errors,
+    )
+    from ietistokes.ieti import solve_stokes_ieti
+
+    mp = parse_domain(spec)
+    spaces = taylor_hood_spaces(mp, 1, refinement=1)
+    us, ps, report = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
+                                       dirichlet=manufactured_velocity)
+    total_errors(mp, spaces, us, ps, manufactured_velocity, manufactured_velocity_gradient,
+                 manufactured_pressure)
+    assert report.converged
+
+
+def test_solve_path_never_calls_the_pointwise_map(monkeypatch):
+    def pointwise(self, *args, **kwargs):
+        raise AssertionError("GeometryMap.eval called")
+
+    monkeypatch.setattr(GeometryMap, "eval", pointwise)
+    _solve_path("quarter_annulus(1,2,8,8)")
+
+
+def test_map_kernel_calls_do_not_grow_with_the_patch_count(monkeypatch):
+    # with the chunk bound lifted, every map evaluation of a solve (domain,
+    # spaces, assembly, constraints, errors) is one kernel call per family
+    # and grid: 64 and 256 patches make the same calls
+    from ietistokes import assembly, geometry
+
+    real = geometry._geometry_tables
+    monkeypatch.setattr(geometry, "CHUNK_BYTES", 2**40)
+    monkeypatch.setattr(geometry, "MAP_CHUNK_BYTES", 2**40)
+    counts = []
+    for spec in ("quarter_annulus(1,2,8,8)", "quarter_annulus(1,2,16,16)"):
+        calls = []
+
+        def counting(geos, xs, ys):
+            calls.append(len(geos))
+            return real(geos, xs, ys)
+
+        monkeypatch.setattr(geometry, "_geometry_tables", counting)
+        monkeypatch.setattr(assembly, "_geometry_tables", counting)
+        _solve_path(spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -64,18 +64,21 @@ def test_primal_counts_interior_patch():
 
 
 def test_flux_rows_evaluate_each_patch_once(monkeypatch):
-    # all interface sides of a patch come from one evaluation of its map
+    # each interface side of a patch is evaluated once, in one map-kernel
+    # call per side for the whole family (one family here); the pointwise
+    # evaluator is not called
+    from ietistokes import geometry
+
     mp, spaces, glob = build_grid_problem(3, 3)
-    evaluated = []
-    real_eval = GeometryMap.eval
-
-    def counting_eval(self, *args, **kwargs):
-        evaluated.append(self)
-        return real_eval(self, *args, **kwargs)
-
-    monkeypatch.setattr(GeometryMap, "eval", counting_eval)
+    calls = []
+    real = geometry._geometry_tables
+    monkeypatch.setattr(geometry, "_geometry_tables",
+                        lambda geos, xs, ys: calls.append(list(geos)) or real(geos, xs, ys))
+    monkeypatch.setattr(GeometryMap, "eval", None)
     PrimalConstraints(mp, spaces, glob.systems)
-    assert evaluated == mp.patches
+    assert len(calls) == 4
+    evaluated = sorted(mp.patches.index(g) for geos in calls for g in geos)
+    assert evaluated == sorted(k for i in mp.interfaces for k in (i.a, i.b))
 
 
 def test_corner_row_is_interpolatory():
