@@ -10,6 +10,9 @@ discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
 complement. The skeleton routines compare the boundary Schur complement of
 the full saddle point system with the one of the vector Laplacian.
+local_infsup and skeleton_matrices read the elimination of the patch's
+interior velocity that the IETI-DP setup performs too
+(PatchStokesSystem.condense_interior).
 """
 
 import math
@@ -18,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_global, factorize, taylor_hood_spaces
@@ -80,9 +82,7 @@ def _mean_row(Mp):
     return np.asarray(Mp.sum(axis=0)).ravel()
 
 
-def _dense_extremes(K, D, Mp):
-    lu = factorize(K, "velocity stiffness")
-    T = D @ lu.solve(D.toarray().T)
+def _dense_extremes(T, Mp):
     T = 0.5 * (T + T.T)
     Z = sla.null_space(_mean_row(Mp)[None, :])
     A = Z.T @ T @ Z
@@ -91,16 +91,9 @@ def _dense_extremes(K, D, Mp):
     return float(ev[0]), float(ev[-1])
 
 
-def _iterative_extremes(K, D, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
-    lu = factorize(K, "velocity stiffness")
+def _iterative_extremes(schur, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
     n = Mp.shape[0]
-    Dc = sp.csr_matrix(D)
-
-    def matmat(Q):
-        Q = np.asarray(Q)
-        return Dc @ lu.solve(np.asarray((Dc.T @ Q), dtype=float))
-
-    T = spla.LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=float)
+    T = spla.LinearOperator((n, n), matvec=schur, matmat=schur, dtype=float)
     ones = np.ones((n, 1))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, min(block, max(1, n - 2))))
@@ -114,32 +107,23 @@ def _iterative_extremes(K, D, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
                            tol=tol, maxiter=maxiter)
         j = int(np.argmin(w)) if not largest else int(np.argmax(w))
         lam, x = float(w[j]), V[:, j]
-        r = matmat(x[:, None]).ravel() - lam * (Mp @ x)
-        scale = np.linalg.norm(matmat(x[:, None])) + abs(lam) * np.linalg.norm(Mp @ x)
+        Tx = schur(x[:, None]).ravel()
+        r = Tx - lam * (Mp @ x)
+        scale = np.linalg.norm(Tx) + abs(lam) * np.linalg.norm(Mp @ x)
         if not np.isfinite(lam) or np.linalg.norm(r) > 1e-6 * scale:
             raise _NotConverged("lobpcg eigenpair residual too large")
         out.append(lam)
     return out[0], out[1]
 
 
-def pressure_schur_extremes(K, D, Mp, method="auto"):
-    """Spectrum bounds of the mass-preconditioned pressure Schur complement.
-
-    K is the velocity stiffness on the unconstrained dofs (components
-    stacked), D the matching divergence block and M_p the pressure mass. The
-    constant-pressure direction is removed: dense work restricts to an
-    explicit orthogonal complement of M_p 1, the iterative path keeps the
-    LOBPCG block orthogonal to it. "auto" picks the dense path up to
-    DENSE_LIMIT dofs. A non-converged iterative solve falls back to the
-    dense path when the size permits, and so does a problem too small for
-    LOBPCG's iterations; spectrum.method then reads "dense".
-    """
-    dofs = K.shape[0] + Mp.shape[0]
+def _schur_extremes(schur, dense, Mp, dofs, method):
+    """SchurSpectrum of T, applied as schur(Q) = T Q and formed by dense(),
+    by the method policy of pressure_schur_extremes."""
     if method == "auto":
         method = "dense" if dofs <= DENSE_LIMIT else "iterative"
     if method == "iterative":
         try:
-            lmin, lmax = _iterative_extremes(K, D, Mp)
+            lmin, lmax = _iterative_extremes(schur, Mp)
             return SchurSpectrum(lmin, lmax, dofs, "iterative")
         except _NotConverged:
             if dofs > DENSE_LIMIT:
@@ -149,8 +133,30 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
             method = "dense"
     if method != "dense":
         raise ValueError("unknown method %r" % (method,))
-    lmin, lmax = _dense_extremes(K, D, Mp)
+    lmin, lmax = _dense_extremes(dense(), Mp)
     return SchurSpectrum(lmin, lmax, dofs, "dense")
+
+
+def pressure_schur_extremes(K, D, Mp, method="auto"):
+    """Spectrum bounds of the mass-preconditioned pressure Schur complement.
+
+    K is the velocity stiffness on the unconstrained dofs (components
+    stacked), D the matching divergence block and M_p the pressure mass. K
+    is factored once for both paths, which form or apply T = D K^-1 D^T. The
+    constant-pressure direction is removed: dense work restricts to an
+    explicit orthogonal complement of M_p 1, the iterative path keeps the
+    LOBPCG block orthogonal to it. "auto" picks the dense path up to
+    DENSE_LIMIT dofs. A non-converged iterative solve falls back to the
+    dense path when the size permits, and so does a problem too small for
+    LOBPCG's iterations; spectrum.method then reads "dense".
+    """
+    lu = factorize(K, "velocity stiffness")
+
+    def schur(Q):
+        return D @ lu.solve(np.asarray(D.T @ Q, dtype=float))
+
+    return _schur_extremes(schur, lambda: D @ lu.solve(D.toarray().T), Mp,
+                           K.shape[0] + Mp.shape[0], method)
 
 
 def pressure_schur_spectrum(glob, method="auto"):
@@ -170,19 +176,16 @@ def local_infsup(system, method="auto"):
 
     The patch system must have Dirichlet conditions on the whole velocity
     boundary (ValueError otherwise); beta_k is the square root of the
-    smallest nonzero generalized eigenvalue of (D_I K_II^-1 D_I^T, M_p),
-    with K_II the vector Laplacian on the interior dofs and D_I = [D_0I |
-    D_1I] the divergence acting on them, read off condensation_blocks().
+    smallest nonzero generalized eigenvalue of (T, M_p), with
+    T = sum_c D_ci K_ii^-1 D_ci^T the pressure Schur complement of the
+    patch's interior condensation (PatchStokesSystem.condense_interior).
     """
     ths = system.ths
     if any(ths.side_roles.get(side) != "dirichlet" for side in SIDES):
         raise ValueError("local inf-sup needs a fully Dirichlet velocity boundary")
-    K_ii, W = system.condensation_blocks()
-    ni, npre = ths.n_inner, ths.n_pressure
-    D_i = np.hstack(W[ni:].reshape(2, npre, ni))
-    spec = pressure_schur_extremes(sp.block_diag((K_ii, K_ii), format="csc"),
-                                   sp.csr_matrix(D_i), system.Mp, method)
-    return spec.beta
+    T = system.condense_interior("interior stiffness of the patch").T
+    return _schur_extremes(lambda Q: T @ Q, lambda: T, system.Mp,
+                           2 * ths.n_inner + ths.n_pressure, method).beta
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +198,20 @@ def skeleton_matrices(system):
     A floating patch has an interface on every side and no Dirichlet dof
     (ValueError otherwise). S_A eliminates interior velocity, pressure and
     the pressure-average multiplier from the full saddle point matrix; S_K
-    eliminates the interior velocity from the vector Laplacian alone, both
-    read off condensation_blocks().
+    eliminates the interior velocity from the vector Laplacian alone. From
+    the patch's condense_interior: S_K = kron(I_2, S), S_A = S_K - B^T M^-1 B
+    with B = [D_0g, D_1g; 0] and M = [[-T, c_a], [c_a^T, 0]], c_a the
+    pressure average row.
     """
     ths = system.ths
     if len(ths.dirichlet) or any(ths.side_roles.get(side) != "interface" for side in SIDES):
         raise ValueError("skeleton matrices are defined for floating patches")
-    ni, n, npre = ths.n_inner, ths.n_inner + ths.n_gamma, ths.n_pressure
-    _, W = system.condensation_blocks()
-    i, g = slice(0, ni), slice(ni, n)
-    K, D = W[:n], W[n:].reshape(2, npre, n)
-    Kgg, Kgi, Kii = (np.kron(np.eye(2), K[a, b]) for a, b in ((g, g), (g, i), (i, i)))
-    Dg, Di = np.hstack(D[:, :, g]), np.hstack(D[:, :, i])
-    ca = system.pressure_average_row()
-    inner = np.block([
-        [Kii, Di.T, np.zeros((2 * ni, 1))],
-        [Di, np.zeros((npre, npre)), ca[:, None]],
-        [np.zeros((1, 2 * ni)), ca[None, :], np.zeros((1, 1))],
-    ])
-    R = np.vstack([Kgi.T, Dg, np.zeros((1, Kgg.shape[0]))])
-    S_A = Kgg - R.T @ np.linalg.solve(inner, R)
-    S_K = Kgg - Kgi @ np.linalg.solve(Kii, Kgi.T)
+    cond = system.condense_interior("interior stiffness of the patch")
+    ca = system.pressure_average_row()[:, None]
+    M = np.block([[-cond.T, ca], [ca.T, np.zeros((1, 1))]])
+    B = np.vstack([np.hstack(cond.Dg), np.zeros((1, 2 * ths.n_gamma))])
+    S_K = np.kron(np.eye(2), cond.S)
+    S_A = S_K - B.T @ factorize(M, "skeleton pressure system").solve(B)
     return 0.5 * (S_A + S_A.T), 0.5 * (S_K + S_K.T)
 
 

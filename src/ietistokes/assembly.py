@@ -33,9 +33,11 @@ takes its patch's entry of element_forms, or treats the patch as a family
 of one, as patch_errors does.
 PatchStokesSystem scatters the element matrices in two places when first
 asked for: the sparse all-dof forms Ks, D, Mp, and the dense scalar blocks
-on the free dofs that static condensation and the patch analysis read
-(condensation_blocks). The free-dof saddle matrix is a slice of Ks and D;
-the right-hand side with the Dirichlet lift is formed element by element.
+on the free dofs (condensation_blocks). The free-dof saddle matrix is a
+slice of Ks and D; the right-hand side with the Dirichlet lift is formed
+element by element. condense_interior is the one elimination of a patch's
+interior velocity (one factor of the scalar K_ii); the IETI-DP local
+systems, analysis.local_infsup and analysis.skeleton_matrices read it.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
@@ -233,25 +235,19 @@ class TaylorHoodPatchSpace:
             if role not in ("interface", "dirichlet", "neumann"):
                 raise ValueError("unknown side role %r on side %r" % (role, side))
 
+        # one mark per scalar dof: 0 interior, 1 interface, 2 Dirichlet,
+        # marked last so that it takes precedence
         vel = self.vel
-        dir_set = set()
-        for side, role in self.side_roles.items():
-            if role == "dirichlet":
-                dir_set.update(vel.side_dofs(side).tolist())
-        for corner in dirichlet_corners:
-            dir_set.add(vel.corner_dof(*corner))
-        gamma_set = set()
-        for side, role in self.side_roles.items():
-            if role == "interface":
-                gamma_set.update(vel.side_dofs(side).tolist())
-        for corner in gamma_corners:
-            gamma_set.add(vel.corner_dof(*corner))
-        gamma_set -= dir_set
-
-        self.dirichlet = np.array(sorted(dir_set), dtype=int)
-        self.gamma = np.array(sorted(gamma_set), dtype=int)
-        inner = set(range(vel.dim)) - dir_set - gamma_set
-        self.inner = np.array(sorted(inner), dtype=int)
+        mark = np.zeros(vel.dim, dtype=np.int8)
+        for m, tag, corners in ((1, "interface", gamma_corners),
+                                (2, "dirichlet", dirichlet_corners)):
+            for side, role in self.side_roles.items():
+                if role == tag:
+                    mark[vel.side_dofs(side)] = m
+            mark[np.array([vel.corner_dof(*c) for c in corners], dtype=int)] = m
+        self.dirichlet = np.flatnonzero(mark == 2)
+        self.gamma = np.flatnonzero(mark == 1)
+        self.inner = np.flatnonzero(mark == 0)
         ng, ni = len(self.gamma), len(self.inner)
         self.pos = np.full((2, vel.dim), -1, dtype=int)
         for c in (0, 1):
@@ -478,13 +474,14 @@ class PatchStokesSystem:
       dofs including the Dirichlet ones, cached;
     - condensation_blocks(): the scalar stiffness of one component and the
       divergence on the free dofs, as a dense array and its interior block,
-      scattered on each call and not cached.
+      scattered on each call and not cached; condense_interior() eliminates
+      the interior velocity from them.
 
     rhs() is the right-hand side on the free dofs, the load minus the
     Dirichlet lift through K in the velocity rows and minus the lift
     through D in the pressure rows, formed element by element and cached.
     saddle_matrix() is a slice of Ks and D, a reference for tests and
-    counts. The IETI path reads condensation_blocks(), the right-hand side
+    counts. The IETI path reads condense_interior(), the right-hand side
     and the pressure average row, and builds none of Ks, D, Mp; the
     monolithic path reads only Ks, D and Mp.
     """
@@ -582,6 +579,27 @@ class PatchStokesSystem:
         K_ii = W[:ni, :ni]
         return (K_ii if ni <= DENSE_LU_ROWS else sp.csc_matrix(K_ii)), W
 
+    def condense_interior(self, what):
+        """The one elimination of the patch's interior velocity, not cached.
+
+        One factorize of the scalar K_ii, labelled `what`, and one solve
+        X = K_ii^-1 Q^T, Q = [K_gi; D_0i; D_1i] (condensation_blocks).
+        Returns lu (None without interior dofs), X, the Schur complement
+        S = K_gg - K_gi K_ii^-1 K_ig, the condensed divergence Dg
+        (2, n_pressure, n_gamma) with Dg[c] = D_cg - D_ci K_ii^-1 K_ig, and
+        T = sum_c D_ci K_ii^-1 D_ci^T.
+        """
+        ths = self.ths
+        ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
+        K_ii, W = self.condensation_blocks()
+        Q = W[ni:, :ni]
+        lu = factorize(K_ii, what) if ni else None
+        X = lu.solve(Q.T) if ni else np.zeros((0, len(Q)))
+        G = W[ni:, ni:] - Q @ X[:, :ng]  # [S; condensed D_0g; condensed D_1g]
+        p0, p1 = slice(ng, ng + npre), slice(ng + npre, None)  # D_0, D_1 rows of Q
+        return SimpleNamespace(lu=lu, X=X, S=G[:ng], Dg=G[ng:].reshape(2, npre, ng),
+                               T=Q[p0] @ X[:, p0] + Q[p1] @ X[:, p1])
+
     def expand(self, u_g, u_i):
         """Velocity coefficients (2, nv) from block vectors plus Dirichlet data."""
         ths = self.ths
@@ -612,7 +630,7 @@ def _dirichlet_values(patches, members, ths, spaces, data):
     vel = ths.vel
     geos = [patches[k] for k in members]
     cdofs = np.array([vel.corner_dof(*c) for c in _CORNERS])
-    on = np.array([np.isin(cdofs, spaces[k].dirichlet) for k in members])  # (P, 4)
+    on = np.array([spaces[k].pos[0, cdofs] < 0 for k in members])  # (P, 4): eliminated
     points = [_corner_points(_outline(geos))[on]]
     sides = []  # (side, member positions, Gauss points, weights times |dx/dt| (m, n))
     for side in SIDES:
@@ -861,20 +879,17 @@ class GlobalStokesSystem:
         self.pressure_offsets = np.cumsum([0] + [s.pre.dim for s in spaces])
         self.n_pressure = int(self.pressure_offsets[-1])
 
-        # global Dirichlet data: a dof is eliminated when any patch eliminates it
+        # global Dirichlet data: a dof is eliminated when any patch eliminates
+        # it, with the value of the first patch that does
+        gdofs = np.concatenate([l2g[ths.dirichlet] for l2g, ths in zip(scalar_l2g, spaces)])
+        gvals = np.concatenate([s.dirichlet_values for s in systems], axis=1)
+        dofs, first = np.unique(gdofs, return_index=True)
         self.dir_mask = np.zeros(n_scalar, dtype=bool)
+        self.dir_mask[dofs] = True
         self.dir_values = np.zeros((2, n_scalar))
-        for k, ths in enumerate(spaces):
-            l2g = scalar_l2g[k]
-            gd = systems[k].dirichlet_values
-            for j, dof in enumerate(ths.dirichlet):
-                gdof = l2g[dof]
-                if self.dir_mask[gdof]:
-                    if np.abs(self.dir_values[:, gdof] - gd[:, j]).max() > 1e-8:
-                        raise ValueError("inconsistent Dirichlet data at shared dof")
-                else:
-                    self.dir_mask[gdof] = True
-                    self.dir_values[:, gdof] = gd[:, j]
+        self.dir_values[:, dofs] = gvals[:, first]
+        if (np.abs(self.dir_values[:, gdofs] - gvals) > 1e-8).any():
+            raise ValueError("inconsistent Dirichlet data at shared dof")
         self.free = np.flatnonzero(~self.dir_mask)
         self._free_pos = -np.ones(n_scalar, dtype=int)
         self._free_pos[self.free] = np.arange(len(self.free))
@@ -968,22 +983,6 @@ class GlobalStokesSystem:
         return us, ps
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def matched_side_dofs(mp, spaces, iface):
     """Matched velocity dof lists (dofs_a[i] <-> dofs_b[i]) along an interface."""
     dofs_a = spaces[iface.a].vel.side_dofs(iface.side_a)
@@ -1001,33 +1000,26 @@ def assemble_global(mp, spaces, rhs=None, dirichlet=None, nquad=None, systems=No
         forms = element_forms(mp.patches, spaces, rhs, nquad, dirichlet)
         systems = [assemble_patch(geo, ths, elements=el)
                    for geo, ths, el in zip(mp.patches, spaces, forms)]
+    # scalar dofs identified across interfaces and shared vertices are one
+    # connected component; components are numbered by their smallest dof.
+    # Imported here: csgraph adds about 1 MB to the resident set, and only the
+    # monolithic path numbers global dofs
+    from scipy.sparse.csgraph import connected_components
+
     offsets = np.cumsum([0] + [s.vel.dim for s in spaces])
-    uf = _UnionFind(int(offsets[-1]))
+    edges = [np.zeros((2, 0), dtype=int)]
     for iface in mp.interfaces:
         da, db = matched_side_dofs(mp, spaces, iface)
-        for i, j in zip(offsets[iface.a] + da, offsets[iface.b] + db):
-            uf.union(int(i), int(j))
+        edges.append(np.stack([offsets[iface.a] + da, offsets[iface.b] + db]))
     for v in mp.vertices:
-        if len(v.members) < 2:
-            continue
-        first = None
-        for k, corner in v.members:
-            dof = offsets[k] + spaces[k].vel.corner_dof(*corner)
-            if first is None:
-                first = dof
-            else:
-                uf.union(int(first), int(dof))
-    reps = {}
-    scalar_l2g = []
-    for k, ths in enumerate(spaces):
-        l2g = np.empty(ths.vel.dim, dtype=int)
-        for i in range(ths.vel.dim):
-            r = uf.find(int(offsets[k] + i))
-            if r not in reps:
-                reps[r] = len(reps)
-            l2g[i] = reps[r]
-        scalar_l2g.append(l2g)
-    return GlobalStokesSystem(mp, spaces, systems, scalar_l2g, len(reps))
+        dofs = np.array([offsets[k] + spaces[k].vel.corner_dof(*c) for k, c in v.members])
+        edges.append(np.stack([dofs[:-1], dofs[1:]]))
+    i, j = np.concatenate(edges, axis=1)
+    n = int(offsets[-1])
+    n_scalar, labels = connected_components(
+        sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False)
+    scalar_l2g = np.split(labels.astype(int), offsets[1:-1])
+    return GlobalStokesSystem(mp, spaces, systems, scalar_l2g, n_scalar)
 
 
 # ---------------------------------------------------------------------------

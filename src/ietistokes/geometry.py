@@ -360,9 +360,9 @@ class GeometryMap:
         Space of the coordinate functions; x index runs fastest in the
         control net.
     control : (dim, 2) array
-        Control points.
+        Control points, finite.
     weights : (dim,) array or None
-        Positive weights; None for a polynomial map.
+        Positive finite weights; None for a polynomial map.
     """
 
     def __init__(self, space, control, weights=None):
@@ -370,14 +370,16 @@ class GeometryMap:
         self.control = np.asarray(control, dtype=float)
         if self.control.shape != (space.dim, 2):
             raise ValueError("control net must have shape (dim, 2)")
+        if not np.isfinite(self.control).all():
+            raise ValueError("control points must be finite")
         if weights is None:
             self.weights = None
         else:
             self.weights = np.asarray(weights, dtype=float)
             if self.weights.shape != (space.dim,):
                 raise ValueError("weights must have shape (dim,)")
-            if not (self.weights > 0).all():
-                raise ValueError("weights must be positive")
+            if not ((self.weights > 0) & np.isfinite(self.weights)).all():
+                raise ValueError("weights must be positive and finite")
 
     @property
     def is_rational(self):
@@ -915,7 +917,8 @@ def save_multipatch(mp, path):
 
 
 def load_multipatch(path):
-    """Read a multi-patch geometry written by save_multipatch."""
+    """Read a multi-patch geometry written by save_multipatch; malformed
+    input (README, Domains and geometry files) raises ValueError."""
     with open(path) as fh:
         raw = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in raw if ln]
@@ -929,22 +932,20 @@ def load_multipatch(path):
         pos += 1
         return ln
 
-    head = take().split()
-    if head[0] != "patches":
-        raise ValueError("geometry file must start with 'patches <K>'")
-    npatches = int(head[1])
+    def header(key, n):
+        words = take().split()
+        if words[0] != key or len(words) != n + 1:
+            raise ValueError("expected '%s' with %d value%s, got %r"
+                             % (key, n, "s" * (n > 1), " ".join(words)))
+        return [int(v) for v in words[1:]]
+
+    npatches, = header("patches", 1)
     patches = []
     for _ in range(npatches):
-        if take().split()[0] != "patch":
-            raise ValueError("expected 'patch <k>'")
-        deg = take().split()
-        if deg[0] != "degrees":
-            raise ValueError("expected 'degrees'")
-        px, py = int(deg[1]), int(deg[2])
-        sm = lines[pos].split()
-        if sm[0] == "smoothness":
-            pos += 1
-            smx, smy = int(sm[1]), int(sm[2])
+        header("patch", 1)
+        px, py = header("degrees", 2)
+        if pos < len(lines) and lines[pos].split()[0] == "smoothness":
+            smx, smy = header("smoothness", 2)
         else:
             smx, smy = max(px - 1, 0), max(py - 1, 0)
         bx = take().split()
@@ -955,8 +956,7 @@ def load_multipatch(path):
             UnivariateSplineSpace([float(v) for v in bx[1:]], px, smx),
             UnivariateSplineSpace([float(v) for v in by[1:]], py, smy),
         )
-        if take() != "controlpoints":
-            raise ValueError("expected 'controlpoints'")
+        header("controlpoints", 0)
         control = np.array(
             [[float(v) for v in take().split()] for _ in range(space.dim)]
         )
@@ -969,22 +969,25 @@ def load_multipatch(path):
     explicit_interfaces = None
     boundary = {}
     while pos < len(lines):
-        head = take().split()
-        if head[0] == "interfaces":
+        section = lines[pos].split()[0]
+        if section == "interfaces":
             explicit_interfaces = []
-            for _ in range(int(head[1])):
+            for _ in range(header(section, 1)[0]):
                 a, sa, b, sb, orient = take().split()
                 explicit_interfaces.append(
                     Interface(int(a), sa, int(b), sb, orient == "reversed")
                 )
-        elif head[0] == "boundaries":
-            for _ in range(int(head[1])):
+        elif section == "boundaries":
+            for _ in range(header(section, 1)[0]):
                 k, side, tag = take().split()
                 boundary[(int(k), side)] = tag
         else:
-            raise ValueError("unexpected section %r" % head[0])
+            raise ValueError("unexpected section %r" % section)
 
     mp = build_multipatch(patches, boundary=lambda k, s, mid: boundary.get((k, s), "dirichlet"))
+    unknown = sorted(set(boundary) - set(mp.boundary))
+    if unknown:
+        raise ValueError("boundary entry '%d %s' names no boundary side of a patch" % unknown[0])
     if explicit_interfaces is not None:
         detected = {i.astuple() for i in mp.interfaces}
         wanted = {i.astuple() for i in explicit_interfaces}

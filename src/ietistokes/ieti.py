@@ -17,7 +17,8 @@ Abar_k^-1 maps interface values to interface values, so each patch is
 condensed onto its interface once, at setup (Farhat et al. below; Li &
 Widlund, SISC 2006, for BDDC on incompressible Stokes): the interior
 velocity is eliminated through one factor of the scalar interior stiffness
-K_ii, which both components share, and the dense reduced system on
+K_ii, which both components share (PatchStokesSystem.condense_interior, the
+elimination the patch analysis reads too), and the dense reduced system on
 [u_gamma | p | mu] is factored. Its inverse's u_gamma block F_k, and the
 scalar Schur complement S_K = K_gg - K_gi K_ii^-1 K_ig of the
 preconditioner, are read off as dense blocks. A PCG iteration then applies
@@ -111,7 +112,7 @@ class PrimalConstraints:
             dofs = np.concatenate([d for d, _ in sides] + [np.zeros(0, dtype=int)])
             R = np.concatenate([r for _, r in sides] + [np.zeros((0, 2))])
             face = np.repeat(np.arange(len(faces)), [len(d) for d, _ in sides])
-            is_dir = np.isin(dofs, ths.dirichlet)
+            is_dir = ths.pos[0, dofs] < 0
             free = ~is_dir
             corners = vertex_corners[k]
             nc = len(corners)
@@ -243,9 +244,11 @@ class AugmentedLocalSystem:
         R = [[K_gg, D_g^T, C_g^T], [D_g, 0, C_p^T], [C_g, C_p, 0]]
             - [K_gi; D_i; 0] K_ii^-1 [K_ig, D_i^T, 0],
 
-    is factored next, both through factorize from the element blocks of
-    PatchStokesSystem.condensation_blocks. The constraint rows C must not
-    act on interior velocity dofs. Read off at setup:
+    is factored next through factorize. K_ii is factored, and S, the
+    condensed divergence D_g and D_i K_ii^-1 D_i^T are formed, by
+    PatchStokesSystem.condense_interior; its factor and X go on to
+    CondensedLU. The constraint rows C must not act on interior velocity
+    dofs; label names the patch in errors. Read off at setup:
 
     - F: the u_gamma x u_gamma block of the augmented inverse (that of
       R^-1), the patch's share of the dual-primal operator;
@@ -258,39 +261,34 @@ class AugmentedLocalSystem:
     corner and flux rows).
     """
 
-    def __init__(self, system, C, shifts, label=""):
+    def __init__(self, system, C, shifts, label="patch"):
         self.system = system
         ths = system.ths
         self.n_x = ths.n_local
         self.n_mu = C.shape[0]
         self.C = C
         self.shifts = shifts
-        ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
-        ng2, nu = 2 * ng, 2 * (ng + ni)
+        ng, npre = ths.n_gamma, ths.n_pressure
+        ng2, nu = 2 * ng, 2 * (ng + ths.n_inner)
         Cd = C.toarray()
         if Cd[:, ng2:nu].any():
-            raise ValueError("constraint rows of patch %s act on interior velocity dofs" % label)
+            raise ValueError("constraint rows of %s act on interior velocity dofs" % label)
 
-        K_ii, W = system.condensation_blocks()
-        Q = W[ni:, :ni]  # [K_gi; D_0i; D_1i]
-        lu_ii = factorize(K_ii, "interior stiffness of patch %s" % label) if ni else None
-        X = lu_ii.solve(Q.T) if ni else np.zeros((0, len(Q)))
-        G = W[ni:, ni:] - Q @ X[:, :ng]  # [S; condensed D_0g; condensed D_1g]
-        self.S = G[:ng]
-        p0, p1 = slice(ng, ng + npre), slice(ng + npre, None)  # D_0, D_1 rows of Q
+        cond = system.condense_interior("interior stiffness of %s" % label)
+        self.S = cond.S
         p = slice(ng2, ng2 + npre)
         R = np.zeros((ng2 + npre + self.n_mu,) * 2)
         R[:ng, :ng] = R[ng:ng2, ng:ng2] = self.S
-        R[p, :ng] = G[p0]
-        R[p, ng:ng2] = G[p1]
-        R[p, p] = -(Q[p0] @ X[:, p0] + Q[p1] @ X[:, p1])
+        R[p, :ng] = cond.Dg[0]
+        R[p, ng:ng2] = cond.Dg[1]
+        R[p, p] = -cond.T
         R[p.stop :, :ng2] = Cd[:, :ng2]
         R[p.stop :, p] = Cd[:, nu:]
         R[: p.stop, p.stop :] = R[p.stop :, : p.stop].T
         R[:ng2, p] = R[p, :ng2].T
-        lu_r = factorize(R, "condensed patch system %s (%d constraint rows)" % (label, self.n_mu))
+        lu_r = factorize(R, "condensed system of %s (%d constraint rows)" % (label, self.n_mu))
         self.F = lu_r.solve(np.eye(len(R), ng2))[:ng2]
-        self.lu = CondensedLU(lu_ii, lu_r, X, ng, npre)
+        self.lu = CondensedLU(cond.lu, lu_r, cond.X, ng, npre)
 
     @property
     def A3(self):

@@ -24,6 +24,7 @@ from ietistokes.assembly import (
     manufactured_rhs,
     manufactured_velocity,
     manufactured_velocity_gradient,
+    matched_side_dofs,
     patch_errors,
     taylor_hood_spaces,
     total_errors,
@@ -238,6 +239,61 @@ def test_global_scalar_numbering_grid22():
     center = [glob.scalar_l2g[k][spaces[k].vel.corner_dof(*c)]
               for k, c in ((0, (1, 1)), (1, (0, 1)), (2, (1, 0)), (3, (0, 0)))]
     assert len(set(center)) == 1
+
+
+def reference_scalar_l2g(mp, spaces):
+    """Global scalar numbering by a per-dof union-find: dofs matched across
+    an interface or at a shared vertex are one, numbered by first appearance
+    in patch-then-dof order."""
+    offsets = np.cumsum([0] + [s.vel.dim for s in spaces])
+    parent = list(range(int(offsets[-1])))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(int(i)), find(int(j))
+        parent[max(ri, rj)] = min(ri, rj)
+
+    for iface in mp.interfaces:
+        da, db = matched_side_dofs(mp, spaces, iface)
+        for i, j in zip(offsets[iface.a] + da, offsets[iface.b] + db):
+            union(i, j)
+    for v in mp.vertices:
+        dofs = [offsets[k] + spaces[k].vel.corner_dof(*c) for k, c in v.members]
+        for d in dofs[1:]:
+            union(dofs[0], d)
+    reps = {}
+    return [np.array([reps.setdefault(find(int(offsets[k] + i)), len(reps))
+                      for i in range(s.vel.dim)], dtype=int)
+            for k, s in enumerate(spaces)], len(reps)
+
+
+@pytest.mark.parametrize("domain", ["grid(3,3)", "quarter_annulus(1,2,4,4)",
+                                    "rectangle_with_hole", "strip(4)", "grid(1,1)"])
+def test_scalar_l2g_matches_a_per_dof_reference(domain):
+    mp = parse_domain(domain)
+    spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
+    glob = assemble_global(mp, spaces)
+    ref, n = reference_scalar_l2g(mp, spaces)
+    assert glob.n_scalar == n
+    for got, want in zip(glob.scalar_l2g, ref, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_inconsistent_shared_dirichlet_data_is_rejected():
+    # the two patches of grid(2,1) share the dofs of their common side's
+    # Dirichlet end points; give one patch other values there
+    mp = build_domain("grid", m=2, n=1)
+    spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
+    systems = [assemble_patch(geo, ths, dirichlet=manufactured_velocity)
+               for geo, ths in zip(mp.patches, spaces)]
+    assemble_global(mp, spaces, systems=systems)
+    systems[1].dirichlet_values = systems[1].dirichlet_values + 1.0
+    with pytest.raises(ValueError, match="inconsistent Dirichlet data at shared dof"):
+        assemble_global(mp, spaces, systems=systems)
 
 
 def test_global_stiffness_consistency():
@@ -472,6 +528,85 @@ def test_direct_solves_only_in_factorize():
              "ScaledDirichletPreconditioner"}
     assert not {scope for scope, _ in found} & local
     assert ("_brute_sup_matrix", "numpy.linalg.solve") in found  # the scan sees them
+    # nor does the patch analysis: it reads the interior condensation
+    found = _dense_solver_calls(ast.parse((src / "analysis.py").read_text()))
+    assert not {scope for scope, _ in found} & {"local_infsup", "skeleton_matrices"}
+
+
+CONDENSE_CASES = {
+    "all Dirichlet": (unit_square, None, ()),
+    "floating": (unit_square, dict.fromkeys(SIDES, "interface"),
+                 ((0, 0), (1, 0), (0, 1), (1, 1))),
+    "Neumann side": (quarter_annulus_patch,
+                     {"west": "dirichlet", "east": "neumann", "south": "interface",
+                      "north": "interface"}, ((1, 0), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONDENSE_CASES))
+@pytest.mark.parametrize("degree, refinement", [(1, 1), (2, 2)])
+def test_condense_interior_matches_a_dense_reference(case, degree, refinement):
+    make_geo, roles, corners = CONDENSE_CASES[case]
+    geo = make_geo()
+    ths = build_taylor_hood(geo, degree, refinement=refinement, side_roles=roles,
+                            gamma_corners=corners)
+    sysk = assemble_patch(geo, ths, rhs=manufactured_rhs)
+    ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
+    cond = sysk.condense_interior("interior stiffness of the test patch")
+    _, W = sysk.condensation_blocks()
+    K_ii, K_gi, K_gg = W[:ni, :ni], W[ni : ni + ng, :ni], W[ni : ni + ng, ni:]
+    D_i = W[ni + ng :, :ni].reshape(2, npre, ni)
+    D_g = W[ni + ng :, ni:].reshape(2, npre, ng)
+    Y = np.linalg.solve(K_ii, K_gi.T)
+    S = K_gg - K_gi @ Y
+    Dg = D_g - D_i @ Y
+    T = sum(D_i[c] @ np.linalg.solve(K_ii, D_i[c].T) for c in (0, 1))
+    assert (ng == 0) == (case == "all Dirichlet") and ni > 0
+    assert cond.S.shape == (ng, ng) and cond.Dg.shape == (2, npre, ng)
+    for got, ref in ((cond.S, S), (cond.Dg, Dg), (cond.T, T)):
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
+    assert cond.X.shape == (ni, ng + 2 * npre)
+    assert np.abs(K_ii @ cond.X - W[ni:, :ni].T).max() < 1e-12 * np.abs(W).max()
+    assert cond.lu.shape == (ni, ni)
+
+
+def test_condense_interior_factors_the_scalar_interior_block_once(monkeypatch):
+    # the IETI local system, the patch inf-sup constant and the skeleton
+    # Schur complements each factor K_ii once, at n_inner rows, and never a
+    # doubled block
+    import ietistokes.analysis as analysis
+    import ietistokes.assembly as assembly
+    import ietistokes.ieti as ieti
+
+    calls = []
+
+    def spy(A, what):
+        calls.append((A.shape[0], what))
+        return factorize(A, what)
+
+    for module in (assembly, analysis, ieti):
+        monkeypatch.setattr(module, "factorize", spy)
+    geo = unit_square()
+    ths = build_taylor_hood(geo, 2, refinement=1)
+    analysis.local_infsup(assemble_patch(geo, ths))
+    assert calls == [(ths.n_inner, "interior stiffness of the patch")]
+    calls.clear()
+    ths = build_taylor_hood(geo, 2, refinement=1, side_roles=CONDENSE_CASES["floating"][1],
+                            gamma_corners=CONDENSE_CASES["floating"][2])
+    sysk = assemble_patch(geo, ths)
+    analysis.skeleton_matrices(sysk)
+    assert calls == [(ths.n_inner, "interior stiffness of the patch"),
+                     (ths.n_pressure + 1, "skeleton pressure system")]
+    calls.clear()
+    ths = build_taylor_hood(geo, 2, refinement=1)
+    sysk = assemble_patch(geo, ths)
+    p_off = 2 * ths.n_inner
+    C = sp.csr_matrix((sysk.pressure_average_row(), (np.zeros(ths.n_pressure, dtype=int),
+                                                     p_off + np.arange(ths.n_pressure))),
+                      shape=(1, ths.n_local))
+    ieti.AugmentedLocalSystem(sysk, C, np.zeros(1), label="patch 3")
+    assert calls == [(ths.n_inner, "interior stiffness of patch 3"),
+                     (ths.n_pressure + 1, "condensed system of patch 3 (1 constraint rows)")]
 
 
 def test_side_param_only_in_side_kernel():

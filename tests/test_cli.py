@@ -71,6 +71,44 @@ def test_bad_geometry_file_exits_2(tmp_path, capsys, quads, reason):
     assert len(err.strip().splitlines()) == 1
 
 
+ONE_PATCH = """patches 1
+patch 0
+degrees 1 1
+breakpoints_x 0 1
+breakpoints_y 0 1
+controlpoints
+0 0
+1 0
+0 1
+1 1
+"""
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (("degrees 1 1", "degrees 1"), "'degrees' with 2 values"),
+    (("patches 1", "patches"), "'patches' with 1 value"),
+    (("degrees 1 1", "degrees 1 1\nsmoothness 0"), "'smoothness' with 2 values"),
+    (("1 1\n", "1 1\ninterfaces\n"), "'interfaces' with 1 value"),
+    (("1 1\n", "1 1\nboundaries\n"), "'boundaries' with 1 value"),
+    (("1 1\n", "1 1\nboundaries 1\n7 west neumann\n"), "'7 west'"),
+    (("1 1\n", "1 1\nboundaries 1\n0 top neumann\n"), "'0 top'"),
+    (("1 0\n", "1 nan\n"), "control points must be finite"),
+    (("1 0\n", "1 inf\n"), "control points must be finite"),
+], ids=["degrees_one_value", "bare_patches", "smoothness_one_value", "bare_interfaces",
+        "bare_boundaries", "boundary_missing_patch", "boundary_unknown_side", "nan_point",
+        "inf_point"])
+def test_malformed_geometry_text_exits_2(tmp_path, capsys, edit, reason):
+    # raw text a line away from ONE_PATCH; each edit replaces the last match
+    head, sep, tail = ONE_PATCH.rpartition(edit[0])
+    assert sep
+    path = tmp_path / "bad.mp"
+    path.write_text(head + edit[1] + tail)
+    assert main(["solve", "--domain", str(path), "--degrees", "1", "--levels", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_domain_exits_2(capsys):
     assert main(["bench-ieti"]) == 2
 
