@@ -16,7 +16,9 @@ interior velocity that the IETI-DP setup performs too
 """
 
 import math
+import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = (
 )
 
 DENSE_LIMIT = 20000
+_LOBPCG_LOCK = threading.Lock()
 
 
 class SchurSpectrum:
@@ -103,8 +106,14 @@ def _iterative_extremes(schur, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
         raise _NotConverged("%d pressure dofs are too few for lobpcg" % n)
     out = []
     for largest in (False, True):
-        w, V = spla.lobpcg(T, X.copy(), B=Mp, Y=ones, largest=largest,
-                           tol=tol, maxiter=maxiter)
+        # lobpcg warns when a block vector misses tol, also one that is
+        # discarded here; the eigenpair residual check below decides.
+        # catch_warnings swaps process-wide state: the lock keeps the
+        # threads of InfSupStudy.run from restoring each other's filters.
+        with _LOBPCG_LOCK, warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            w, V = spla.lobpcg(T, X.copy(), B=Mp, Y=ones, largest=largest,
+                               tol=tol, maxiter=maxiter)
         j = int(np.argmin(w)) if not largest else int(np.argmax(w))
         lam, x = float(w[j]), V[:, j]
         Tx = schur(x[:, None]).ravel()
@@ -150,7 +159,7 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
     dense path when the size permits, and so does a problem too small for
     LOBPCG's iterations; spectrum.method then reads "dense".
     """
-    lu = factorize(K, "velocity stiffness")
+    lu = factorize(K, "velocity stiffness", fem=True)
 
     def schur(Q):
         return D @ lu.solve(np.asarray(D.T @ Q, dtype=float))

@@ -103,6 +103,10 @@ class SingularLocalSystemError(RuntimeError):
 
 
 DENSE_LU_ROWS = 350  # systems up to this many rows are factored dense
+# SuperLU for finite-element matrices (factorize's fem=True): minimum degree
+# on A^T + A, diagonal pivots preferred down to 1e-3 of the column maximum
+FEM_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                   options=dict(SymmetricMode=True))
 
 
 class DenseLU:
@@ -139,44 +143,61 @@ def _check_vector(n):
     return b
 
 
-def factorize(A, what):
+def factorize(A, what, fem=False):
     """Checked LU of A; every direct solve in the package uses it.
 
     A is a dense ndarray or any sparse matrix; COO input may repeat entries,
     which are summed. A dense ndarray goes straight to LAPACK getrf at any
     size, which factors a copy; a sparse matrix of at most DENSE_LU_ROWS rows
     is densified and factored in place by getrf; both return a DenseLU. A
-    larger sparse matrix goes to SuperLU with its default ordering (the
-    SuperLU object is returned). On either path a zero pivot, or a relative
-    residual above 1e-6 on a seeded random right-hand side (drawn once per
-    size), raises SingularLocalSystemError naming `what`: pivoted LU of a
-    singular saddle system can succeed with garbage factors.
+    larger sparse matrix goes to SuperLU (the SuperLU object is returned):
+    with its defaults, COLAMD and partial pivoting, or, when the caller
+    states with fem=True that A is a finite-element stiffness or Stokes
+    saddle matrix, with FEM_SUPERLU, the symmetric mode that the SuperLU
+    Users' Guide gives for matrices of symmetric structure. On every path a
+    zero pivot, or a relative residual above 1e-6 on a seeded random
+    right-hand side (drawn once per size), raises SingularLocalSystemError
+    naming `what`: pivoted LU of a singular saddle system can succeed with
+    garbage factors, and so can a too small diagonal pivot threshold.
 
-    The cut comes from the augmented systems of one patch of
-    quarter_annulus(1,2,2,2) at degree p, level l and smoothness s (default
-    p-1), as factor time, solve time for 1 and 20 columns, and factor bytes
-    (SuperLU: 12 per fill entry; dense: 8 per entry), one 2-core host, BLAS
-    on one thread:
+    FEM_SUPERLU against the defaults on one 2-vCPU host, BLAS on one
+    thread, best of 3: factor time in ms and stored factor entries. Every
+    relative residual on a random right-hand side was below 1e-9:
 
-        rows  system     factor ms      1-col solve us  20-col solve us  MB
-                         splu   getrf   splu   dense    splu   dense     SuperLU dense
-        158   p1 l2      0.42   0.11    12     11       109    64        0.13    0.20
-        203   p2 l2      0.62   0.21    16     13       121    95        0.31    0.33
-        254   p3 l2      1.51   0.39    25     16       300    137       0.60    0.52
-        311   p4 l2      2.49   0.67    35     20       441    204       0.90    0.77
-        374   p2 l2 s0   1.60   1.09    41     28       596    288       0.75    1.12
-        374   p5 l2      3.82   1.11    49     27       606    303       1.36    1.12
-        443   p3 l2 s1   2.66   1.59    56     37       812    349       1.29    1.57
-        518   p7 l2      9.51   2.60    117    55       1260   463       2.86    2.15
-        598   p1 l3      2.38   3.20    52     90       741    556       0.88    2.86
-        683   p2 l3      6.56   4.65    112    127      1701   717       2.41    3.73
-        774   p3 l3      10.84  6.71    159    165      2051   867       3.58    4.79
+        system                                   rows    COLAMD          symmetric
+                                                         ms     entries  ms     entries
+        saddle grid(1,1) p1 l4                   2,212   32.8   408k     9.8    200k
+        saddle grid(1,1) p2 l4                   2,373   75.5   925k     26.9   635k
+        saddle grid(1,1) p3 l4                   2,540   361    2.21M    70.4   1.01M
+        saddle strip(4) p2 l2                    705     7.6    117k     3.2    79k
+        saddle grid(3,3) p2 l2                   1,677   70.0   765k     15.5   257k
+        saddle quarter_annulus(1,2,4,4) p2 l2    3,027   130    1.82M    29.9   650k
+        saddle rectangle_with_hole p1 l3         6,202   2,768  10.5M    30.8   723k
+        saddle quarter_annulus(1,2,4,4) p3 l3    12,019  3,329  22.7M    453    6.38M
+        saddle quarter_annulus(1,2,8,8) p2 l2    12,387  3,598  18.4M    1,035  7.94M
+        doubled K grid(1,1) p1 l4                1,922   9.2    106k     5.3    72k
+        doubled K grid(1,1) p2 l4                2,048   15.7   217k     11.9   209k
+        K_ii quarter_annulus(1,2,2,2) p3 l4      1,089   21.3   233k     9.2    190k
+        coarse quarter_annulus(1,2,32,32) p2 l1  4,931   91.3   1.39M    4,077  15.0M
 
-    Dense factors faster on every system up to 518 rows; at 598 rows it
-    loses on the sparse p1 l3 system, and from 598 rows its 1-column solves
-    are slower. From 374 rows a dense factor of a sparse (C0) system holds
-    1.5x SuperLU's bytes, 3.3x at 598. The cut sits between 311, where
-    dense wins time and bytes on every system measured, and 374.
+    The saddles are those of GlobalStokesSystem.solve, the doubled K the
+    velocity stiffness of pressure_schur_spectrum, K_ii that of one patch's
+    condense_interior. Their multi-column solves gain too: the doubled K at
+    p2 l4 on its 324 pressure columns 92.7 to 81.5 ms, K_ii on its 789
+    columns 223 to 138 ms (best of 5). The coarse primal system of the
+    1,024-patch domain is the exception, with ten times the fill, so it
+    keeps the defaults. The diagonal pivot threshold, on the saddles:
+    0 returns wrong solutions with no SuperLU error (residuals 3e+2 on
+    grid(3,3), 3e+6 on quarter_annulus(1,2,4,4) p2 l2, 4e+2 on
+    rectangle_with_hole, 7e+2 on strip(4), 2e+3 on the p3 l3 annulus);
+    1e-2 takes the p3 l3 annulus back to COLAMD's time (3,668 ms); 1e-4
+    is as fast as 1e-3, with a ten times larger residual on that saddle.
+
+    The dense cut DENSE_LU_ROWS is the same for both SuperLU settings. It
+    was measured against SuperLU's defaults on the augmented patch systems
+    of quarter_annulus(1,2,2,2), p 1-7, l 2-3: up to 311 rows getrf won
+    factor time, solve time and bytes on every system, and from 374 rows a
+    dense factor of a sparse C0 system held 1.5x SuperLU's bytes.
     """
     n = A.shape[0]
     dense = isinstance(A, np.ndarray)
@@ -195,7 +216,7 @@ def factorize(A, what):
     else:
         A = sp.csc_matrix(A)
         try:
-            lu = spla.splu(A)
+            lu = spla.splu(A, **FEM_SUPERLU) if fem else spla.splu(A)
         except RuntimeError as err:
             raise SingularLocalSystemError("%s is singular: %s" % (what, err))
     b = _check_vector(n)
@@ -593,7 +614,7 @@ class PatchStokesSystem:
         ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
         K_ii, W = self.condensation_blocks()
         Q = W[ni:, :ni]
-        lu = factorize(K_ii, what) if ni else None
+        lu = factorize(K_ii, what, fem=True) if ni else None
         X = lu.solve(Q.T) if ni else np.zeros((0, len(Q)))
         G = W[ni:, ni:] - Q @ X[:, :ng]  # [S; condensed D_0g; condensed D_1g]
         p0, p1 = slice(ng, ng + npre), slice(ng + npre, None)  # D_0, D_1 rows of Q
@@ -970,7 +991,7 @@ class GlobalStokesSystem:
         else:
             A = sp.bmat([[Kff, Df.T], [Df, None]], format="csc")
             b = np.concatenate([rhs_f, h])
-        x = factorize(A, "monolithic Stokes system").solve(b)
+        x = factorize(A, "monolithic Stokes system", fem=True).solve(b)
         uf = x[:nU].reshape(2, -1)
         p = x[nU : nU + self.n_pressure]
         uglob = self.dir_values.copy()

@@ -918,71 +918,86 @@ def save_multipatch(mp, path):
 
 def load_multipatch(path):
     """Read a multi-patch geometry written by save_multipatch; malformed
-    input (README, Domains and geometry files) raises ValueError."""
+    input (README, Domains and geometry files) raises ValueError, which
+    names the line of the file where a line is at fault."""
     with open(path) as fh:
-        raw = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
+        lines = [(i, words) for i, words in
+                 enumerate((ln.split("#", 1)[0].split() for ln in fh), 1) if words]
     pos = 0
 
-    def take():
+    def peek():
+        return lines[pos][1][0] if pos < len(lines) else None
+
+    def take(n=None, what=None):
+        """The fields of the next line: n of them, when n is given."""
         nonlocal pos
-        if pos >= len(lines):
-            raise ValueError("unexpected end of geometry file")
-        ln = lines[pos]
         pos += 1
-        return ln
+        if pos > len(lines):
+            raise ValueError("unexpected end of geometry file")
+        words = lines[pos - 1][1]
+        if n is not None and len(words) != n:
+            raise ValueError("%s line needs %d field%s, got %r"
+                             % (what, n, "s" * (n != 1), " ".join(words)))
+        return words
 
     def header(key, n):
-        words = take().split()
+        words = take()
         if words[0] != key or len(words) != n + 1:
             raise ValueError("expected '%s' with %d value%s, got %r"
-                             % (key, n, "s" * (n > 1), " ".join(words)))
+                             % (key, n, "s" * (n != 1), " ".join(words)))
         return [int(v) for v in words[1:]]
 
-    npatches, = header("patches", 1)
-    patches = []
-    for _ in range(npatches):
-        header("patch", 1)
-        px, py = header("degrees", 2)
-        if pos < len(lines) and lines[pos].split()[0] == "smoothness":
-            smx, smy = header("smoothness", 2)
-        else:
-            smx, smy = max(px - 1, 0), max(py - 1, 0)
-        bx = take().split()
-        by = take().split()
-        if bx[0] != "breakpoints_x" or by[0] != "breakpoints_y":
-            raise ValueError("expected breakpoint lines")
-        space = TensorSplineSpace(
-            UnivariateSplineSpace([float(v) for v in bx[1:]], px, smx),
-            UnivariateSplineSpace([float(v) for v in by[1:]], py, smy),
-        )
-        header("controlpoints", 0)
-        control = np.array(
-            [[float(v) for v in take().split()] for _ in range(space.dim)]
-        )
-        weights = None
-        if pos < len(lines) and lines[pos] == "weights":
-            pos += 1
-            weights = np.array([float(take()) for _ in range(space.dim)])
-        patches.append(GeometryMap(space, control, weights))
+    def parse():
+        nets = []
+        for _ in range(header("patches", 1)[0]):
+            header("patch", 1)
+            px, py = header("degrees", 2)
+            if peek() == "smoothness":
+                smx, smy = header("smoothness", 2)
+            else:
+                smx, smy = max(px - 1, 0), max(py - 1, 0)
+            axes = []
+            for key, p, sm in (("breakpoints_x", px, smx), ("breakpoints_y", py, smy)):
+                words = take()
+                if words[0] != key:
+                    raise ValueError("expected '%s', got %r" % (key, " ".join(words)))
+                axes.append(UnivariateSplineSpace([float(v) for v in words[1:]], p, sm))
+            space = TensorSplineSpace(*axes)
+            header("controlpoints", 0)
+            control = np.array([[float(v) for v in take(2, "control point")]
+                                for _ in range(space.dim)])
+            weights = None
+            if peek() == "weights":
+                header("weights", 0)
+                weights = np.array([float(take(1, "weight")[0]) for _ in range(space.dim)])
+            nets.append((space, control, weights))
+        interfaces, boundary = None, {}
+        while pos < len(lines):
+            section = peek()
+            if section == "interfaces":
+                interfaces = []
+                for _ in range(header(section, 1)[0]):
+                    a, sa, b, sb, orient = take(5, "interface")
+                    if orient not in ("aligned", "reversed"):
+                        raise ValueError("interface orientation must be 'aligned' or "
+                                         "'reversed', got %r" % orient)
+                    interfaces.append(Interface(int(a), sa, int(b), sb, orient == "reversed"))
+            elif section == "boundaries":
+                for _ in range(header(section, 1)[0]):
+                    k, side, tag = take(3, "boundary")
+                    boundary[(int(k), side)] = tag
+            else:
+                take()
+                raise ValueError("unexpected section %r" % section)
+        return nets, interfaces, boundary
 
-    explicit_interfaces = None
-    boundary = {}
-    while pos < len(lines):
-        section = lines[pos].split()[0]
-        if section == "interfaces":
-            explicit_interfaces = []
-            for _ in range(header(section, 1)[0]):
-                a, sa, b, sb, orient = take().split()
-                explicit_interfaces.append(
-                    Interface(int(a), sa, int(b), sb, orient == "reversed")
-                )
-        elif section == "boundaries":
-            for _ in range(header(section, 1)[0]):
-                k, side, tag = take().split()
-                boundary[(int(k), side)] = tag
-        else:
-            raise ValueError("unexpected section %r" % section)
+    try:
+        nets, explicit_interfaces, boundary = parse()
+    except ValueError as err:
+        if pos > len(lines):  # the file ended early: no line to name
+            raise
+        raise ValueError("line %d: %s" % (lines[pos - 1][0], err)) from None
+    patches = [GeometryMap(*net) for net in nets]
 
     mp = build_multipatch(patches, boundary=lambda k, s, mid: boundary.get((k, s), "dirichlet"))
     unknown = sorted(set(boundary) - set(mp.boundary))

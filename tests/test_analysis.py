@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -128,6 +131,23 @@ def test_study_threaded_matches_serial():
             assert abs(a[key] - b[key]) <= 1e-12 * abs(a[key])
 
 
+def test_threaded_iterative_study_restores_the_warning_filters():
+    # lobpcg's own warnings are recorded under one lock: with more threads
+    # than cores and a short switch interval, no thread restores another's
+    # filters, so the process-wide filters and showwarning come back as
+    # they were
+    filters, show = list(warnings.filters), warnings.showwarning
+    study = InfSupStudy("grid(1,1)", degrees=[1, 2], levels=[2, 3], method="iterative")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = study.run(threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert warnings.filters == filters and warnings.showwarning is show
+    assert [r["kappa"] >= 1.0 for r in rows] == [True] * 4
+
+
 def test_strip_kappa_grows_with_length():
     k1 = global_kappa(build_domain("strip", length=1).patches, degree=1)
     k4 = global_kappa(build_domain("strip", length=4).patches, degree=1)
@@ -230,9 +250,6 @@ def kron_skeleton_matrices(system):
 @pytest.mark.parametrize("geo", [unit_square(), bilinear_patch((0, 0), (4, 0), (0, 1), (4, 1)),
                                  quarter_annulus_patch()], ids=["square", "4x1", "annulus"])
 @pytest.mark.parametrize("degree, refinement", [(1, 1), (1, 2), (2, 1), (2, 2)])
-# lobpcg warns when it stops short of its own 1e-8 tolerance on the 4x1
-# patch at p2 l2; the eigenpair residual check of _iterative_extremes decides
-@pytest.mark.filterwarnings("ignore:Exited:UserWarning")
 def test_patch_analysis_matches_the_doubled_block_formulas(geo, degree, refinement):
     sysk = dirichlet_patch_system(geo, degree, refinement)
     for method in ("dense", "iterative"):

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 import ietistokes
 from ietistokes.assembly import (
     DENSE_LU_ROWS,
+    FEM_SUPERLU,
     DenseLU,
     SingularLocalSystemError,
     _check_vector,
@@ -429,6 +430,73 @@ def test_factorize_matches_plain_splu():
         assert np.abs(np.sort(prod, axis=0) - np.sort(A.toarray(), axis=0)).max() < 1e-12
 
 
+def _monolithic_saddle(monkeypatch, spec, degree, refinement):
+    """The matrix that GlobalStokesSystem.solve hands to factorize."""
+    import ietistokes.assembly as assembly
+
+    got = []
+    monkeypatch.setattr(assembly, "factorize",
+                        lambda A, what, fem=False: got.append(A) or factorize(A, what, fem))
+    mp = parse_domain(spec)
+    assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement)).solve()
+    monkeypatch.undo()
+    A, = got
+    return A.tocsc()
+
+
+def test_finite_element_systems_get_the_symmetric_superlu_mode(monkeypatch):
+    # the monolithic saddle, the spectrum's velocity stiffness and a K_ii
+    # above DENSE_LU_ROWS are factored in SuperLU's symmetric mode; the IETI
+    # coarse primal system keeps SuperLU's defaults (COLAMD)
+    from ietistokes.analysis import pressure_schur_spectrum
+    from ietistokes.ieti import solve_stokes_ieti
+
+    calls = []
+    real = spla.splu
+
+    def spy(A, **kw):
+        calls.append((A.shape[0], kw))
+        return real(A, **kw)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    mp = parse_domain("grid(1,1)")
+    glob = assemble_global(mp, taylor_hood_spaces(mp, 1, refinement=3))
+    glob.solve()
+    pressure_schur_spectrum(glob)
+    assert calls == [(532, FEM_SUPERLU), (450, FEM_SUPERLU)]
+    calls.clear()
+    ths = build_taylor_hood(unit_square(), 1, refinement=4)
+    assert ths.n_inner > DENSE_LU_ROWS
+    assemble_patch(unit_square(), ths).condense_interior("interior stiffness")
+    assert calls == [(ths.n_inner, FEM_SUPERLU)]
+    calls.clear()
+    mp = parse_domain("quarter_annulus(1,2,16,16)")
+    solve_stokes_ieti(mp, taylor_hood_spaces(mp, 2, refinement=1), rhs=manufactured_rhs)
+    assert calls == [(1187, {})]
+
+
+def test_factorize_fem_is_superlu_in_symmetric_mode():
+    # fem=True above DENSE_LU_ROWS is SuperLU with FEM_SUPERLU, bit for bit
+    rng = np.random.default_rng(9)
+    for A in (_stiffness_ii(2, 4), _random_matrix(DENSE_LU_ROWS + 40, 5)):
+        b = rng.standard_normal((A.shape[0], 2))
+        assert np.array_equal(factorize(A, "test", fem=True).solve(b),
+                              spla.splu(A, **FEM_SUPERLU).solve(b))
+
+
+@pytest.mark.parametrize("spec, degree, refinement",
+                         [("grid(1,1)", 2, 4), ("quarter_annulus(1,2,4,4)", 2, 2)])
+def test_symmetric_mode_fills_less_on_stokes_saddles(monkeypatch, spec, degree, refinement):
+    # minimum degree on A^T + A stores fewer factor entries than COLAMD on
+    # the monolithic saddle and solves it to the same answer
+    A = _monolithic_saddle(monkeypatch, spec, degree, refinement)
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    sym, colamd = factorize(A, "saddle", fem=True), spla.splu(A)
+    assert sym.L.nnz + sym.U.nnz < colamd.L.nnz + colamd.U.nnz
+    want = colamd.solve(b)
+    assert np.linalg.norm(sym.solve(b) - want) <= 1e-9 * np.linalg.norm(want)
+
+
 def test_factorize_rejects_singular_matrices():
     # both backends, on either side of DENSE_LU_ROWS, raise the same messages
     for n in (30, DENSE_LU_ROWS + 30):
@@ -580,9 +648,9 @@ def test_condense_interior_factors_the_scalar_interior_block_once(monkeypatch):
 
     calls = []
 
-    def spy(A, what):
+    def spy(A, what, fem=False):
         calls.append((A.shape[0], what))
-        return factorize(A, what)
+        return factorize(A, what, fem)
 
     for module in (assembly, analysis, ieti):
         monkeypatch.setattr(module, "factorize", spy)

@@ -94,9 +94,16 @@ controlpoints
     (("1 1\n", "1 1\nboundaries 1\n0 top neumann\n"), "'0 top'"),
     (("1 0\n", "1 nan\n"), "control points must be finite"),
     (("1 0\n", "1 inf\n"), "control points must be finite"),
+    (("1 0\n", "1 0 0\n"), "line 8: control point line needs 2 fields, got '1 0 0'"),
+    (("1 1\n", "1 1\nweights\n1\n1 1\n"), "line 13: weight line needs 1 field, got '1 1'"),
+    (("1 1\n", "1 1\ninterfaces 1\n0 east 0 west\n"), "line 12: interface line needs 5"),
+    (("1 1\n", "1 1\ninterfaces 1\n0 east 0 west revresed\n"),
+     "line 12: interface orientation must be 'aligned' or 'reversed', got 'revresed'"),
+    (("1 1\n", "1 1\nboundaries 1\n0 west\n"), "line 12: boundary line needs 3 fields"),
 ], ids=["degrees_one_value", "bare_patches", "smoothness_one_value", "bare_interfaces",
         "bare_boundaries", "boundary_missing_patch", "boundary_unknown_side", "nan_point",
-        "inf_point"])
+        "inf_point", "three_coordinates", "two_weights", "four_field_interface",
+        "orientation_typo", "two_field_boundary"])
 def test_malformed_geometry_text_exits_2(tmp_path, capsys, edit, reason):
     # raw text a line away from ONE_PATCH; each edit replaces the last match
     head, sep, tail = ONE_PATCH.rpartition(edit[0])
