@@ -8,8 +8,14 @@ posed on mean-zero pressures: the square root of the smallest nonzero
 eigenvalue is the discrete inf-sup constant, the largest eigenvalue is the
 discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
-complement. The skeleton routines compare the boundary Schur complement of
-the full saddle point system with the one of the vector Laplacian.
+complement. pressure_schur_extremes factors the velocity stiffness K once,
+as an SPD matrix; with the band Cholesky P K P^T = L L^T of factorize, the
+dense path forms T = D K^-1 D^T as Y^T Y from one forward solve
+Y = L^-1 P D^T, with no backward sweep, and otherwise as D times the solve
+K^-1 D^T. The dense eigensolve removes the constant pressure with one
+Householder reflector. The skeleton routines compare the boundary Schur
+complement of the full saddle point system with the one of the vector
+Laplacian.
 local_infsup and skeleton_matrices read the elimination of the patch's
 interior velocity that the IETI-DP setup performs too
 (PatchStokesSystem.condense_interior).
@@ -25,7 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_global, factorize, taylor_hood_spaces
+from .assembly import BandCholesky, assemble_global, factorize, taylor_hood_spaces
 from .domains import load_domain
 from .geometry import SIDES
 
@@ -86,11 +92,26 @@ def _mean_row(Mp):
 
 
 def _dense_extremes(T, Mp):
-    T = 0.5 * (T + T.T)
-    Z = sla.null_space(_mean_row(Mp)[None, :])
-    A = Z.T @ T @ Z
-    B = Z.T @ (Mp @ Z)
-    ev = sla.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
+    """Extreme eigenvalues of (T, M_p) off the constant pressure.
+
+    The reflector H = I - 2 v v^T that maps the mean row M_p 1 to a multiple
+    of e_1 has, in its other columns, an orthonormal basis of the row's
+    complement; the pencil restricted to it is (H T H, H M_p H) without the
+    first row and column, and H X H = X - 2 (v z^T + z v^T) with
+    z = X v - (v^T X v) v for a symmetric X.
+    """
+    v = _mean_row(Mp)
+    v /= np.linalg.norm(v)
+    v[0] += math.copysign(1.0, v[0])
+    v /= np.linalg.norm(v)
+
+    def reflected(X):
+        X = 0.5 * (X + X.T)
+        w = X @ v
+        z = (w - (v @ w) * v)[1:]
+        return X[1:, 1:] - 2.0 * (np.outer(v[1:], z) + np.outer(z, v[1:]))
+
+    ev = sla.eigh(reflected(T), reflected(Mp.toarray()), eigvals_only=True)
     return float(ev[0]), float(ev[-1])
 
 
@@ -152,20 +173,26 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
     K is the velocity stiffness on the unconstrained dofs (components
     stacked), D the matching divergence block and M_p the pressure mass. K
     is factored once for both paths, which form or apply T = D K^-1 D^T. The
-    constant-pressure direction is removed: dense work restricts to an
-    explicit orthogonal complement of M_p 1, the iterative path keeps the
-    LOBPCG block orthogonal to it. "auto" picks the dense path up to
-    DENSE_LIMIT dofs. A non-converged iterative solve falls back to the
-    dense path when the size permits, and so does a problem too small for
-    LOBPCG's iterations; spectrum.method then reads "dense".
+    constant-pressure direction is removed: dense work restricts to the
+    orthogonal complement of M_p 1 that one Householder reflector spans
+    (_dense_extremes), the iterative path keeps the LOBPCG block orthogonal
+    to it. "auto" picks the dense path up to DENSE_LIMIT dofs. A
+    non-converged iterative solve falls back to the dense path when the size
+    permits, and so does a problem too small for LOBPCG's iterations;
+    spectrum.method then reads "dense".
     """
-    lu = factorize(K, "velocity stiffness", fem=True)
+    lu = factorize(K, "velocity stiffness", spd=True)
 
     def schur(Q):
         return D @ lu.solve(np.asarray(D.T @ Q, dtype=float))
 
-    return _schur_extremes(schur, lambda: D @ lu.solve(D.toarray().T), Mp,
-                           K.shape[0] + Mp.shape[0], method)
+    def dense():
+        if isinstance(lu, BandCholesky):  # T = Y^T Y, Y = L^-1 P D^T
+            Y = lu.forward(D.toarray().T)
+            return Y.T @ Y
+        return D @ lu.solve(D.toarray().T)
+
+    return _schur_extremes(schur, dense, Mp, K.shape[0] + Mp.shape[0], method)
 
 
 def pressure_schur_spectrum(glob, method="auto"):

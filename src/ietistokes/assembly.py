@@ -107,6 +107,7 @@ DENSE_LU_ROWS = 350  # systems up to this many rows are factored dense
 # on A^T + A, diagonal pivots preferred down to 1e-3 of the column maximum
 FEM_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
                    options=dict(SymmetricMode=True))
+BAND_ENTRIES = 1_100_000  # SPD systems whose band holds up to this many entries: BandCholesky
 
 
 class DenseLU:
@@ -135,6 +136,96 @@ class DenseLU:
         return sp.csc_matrix(np.triu(self._lu))
 
 
+class BandCholesky:
+    """LAPACK band Cholesky P A P^T = L L^T of a symmetric positive definite
+    matrix, with the interface the package reads: shape, solve (1-D or 2-D
+    right-hand sides) and L and U, the stored band of L and its transpose as
+    sparse matrices, explicit zeros kept. forward(B) is the half solve
+    L^-1 P B, so that B^T A^-1 B = Y^T Y with Y = forward(B). perm is the
+    order (row i of P A P^T is row perm[i] of A), or None for A's own order;
+    bandwidth is the number of subdiagonals of L.
+    """
+
+    def __init__(self, ab, perm, what):
+        # ab: the lower band, ab[k, j] = (P A P^T)[j + k, j], Fortran ordered
+        pbtrf, self._pbtrs, self._tbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
+                                                                (ab,))
+        self._ab, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SingularLocalSystemError(
+                "%s is not positive definite (band Cholesky pivot %d)" % (what, info))
+        self.perm = perm
+        self.bandwidth = ab.shape[0] - 1
+        self.shape = (ab.shape[1], ab.shape[1])
+
+    def _permuted(self, b):
+        return b if self.perm is None else b[self.perm]
+
+    def solve(self, b):
+        x, _ = self._pbtrs(self._ab, self._permuted(b), lower=1)
+        if self.perm is None:
+            return x
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+    def forward(self, b):
+        y, _ = self._tbtrs(self._ab, self._permuted(b), uplo="L")
+        return y
+
+    @property
+    def L(self):
+        n = self.shape[0]
+        rows = np.arange(n)[:, None] + np.arange(self.bandwidth + 1)  # (column, k)
+        keep = rows < n
+        return sp.csc_matrix((self._ab.T[keep], rows[keep],
+                              np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+                             shape=self.shape)
+
+    @property
+    def U(self):
+        return self.L.T.tocsc()
+
+
+def _lower_band(A):
+    """(ab, perm) of a symmetric A for BandCholesky, or None when its band
+    would hold more than BAND_ENTRIES entries.
+
+    A sparse A takes the narrower of its own order and the reverse
+    Cuthill-McKee order; a dense A keeps its order, and its band is read
+    from its diagonals (only its lower triangle is read).
+    """
+    n = A.shape[0]
+    if isinstance(A, np.ndarray):
+        bw = int((np.arange(n) - np.argmax(A != 0, axis=1)).max(initial=0))
+        if n * (bw + 1) > BAND_ENTRIES:
+            return None
+        rows = np.arange(n)[:, None] + np.arange(bw + 1)  # (column, k)
+        ab = A[np.minimum(rows, n - 1), np.arange(n)[:, None]]
+        ab[rows >= n] = 0.0
+        return ab.T, None
+    # imported here, like in assemble_global: only the monolithic path orders
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    A = sp.coo_matrix(A)
+    r, c = A.row.astype(np.int64), A.col.astype(np.int64)
+    perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
+    inv = np.empty(n, dtype=np.int64)
+    inv[perm] = np.arange(n)
+    bw = int(np.abs(r - c).max(initial=0))
+    bw_rcm = int(np.abs(inv[r] - inv[c]).max(initial=0))
+    if bw_rcm < bw:
+        r, c, bw = inv[r], inv[c], bw_rcm
+    else:
+        perm = None
+    if n * (bw + 1) > BAND_ENTRIES:
+        return None
+    low = r >= c
+    ab = np.bincount(c[low] * (bw + 1) + (r - c)[low], weights=A.data[low],
+                     minlength=n * (bw + 1)).reshape(n, bw + 1)
+    return ab.T, perm
+
+
 @lru_cache(maxsize=64)
 def _check_vector(n):
     """The seeded random right-hand side of factorize's residual check."""
@@ -143,22 +234,69 @@ def _check_vector(n):
     return b
 
 
-def factorize(A, what, fem=False):
-    """Checked LU of A; every direct solve in the package uses it.
+def factorize(A, what, fem=False, spd=False):
+    """Checked factorization of A; every direct solve in the package uses it.
 
     A is a dense ndarray or any sparse matrix; COO input may repeat entries,
-    which are summed. A dense ndarray goes straight to LAPACK getrf at any
-    size, which factors a copy; a sparse matrix of at most DENSE_LU_ROWS rows
-    is densified and factored in place by getrf; both return a DenseLU. A
-    larger sparse matrix goes to SuperLU (the SuperLU object is returned):
-    with its defaults, COLAMD and partial pivoting, or, when the caller
-    states with fem=True that A is a finite-element stiffness or Stokes
-    saddle matrix, with FEM_SUPERLU, the symmetric mode that the SuperLU
-    Users' Guide gives for matrices of symmetric structure. On every path a
-    zero pivot, or a relative residual above 1e-6 on a seeded random
-    right-hand side (drawn once per size), raises SingularLocalSystemError
-    naming `what`: pivoted LU of a singular saddle system can succeed with
-    garbage factors, and so can a too small diagonal pivot threshold.
+    which are summed. When the caller states with spd=True that A is
+    symmetric positive definite, A goes to a LAPACK band Cholesky (a
+    BandCholesky is returned) while its band holds at most BAND_ENTRIES
+    entries, n (bandwidth + 1), in its order: for a sparse A the narrower
+    of its own order and reverse Cuthill-McKee (Cuthill & McKee 1969); a
+    dense A keeps its order, and its band is cut from its diagonals. A dense
+    SPD A of at most DENSE_LU_ROWS rows stays on getrf, and an SPD A whose
+    band is too wide goes to SuperLU as if fem=True. Otherwise a dense
+    ndarray goes straight to LAPACK getrf at any size, which factors a copy;
+    a sparse matrix of at most DENSE_LU_ROWS rows is densified and factored
+    in place by getrf; both return a DenseLU. A larger sparse matrix goes to
+    SuperLU (the SuperLU object is returned): with its defaults, COLAMD and
+    partial pivoting, or, when the caller states with fem=True that A is a
+    finite-element stiffness or Stokes saddle matrix, with FEM_SUPERLU, the
+    symmetric mode that the SuperLU Users' Guide gives for matrices of
+    symmetric structure. On every path a zero pivot, a failed band Cholesky,
+    or a relative residual above 1e-6 on a seeded random right-hand side
+    (drawn once per size) raises SingularLocalSystemError naming `what`:
+    pivoted LU of a singular saddle system can succeed with garbage factors,
+    and so can a too small diagonal pivot threshold or the Cholesky of a
+    singular semidefinite matrix.
+
+    The band path against fem=True (SuperLU above DENSE_LU_ROWS, getrf at
+    or below), on one 2-vCPU host, BLAS on one thread, ms. Forming the
+    pressure Schur complement T = D K^-1 D^T of pressure_schur_extremes on
+    grid(1,1), factor included (the stacked stiffness, its own order, best
+    of 7; T agrees to 1.5e-15 relative):
+
+        cell    rows   fem, solve, D X       band solve, D X   band forward, Y^T Y
+        p1 l3   450    2.4                   2.1               1.1
+        p1 l4   1,922  32.1                  32.0              15.3
+        p2 l3   512    3.7                   3.5               1.7
+        p2 l4   2,048  71.9                  58.2              28.4
+        six cells, p 1-2, l 2-4    110.7     96.6              47.0
+
+    The same, factor included, best of 3, on larger domains (RCM order):
+
+        system                           band entries   SuperLU   band
+        grid(2,2) p2 l3                  279k           70        45
+        quarter_annulus(1,2,4,4) p2 l2   431k           105       106
+        rectangle_with_hole p1 l3        722k           409       399
+        grid(5,5) p2 l2                  891k           390       363
+        grid(3,3) p2 l3                  1.09M          452       448
+        grid(4,4) p1 l3                  1.94M          1,072     1,200
+        grid(2,2) p2 l4                  2.16M          1,370     1,309
+        quarter_annulus(1,2,4,4) p2 l3   2.87M          1,787     2,039
+
+    The band wins clearly up to a few hundred thousand entries, is even
+    with SuperLU up to about 1.1M, and loses by 12-14% at 1.9M and 2.9M;
+    hence BAND_ENTRIES. On grid(1,1) p2 l4 the own order (bandwidth 99)
+    beats RCM (123); on grid(3,3) p2 l2 RCM narrows 255 to 121. The scalar
+    K_ii of one quarter_annulus(1,2,2,2) patch at level 4, factor plus the
+    multi-column solve and products of condense_interior, best of 5: p2
+    (1,024 rows, bandwidth 99) 78.4 ms with SuperLU from the CSC form
+    against 63.7 ms on the band; p3 (1,089 rows, bandwidth 136) 120.6
+    against 92.0 ms; S, Dg and T agree to 8e-16. A dense Cholesky with a
+    triangular solve and products took 40.2 ms on the p1 l4 cell above
+    against 27.4 ms for SuperLU, and about as long as SuperLU at p2 l4, so
+    the band, not the dense factor, is the SPD path.
 
     FEM_SUPERLU against the defaults on one 2-vCPU host, BLAS on one
     thread, best of 3: factor time in ms and stored factor entries. Every
@@ -201,7 +339,10 @@ def factorize(A, what, fem=False):
     """
     n = A.shape[0]
     dense = isinstance(A, np.ndarray)
-    if dense or n <= DENSE_LU_ROWS:
+    band = _lower_band(A) if spd and not (dense and n <= DENSE_LU_ROWS) else None
+    if band is not None:
+        lu = BandCholesky(*band, what)
+    elif n <= DENSE_LU_ROWS or (dense and not spd):
         if dense:
             work = A  # getrf factors a copy
         else:
@@ -216,7 +357,7 @@ def factorize(A, what, fem=False):
     else:
         A = sp.csc_matrix(A)
         try:
-            lu = spla.splu(A, **FEM_SUPERLU) if fem else spla.splu(A)
+            lu = spla.splu(A, **FEM_SUPERLU) if fem or spd else spla.splu(A)
         except RuntimeError as err:
             raise SingularLocalSystemError("%s is singular: %s" % (what, err))
     b = _check_vector(n)
@@ -580,11 +721,11 @@ class PatchStokesSystem:
         W is dense. Its columns are the scalar free dofs [u_inner | u_gamma]
         of one velocity component; its rows [K_i | K_g | D_0 | D_1] are those
         of the scalar stiffness, then the divergence rows acting on each
-        component. K_ii is W's interior block, in the form factorize is to
-        take it: a dense view up to DENSE_LU_ROWS rows and CSC above, so
-        that a large one goes to SuperLU. One scatter of the element
-        matrices, on each call; eliminated dofs land in a leading row and
-        column that are cut off.
+        component. K_ii is W's interior block, a dense view: factorize
+        factors it by dense LU up to DENSE_LU_ROWS rows and cuts its band
+        from the diagonals above. One scatter of the element matrices, on
+        each call; eliminated dofs land in a leading row and column that are
+        cut off.
         """
         ths, el = self.ths, self._el
         ni, n, npre = ths.n_inner, ths.n_inner + ths.n_gamma, ths.n_pressure
@@ -597,13 +738,14 @@ class PatchStokesSystem:
                               (rows * (n + 1) + sv[:, None, None, :]).ravel()])
         W = np.bincount(idx, weights=np.concatenate([el.Ke.ravel(), el.De.ravel()]),
                         minlength=(n + 1 + 2 * npre) * (n + 1)).reshape(-1, n + 1)[1:, 1:]
-        K_ii = W[:ni, :ni]
-        return (K_ii if ni <= DENSE_LU_ROWS else sp.csc_matrix(K_ii)), W
+        return W[:ni, :ni], W
 
     def condense_interior(self, what):
         """The one elimination of the patch's interior velocity, not cached.
 
-        One factorize of the scalar K_ii, labelled `what`, and one solve
+        One factorize of the scalar K_ii as an SPD matrix, labelled `what`
+        (dense LU up to DENSE_LU_ROWS rows, the band Cholesky above), and
+        one solve
         X = K_ii^-1 Q^T, Q = [K_gi; D_0i; D_1i] (condensation_blocks).
         Returns lu (None without interior dofs), X, the Schur complement
         S = K_gg - K_gi K_ii^-1 K_ig, the condensed divergence Dg
@@ -614,7 +756,7 @@ class PatchStokesSystem:
         ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
         K_ii, W = self.condensation_blocks()
         Q = W[ni:, :ni]
-        lu = factorize(K_ii, what, fem=True) if ni else None
+        lu = factorize(K_ii, what, spd=True) if ni else None
         X = lu.solve(Q.T) if ni else np.zeros((0, len(Q)))
         G = W[ni:, ni:] - Q @ X[:, :ng]  # [S; condensed D_0g; condensed D_1g]
         p0, p1 = slice(ng, ng + npre), slice(ng + npre, None)  # D_0, D_1 rows of Q
@@ -954,7 +1096,15 @@ class GlobalStokesSystem:
         return self.n_free_velocity + self.n_pressure
 
     def free_blocks(self):
-        """(K_ff, D_f, f, h) on free velocity dofs, components stacked."""
+        """(K_ff, D_f, f, h) on free velocity dofs, components stacked.
+
+        Built on the first call and shared by solve and the pressure Schur
+        spectrum; callers must not modify the returned arrays.
+        """
+        return self._free_blocks
+
+    @cached_property
+    def _free_blocks(self):
         f = self.free
         d = np.flatnonzero(self.dir_mask)
         Kf = self.Ks[f]

@@ -9,8 +9,10 @@ import scipy.sparse.linalg as spla
 
 import ietistokes
 from ietistokes.assembly import (
+    BAND_ENTRIES,
     DENSE_LU_ROWS,
     FEM_SUPERLU,
+    BandCholesky,
     DenseLU,
     SingularLocalSystemError,
     _check_vector,
@@ -445,34 +447,42 @@ def _monolithic_saddle(monkeypatch, spec, degree, refinement):
 
 
 def test_finite_element_systems_get_the_symmetric_superlu_mode(monkeypatch):
-    # the monolithic saddle, the spectrum's velocity stiffness and a K_ii
-    # above DENSE_LU_ROWS are factored in SuperLU's symmetric mode; the IETI
-    # coarse primal system keeps SuperLU's defaults (COLAMD)
+    # the monolithic saddle is factored in SuperLU's symmetric mode; the
+    # spectrum's velocity stiffness and a K_ii above DENSE_LU_ROWS, both SPD
+    # with a narrow band, take the band Cholesky; the IETI coarse primal
+    # system keeps SuperLU's defaults (COLAMD)
     from ietistokes.analysis import pressure_schur_spectrum
     from ietistokes.ieti import solve_stokes_ieti
 
-    calls = []
-    real = spla.splu
+    calls, bands = [], []
+    real, real_band = spla.splu, BandCholesky.__init__
 
     def spy(A, **kw):
         calls.append((A.shape[0], kw))
         return real(A, **kw)
 
+    def band_spy(self, ab, perm, what):
+        bands.append(ab.shape[1])
+        real_band(self, ab, perm, what)
+
     monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(BandCholesky, "__init__", band_spy)
     mp = parse_domain("grid(1,1)")
     glob = assemble_global(mp, taylor_hood_spaces(mp, 1, refinement=3))
     glob.solve()
     pressure_schur_spectrum(glob)
-    assert calls == [(532, FEM_SUPERLU), (450, FEM_SUPERLU)]
+    assert calls == [(532, FEM_SUPERLU)] and bands == [450]
     calls.clear()
+    bands.clear()
     ths = build_taylor_hood(unit_square(), 1, refinement=4)
     assert ths.n_inner > DENSE_LU_ROWS
     assemble_patch(unit_square(), ths).condense_interior("interior stiffness")
-    assert calls == [(ths.n_inner, FEM_SUPERLU)]
+    assert calls == [] and bands == [ths.n_inner]
     calls.clear()
+    bands.clear()
     mp = parse_domain("quarter_annulus(1,2,16,16)")
     solve_stokes_ieti(mp, taylor_hood_spaces(mp, 2, refinement=1), rhs=manufactured_rhs)
-    assert calls == [(1187, {})]
+    assert calls == [(1187, {})] and bands == []
 
 
 def test_factorize_fem_is_superlu_in_symmetric_mode():
@@ -543,6 +553,106 @@ def test_factorize_sends_dense_arrays_to_getrf():
         factorize(Ks.toarray(), "floating stiffness")
 
 
+def _velocity_stiffness(spec, degree, refinement):
+    """The stacked free velocity stiffness that the pressure Schur spectrum
+    factors, and its system."""
+    mp = parse_domain(spec)
+    glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement))
+    return glob.free_blocks()[0], glob
+
+
+@pytest.mark.parametrize("spec, degree, refinement, bandwidth, reordered",
+                         [("grid(1,1)", 2, 4, 99, False), ("grid(3,3)", 2, 2, 121, True)])
+def test_spd_factor_is_a_band_cholesky_in_the_narrower_order(spec, degree, refinement,
+                                                              bandwidth, reordered):
+    # the tensor order of one patch is narrower than reverse Cuthill-McKee
+    # (99 against 123); on nine patches RCM narrows 255 to 121. Either way
+    # the band factor solves like SuperLU's symmetric mode, and its L is
+    # the stored band, explicit zeros kept
+    A, _ = _velocity_stiffness(spec, degree, refinement)
+    lu = factorize(A, "velocity stiffness", spd=True)
+    n = A.shape[0]
+    assert isinstance(lu, BandCholesky) and lu.shape == A.shape
+    assert lu.bandwidth == bandwidth and (lu.perm is not None) == reordered
+    b = np.random.default_rng(3).standard_normal((n, 3))
+    want = spla.splu(A.tocsc(), **FEM_SUPERLU).solve(b)
+    for got, ref in ((lu.solve(b), want), (lu.solve(b[:, 0]), want[:, 0])):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    p = np.arange(n) if lu.perm is None else lu.perm
+    L = lu.L
+    assert L.nnz == n * (bandwidth + 1) - bandwidth * (bandwidth + 1) // 2 == lu.U.nnz
+    assert np.abs((L @ lu.U - A.tocsr()[p][:, p]).toarray()).max() < 1e-12 * abs(A).max()
+    Y = lu.forward(b)
+    assert np.abs(Y.T @ Y - b.T @ want).max() <= 1e-12 * np.abs(b.T @ want).max()
+
+
+def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
+    # T = Y^T Y with Y = L^-1 P D^T is D K^-1 D^T; a stiffness whose band
+    # holds one entry more than BAND_ENTRIES goes to SuperLU's symmetric
+    # mode instead, and gives the same spectrum
+    import ietistokes.analysis as analysis
+    import ietistokes.assembly as assembly
+
+    K, glob = _velocity_stiffness("grid(1,1)", 2, 3)
+    D = glob.free_blocks()[1]
+    want = D @ spla.splu(K.tocsc()).solve(D.toarray().T)
+    entries = K.shape[0] * (factorize(K, "velocity stiffness", spd=True).bandwidth + 1)
+    assert entries <= BAND_ENTRIES
+    got, calls = [], []
+    real_extremes, real_splu = analysis._dense_extremes, spla.splu
+    monkeypatch.setattr(analysis, "_dense_extremes",
+                        lambda T, Mp: got.append(T) or real_extremes(T, Mp))
+    monkeypatch.setattr(spla, "splu",
+                        lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
+    kappas = []
+    for cut in (entries, entries - 1):
+        monkeypatch.setattr(assembly, "BAND_ENTRIES", cut)
+        kappas.append(analysis.pressure_schur_spectrum(glob).kappa)
+    assert calls == [(K.shape[0], FEM_SUPERLU)]
+    for T in got:
+        assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(kappas[0] - kappas[1]) <= 1e-12 * kappas[1]
+
+
+def test_band_cholesky_rejects_indefinite_and_floating_matrices():
+    # an indefinite matrix stops the band Cholesky; the floating scalar
+    # stiffness, positive semidefinite with the constants in its kernel,
+    # fails there or in the residual check; both name the system
+    A, _ = _velocity_stiffness("grid(1,1)", 2, 4)
+    with pytest.raises(SingularLocalSystemError, match="negated stiffness is not positive"):
+        factorize(-A, "negated stiffness", spd=True)
+    ths = build_taylor_hood(unit_square(), 1, refinement=4)
+    K_ii, _ = assemble_patch(unit_square(), ths).condensation_blocks()
+    assert isinstance(K_ii, np.ndarray) and K_ii.shape[0] > DENSE_LU_ROWS
+    with pytest.raises(SingularLocalSystemError, match="negated K_ii is not positive"):
+        factorize(-K_ii, "negated K_ii", spd=True)
+    Ks = assemble_patch(unit_square(), build_taylor_hood(unit_square(), 2, refinement=4)).Ks
+    for floating in (Ks, Ks.toarray()):
+        with pytest.raises(SingularLocalSystemError, match="floating stiffness is"):
+            factorize(floating, "floating stiffness", spd=True)
+
+
+def test_free_blocks_are_built_once_per_system(monkeypatch):
+    # the monolithic solve and the pressure Schur spectrum of one cell share
+    # one build of the free-dof blocks
+    from ietistokes.analysis import pressure_schur_spectrum
+    from ietistokes.assembly import GlobalStokesSystem
+
+    builds = []
+    cached = GlobalStokesSystem.__dict__["_free_blocks"]
+    real = cached.func
+    monkeypatch.setattr(cached, "func", lambda self: builds.append(self) or real(self))
+    mp = parse_domain("grid(1,1)")
+    for level in (2, 3):
+        glob = assemble_global(mp, taylor_hood_spaces(mp, 1, refinement=level),
+                               rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        glob.solve()
+        pressure_schur_spectrum(glob)
+        assert glob.free_blocks() is glob.free_blocks()
+    assert len(builds) == 2 and builds[0] is not builds[1]
+
+
 def _dotted(node, aliases):
     """Full dotted name of a Name/Attribute chain, import aliases resolved."""
     parts = []
@@ -572,14 +682,17 @@ def _dense_solver_calls(tree):
 
 
 def test_direct_solves_only_in_factorize():
-    # every LU in the package goes through the checked factorization:
-    # SuperLU and LAPACK getrf in factorize, getrs in its dense factor class
+    # every factorization in the package goes through the checked
+    # factorize: SuperLU and LAPACK getrf in factorize, getrs in its dense
+    # factor class, the band Cholesky and its solves in the band factor
+    # class; no dense Cholesky anywhere
     src = Path(ietistokes.__file__).parent
     tree = ast.parse((src / "assembly.py").read_text())
     scopes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name in ("factorize", "DenseLU")}
-    calls = ("splu(", "spsolve(", "lu_factor(", "lu_solve(", "getrf", "getrs")
+              and node.name in ("factorize", "DenseLU", "BandCholesky")}
+    calls = ("splu(", "spsolve(", "lu_factor(", "lu_solve(", "getrf", "getrs",
+             "pbtrf", "pbtrs", "tbtrs", "potrf")
     hits = {
         (path.name, next((name for name, lines in scopes.items()
                           if path.name == "assembly.py" and lineno in lines), None), call)
@@ -588,7 +701,9 @@ def test_direct_solves_only_in_factorize():
         for call in calls if call in line
     }
     assert hits == {("assembly.py", "factorize", "splu("), ("assembly.py", "factorize", "getrf"),
-                    ("assembly.py", "DenseLU", "getrs")}
+                    ("assembly.py", "DenseLU", "getrs"), ("assembly.py", "BandCholesky", "pbtrf"),
+                    ("assembly.py", "BandCholesky", "pbtrs"),
+                    ("assembly.py", "BandCholesky", "tbtrs")}
     # and no local solve of the IETI layer bypasses it through a dense
     # numpy/scipy solve or inverse; the brute-force checks may use them
     found = _dense_solver_calls(ast.parse((src / "ieti.py").read_text()))
@@ -648,9 +763,9 @@ def test_condense_interior_factors_the_scalar_interior_block_once(monkeypatch):
 
     calls = []
 
-    def spy(A, what, fem=False):
+    def spy(A, what, fem=False, spd=False):
         calls.append((A.shape[0], what))
-        return factorize(A, what, fem)
+        return factorize(A, what, fem, spd)
 
     for module in (assembly, analysis, ieti):
         monkeypatch.setattr(module, "factorize", spy)
