@@ -11,6 +11,7 @@ functions in `analysis` cover the spectral side.
 
 from .analysis import (
     InfSupStudy,
+    SpectrumError,
     local_infsup,
     pressure_schur_condition,
     pressure_schur_extremes,
@@ -114,4 +115,5 @@ __all__ = (
     "skeleton_matrices",
     "skeleton_spectra",
     "InfSupStudy",
+    "SpectrumError",
 )

@@ -37,6 +37,7 @@ from .geometry import SIDES
 
 __all__ = (
     "SchurSpectrum",
+    "SpectrumError",
     "pressure_schur_extremes",
     "pressure_schur_spectrum",
     "pressure_schur_condition",
@@ -81,6 +82,12 @@ class SchurSpectrum:
     def __repr__(self):
         return "SchurSpectrum(beta=%.4g, delta=%.4g, kappa=%.4g, method=%s)" % (
             self.beta, self.delta, self.kappa, self.method)
+
+
+class SpectrumError(RuntimeError):
+    """The pressure Schur spectrum could not be computed (the iterative
+    eigensolve failed where the dense one is too large), or it is not
+    admissible (a condition number below one)."""
 
 
 class _NotConverged(RuntimeError):
@@ -157,7 +164,7 @@ def _schur_extremes(schur, dense, Mp, dofs, method):
             return SchurSpectrum(lmin, lmax, dofs, "iterative")
         except _NotConverged:
             if dofs > DENSE_LIMIT:
-                raise RuntimeError(
+                raise SpectrumError(
                     "iterative eigensolve did not converge and the problem "
                     "is too large for the dense fallback (%d dofs)" % dofs)
             method = "dense"
@@ -314,5 +321,5 @@ class InfSupStudy:
             rows = [self.run_cell(*c) for c in cells]
         for row in rows:
             if not row["kappa"] >= 1.0:
-                raise RuntimeError("condition number below one: %r" % (row,))
+                raise SpectrumError("condition number below one: %r" % (row,))
         return rows

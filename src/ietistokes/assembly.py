@@ -21,12 +21,13 @@ Patches with equal geometry, velocity and pressure spaces (degrees and
 knots compared by value) that are all rational or all polynomial form a
 family; taylor_hood_spaces gives the patches with equal breakpoints one
 shared vel/pre pair. One element-quadrature kernel, _element_tables, serves
-a whole family: it tabulates the splines once, builds the geometry tables
-of the stacked control nets with the map kernel of geometry
-(_geometry_tables), and runs over chunks of the family's patches cut so
-that no chunk's physical gradients exceed geometry.CHUNK_BYTES (1 MB; at
-least one patch a chunk). The element matrices (_element_forms) and the
-error moments (_error_moments) are its two readers. element_forms and
+a whole family: it tabulates the splines and the geometry space once,
+builds the geometry tables of the stacked control nets with the map kernel
+of geometry (_geometry_tables), and runs over chunks of the family's
+patches cut so that no chunk's physical gradients exceed
+geometry.CHUNK_BYTES (1 MB; at least one patch a chunk). The element
+matrices (_element_forms) and the error moments (_error_moments) are its
+two readers. element_forms and
 total_errors run it once per family, and element_forms also projects the
 Dirichlet data of the whole family (_dirichlet_values); assemble_patch
 takes its patch's entry of element_forms, or treats the patch as a family
@@ -61,6 +62,7 @@ from .geometry import (
     _chunks,
     _corner_points,
     _geometry_tables,
+    _grid_tables,
     _outline,
     _patch_side_traces,
     _space_key,
@@ -561,7 +563,8 @@ def _element_tables(patches, members, ths, nq):
     the quadrature weights; Nv, gu, gv (nel, Q, nlv), the velocity basis
     values and their parametric derivatives; Np (nel, Q, nlp), the pressure
     basis values; ids_v (nel, nlv) and ids_p (nel, nlp), the scalar dof ids
-    of the local functions. Yields (chunk, t) for consecutive slices chunk
+    of the local functions; so are the geometry space's univariate tables
+    (_grid_tables). Yields (chunk, t) for consecutive slices chunk
     of members: t holds the shared tables and, with a leading axis over the
     chunk's P patches, wdet (P, nel, Q), the weights times det(jac); pts
     (P, nel, Q, 2), the physical points; jinv (P, nel, Q, 2, 2), the inverse
@@ -592,10 +595,11 @@ def _element_tables(patches, members, ths, nq):
     )
     nelx, nely = qx.shape[0], qy.shape[0]
     nel, npts, nlv = shared["Nv"].shape
+    tables = _grid_tables(patches[members[0]].space, qx.ravel(), qy.ravel())
     for chunk in _chunks(len(members), 16 * nel * nlv * npts):
         ks = members[chunk]
         pts, jac, det = (_per_element(a, nelx, nely, nq) for a in
-                         _geometry_tables([patches[k] for k in ks], qx.ravel(), qy.ravel()))
+                         _geometry_tables([patches[k] for k in ks], tables))
         bad = det.reshape(len(ks), -1).min(axis=1) <= 0.0
         if bad.any():
             number = " %d" % ks[bad.argmax()] if len(patches) > 1 else ""

@@ -8,29 +8,10 @@ breakpoints. Evaluation uses the Cox-de Boor recursion, vectorised over
 arrays of points (one span search and one recursion for all of them), and is
 right-continuous, except at x = 1 where the left limit is taken.
 
-The patches of a conforming multi-patch discretization share their
-parametric discretization, so they tabulate the same univariate tables at the
-same Gauss, Greville and side points. eval_all_derivatives therefore keeps
-the tables it computes for arrays of points in one process-wide cache:
-
-- keyed by value: the bytes of the knots and of the points, the shape of
-  the point array, the degree and the number of derivatives; equal inputs
-  give the same table whatever objects hold them;
-- the arrays it returns are read-only and shared by every caller; copy them
-  before writing;
-- bounded: the entries (tables and keys) hold at most TABLE_CACHE_BYTES, the
-  least recently used go first, and a table larger than the bound is not
-  kept;
-- thread safe: a lock guards the lookup and the insertion, while the
-  recursion runs outside it, so two threads asking for the same new table
-  may both compute it, and both get a correct one.
-
-Scalar points are not cached.
+Callers that need one table at many points (the map kernels of geometry,
+the element quadrature of assembly) ask for it once per kernel call and
+share it across the patches they evaluate; this module keeps no state.
 """
-
-import collections
-import functools
-import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,53 +69,20 @@ def find_span(knots, degree, x):
     return int(span) if np.ndim(span) == 0 else span
 
 
-# bound on the bytes held by the table cache of eval_all_derivatives
-TABLE_CACHE_BYTES = 8 * 2**20
-
-_tables = collections.OrderedDict()  # key -> (first, ders, nbytes), oldest first
-_tables_bytes = 0
-_tables_lock = threading.Lock()
-
-
 def eval_all_derivatives(knots, degree, x, nders):
     """Values and derivatives of the active basis functions at x.
 
     For a scalar x returns (first, ders) where ders[k, j] is the k-th
     derivative of basis function first+j, for k = 0..nders and
     j = 0..degree. For a 1d array of points returns (first, ders) with first
-    of shape (n,) and ders of shape (nders+1, n, degree+1); these arrays are
-    read-only and come from the table cache (see the module docstring).
-    """
-    global _tables_bytes
-    knots = np.asarray(knots, dtype=float)
-    if np.ndim(x) == 0:
-        first, ders = _cox_de_boor(knots, degree, np.array([x], dtype=float), nders)
-        return int(first[0]), ders[:, 0]
-    xs = np.asarray(x, dtype=float)
-    key = (knots.tobytes(), int(degree), xs.shape, xs.tobytes(), int(nders))
-    with _tables_lock:
-        hit = _tables.get(key)
-        if hit is not None:
-            _tables.move_to_end(key)
-            return hit[:2]
-    first, ders = _cox_de_boor(knots, degree, xs, nders)
-    first.flags.writeable = ders.flags.writeable = False
-    nbytes = len(key[0]) + len(key[3]) + first.nbytes + ders.nbytes
-    with _tables_lock:
-        if key not in _tables and nbytes <= TABLE_CACHE_BYTES:
-            _tables[key] = (first, ders, nbytes)
-            _tables_bytes += nbytes
-            while _tables_bytes > TABLE_CACHE_BYTES:
-                _tables_bytes -= _tables.popitem(last=False)[1][2]
-    return first, ders
-
-
-def _cox_de_boor(knots, degree, xs, nders):
-    """eval_all_derivatives on a 1d float array xs, without the cache.
+    of shape (n,) and ders of shape (nders+1, n, degree+1).
 
     This is algorithm A2.3 of Piegl & Tiller, The NURBS Book, with the point
     axis vectorised; only the loops over the degree run in Python.
     """
+    knots = np.asarray(knots, dtype=float)
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     p = degree
     span = find_span(knots, p, xs)
     offs = np.arange(p + 1)[:, None]
@@ -179,7 +127,10 @@ def _cox_de_boor(knots, degree, xs, nders):
     for k in range(1, nd + 1):
         ders[k, :] *= r
         r *= p - k
-    return span - p, ders.transpose(0, 2, 1)
+    first, ders = span - p, ders.transpose(0, 2, 1)
+    if scalar:
+        return int(first[0]), ders[:, 0]
+    return first, ders
 
 
 def insert_knot(knots, degree, coeffs, x):
@@ -283,11 +234,16 @@ class UnivariateSplineSpace:
 
     def collocation(self, points, der=0):
         """Dense matrix of basis (derivative) values at the given points."""
+        return self.collocations(points, der)[der]
+
+    def collocations(self, points, nders=1):
+        """(nders+1, len(points), dim): the dense matrices of the basis
+        derivatives 0..nders at the given points, from one recursion."""
         pts = np.atleast_1d(np.asarray(points, dtype=float)).ravel()
-        first, ders = eval_all_derivatives(self.knots, self.degree, pts, der)
-        out = np.zeros((pts.size, self.dim))
+        first, ders = eval_all_derivatives(self.knots, self.degree, pts, nders)
+        out = np.zeros((nders + 1, pts.size, self.dim))
         cols = first[:, None] + np.arange(self.degree + 1)
-        out[np.arange(pts.size)[:, None], cols] = ders[der]
+        out[:, np.arange(pts.size)[:, None], cols] = ders
         return out
 
     def interpolate(self, f):
@@ -331,16 +287,9 @@ class UnivariateSplineSpace:
         return first, ders.reshape(nders + 1, nel, nq, self.degree + 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _legendre_rule(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False  # shared by every caller
-    return x, w
-
-
 def gauss_rule_1d(n):
     """n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = _legendre_rule(int(n))
+    x, w = np.polynomial.legendre.leggauss(int(n))
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -7,9 +7,10 @@ study-infsup  pressure Schur condition numbers over a (degree, level) grid
 solve         one IETI-DP solve with a plain-text field export
 verify        cross-module property suites
 
-Exit codes: 0 success, 1 solver non-convergence, 2 invalid configuration or
-geometry, 3 property suite failure. The thread count can be overridden with
-the IETISTOKES_THREADS environment variable.
+Exit codes: 0 success, 1 solver non-convergence (also of the eigensolve of
+study-infsup), 2 invalid configuration or geometry, 3 property suite
+failure. The thread count can be overridden with the IETISTOKES_THREADS
+environment variable.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import InfSupStudy, local_infsup
+from .analysis import InfSupStudy, SpectrumError, local_infsup
 from .assembly import (
     assemble_global,
     assemble_patch,
@@ -93,6 +94,9 @@ class RunConfig:
             raise ConfigError("thread count must be positive")
         if self.samples < 2:
             raise ConfigError("need at least 2 sample points per direction")
+        if command == "solve" and (len(self.degrees) > 1 or len(self.levels) > 1):
+            raise ConfigError("solve takes one degree and one level, got degrees %s and levels %s"
+                              % (self.degrees, self.levels))
 
 
 def load_domain(spec):
@@ -265,7 +269,7 @@ def export_solution(path, mp, spaces, us, ps, samples):
 
 def run_solve(config):
     mp = load_domain(config.domain)
-    degree, level = config.degrees[0], config.levels[0]
+    (degree,), (level,) = config.degrees, config.levels
     spaces = taylor_hood_spaces(mp, degree, config.smoothness, level)
     rhs, dirichlet, use_mean, manufactured = problem_data(mp, config)
     us, ps, report = solve_stokes_ieti(
@@ -550,6 +554,9 @@ def main(argv=None):
         return 2
     try:
         return COMMANDS[config.command](config)
+    except SpectrumError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, OSError, SingularLocalSystemError,
             TopologyError, DegenerateJacobianError) as exc:
         print("error: %s" % exc, file=sys.stderr)

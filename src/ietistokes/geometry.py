@@ -16,8 +16,10 @@ overlap (T-junction) and is rejected.
 Maps with equal geometry spaces (degrees and knots compared by value) that
 are all rational or all polynomial form a family (_map_families). One
 kernel, _geometry_tables, evaluates a family on a tensor grid of parameters
-by sum factorization, and every grid-shaped evaluation of the package runs
-on it, over chunks of the family whose temporaries stay within a bound:
+by sum factorization from the univariate tables of the grid (_grid_tables,
+built once per kernel call), and every grid-shaped evaluation of the
+package runs on it, over chunks of the family whose temporaries stay
+within a bound:
 the element quadrature of assembly (CHUNK_BYTES), the side traces, and the
 corners, diameters, Jacobian extremes, distortions and areas
 (MAP_CHUNK_BYTES). A single map is a family of one, so the GeometryMap
@@ -160,34 +162,41 @@ def _per_map_family(geos, kernel, *args):
     return out if isinstance(res, tuple) else out[0]
 
 
-def _geometry_tables(geos, xs, ys):
-    """Jacobian data of a family of maps on the tensor grid xs x ys.
+def _grid_tables(space, xs, ys):
+    """The univariate tables of a geometry space on the tensor grid xs x ys:
+    (gx, gy), the collocation matrices of the values and first derivatives,
+    of shape (2, len(xs), nx) and (2, len(ys), ny). One recursion per
+    direction; a kernel call builds them once and reads them for every
+    chunk of its family."""
+    return space.space_x.collocations(xs), space.space_y.collocations(ys)
 
-    geos share one geometry space and are all rational or all polynomial.
-    Returns pts (P, len(xs), len(ys), 2), jac (..., 2, 2) and det (...) for
-    the P = len(geos) maps. The stacked control nets are contracted one
-    direction at a time (sum factorization, Antolin, Buffa, Calabro,
-    Martinelli & Sangalli, CMAME 2015): once with each y-table, then each
-    result with an x-table, so every table costs two matrix products
-    whatever P is. Its temporaries take about 24 floats a grid point and
-    map (_GRID_BYTES); callers bound them by chunks of the family.
+
+def _geometry_tables(geos, tables):
+    """Jacobian data of a family of maps on the tensor grid of tables.
+
+    geos share one geometry space and are all rational or all polynomial;
+    tables are its _grid_tables on a grid xs x ys. Returns pts (P,
+    len(xs), len(ys), 2), jac (..., 2, 2) and det (...) for the P =
+    len(geos) maps. The stacked control nets are contracted one direction
+    at a time (sum factorization, Antolin, Buffa, Calabro, Martinelli &
+    Sangalli, CMAME 2015): once with each y-table, then each result with an
+    x-table, so every table costs two matrix products whatever P is. Its
+    temporaries take about 24 floats a grid point and map (_GRID_BYTES);
+    callers bound them by chunks of the family.
     """
-    space = geos[0].space
-    sx, sy = space.space_x, space.space_y
+    (gx0, gx1), (gy0, gy1) = tables
+    (nxs, nx), (nys, ny) = gx0.shape, gy0.shape
     rational = geos[0].weights is not None
     hom = np.stack([g.control for g in geos])
     if rational:
         w = np.stack([g.weights for g in geos])[..., None]
         hom = np.concatenate([hom * w, w], axis=-1)
     P, _, ncomp = hom.shape
-    nx, ny = space.nx, space.ny
     net = hom.reshape(P, ny, nx * ncomp).transpose(1, 0, 2).reshape(ny, -1)
     # (nx, ys * P * ncomp): the y-contracted nets, x index leading
-    t0, t1 = ((sy.collocation(ys, der=d) @ net).reshape(len(ys), P, nx, ncomp)
-              .transpose(2, 0, 1, 3).reshape(nx, -1) for d in (0, 1))
-    gx0 = sx.collocation(xs)
-    gx1 = sx.collocation(xs, der=1)
-    s, su, sv = ((gx @ t).reshape(len(xs), len(ys), P, ncomp).transpose(2, 0, 1, 3)
+    t0, t1 = ((g @ net).reshape(nys, P, nx, ncomp).transpose(2, 0, 1, 3).reshape(nx, -1)
+              for g in (gy0, gy1))
+    s, su, sv = ((gx @ t).reshape(nxs, nys, P, ncomp).transpose(2, 0, 1, 3)
                  for gx, t in ((gx0, t0), (gx1, t0), (gx0, t1)))
     if rational:
         w = s[..., 2]
@@ -205,13 +214,15 @@ def _geometry_tables(geos, xs, ys):
 def _on_grid(geos, xs, ys, reduce):
     """reduce(pts, jac, det) of the family geos on the grid xs x ys.
 
-    The kernel runs over chunks of geos whose tables fit in
-    MAP_CHUNK_BYTES; reduce returns an array with a leading axis over the
-    chunk's maps, and the chunks' arrays are joined in order.
+    The tables are built once, and the kernel runs over chunks of geos
+    whose temporaries fit in MAP_CHUNK_BYTES; reduce returns an array with
+    a leading axis over the chunk's maps, and the chunks' arrays are joined
+    in order.
     """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    return np.concatenate([reduce(*_geometry_tables(geos[chunk], xs, ys)) for chunk in
-                           _chunks(len(geos), _GRID_BYTES * xs.size * ys.size, MAP_CHUNK_BYTES)])
+    tables = _grid_tables(geos[0].space, xs, ys)
+    per_patch = _GRID_BYTES * tables[0].shape[1] * tables[1].shape[1]
+    return np.concatenate([reduce(*_geometry_tables(geos[chunk], tables))
+                           for chunk in _chunks(len(geos), per_patch, MAP_CHUNK_BYTES)])
 
 
 def grid_points(geos, xs, ys):
@@ -229,7 +240,8 @@ def side_traces(geos, params):
     (len(geos), len(t), 2): the physical points, the tangent dx/dt and the
     outward normal times the length element, so that the integral of f n ds
     over the side is the integral over t in [0, 1] of f(t) * normal(t). One
-    kernel call per side and chunk of the family. This is the one place
+    table build per side, and one kernel call per side and chunk of the
+    family. This is the one place
     that decides which parameter runs along a side, which Jacobian column is
     its tangent and which rotation points outward.
     """
@@ -239,10 +251,11 @@ def side_traces(geos, params):
         fixed, value, signs = _side_frame(side)
         t = np.asarray(t, dtype=float).ravel()
         grid = (np.array([value]), t) if fixed == 0 else (t, np.array([value]))
+        tables = _grid_tables(geos[0].space, *grid)
         pts = np.empty((len(geos), t.size, 2))
         tangent = np.empty_like(pts)
         for chunk in _chunks(len(geos), _GRID_BYTES * t.size, MAP_CHUNK_BYTES):
-            x, jac, _ = _geometry_tables(geos[chunk], *grid)
+            x, jac, _ = _geometry_tables(geos[chunk], tables)
             pts[chunk] = x.reshape(-1, t.size, 2)
             tangent[chunk] = jac[..., 1 - fixed].reshape(-1, t.size, 2)
         out[side] = (pts, tangent, tangent[..., ::-1] * signs)

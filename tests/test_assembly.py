@@ -39,6 +39,7 @@ from ietistokes.geometry import (
     DegenerateJacobianError,
     GeometryMap,
     _geometry_tables,
+    _grid_tables,
     bilinear_patch,
     build_multipatch,
     side_param,
@@ -953,7 +954,7 @@ def test_geometry_tables_match_pointwise_map(geo):
     ys = element_rule(np.linspace(0.0, 1.0, 3), 5)[0].ravel()
     family = [geo, GeometryMap(geo.space, geo.control @ [[2.0, 0.5], [0.0, 1.0]] + 1.0,
                                geo.weights)]
-    tables = _geometry_tables(family, xs, ys)
+    tables = _geometry_tables(family, _grid_tables(geo.space, xs, ys))
     uu, vv = np.meshgrid(xs, ys, indexing="ij")
     for j, g in enumerate(family):
         ref_pts, ref_jac = g.eval(uu, vv)

@@ -130,6 +130,38 @@ def test_non_integer_threads_env_exits_2(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_solve_with_more_than_one_cell_exits_2(capsys):
+    # solve runs one (degree, level) pair; a list is refused, not truncated
+    for grid in (["--degrees", "1,2", "--levels", "1"], ["--degrees", "1", "--levels", "1,2"]):
+        assert main(["solve", "--domain", "grid(1,1)"] + grid) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: solve takes one degree and one level")
+
+
+def test_study_eigensolve_failure_exits_1(monkeypatch, capsys):
+    # the iterative eigensolve fails and the cell is too large for the dense
+    # fallback; a condition number below one is refused the same way
+    import ietistokes.analysis as analysis
+
+    def not_converged(schur, Mp):
+        raise analysis._NotConverged("forced")
+
+    monkeypatch.setattr(analysis, "DENSE_LIMIT", 10)
+    monkeypatch.setattr(analysis, "_iterative_extremes", not_converged)
+    args = ["study-infsup", "--domain", "grid(1,1)", "--degrees", "1", "--levels", "2"]
+    assert main(args + ["--method", "iterative"]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: iterative eigensolve did not converge")
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis.InfSupStudy, "run_cell",
+                        lambda self, p, l: {"kappa": 0.5, "degree": p, "level": l})
+    assert main(args) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: condition number below one")
+
+
 def test_pcg_breakdown_exits_1(monkeypatch, capsys):
     import ietistokes.ieti as ieti
 

@@ -382,7 +382,7 @@ def test_matching_evaluates_each_patch_once(monkeypatch):
     calls = []
     real = geometry._geometry_tables
     monkeypatch.setattr(geometry, "_geometry_tables",
-                        lambda geos, xs, ys: calls.append(list(geos)) or real(geos, xs, ys))
+                        lambda geos, tables: calls.append(list(geos)) or real(geos, tables))
     monkeypatch.setattr(GeometryMap, "eval", None)
     assert check_interface_matching(mp, spaces).ok
     assert len(calls) == 4
@@ -631,12 +631,50 @@ def test_map_kernel_calls_do_not_grow_with_the_patch_count(monkeypatch):
     for spec in ("quarter_annulus(1,2,8,8)", "quarter_annulus(1,2,16,16)"):
         calls = []
 
-        def counting(geos, xs, ys):
+        def counting(geos, tables):
             calls.append(len(geos))
-            return real(geos, xs, ys)
+            return real(geos, tables)
 
         monkeypatch.setattr(geometry, "_geometry_tables", counting)
         monkeypatch.setattr(assembly, "_geometry_tables", counting)
         _solve_path(spec)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_map_kernels_tabulate_once_per_call_whatever_the_chunks(monkeypatch):
+    # one patch a chunk (bounds of 1 byte) and one chunk (bounds lifted):
+    # the kernel calls differ, the spline recursions do not. Each kernel
+    # call makes one per direction of each space it tabulates: side_traces
+    # the geometry space per side, _on_grid the geometry space, and
+    # _element_tables the velocity, pressure and geometry spaces
+    from ietistokes import assembly, bspline, geometry
+    from ietistokes.assembly import _element_tables, taylor_hood_spaces
+    from ietistokes.geometry import SIDES, _on_grid, side_traces
+
+    mp = parse_domain("quarter_annulus(1,2,4,4)")  # 16 patches, one family
+    spaces = taylor_hood_spaces(mp, 1, refinement=1)
+    members = list(range(mp.n_patches))
+    t = np.linspace(0.0, 1.0, 5)
+    kernels = (
+        lambda: side_traces(mp.patches, dict.fromkeys(SIDES, t)),
+        lambda: _on_grid(mp.patches, t, t, lambda pts, jac, det: det),
+        lambda: list(_element_tables(mp.patches, members, spaces[0], 3)),
+    )
+    recursions, chunks = [], []
+    real_eval, real_kernel = bspline.eval_all_derivatives, geometry._geometry_tables
+    monkeypatch.setattr(bspline, "eval_all_derivatives",
+                        lambda *a: recursions.append(a) or real_eval(*a))
+    for module in (geometry, assembly):
+        monkeypatch.setattr(module, "_geometry_tables",
+                            lambda geos, *grid: chunks.append(geos) or real_kernel(geos, *grid))
+    counts = []
+    for bound in (1, 2**40):
+        monkeypatch.setattr(geometry, "CHUNK_BYTES", bound)
+        monkeypatch.setattr(geometry, "MAP_CHUNK_BYTES", bound)
+        for kernel in kernels:
+            recursions.clear()
+            chunks.clear()
+            kernel()
+            counts.append((len(recursions), len(chunks)))
+    assert counts == [(8, 64), (2, 16), (6, 16), (8, 4), (2, 1), (6, 1)]

@@ -73,7 +73,7 @@ def test_flux_rows_evaluate_each_patch_once(monkeypatch):
     calls = []
     real = geometry._geometry_tables
     monkeypatch.setattr(geometry, "_geometry_tables",
-                        lambda geos, xs, ys: calls.append(list(geos)) or real(geos, xs, ys))
+                        lambda geos, tables: calls.append(list(geos)) or real(geos, tables))
     monkeypatch.setattr(GeometryMap, "eval", None)
     PrimalConstraints(mp, spaces, glob.systems)
     assert len(calls) == 4
