@@ -9,16 +9,14 @@ eigenvalue is the discrete inf-sup constant, the largest eigenvalue is the
 discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
 complement. pressure_schur_extremes factors the velocity stiffness K once,
-as an SPD matrix; with the band Cholesky P K P^T = L L^T of factorize, the
-dense path forms T = D K^-1 D^T as Y^T Y from one forward solve
-Y = L^-1 P D^T, with no backward sweep, and otherwise as D times the solve
-K^-1 D^T. The dense eigensolve removes the constant pressure with one
-Householder reflector. The skeleton routines compare the boundary Schur
-complement of the full saddle point system with the one of the vector
-Laplacian.
-local_infsup and skeleton_matrices read the elimination of the patch's
-interior velocity that the IETI-DP setup performs too
-(PatchStokesSystem.condense_interior).
+as an SPD matrix; with a band Cholesky P K P^T = L L^T the dense path forms
+T = D K^-1 D^T as Y^T Y from one forward half solve Y = L^-1 P D^T, and
+otherwise as D times the solve K^-1 D^T. local_infsup and skeleton_matrices
+read the same half solve for the patch's interior velocity, the elimination
+the IETI-DP setup performs too (PatchStokesSystem.condense_interior). The
+dense eigensolve removes the constant pressure with one Householder
+reflector. The skeleton routines compare the boundary Schur complement of
+the full saddle point system with the one of the vector Laplacian.
 """
 
 import math

@@ -21,24 +21,21 @@ Patches with equal geometry, velocity and pressure spaces (degrees and
 knots compared by value) that are all rational or all polynomial form a
 family; taylor_hood_spaces gives the patches with equal breakpoints one
 shared vel/pre pair. One element-quadrature kernel, _element_tables, serves
-a whole family: it tabulates the splines and the geometry space once,
-builds the geometry tables of the stacked control nets with the map kernel
-of geometry (_geometry_tables), and runs over chunks of the family's
-patches cut so that no chunk's physical gradients exceed
-geometry.CHUNK_BYTES (1 MB; at least one patch a chunk). The element
-matrices (_element_forms) and the error moments (_error_moments) are its
-two readers. element_forms and
-total_errors run it once per family, and element_forms also projects the
-Dirichlet data of the whole family (_dirichlet_values); assemble_patch
-takes its patch's entry of element_forms, or treats the patch as a family
-of one, as patch_errors does.
+a whole family: one Gauss rule, one tabulation of the splines and of the
+geometry space, and the geometry tables of the stacked control nets
+(geometry._geometry_tables), over chunks of the family's patches (at most
+geometry.CHUNK_BYTES of physical gradients a chunk, or one patch). Its two
+readers, the element matrices (_element_forms) and the error moments
+(_error_moments), run once per family in element_forms, which also
+projects the family's Dirichlet data (_dirichlet_values), and in
+total_errors; assemble_patch takes its patch's entry of element_forms or,
+like patch_errors, treats the patch as a family of one.
 PatchStokesSystem scatters the element matrices in two places when first
 asked for: the sparse all-dof forms Ks, D, Mp, and the dense scalar blocks
-on the free dofs (condensation_blocks). The free-dof saddle matrix is a
-slice of Ks and D; the right-hand side with the Dirichlet lift is formed
-element by element. condense_interior is the one elimination of a patch's
-interior velocity (one factor of the scalar K_ii); the IETI-DP local
-systems, analysis.local_infsup and analysis.skeleton_matrices read it.
+on the free dofs (condensation_blocks). condense_interior is the one
+elimination of a patch's interior velocity (one band Cholesky of the scalar
+K_ii and one forward half solve); the IETI-DP local systems,
+analysis.local_infsup and analysis.skeleton_matrices read it.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
@@ -54,7 +51,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bspline import TensorSplineSpace, element_rule
+from .bspline import TensorSplineSpace, element_rule, gauss_rule_1d, rule_on_elements
 from .geometry import (
     _CORNERS,
     SIDES,
@@ -104,18 +101,19 @@ class SingularLocalSystemError(RuntimeError):
     """A system handed to `factorize` is singular or numerically singular."""
 
 
-DENSE_LU_ROWS = 350  # systems up to this many rows are factored dense
+DENSE_LU_ROWS = 350  # sparse systems up to this many rows are factored dense
 # SuperLU for finite-element matrices (factorize's fem=True): minimum degree
 # on A^T + A, diagonal pivots preferred down to 1e-3 of the column maximum
 FEM_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
                    options=dict(SymmetricMode=True))
-BAND_ENTRIES = 1_100_000  # SPD systems whose band holds up to this many entries: BandCholesky
+BAND_ENTRIES = 1_100_000  # sparse SPD systems whose band holds up to this many: BandCholesky
 
 
 class DenseLU:
     """LAPACK LU factors of a small system, with the SuperLU interface the
     package reads: shape, solve (1-D or 2-D right-hand sides) and the unit
-    lower and upper triangles L and U, built on demand as sparse matrices.
+    lower and upper triangles L and U, built on demand as sparse matrices
+    of n (n + 1) / 2 entries each, explicit zeros kept.
     """
 
     def __init__(self, lu, piv):
@@ -131,27 +129,29 @@ class DenseLU:
 
     @property
     def L(self):
-        return sp.csc_matrix(np.tril(self._lu, -1) + np.eye(self.shape[0]))
+        r, c = np.tril_indices(self.shape[0])
+        return sp.csc_matrix((np.where(r == c, 1.0, self._lu[r, c]), (r, c)), shape=self.shape)
 
     @property
     def U(self):
-        return sp.csc_matrix(np.triu(self._lu))
+        r, c = np.triu_indices(self.shape[0])
+        return sp.csc_matrix((self._lu[r, c], (r, c)), shape=self.shape)
 
 
 class BandCholesky:
     """LAPACK band Cholesky P A P^T = L L^T of a symmetric positive definite
     matrix, with the interface the package reads: shape, solve (1-D or 2-D
     right-hand sides) and L and U, the stored band of L and its transpose as
-    sparse matrices, explicit zeros kept. forward(B) is the half solve
-    L^-1 P B, so that B^T A^-1 B = Y^T Y with Y = forward(B). perm is the
-    order (row i of P A P^T is row perm[i] of A), or None for A's own order;
-    bandwidth is the number of subdiagonals of L.
+    sparse matrices, explicit zeros kept. solve is the two half solves
+    forward(B) = L^-1 P B and backward(Y) = P^T L^-T Y, and B^T A^-1 B =
+    Y^T Y with Y = forward(B). perm is the order (row i of P A P^T is row
+    perm[i] of A), or None for A's own order; bandwidth is the number of
+    subdiagonals of L.
     """
 
     def __init__(self, ab, perm, what):
         # ab: the lower band, ab[k, j] = (P A P^T)[j + k, j], Fortran ordered
-        pbtrf, self._pbtrs, self._tbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs", "tbtrs"),
-                                                                (ab,))
+        pbtrf, self._tbtrs = sla.get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
         self._ab, info = pbtrf(ab, lower=1, overwrite_ab=1)
         if info > 0:
             raise SingularLocalSystemError(
@@ -160,20 +160,20 @@ class BandCholesky:
         self.bandwidth = ab.shape[0] - 1
         self.shape = (ab.shape[1], ab.shape[1])
 
-    def _permuted(self, b):
-        return b if self.perm is None else b[self.perm]
-
     def solve(self, b):
-        x, _ = self._pbtrs(self._ab, self._permuted(b), lower=1)
+        return self.backward(self.forward(b))
+
+    def forward(self, b):
+        y, _ = self._tbtrs(self._ab, b if self.perm is None else b[self.perm], uplo="L")
+        return y
+
+    def backward(self, y):
+        x, _ = self._tbtrs(self._ab, y, uplo="L", trans="T")
         if self.perm is None:
             return x
         out = np.empty_like(x)
         out[self.perm] = x
         return out
-
-    def forward(self, b):
-        y, _ = self._tbtrs(self._ab, self._permuted(b), uplo="L")
-        return y
 
     @property
     def L(self):
@@ -190,8 +190,8 @@ class BandCholesky:
 
 
 def _lower_band(A):
-    """(ab, perm) of a symmetric A for BandCholesky, or None when its band
-    would hold more than BAND_ENTRIES entries.
+    """(ab, perm) of a symmetric A for BandCholesky, or None when a sparse
+    A's band would hold more than BAND_ENTRIES entries.
 
     A sparse A takes the narrower of its own order and the reverse
     Cuthill-McKee order; a dense A keeps its order, and its band is read
@@ -200,8 +200,6 @@ def _lower_band(A):
     n = A.shape[0]
     if isinstance(A, np.ndarray):
         bw = int((np.arange(n) - np.argmax(A != 0, axis=1)).max(initial=0))
-        if n * (bw + 1) > BAND_ENTRIES:
-            return None
         rows = np.arange(n)[:, None] + np.arange(bw + 1)  # (column, k)
         ab = A[np.minimum(rows, n - 1), np.arange(n)[:, None]]
         ab[rows >= n] = 0.0
@@ -241,14 +239,12 @@ def factorize(A, what, fem=False, spd=False):
 
     A is a dense ndarray or any sparse matrix; COO input may repeat entries,
     which are summed. When the caller states with spd=True that A is
-    symmetric positive definite, A goes to a LAPACK band Cholesky (a
-    BandCholesky is returned) while its band holds at most BAND_ENTRIES
-    entries, n (bandwidth + 1), in its order: for a sparse A the narrower
-    of its own order and reverse Cuthill-McKee (Cuthill & McKee 1969); a
-    dense A keeps its order, and its band is cut from its diagonals. A dense
-    SPD A of at most DENSE_LU_ROWS rows stays on getrf, and an SPD A whose
-    band is too wide goes to SuperLU as if fem=True. Otherwise a dense
-    ndarray goes straight to LAPACK getrf at any size, which factors a copy;
+    symmetric positive definite, a LAPACK band Cholesky (BandCholesky)
+    factors a dense A at any size, in its order, its band cut from its
+    diagonals, and a sparse A while its band holds at most BAND_ENTRIES
+    entries, n (bandwidth + 1), in the narrower of its order and reverse
+    Cuthill-McKee (Cuthill & McKee 1969); a wider one goes to SuperLU as
+    if fem=True. Otherwise a dense ndarray goes to getrf, which factors a copy;
     a sparse matrix of at most DENSE_LU_ROWS rows is densified and factored
     in place by getrf; both return a DenseLU. A larger sparse matrix goes to
     SuperLU (the SuperLU object is returned): with its defaults, COLAMD and
@@ -290,15 +286,17 @@ def factorize(A, what, fem=False, spd=False):
     The band wins clearly up to a few hundred thousand entries, is even
     with SuperLU up to about 1.1M, and loses by 12-14% at 1.9M and 2.9M;
     hence BAND_ENTRIES. On grid(1,1) p2 l4 the own order (bandwidth 99)
-    beats RCM (123); on grid(3,3) p2 l2 RCM narrows 255 to 121. The scalar
-    K_ii of one quarter_annulus(1,2,2,2) patch at level 4, factor plus the
-    multi-column solve and products of condense_interior, best of 5: p2
-    (1,024 rows, bandwidth 99) 78.4 ms with SuperLU from the CSC form
-    against 63.7 ms on the band; p3 (1,089 rows, bandwidth 136) 120.6
-    against 92.0 ms; S, Dg and T agree to 8e-16. A dense Cholesky with a
-    triangular solve and products took 40.2 ms on the p1 l4 cell above
-    against 27.4 ms for SuperLU, and about as long as SuperLU at p2 l4, so
-    the band, not the dense factor, is the SPD path.
+    beats RCM (123); on grid(3,3) p2 l2 RCM narrows 255 to 121. A dense
+    Cholesky took 40.2 ms on p1 l4 above against 27.4 for SuperLU. For
+    K_ii, condense_interior of one quarter_annulus(1,2,2,2) patch, best of
+    5-7, ms, with X = K_ii^-1 Q^T and Q X (SuperLU from CSC, getrf to 350
+    rows, band above) or the band and Y^T Y, Y = L^-1 P Q^T (S, Dg and T
+    the same to 4e-15):
+
+        K_ii rows     64     81     256    289    1,024  1,089 (p2/p3 l2-4)
+        SuperLU, X                                78.4   120.6
+        getrf/band X  0.27   0.48   3.78   5.51   64.4   91.2
+        band, Y       0.28   0.45   2.17   3.22   32.7   47.8
 
     FEM_SUPERLU against the defaults on one 2-vCPU host, BLAS on one
     thread, best of 3: factor time in ms and stored factor entries. Every
@@ -317,21 +315,19 @@ def factorize(A, what, fem=False, spd=False):
         saddle quarter_annulus(1,2,8,8) p2 l2    12,387  3,598  18.4M    1,035  7.94M
         doubled K grid(1,1) p1 l4                1,922   9.2    106k     5.3    72k
         doubled K grid(1,1) p2 l4                2,048   15.7   217k     11.9   209k
-        K_ii quarter_annulus(1,2,2,2) p3 l4      1,089   21.3   233k     9.2    190k
         coarse quarter_annulus(1,2,32,32) p2 l1  4,931   91.3   1.39M    4,077  15.0M
 
     The saddles are those of GlobalStokesSystem.solve, the doubled K the
-    velocity stiffness of pressure_schur_spectrum, K_ii that of one patch's
-    condense_interior. Their multi-column solves gain too: the doubled K at
-    p2 l4 on its 324 pressure columns 92.7 to 81.5 ms, K_ii on its 789
-    columns 223 to 138 ms (best of 5). The coarse primal system of the
-    1,024-patch domain is the exception, with ten times the fill, so it
-    keeps the defaults. The diagonal pivot threshold, on the saddles:
-    0 returns wrong solutions with no SuperLU error (residuals 3e+2 on
-    grid(3,3), 3e+6 on quarter_annulus(1,2,4,4) p2 l2, 4e+2 on
-    rectangle_with_hole, 7e+2 on strip(4), 2e+3 on the p3 l3 annulus);
-    1e-2 takes the p3 l3 annulus back to COLAMD's time (3,668 ms); 1e-4
-    is as fast as 1e-3, with a ten times larger residual on that saddle.
+    velocity stiffness of pressure_schur_spectrum; its solve on 324
+    pressure columns at p2 l4 gains too, 92.7 to 81.5 ms (best of 5). The
+    coarse primal system of the 1,024-patch domain is the exception, with
+    ten times the fill, so it keeps the defaults. The diagonal pivot
+    threshold, on the saddles: 0 returns wrong solutions with no SuperLU
+    error (residuals 3e+2 on grid(3,3), 3e+6 on quarter_annulus(1,2,4,4)
+    p2 l2, 4e+2 on rectangle_with_hole, 7e+2 on strip(4), 2e+3 on the p3
+    l3 annulus); 1e-2 takes the p3 l3 annulus back to COLAMD's time (3,668
+    ms); 1e-4 is as fast as 1e-3, with a ten times larger residual on that
+    saddle.
 
     The dense cut DENSE_LU_ROWS is the same for both SuperLU settings. It
     was measured against SuperLU's defaults on the augmented patch systems
@@ -341,10 +337,10 @@ def factorize(A, what, fem=False, spd=False):
     """
     n = A.shape[0]
     dense = isinstance(A, np.ndarray)
-    band = _lower_band(A) if spd and not (dense and n <= DENSE_LU_ROWS) else None
+    band = _lower_band(A) if spd else None
     if band is not None:
         lu = BandCholesky(*band, what)
-    elif n <= DENSE_LU_ROWS or (dense and not spd):
+    elif dense or n <= DENSE_LU_ROWS:
         if dense:
             work = A  # getrf factors a copy
         else:
@@ -578,8 +574,9 @@ def _element_tables(patches, members, ths, nq):
     is more than one.
     """
     vel, pre = ths.vel, ths.pre
-    qx, wx = element_rule(vel.space_x.breakpoints, nq)
-    qy, wy = element_rule(vel.space_y.breakpoints, nq)
+    rule = gauss_rule_1d(nq)
+    qx, wx = rule_on_elements(vel.space_x.breakpoints, rule)
+    qy, wy = rule_on_elements(vel.space_y.breakpoints, rule)
     fvx, tvx = vel.space_x.tabulate(qx)
     fvy, tvy = vel.space_y.tabulate(qy)
     fpx, tpx = pre.space_x.tabulate(qx)
@@ -725,11 +722,10 @@ class PatchStokesSystem:
         W is dense. Its columns are the scalar free dofs [u_inner | u_gamma]
         of one velocity component; its rows [K_i | K_g | D_0 | D_1] are those
         of the scalar stiffness, then the divergence rows acting on each
-        component. K_ii is W's interior block, a dense view: factorize
-        factors it by dense LU up to DENSE_LU_ROWS rows and cuts its band
-        from the diagonals above. One scatter of the element matrices, on
-        each call; eliminated dofs land in a leading row and column that are
-        cut off.
+        component. K_ii is W's interior block, a dense view, whose band
+        factorize cuts from the diagonals. One scatter of the element
+        matrices, on each call; eliminated dofs land in a leading row and
+        column that are cut off.
         """
         ths, el = self.ths, self._el
         ni, n, npre = ths.n_inner, ths.n_inner + ths.n_gamma, ths.n_pressure
@@ -748,24 +744,24 @@ class PatchStokesSystem:
         """The one elimination of the patch's interior velocity, not cached.
 
         One factorize of the scalar K_ii as an SPD matrix, labelled `what`
-        (dense LU up to DENSE_LU_ROWS rows, the band Cholesky above), and
-        one solve
-        X = K_ii^-1 Q^T, Q = [K_gi; D_0i; D_1i] (condensation_blocks).
-        Returns lu (None without interior dofs), X, the Schur complement
-        S = K_gg - K_gi K_ii^-1 K_ig, the condensed divergence Dg
-        (2, n_pressure, n_gamma) with Dg[c] = D_cg - D_ci K_ii^-1 K_ig, and
-        T = sum_c D_ci K_ii^-1 D_ci^T.
+        (a BandCholesky P K_ii P^T = L L^T), and one forward half solve
+        Y = L^-1 P Q^T, Q = [K_gi; D_0i; D_1i] (condensation_blocks).
+        Returns lu (None without interior dofs), Y, and from the blocks of
+        Y^T Y = Q K_ii^-1 Q^T that they need the Schur complement S = K_gg -
+        K_gi K_ii^-1 K_ig, the condensed divergence Dg (2, n_pressure,
+        n_gamma) with Dg[c] = D_cg - D_ci K_ii^-1 K_ig, and T = sum_c D_ci
+        K_ii^-1 D_ci^T = sum_c Y_c^T Y_c, exactly symmetric (syrk).
         """
         ths = self.ths
         ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
         K_ii, W = self.condensation_blocks()
         Q = W[ni:, :ni]
         lu = factorize(K_ii, what, spd=True) if ni else None
-        X = lu.solve(Q.T) if ni else np.zeros((0, len(Q)))
-        G = W[ni:, ni:] - Q @ X[:, :ng]  # [S; condensed D_0g; condensed D_1g]
-        p0, p1 = slice(ng, ng + npre), slice(ng + npre, None)  # D_0, D_1 rows of Q
-        return SimpleNamespace(lu=lu, X=X, S=G[:ng], Dg=G[ng:].reshape(2, npre, ng),
-                               T=Q[p0] @ X[:, p0] + Q[p1] @ X[:, p1])
+        Y = lu.forward(Q.T) if ni else np.zeros((0, len(Q)))
+        C = W[ni:, ni:] - Y.T @ Y[:, :ng]  # [S; condensed D_0g; condensed D_1g]
+        Y0, Y1 = Y[:, ng : ng + npre], Y[:, ng + npre :]  # the D_0, D_1 columns
+        return SimpleNamespace(lu=lu, Y=Y, S=C[:ng], Dg=C[ng:].reshape(2, npre, ng),
+                               T=Y0.T @ Y0 + Y1.T @ Y1)
 
     def expand(self, u_g, u_i):
         """Velocity coefficients (2, nv) from block vectors plus Dirichlet data."""
@@ -800,11 +796,12 @@ def _dirichlet_values(patches, members, ths, spaces, data):
     on = np.array([spaces[k].pos[0, cdofs] < 0 for k in members])  # (P, 4): eliminated
     points = [_corner_points(_outline(geos))[on]]
     sides = []  # (side, member positions, Gauss points, weights times |dx/dt| (m, n))
+    rules = {d: gauss_rule_1d(d + 3) for d in {vel.space_x.degree, vel.space_y.degree}}
     for side in SIDES:
         js = [j for j, k in enumerate(members) if spaces[k].side_roles.get(side) == "dirichlet"]
         if js:
             espace = vel.side_space(side)
-            tq, wq = element_rule(espace.breakpoints, espace.degree + 3)
+            tq, wq = rule_on_elements(espace.breakpoints, rules[espace.degree])
             x, tangent, _ = side_traces([geos[j] for j in js], {side: tq})[side]
             w = wq.ravel() * np.linalg.norm(tangent, axis=-1)
             sides.append((side, np.array(js), tq, w))

@@ -295,11 +295,14 @@ def gauss_rule_1d(n):
 
 def element_rule(breakpoints, n):
     """Per-element Gauss points/weights: arrays of shape (nel, n)."""
+    return rule_on_elements(breakpoints, gauss_rule_1d(n))
+
+
+def rule_on_elements(breakpoints, rule):
+    """element_rule with its rule (x, w) on [0, 1], built once, given."""
     z = np.asarray(breakpoints, dtype=float)
-    x, w = gauss_rule_1d(n)
-    a = z[:-1][:, None]
     h = np.diff(z)[:, None]
-    return a + h * x[None, :], h * w[None, :]
+    return z[:-1, None] + h * rule[0], h * rule[1]
 
 
 class TensorSplineSpace:

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .bspline import TensorSplineSpace, UnivariateSplineSpace, element_rule
+from .bspline import TensorSplineSpace, UnivariateSplineSpace, gauss_rule_1d, rule_on_elements
 
 __all__ = (
     "SIDES",
@@ -358,8 +358,9 @@ def _areas(geos, n=6):
     """(P,): areas by per-element Gauss quadrature of det(jac) with n points
     per direction."""
     space = geos[0].space
-    xs, wx = element_rule(space.space_x.breakpoints, n)
-    ys, wy = element_rule(space.space_y.breakpoints, n)
+    rule = gauss_rule_1d(n)
+    xs, wx = rule_on_elements(space.space_x.breakpoints, rule)
+    ys, wy = rule_on_elements(space.space_y.breakpoints, rule)
     return _on_grid(geos, xs.ravel(), ys.ravel(),
                     lambda pts, jac, det: np.einsum("i,j,pij->p", wx.ravel(), wy.ravel(), det))
 

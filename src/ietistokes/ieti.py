@@ -16,14 +16,14 @@ coefficients provides the condition number estimate.
 Abar_k^-1 maps interface values to interface values, so each patch is
 condensed onto its interface once, at setup (Farhat et al. below; Li &
 Widlund, SISC 2006, for BDDC on incompressible Stokes): the interior
-velocity is eliminated through one factor of the scalar interior stiffness
-K_ii, which both components share (PatchStokesSystem.condense_interior, the
-elimination the patch analysis reads too), and the dense reduced system on
-[u_gamma | p | mu] is factored. Its inverse's u_gamma block F_k, and the
-scalar Schur complement S_K = K_gg - K_gi K_ii^-1 K_ig of the
-preconditioner, are read off as dense blocks. A PCG iteration then applies
-the local part of F and the preconditioner as products with the block
-diagonals of the F_k and of the S_K, and solves only the coarse system.
+velocity is eliminated through the half solves of one band Cholesky of the
+scalar interior stiffness K_ii, which both components share
+(PatchStokesSystem.condense_interior), and the dense reduced system on
+[u_gamma | p | mu] is factored. Its inverse's u_gamma block F_k and the
+preconditioner's scalar Schur complement S_K = K_gg - K_gi K_ii^-1 K_ig
+are read off as dense blocks. A PCG iteration then applies the local part
+of F and the preconditioner as products with the block diagonals of the
+F_k and of the S_K, and solves only the coarse system.
 
 The local primal basis psi of a patch solves the augmented system with unit
 constraint values, [[A3, C^T], [C, 0]] [psi; psi_mu] = [0; I]. Since
@@ -185,39 +185,39 @@ class CondensedLU:
 
     The unknowns are ordered [u_gamma | u_inner | p | mu], each velocity
     block component major; the reduced ones [u_gamma | p | mu]. interior is
-    the factor of the scalar interior stiffness K_ii, which both velocity
-    components share; reduced the factor of the dense reduced system R; X
-    is K_ii^-1 [K_ig | D_0i^T | D_1i^T]. solve takes a full right-hand side
-    (1-D or one column per solve): one K_ii solve with two columns per
-    column, one R solve, and products with X. L and U are the block
-    diagonals of the two factors' triangles, the fill the solver holds.
+    the BandCholesky of the scalar interior stiffness K_ii, shared by both
+    velocity components; reduced the factor of the dense reduced system R;
+    Y is condense_interior's L^-1 P [K_ig | D_0i^T | D_1i^T]. solve takes a
+    full right-hand side (1-D or a column per solve): w = forward(b_i), Y
+    products, one R solve and x_i = backward(w - Y V). L and U are the
+    block diagonals of the two factors' triangles, the fill it holds.
     """
 
-    def __init__(self, interior, reduced, X, n_gamma, n_pressure):
-        self.interior, self.reduced, self._X = interior, reduced, X
-        self._ng, self._ni, self._np = n_gamma, X.shape[0], n_pressure
+    def __init__(self, interior, reduced, Y, n_gamma, n_pressure):
+        self.interior, self.reduced, self._Y = interior, reduced, Y
+        self._ng, self._ni, self._np = n_gamma, Y.shape[0], n_pressure
         n = reduced.shape[0] + 2 * self._ni
         self.shape = (n, n)
 
     def solve(self, b):
-        ng, ni, npre, X = self._ng, self._ni, self._np, self._X
+        ng, ni, npre, Y = self._ng, self._ni, self._np, self._Y
         nu = 2 * (ng + ni)
         B = b.reshape(len(b), -1)
         k = B.shape[1]
         # interior rhs, one column per (component, solve)
         b_i = B[2 * ng : nu].reshape(2, ni, k).transpose(1, 0, 2).reshape(ni, 2 * k)
-        z = self.interior.solve(b_i) if ni else b_i
-        P = X.T @ b_i
+        w = self.interior.forward(b_i) if ni else b_i
+        P = Y.T @ w
         r = np.concatenate([B[: 2 * ng], B[nu:]])
         r[:ng] -= P[:ng, :k]
         r[ng : 2 * ng] -= P[:ng, k:]
         r[2 * ng : 2 * ng + npre] -= P[ng : ng + npre, :k] + P[ng + npre :, k:]
         y = self.reduced.solve(r)
-        V = np.zeros((X.shape[1], 2 * k))
+        V = np.zeros((Y.shape[1], 2 * k))
         V[:ng, :k] = y[:ng]
         V[:ng, k:] = y[ng : 2 * ng]
         V[ng : ng + npre, :k] = V[ng + npre :, k:] = y[2 * ng : 2 * ng + npre]
-        x_i = z - X @ V
+        x_i = self.interior.backward(w - Y @ V) if ni else w
         out = np.concatenate([y[: 2 * ng],
                               x_i.reshape(ni, 2, k).transpose(1, 0, 2).reshape(2 * ni, k),
                               y[2 * ng :]])
@@ -246,7 +246,7 @@ class AugmentedLocalSystem:
 
     is factored next through factorize. K_ii is factored, and S, the
     condensed divergence D_g and D_i K_ii^-1 D_i^T are formed, by
-    PatchStokesSystem.condense_interior; its factor and X go on to
+    PatchStokesSystem.condense_interior; its factor and Y go on to
     CondensedLU. The constraint rows C must not act on interior velocity
     dofs; label names the patch in errors. Read off at setup:
 
@@ -288,7 +288,7 @@ class AugmentedLocalSystem:
         R[:ng2, p] = R[p, :ng2].T
         lu_r = factorize(R, "condensed system of %s (%d constraint rows)" % (label, self.n_mu))
         self.F = lu_r.solve(np.eye(len(R), ng2))[:ng2]
-        self.lu = CondensedLU(cond.lu, lu_r, cond.X, ng, npre)
+        self.lu = CondensedLU(cond.lu, lu_r, cond.Y, ng, npre)
 
     @property
     def A3(self):

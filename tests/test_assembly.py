@@ -433,6 +433,45 @@ def test_factorize_matches_plain_splu():
         assert np.abs(np.sort(prod, axis=0) - np.sort(A.toarray(), axis=0)).max() < 1e-12
 
 
+def test_dense_factor_triangles_are_structural():
+    # L and U of a dense factor hold every entry of their triangles, exact
+    # zeros too, so their count does not move with rounding. An upper
+    # triangular matrix with a dominant diagonal needs no row exchange and
+    # leaves L's strict lower triangle exactly zero; a random matrix
+    # exchanges rows, and L U reproduces it in the row order of the pivots
+    rng = np.random.default_rng(12)
+    n = 40
+    upper = np.triu(rng.standard_normal((n, n))) + 4 * n * np.eye(n)
+    general = rng.standard_normal((n, n)) + 4 * np.eye(n)
+    for A, exchanges in ((upper, False), (general, True)):
+        lu = factorize(A, "test")
+        L, U = lu.L, lu.U
+        assert isinstance(lu, DenseLU) and L.nnz == U.nnz == n * (n + 1) // 2
+        assert np.array_equal(L.diagonal(), np.ones(n))
+        assert np.tril(L.toarray(), -1).any() == exchanges
+        rows = np.arange(n)
+        for i, p in enumerate(lu._piv):
+            rows[[i, p]] = rows[[p, i]]
+        assert (rows != np.arange(n)).any() == exchanges
+        assert np.abs((L @ U).toarray() - A[rows]).max() <= 1e-12 * np.abs(A).max()
+
+
+def test_kernels_build_one_gauss_rule_per_call(monkeypatch):
+    # the element tables use one rule for x and y, the Dirichlet projection
+    # one for its four sides, the error kernel and the area one each
+    calls = []
+    real = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or real(n))
+    geo = unit_square()
+    ths = build_taylor_hood(geo, 2, refinement=2)
+    assemble_patch(geo, ths, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    assert calls == [5, 6]
+    patch_errors(geo, ths, np.zeros((2, ths.vel.dim)), None)
+    geo.area()
+    assert calls == [5, 6, 6, 6]
+
+
 def _monolithic_saddle(monkeypatch, spec, degree, refinement):
     """The matrix that GlobalStokesSystem.solve hands to factorize."""
     import ietistokes.assembly as assembly
@@ -449,8 +488,8 @@ def _monolithic_saddle(monkeypatch, spec, degree, refinement):
 
 def test_finite_element_systems_get_the_symmetric_superlu_mode(monkeypatch):
     # the monolithic saddle is factored in SuperLU's symmetric mode; the
-    # spectrum's velocity stiffness and a K_ii above DENSE_LU_ROWS, both SPD
-    # with a narrow band, take the band Cholesky; the IETI coarse primal
+    # spectrum's velocity stiffness, SPD with a narrow band, and every K_ii,
+    # a dense SPD array, take the band Cholesky; the IETI coarse primal
     # system keeps SuperLU's defaults (COLAMD)
     from ietistokes.analysis import pressure_schur_spectrum
     from ietistokes.ieti import solve_stokes_ieti
@@ -483,7 +522,7 @@ def test_finite_element_systems_get_the_symmetric_superlu_mode(monkeypatch):
     bands.clear()
     mp = parse_domain("quarter_annulus(1,2,16,16)")
     solve_stokes_ieti(mp, taylor_hood_spaces(mp, 2, refinement=1), rhs=manufactured_rhs)
-    assert calls == [(1187, {})] and bands == []
+    assert calls == [(1187, {})] and bands == [16] * 256
 
 
 def test_factorize_fem_is_superlu_in_symmetric_mode():
@@ -634,6 +673,72 @@ def test_band_cholesky_rejects_indefinite_and_floating_matrices():
             factorize(floating, "floating stiffness", spd=True)
 
 
+def test_every_spd_input_gets_half_solves(monkeypatch):
+    # a dense SPD array gets the band Cholesky whatever its band, since the
+    # band never holds more than the array; a sparse SPD matrix whose band
+    # holds more than BAND_ENTRIES goes to SuperLU's symmetric mode. Both
+    # solve alike, and the band factor's solve is its two half solves
+    import ietistokes.assembly as assembly
+
+    ths = build_taylor_hood(unit_square(), 1, refinement=4)
+    K_ii, _ = assemble_patch(unit_square(), ths).condensation_blocks()
+    n = K_ii.shape[0]
+    assert n > DENSE_LU_ROWS
+    calls = []
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
+    monkeypatch.setattr(assembly, "BAND_ENTRIES", 0)
+    band = factorize(K_ii, "dense K_ii", spd=True)
+    sparse = factorize(sp.csc_matrix(K_ii), "sparse K_ii", spd=True)
+    assert isinstance(band, BandCholesky) and band.perm is None
+    assert n * (band.bandwidth + 1) > assembly.BAND_ENTRIES
+    assert isinstance(sparse, spla.SuperLU) and calls == [(n, FEM_SUPERLU)]
+    monkeypatch.undo()
+    ref = spla.splu(sp.csc_matrix(K_ii))
+    b = np.random.default_rng(11).standard_normal((n, 3))
+    for rhs in (b, b[:, 1]):
+        want = ref.solve(rhs)
+        for got in (band.backward(band.forward(rhs)), band.solve(rhs), sparse.solve(rhs)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_setup_makes_one_forward_sweep_per_interior_factor(monkeypatch):
+    # over one setup_ieti every patch's K_ii is a band Cholesky; it sweeps
+    # Q^T forward once (condense_interior), and its only solve is the
+    # residual check of factorize
+    import ietistokes.assembly as assembly
+    from ietistokes.ieti import setup_ieti
+
+    mp = build_domain("grid", m=2, n=2)
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    factors, forwards, solves = {}, [], []
+
+    def spy(A, what, fem=False, spd=False):
+        lu = factorize(A, what, fem, spd)
+        if what.startswith("interior stiffness"):
+            factors[what] = lu
+        return lu
+
+    real_forward, real_solve = BandCholesky.forward, BandCholesky.solve
+    monkeypatch.setattr(assembly, "factorize", spy)
+    monkeypatch.setattr(BandCholesky, "forward",
+                        lambda self, b: forwards.append((self, b)) or real_forward(self, b))
+    monkeypatch.setattr(BandCholesky, "solve",
+                        lambda self, b: solves.append((self, b)) or real_solve(self, b))
+    op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs)
+    assert len(factors) == len(spaces)
+    for k, (aug, ths) in enumerate(zip(op.locals_, spaces)):
+        lu = factors["interior stiffness of patch %d" % k]
+        assert isinstance(lu, BandCholesky) and lu is aug.lu.interior
+        Q = aug.system.condensation_blocks()[1][ths.n_inner:, :ths.n_inner]
+        assert sum(f is lu and b.shape == Q.T.shape and np.array_equal(b, Q.T)
+                   for f, b in forwards) == 1
+        mine = [b for f, b in solves if f is lu]
+        assert len(mine) == 1 and np.array_equal(mine[0], _check_vector(ths.n_inner))
+
+
 def test_free_blocks_are_built_once_per_system(monkeypatch):
     # the monolithic solve and the pressure Schur spectrum of one cell share
     # one build of the free-dof blocks
@@ -685,8 +790,8 @@ def _dense_solver_calls(tree):
 def test_direct_solves_only_in_factorize():
     # every factorization in the package goes through the checked
     # factorize: SuperLU and LAPACK getrf in factorize, getrs in its dense
-    # factor class, the band Cholesky and its solves in the band factor
-    # class; no dense Cholesky anywhere
+    # factor class, the band Cholesky and its half solves in the band
+    # factor class; no dense Cholesky anywhere
     src = Path(ietistokes.__file__).parent
     tree = ast.parse((src / "assembly.py").read_text())
     scopes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
@@ -703,7 +808,6 @@ def test_direct_solves_only_in_factorize():
     }
     assert hits == {("assembly.py", "factorize", "splu("), ("assembly.py", "factorize", "getrf"),
                     ("assembly.py", "DenseLU", "getrs"), ("assembly.py", "BandCholesky", "pbtrf"),
-                    ("assembly.py", "BandCholesky", "pbtrs"),
                     ("assembly.py", "BandCholesky", "tbtrs")}
     # and no local solve of the IETI layer bypasses it through a dense
     # numpy/scipy solve or inverse; the brute-force checks may use them
@@ -749,9 +853,12 @@ def test_condense_interior_matches_a_dense_reference(case, degree, refinement):
     assert cond.S.shape == (ng, ng) and cond.Dg.shape == (2, npre, ng)
     for got, ref in ((cond.S, S), (cond.Dg, Dg), (cond.T, T)):
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
-    assert cond.X.shape == (ni, ng + 2 * npre)
-    assert np.abs(K_ii @ cond.X - W[ni:, :ni].T).max() < 1e-12 * np.abs(W).max()
-    assert cond.lu.shape == (ni, ni)
+    # the half solve Y = L^-1 P Q^T gives Q K_ii^-1 Q^T = Y^T Y
+    Q = W[ni:, :ni]
+    G = Q @ np.linalg.solve(K_ii, Q.T)
+    assert cond.Y.shape == (ni, ng + 2 * npre)
+    assert np.abs(cond.Y.T @ cond.Y - G).max() <= 1e-12 * np.abs(G).max()
+    assert isinstance(cond.lu, BandCholesky) and cond.lu.shape == (ni, ni)
 
 
 def test_condense_interior_factors_the_scalar_interior_block_once(monkeypatch):

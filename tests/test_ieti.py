@@ -4,9 +4,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ietistokes import assembly
 from ietistokes.assembly import (
+    BandCholesky,
     DenseLU,
     PatchStokesSystem,
     assemble_global,
@@ -574,16 +576,19 @@ def test_pcg_makes_no_local_solves(monkeypatch):
     op, pc = setup_ieti(mp, spaces, systems=glob.systems)
     g = op.rhs()
     local = [f for aug in op.locals_ for f in (aug.lu, aug.lu.interior, aug.lu.reduced)]
-    assert all(isinstance(f, DenseLU) for f in local[1::3] + local[2::3])
+    assert all(isinstance(f, BandCholesky) for f in local[1::3])
+    assert all(isinstance(f, DenseLU) for f in local[2::3])
     solved = []
-    for cls in (DenseLU, CondensedLU):
-        real = cls.solve
+    for cls, names in ((DenseLU, ("solve",)), (CondensedLU, ("solve",)),
+                       (BandCholesky, ("solve", "forward", "backward"))):
+        for name in names:
+            real = getattr(cls, name)
 
-        def counting_solve(self, b, real=real):
-            solved.append(self)
-            return real(self, b)
+            def counting_solve(self, b, real=real):
+                solved.append(self)
+                return real(self, b)
 
-        monkeypatch.setattr(cls, "solve", counting_solve)
+            monkeypatch.setattr(cls, name, counting_solve)
     lam, rep = solve_pcg(op.apply_F, pc.apply, g)
     assert rep.converged and rep.iterations > 0
     assert solved and all(f is op._coarse_lu for f in solved)
@@ -730,10 +735,10 @@ def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
 
 
 def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
-    # every sparse system here (the interior stiffnesses and the coarse
-    # system) is small enough to be factored dense; with the cut at zero all
-    # of them go to SuperLU instead, and the solve must not notice. The
-    # reduced systems are dense arrays and stay dense either way.
+    # the sparse coarse system is small enough to be factored dense; with
+    # the cut at zero it goes to SuperLU instead, and the solve must not
+    # notice. The interior stiffnesses are dense SPD arrays and get a band
+    # Cholesky either way; the reduced systems are dense and stay on getrf.
     mp = parse_domain("quarter_annulus(1,2,4,4)")
     spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
 
@@ -742,15 +747,14 @@ def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
         lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs())
         us, ps, _ = op.recover(lam)
         assert all(isinstance(a.lu.reduced, DenseLU) for a in op.locals_)
-        dense = [isinstance(f, DenseLU)
-                 for f in [a.lu.interior for a in op.locals_] + [b[2] for b in pc.blocks]
-                 + [op._coarse_lu]]
-        return us, ps, rep, dense
+        assert all(isinstance(f, BandCholesky)
+                   for f in [a.lu.interior for a in op.locals_] + [b[2] for b in pc.blocks])
+        return us, ps, rep, type(op._coarse_lu)
 
-    us, ps, rep, dense = solve()
+    us, ps, rep, coarse = solve()
     monkeypatch.setattr(assembly, "DENSE_LU_ROWS", 0)
-    us0, ps0, rep0, dense0 = solve()
-    assert all(dense) and not any(dense0)
+    us0, ps0, rep0, coarse0 = solve()
+    assert coarse is DenseLU and coarse0 is spla.SuperLU
     assert rep.converged and rep.iterations == rep0.iterations
     assert abs(rep.kappa - rep0.kappa) <= 1e-12 * rep0.kappa
     for a, b in zip(us + ps, us0 + ps0):
