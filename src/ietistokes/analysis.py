@@ -8,10 +8,14 @@ posed on mean-zero pressures: the square root of the smallest nonzero
 eigenvalue is the discrete inf-sup constant, the largest eigenvalue is the
 discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
-complement. pressure_schur_extremes factors the velocity stiffness K once,
-as an SPD matrix; with a band Cholesky P K P^T = L L^T the dense path forms
-T = D K^-1 D^T as Y^T Y from one forward half solve Y = L^-1 P D^T, and
-otherwise as D times the solve K^-1 D^T. local_infsup and skeleton_matrices
+complement. pressure_schur_extremes factors the velocity stiffness K it is
+given once, as an SPD matrix; with a band Cholesky P K P^T = L L^T the dense
+path forms T = D K^-1 D^T as Y^T Y from one forward half solve
+Y = L^-1 P D^T, and otherwise as D times the solve K^-1 D^T.
+pressure_schur_spectrum factors nothing: it reads the velocity elimination
+cached on the global system, which the system's solve shares
+(GlobalStokesSystem.velocity_factor, the scalar free stiffness, and
+pressure_schur, T formed the same way). local_infsup and skeleton_matrices
 read the same half solve for the patch's interior velocity, the elimination
 the IETI-DP setup performs too (PatchStokesSystem.condense_interior). The
 dense eigensolve removes the constant pressure with one Householder
@@ -201,9 +205,20 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
 
 
 def pressure_schur_spectrum(glob, method="auto"):
-    """SchurSpectrum of an assembled global system (Dirichlet eliminated)."""
-    Kff, Df, _, _ = glob.free_blocks()
-    return pressure_schur_extremes(Kff, Df, glob.Mp, method)
+    """SchurSpectrum of an assembled global system (Dirichlet eliminated).
+
+    It reads the system's velocity elimination, which its solve shares: the
+    dense path the cached T (GlobalStokesSystem.pressure_schur), the
+    iterative one T Q = D_f K_ff^-1 D_f^T Q through the one factor of the
+    scalar free stiffness (GlobalStokesSystem.stiffness_solve). The method
+    policy is that of pressure_schur_extremes.
+    """
+    Df = glob.free_blocks()[1]
+
+    def schur(Q):
+        return Df @ glob.stiffness_solve(np.asarray(Df.T @ Q, dtype=float))
+
+    return _schur_extremes(schur, lambda: glob.pressure_schur, glob.Mp, glob.n_dofs, method)
 
 
 def pressure_schur_condition(glob, method="auto"):

@@ -35,12 +35,18 @@ asked for: the sparse all-dof forms Ks, D, Mp, and the dense scalar blocks
 on the free dofs (condensation_blocks). condense_interior is the one
 elimination of a patch's interior velocity (one band Cholesky of the scalar
 K_ii and one forward half solve); the IETI-DP local systems,
-analysis.local_infsup and analysis.skeleton_matrices read it.
+analysis.local_infsup and analysis.skeleton_matrices read it. The
+monolithic GlobalStokesSystem caches one velocity elimination the same way
+(velocity_factor, the scalar free stiffness factored once for both
+components, and the pressure Schur complement pressure_schur from one
+forward half solve): its solve eliminates the velocity through it below the
+dense cut, and analysis.pressure_schur_spectrum reads it.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
 kernel call per family and side: family_flux_rows forms the flux rows of
-all patches of a family at once, and edge_flux_rows is its family of one.
+all patches of a family at once, one Gauss rule per rule size, and
+edge_flux_rows is its family of one.
 """
 
 from functools import cached_property, lru_cache
@@ -51,7 +57,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bspline import TensorSplineSpace, element_rule, gauss_rule_1d, rule_on_elements
+from .bspline import TensorSplineSpace, gauss_rule_1d, rule_on_elements
 from .geometry import (
     _CORNERS,
     SIDES,
@@ -112,8 +118,8 @@ BAND_ENTRIES = 1_100_000  # sparse SPD systems whose band holds up to this many:
 class DenseLU:
     """LAPACK LU factors of a small system, with the SuperLU interface the
     package reads: shape, solve (1-D or 2-D right-hand sides) and the unit
-    lower and upper triangles L and U, built on demand as sparse matrices
-    of n (n + 1) / 2 entries each, explicit zeros kept.
+    lower and upper triangles L and U, built on demand as CSC matrices of
+    n (n + 1) / 2 entries each, explicit zeros kept.
     """
 
     def __init__(self, lu, piv):
@@ -129,13 +135,19 @@ class DenseLU:
 
     @property
     def L(self):
-        r, c = np.tril_indices(self.shape[0])
-        return sp.csc_matrix((np.where(r == c, 1.0, self._lu[r, c]), (r, c)), shape=self.shape)
+        c, r = np.triu_indices(self.shape[0])  # the lower triangle, column major
+        data = self._lu[r, c]
+        data[r == c] = 1.0
+        return self._triangle(data, r, c)
 
     @property
     def U(self):
-        r, c = np.triu_indices(self.shape[0])
-        return sp.csc_matrix((self._lu[r, c], (r, c)), shape=self.shape)
+        c, r = np.tril_indices(self.shape[0])  # the upper triangle, column major
+        return self._triangle(self._lu[r, c], r, c)
+
+    def _triangle(self, data, rows, cols):
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.shape[1]))])
+        return sp.csc_matrix((data, rows, indptr), shape=self.shape)
 
 
 class BandCholesky:
@@ -164,7 +176,12 @@ class BandCholesky:
         return self.backward(self.forward(b))
 
     def forward(self, b):
-        y, _ = self._tbtrs(self._ab, b if self.perm is None else b[self.perm], uplo="L")
+        return self.forward_in_place(np.array(b if self.perm is None else b[self.perm], order="F"))
+
+    def forward_in_place(self, y):
+        """L^-1 y for a y already in the factor's order (P b), overwriting y
+        when it is a Fortran-ordered float array; returns the result."""
+        y, _ = self._tbtrs(self._ab, y, uplo="L", overwrite_b=1)
         return y
 
     def backward(self, y):
@@ -186,7 +203,12 @@ class BandCholesky:
 
     @property
     def U(self):
-        return self.L.T.tocsc()
+        n, ks = self.shape[0], np.arange(self.bandwidth, -1, -1)
+        rows = np.arange(n)[:, None] - ks  # (column, k): U[j - k, j] = L[j, j - k]
+        keep = rows >= 0
+        return sp.csc_matrix((self._ab[ks, np.maximum(rows, 0)][keep], rows[keep],
+                              np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+                             shape=self.shape)
 
 
 def _lower_band(A):
@@ -317,9 +339,13 @@ def factorize(A, what, fem=False, spd=False):
         doubled K grid(1,1) p2 l4                2,048   15.7   217k     11.9   209k
         coarse quarter_annulus(1,2,32,32) p2 l1  4,931   91.3   1.39M    4,077  15.0M
 
-    The saddles are those of GlobalStokesSystem.solve, the doubled K the
-    velocity stiffness of pressure_schur_spectrum; its solve on 324
-    pressure columns at p2 l4 gains too, 92.7 to 81.5 ms (best of 5). The
+    The saddles are those of GlobalStokesSystem.solve, which now factors
+    such a saddle only above the dense cut of its bordered pressure system
+    (the p1 l4, p2 l4, strip(4) and grid(3,3) saddles above are eliminated
+    through the pressure Schur complement instead). The doubled K is the
+    stacked velocity stiffness that pressure_schur_spectrum factored before
+    it read the system's scalar factor; its solve on 324 pressure columns
+    at p2 l4 gained too, 92.7 to 81.5 ms (best of 5). The
     coarse primal system of the 1,024-patch domain is the exception, with
     ten times the fill, so it keeps the defaults. The diagonal pivot
     threshold, on the saddles: 0 returns wrong solutions with no SuperLU
@@ -913,13 +939,17 @@ def _coo(vals, rows, cols, shape):
 # edge fluxes and the divergence bubble
 
 
-def _side_flux_rows(geos, vel, side):
+def _side_flux_rows(geos, vel, side, rules):
     """(side_dofs, R) of one side for a family of maps sharing vel, with R
     of shape (len(geos), len(side_dofs), 2): the rows of edge_flux_rows of
-    every map, from one side_traces call and one collocation table."""
+    every map, from one side_traces call and one collocation table. rules
+    maps a Gauss rule size to its rule, built here when missing."""
     gdeg = max(geos[0].space.space_x.degree, geos[0].space.space_y.degree)
     espace = vel.side_space(side)
-    tq, wq = element_rule(espace.breakpoints, espace.degree + gdeg + 2)
+    n = espace.degree + gdeg + 2
+    if n not in rules:
+        rules[n] = gauss_rule_1d(n)
+    tq, wq = rule_on_elements(espace.breakpoints, rules[n])
     normal = side_traces(geos, {side: tq})[side][2]  # outward normal times length element
     return vel.side_dofs(side), espace.collocation(tq).T @ (wq.reshape(-1, 1) * normal)
 
@@ -933,9 +963,9 @@ def edge_flux_rows(geo, vel, sides):
     degree + 2 Gauss points per element. The patch is a family of one for
     the kernel of family_flux_rows.
     """
-    out = {}
+    out, rules = {}, {}
     for side in sides:
-        dofs, R = _side_flux_rows([geo], vel, side)
+        dofs, R = _side_flux_rows([geo], vel, side, rules)
         out[side] = dofs, R[0]
     return out
 
@@ -945,15 +975,16 @@ def family_flux_rows(patches, spaces, sides):
 
     Returns per patch {side: (side_dofs, R)}. The rows of a side are formed
     for all patches of a family (_families) that list it at once, from one
-    side_traces call.
+    side_traces call; one Gauss rule per distinct rule size serves all
+    families and sides.
     """
-    out = [{} for _ in patches]
+    out, rules = [{} for _ in patches], {}
     for members in _families(patches, spaces):
         vel = spaces[members[0]].vel
         for side in SIDES:
             ks = [k for k in members if side in sides[k]]
             if ks:
-                dofs, R = _side_flux_rows([patches[k] for k in ks], vel, side)
+                dofs, R = _side_flux_rows([patches[k] for k in ks], vel, side, rules)
                 for k, r in zip(ks, R):
                     out[k][side] = dofs, r
     return out
@@ -1031,7 +1062,10 @@ class GlobalStokesSystem:
     """Conforming coupled system over all patches (the direct reference path).
 
     Velocity dofs matched across interfaces (and shared vertices) are
-    identified; pressures are patchwise discontinuous.
+    identified; pressures are patchwise discontinuous. The velocity
+    elimination is cached on the system and shared by solve and the
+    pressure Schur spectrum: velocity_factor, the one factor of the scalar
+    free stiffness, and pressure_schur, T = D_f K_ff^-1 D_f^T.
     """
 
     def __init__(self, mp, spaces, systems, scalar_l2g, n_scalar):
@@ -1124,27 +1158,106 @@ class GlobalStokesSystem:
     def pressure_integral_row(self):
         return np.asarray(self.Mp.sum(axis=0)).ravel()
 
+    @cached_property
+    def velocity_factor(self):
+        """factorize of the scalar free stiffness K_f = Ks[free][:, free] as an
+        SPD matrix, shared by both velocity components (K_ff = diag(K_f, K_f)):
+        the one velocity elimination of solve and of the pressure Schur
+        spectrum (analysis.pressure_schur_spectrum)."""
+        nf = len(self.free)
+        return factorize(self.free_blocks()[0][:nf, :nf],
+                         "velocity stiffness of the monolithic Stokes system", spd=True)
+
+    @cached_property
+    def pressure_schur(self):
+        """The pressure Schur complement T = D_f K_ff^-1 D_f^T, dense, formed on
+        first use. With a BandCholesky P K_f P^T = L L^T it is Y_0^T Y_0 +
+        Y_1^T Y_1, Y = [Y_0 | Y_1] = L^-1 P [D_0f^T | D_1f^T] from one forward
+        half solve; D_cf is the divergence acting on velocity component c."""
+        lu, npre, nf = self.velocity_factor, self.n_pressure, len(self.free)
+        D = self.free_blocks()[1].tocoo()
+        band = isinstance(lu, BandCholesky)
+        rows = D.col % nf
+        if band and lu.perm is not None:  # B in the factor's order, swept in place
+            rows = np.argsort(lu.perm)[rows]
+        B = np.zeros((nf, 2 * npre), order="F")  # [D_0f^T | D_1f^T]
+        B[rows, D.col // nf * npre + D.row] = D.data
+        if band:
+            Y = lu.forward_in_place(B)
+            Y0, Y1 = Y[:, :npre], Y[:, npre:]
+            return Y0.T @ Y0 + Y1.T @ Y1
+        X = lu.solve(B)
+        return B[:, :npre].T @ X[:, :npre] + B[:, npre:].T @ X[:, npre:]
+
+    def stiffness_solve(self, b):
+        """K_ff^-1 b for b on the free velocity dofs, components stacked (1-D
+        or a column per solve): one solve of velocity_factor, with a column
+        per component and column of b."""
+        nf = len(self.free)
+        X = self.velocity_factor.solve(b.reshape(2, nf, -1).transpose(1, 0, 2).reshape(nf, -1))
+        return X.reshape(nf, 2, -1).transpose(1, 0, 2).reshape(b.shape)
+
     def solve(self, fix_pressure_mean=True):
-        """Direct sparse solve; returns per-patch (u, p) coefficient arrays."""
+        """Direct solve; returns per-patch (u, p) coefficient arrays.
+
+        With fix_pressure_mean the pressure integral is held at zero by a
+        Lagrange multiplier. When the bordered pressure system
+        [[-T, m], [m^T, 0]] (m the pressure integral row; -T alone without
+        fix_pressure_mean) has at most DENSE_LU_ROWS rows and velocity_factor
+        is a BandCholesky, the velocity is eliminated through the pressure
+        Schur complement T (pressure_schur; Benzi, Golub & Liesen, Acta
+        Numerica 2005): z = K_ff^-1 f, p from the dense bordered system with
+        right-hand side h - D_f z, and u = K_ff^-1 (f - D_f^T p). The factor
+        and T are cached on the system, so the pressure Schur spectrum of the
+        same system factors nothing more. A larger system is factored as one
+        sparse saddle matrix with factorize(fem=True) (FEM_SUPERLU).
+
+        Called alone, the elimination is slower than the saddle on some
+        cells below the cut and faster on others; followed by the spectrum
+        it was faster on every cell tried. Medians of 7 in one process, one
+        2-vCPU host, BLAS on one thread, ms (rows of the bordered system):
+
+            cell                            rows   saddle solve   elimination
+                                                   (+ spectrum)   (+ spectrum)
+            grid(1,1) p1 l4                 290    10.6 (38.4)    17.2 (24.5)
+            grid(2,2) p1 l3                 325    15.5 (67.0)    23.9 (33.3)
+            grid(3,3) p2 l2                 325    13.7 (47.9)    18.4 (27.4)
+            rectangle_with_hole p1 l2       276    7.7 (28.4)     13.6 (22.1)
+            grid(1,1) p2 l4                 325    41.2 (85.0)    26.3 (35.5)
+            grid(2,2) p2 l2                 145    9.3 (14.3)     3.8 (5.7)
+            quarter_annulus(1,2,2,2) p2 l2  145    9.4 (14.4)     4.6 (7.1)
+        """
         Kff, Df, rhs_f, h = self.free_blocks()
-        nU = Kff.shape[0]
-        if fix_pressure_mean:
-            m = self.pressure_integral_row()
-            A = sp.bmat(
-                [
-                    [Kff, Df.T, None],
-                    [Df, None, sp.csr_matrix(m[:, None])],
-                    [None, sp.csr_matrix(m[None, :]), None],
-                ],
-                format="csc",
-            )
-            b = np.concatenate([rhs_f, h, [0.0]])
+        nU, npre = Kff.shape[0], self.n_pressure
+        m = self.pressure_integral_row()
+        n = npre + fix_pressure_mean
+        if n <= DENSE_LU_ROWS and isinstance(self.velocity_factor, BandCholesky):
+            M = np.zeros((n, n))
+            M[:npre, :npre] = -self.pressure_schur
+            if fix_pressure_mean:
+                M[:npre, npre] = M[npre, :npre] = m
+            r = np.zeros(n)
+            r[:npre] = h - Df @ self.stiffness_solve(rhs_f)
+            what = "pressure Schur complement of the monolithic Stokes system"
+            p = factorize(M, what).solve(r)[:npre]
+            uf = self.stiffness_solve(rhs_f - Df.T @ p).reshape(2, -1)
         else:
-            A = sp.bmat([[Kff, Df.T], [Df, None]], format="csc")
-            b = np.concatenate([rhs_f, h])
-        x = factorize(A, "monolithic Stokes system", fem=True).solve(b)
-        uf = x[:nU].reshape(2, -1)
-        p = x[nU : nU + self.n_pressure]
+            if fix_pressure_mean:
+                A = sp.bmat(
+                    [
+                        [Kff, Df.T, None],
+                        [Df, None, sp.csr_matrix(m[:, None])],
+                        [None, sp.csr_matrix(m[None, :]), None],
+                    ],
+                    format="csc",
+                )
+                b = np.concatenate([rhs_f, h, [0.0]])
+            else:
+                A = sp.bmat([[Kff, Df.T], [Df, None]], format="csc")
+                b = np.concatenate([rhs_f, h])
+            x = factorize(A, "monolithic Stokes system", fem=True).solve(b)
+            uf = x[:nU].reshape(2, -1)
+            p = x[nU : nU + npre]
         uglob = self.dir_values.copy()
         uglob[:, self.free] = uf
         us = [uglob[:, l2g] for l2g in self.scalar_l2g]
@@ -1275,22 +1388,25 @@ def total_errors(mp, spaces, us, ps, exact_u=None, exact_grad_u=None, exact_p=No
 # the smooth reference solution used by the convergence studies
 
 
+def _trig(pts):
+    """sin(pi x), cos(pi x), sin(pi y), cos(pi y), each evaluated once."""
+    x, y = np.pi * pts[..., 0], np.pi * pts[..., 1]
+    return np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+
+
 def manufactured_velocity(pts):
-    x, y = pts[..., 0], pts[..., 1]
-    return np.stack(
-        [-np.sin(np.pi * x) * np.cos(np.pi * y), np.cos(np.pi * x) * np.sin(np.pi * y)],
-        axis=-1,
-    )
+    sx, cx, sy, cy = _trig(pts)
+    return np.stack([-sx * cy, cx * sy], axis=-1)
 
 
 def manufactured_velocity_gradient(pts):
-    x, y = pts[..., 0], pts[..., 1]
+    sx, cx, sy, cy = _trig(pts)
     pi = np.pi
     g = np.empty(pts.shape[:-1] + (2, 2))
-    g[..., 0, 0] = -pi * np.cos(pi * x) * np.cos(pi * y)
-    g[..., 0, 1] = pi * np.sin(pi * x) * np.sin(pi * y)
-    g[..., 1, 0] = -pi * np.sin(pi * x) * np.sin(pi * y)
-    g[..., 1, 1] = pi * np.cos(pi * x) * np.cos(pi * y)
+    g[..., 0, 0] = -pi * cx * cy
+    g[..., 0, 1] = pi * sx * sy
+    g[..., 1, 0] = -pi * sx * sy
+    g[..., 1, 1] = pi * cx * cy
     return g
 
 
@@ -1299,12 +1415,6 @@ def manufactured_pressure(pts):
 
 
 def manufactured_rhs(pts):
-    x, y = pts[..., 0], pts[..., 1]
+    sx, cx, sy, cy = _trig(pts)
     pi = np.pi
-    return np.stack(
-        [
-            -pi * np.cos(pi * x) - 2 * pi**2 * np.sin(pi * x) * np.cos(pi * y),
-            2 * pi**2 * np.cos(pi * x) * np.sin(pi * y),
-        ],
-        axis=-1,
-    )
+    return np.stack([-pi * cx - 2 * pi**2 * sx * cy, 2 * pi**2 * cx * sy], axis=-1)

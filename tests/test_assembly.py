@@ -22,6 +22,7 @@ from ietistokes.assembly import (
     divergence_bubble,
     edge_flux_matrix,
     factorize,
+    family_flux_rows,
     fortin_correction,
     manufactured_pressure,
     manufactured_rhs,
@@ -113,6 +114,27 @@ def test_manufactured_solution_consistency():
     gp[:, 0] = (manufactured_pressure(pts + ex) - manufactured_pressure(pts - ex)) / (2 * h)
     gp[:, 1] = (manufactured_pressure(pts + ey) - manufactured_pressure(pts - ey)) / (2 * h)
     assert np.abs(-lap - gp - manufactured_rhs(pts)).max() < 2e-3
+
+
+def test_manufactured_solution_matches_its_closed_forms_bitwise():
+    # each trig factor is evaluated once per call; the values are those of
+    # the closed forms written out, bit for bit, on points of any shape
+    pi = np.pi
+    rng = np.random.default_rng(21)
+    for pts in (rng.uniform(-3.0, 3.0, size=(50, 2)), rng.uniform(0.0, 1.0, size=(4, 7, 2))):
+        x, y = pts[..., 0], pts[..., 1]
+        u = np.stack([-np.sin(pi * x) * np.cos(pi * y), np.cos(pi * x) * np.sin(pi * y)],
+                     axis=-1)
+        g = np.empty(pts.shape[:-1] + (2, 2))
+        g[..., 0, 0] = -pi * np.cos(pi * x) * np.cos(pi * y)
+        g[..., 0, 1] = pi * np.sin(pi * x) * np.sin(pi * y)
+        g[..., 1, 0] = -pi * np.sin(pi * x) * np.sin(pi * y)
+        g[..., 1, 1] = pi * np.cos(pi * x) * np.cos(pi * y)
+        f = np.stack([-pi * np.cos(pi * x) - 2 * pi**2 * np.sin(pi * x) * np.cos(pi * y),
+                      2 * pi**2 * np.cos(pi * x) * np.sin(pi * y)], axis=-1)
+        assert np.array_equal(manufactured_velocity(pts), u)
+        assert np.array_equal(manufactured_velocity_gradient(pts), g)
+        assert np.array_equal(manufactured_rhs(pts), f)
 
 
 def test_stiffness_symmetry_and_kernel():
@@ -388,12 +410,16 @@ def test_neumann_outlet_solvable_without_mean_constraint():
 def test_singular_monolithic_solve_raises():
     # with Dirichlet data on the whole boundary the pressure is fixed only up
     # to a constant; without the mean row the solve must fail, not return a
-    # shifted pressure
-    mp = build_domain("grid", m=2, n=2)
-    spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
-    glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
-    with pytest.raises(SingularLocalSystemError, match="monolithic Stokes system"):
-        glob.solve(fix_pressure_mean=False)
+    # shifted pressure: in the pressure Schur complement below the dense
+    # cut, in the saddle above it
+    for spec, level, what in (("grid(2,2)", 1, "pressure Schur complement of the monolithic"),
+                              ("grid(4,4)", 2, "monolithic Stokes system is")):
+        mp = parse_domain(spec)
+        spaces = taylor_hood_spaces(mp, degree=1, refinement=level)
+        glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        assert (glob.n_pressure <= DENSE_LU_ROWS) == (spec == "grid(2,2)")
+        with pytest.raises(SingularLocalSystemError, match=what):
+            glob.solve(fix_pressure_mean=False)
 
 
 def _stiffness_ii(degree, refinement):
@@ -470,27 +496,34 @@ def test_kernels_build_one_gauss_rule_per_call(monkeypatch):
     patch_errors(geo, ths, np.zeros((2, ths.vel.dim)), None)
     geo.area()
     assert calls == [5, 6, 6, 6]
+    # the flux rows one per distinct rule size, over all families and sides
+    calls.clear()
+    mp = parse_domain("grid(2,2)")
+    spaces = taylor_hood_spaces(mp, 2, refinement=1)
+    family_flux_rows(mp.patches, spaces, [SIDES] * len(mp.patches))
+    gdeg = mp.patches[0].space.space_x.degree
+    sizes = {spaces[0].vel.side_space(side).degree + gdeg + 2 for side in SIDES}
+    assert len(calls) == len(sizes) == 1
 
 
-def _monolithic_saddle(monkeypatch, spec, degree, refinement):
-    """The matrix that GlobalStokesSystem.solve hands to factorize."""
-    import ietistokes.assembly as assembly
-
-    got = []
-    monkeypatch.setattr(assembly, "factorize",
-                        lambda A, what, fem=False: got.append(A) or factorize(A, what, fem))
-    mp = parse_domain(spec)
-    assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement)).solve()
-    monkeypatch.undo()
-    A, = got
-    return A.tocsc()
+def _monolithic_saddle(glob, fix_pressure_mean=True):
+    """(A, b): the sparse saddle system of GlobalStokesSystem.solve above the
+    dense cut, built from the free-dof blocks; b includes the Lagrange
+    multiplier's row when the pressure mean is fixed."""
+    Kff, Df, rhs_f, h = glob.free_blocks()
+    if not fix_pressure_mean:
+        return sp.bmat([[Kff, Df.T], [Df, None]], format="csc"), np.concatenate([rhs_f, h])
+    m = sp.csr_matrix(glob.pressure_integral_row())
+    A = sp.bmat([[Kff, Df.T, None], [Df, None, m.T], [None, m, None]], format="csc")
+    return A, np.concatenate([rhs_f, h, [0.0]])
 
 
 def test_finite_element_systems_get_the_symmetric_superlu_mode(monkeypatch):
-    # the monolithic saddle is factored in SuperLU's symmetric mode; the
-    # spectrum's velocity stiffness, SPD with a narrow band, and every K_ii,
-    # a dense SPD array, take the band Cholesky; the IETI coarse primal
-    # system keeps SuperLU's defaults (COLAMD)
+    # below the dense cut the monolithic solve and the spectrum share one
+    # band Cholesky of the scalar free stiffness, SPD with a narrow band;
+    # above it the saddle is factored in SuperLU's symmetric mode. Every
+    # K_ii, a dense SPD array, takes the band Cholesky; the IETI coarse
+    # primal system keeps SuperLU's defaults (COLAMD)
     from ietistokes.analysis import pressure_schur_spectrum
     from ietistokes.ieti import solve_stokes_ieti
 
@@ -511,7 +544,15 @@ def test_finite_element_systems_get_the_symmetric_superlu_mode(monkeypatch):
     glob = assemble_global(mp, taylor_hood_spaces(mp, 1, refinement=3))
     glob.solve()
     pressure_schur_spectrum(glob)
-    assert calls == [(532, FEM_SUPERLU)] and bands == [450]
+    assert calls == [] and bands == [len(glob.free)] == [225]
+    bands.clear()
+    mp = parse_domain("grid(2,7)")  # 350 pressure dofs: one row above the cut
+    glob = assemble_global(mp, taylor_hood_spaces(mp, 1, refinement=2))
+    assert glob.n_pressure + 1 == DENSE_LU_ROWS + 1
+    glob.solve()
+    assert calls == [(glob.n_dofs + 1, FEM_SUPERLU)] and bands == []
+    pressure_schur_spectrum(glob)
+    assert len(calls) == 1 and bands == [len(glob.free)]
     calls.clear()
     bands.clear()
     ths = build_taylor_hood(unit_square(), 1, refinement=4)
@@ -536,10 +577,12 @@ def test_factorize_fem_is_superlu_in_symmetric_mode():
 
 @pytest.mark.parametrize("spec, degree, refinement",
                          [("grid(1,1)", 2, 4), ("quarter_annulus(1,2,4,4)", 2, 2)])
-def test_symmetric_mode_fills_less_on_stokes_saddles(monkeypatch, spec, degree, refinement):
+def test_symmetric_mode_fills_less_on_stokes_saddles(spec, degree, refinement):
     # minimum degree on A^T + A stores fewer factor entries than COLAMD on
     # the monolithic saddle and solves it to the same answer
-    A = _monolithic_saddle(monkeypatch, spec, degree, refinement)
+    mp = parse_domain(spec)
+    A, _ = _monolithic_saddle(assemble_global(mp, taylor_hood_spaces(mp, degree,
+                                                                     refinement=refinement)))
     b = np.random.default_rng(4).standard_normal(A.shape[0])
     sym, colamd = factorize(A, "saddle", fem=True), spla.splu(A)
     assert sym.L.nnz + sym.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -594,8 +637,8 @@ def test_factorize_sends_dense_arrays_to_getrf():
 
 
 def _velocity_stiffness(spec, degree, refinement):
-    """The stacked free velocity stiffness that the pressure Schur spectrum
-    factors, and its system."""
+    """The stacked free velocity stiffness K_ff = diag(K_f, K_f) of
+    free_blocks, and its system."""
     mp = parse_domain(spec)
     glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement))
     return glob.free_blocks()[0], glob
@@ -628,17 +671,19 @@ def test_spd_factor_is_a_band_cholesky_in_the_narrower_order(spec, degree, refin
 
 
 def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
-    # T = Y^T Y with Y = L^-1 P D^T is D K^-1 D^T; a stiffness whose band
-    # holds one entry more than BAND_ENTRIES goes to SuperLU's symmetric
-    # mode instead, and gives the same spectrum
+    # T = Y_0^T Y_0 + Y_1^T Y_1 with Y = L^-1 P [D_0^T | D_1^T], L the band
+    # factor of the scalar free stiffness, is D K^-1 D^T; a scalar stiffness
+    # whose band holds one entry more than BAND_ENTRIES goes to SuperLU's
+    # symmetric mode instead, and gives the same spectrum
     import ietistokes.analysis as analysis
     import ietistokes.assembly as assembly
 
-    K, glob = _velocity_stiffness("grid(1,1)", 2, 3)
+    K, glob = _velocity_stiffness("grid(1,1)", 2, 4)
     D = glob.free_blocks()[1]
     want = D @ spla.splu(K.tocsc()).solve(D.toarray().T)
-    entries = K.shape[0] * (factorize(K, "velocity stiffness", spd=True).bandwidth + 1)
-    assert entries <= BAND_ENTRIES
+    nf = len(glob.free)
+    entries = nf * (factorize(K[:nf, :nf], "velocity stiffness", spd=True).bandwidth + 1)
+    assert entries <= BAND_ENTRIES and nf > DENSE_LU_ROWS
     got, calls = [], []
     real_extremes, real_splu = analysis._dense_extremes, spla.splu
     monkeypatch.setattr(analysis, "_dense_extremes",
@@ -646,13 +691,92 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
     monkeypatch.setattr(spla, "splu",
                         lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
     kappas = []
-    for cut in (entries, entries - 1):
+    for cut, kind in ((entries, BandCholesky), (entries - 1, spla.SuperLU)):
         monkeypatch.setattr(assembly, "BAND_ENTRIES", cut)
+        _, glob = _velocity_stiffness("grid(1,1)", 2, 4)  # the factor is cached per system
         kappas.append(analysis.pressure_schur_spectrum(glob).kappa)
-    assert calls == [(K.shape[0], FEM_SUPERLU)]
+        assert isinstance(glob.velocity_factor, kind)
+    assert calls == [(nf, FEM_SUPERLU)] and len(got) == 2
     for T in got:
         assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
     assert abs(kappas[0] - kappas[1]) <= 1e-12 * kappas[1]
+
+
+def _neumann_outlet(domain, m):
+    """A row of m patches (domain "grid" or "strip"), all Dirichlet but the
+    east side of the last patch, a Neumann outlet."""
+    mp = build_domain("grid", m=m, n=1) if domain == "grid" else build_domain("strip", length=m)
+    return build_multipatch(mp.patches, boundary=lambda k, s, _: "neumann"
+                            if (k, s) == (m - 1, "east") else "dirichlet")
+
+
+ELIMINATION_CASES = {  # domain, degree, level, fix_pressure_mean, bordered rows
+    "one patch": (lambda: parse_domain("grid(1,1)"), 2, 4, True, 325),
+    "four curved patches": (lambda: parse_domain("quarter_annulus(1,2,2,2)"), 2, 2, True, 145),
+    "Neumann outlet": (lambda: _neumann_outlet("grid", 2), 2, 2, False, 72),
+    "at the cut": (lambda: _neumann_outlet("strip", 14), 1, 2, False, DENSE_LU_ROWS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+def test_eliminated_solve_matches_the_saddle_solve(case):
+    # below the dense cut solve eliminates the velocity through the pressure
+    # Schur complement; it agrees with SuperLU's symmetric-mode solve of the
+    # saddle to round-off, in velocity and in pressure
+    make, degree, refinement, fix, rows = ELIMINATION_CASES[case]
+    mp = make()
+    glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement),
+                           rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    assert glob.n_pressure + fix == rows <= DENSE_LU_ROWS
+    us, ps = glob.solve(fix_pressure_mean=fix)
+    assert isinstance(glob.velocity_factor, BandCholesky) and "pressure_schur" in glob.__dict__
+    A, b = _monolithic_saddle(glob, fix)
+    x = spla.splu(A, **FEM_SUPERLU).solve(b)
+    nU = glob.n_free_velocity
+    uglob = np.zeros((2, glob.n_scalar))
+    for u, l2g in zip(us, glob.scalar_l2g):
+        uglob[:, l2g] = u
+    for got, want in ((uglob[:, glob.free].ravel(), x[:nU]),
+                      (np.concatenate(ps), x[nU : nU + glob.n_pressure])):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solve_and_spectrum_share_one_velocity_factor(monkeypatch):
+    # on the six square-study cells (grid(1,1), p 1-2, levels 2-4) solve and
+    # the dense and iterative spectra factor the scalar free stiffness once
+    # per system, form T once and never call SuperLU (p1 l2 has too few
+    # pressure dofs for LOBPCG and goes dense)
+    import ietistokes.analysis as analysis
+    import ietistokes.assembly as assembly
+    from ietistokes.assembly import GlobalStokesSystem
+
+    calls, splus, sweeps = [], [], []
+    real_splu = spla.splu
+    real_T = GlobalStokesSystem.__dict__["pressure_schur"].func
+    monkeypatch.setattr(assembly, "factorize", lambda A, what, fem=False, spd=False:
+                        calls.append((what, spd)) or factorize(A, what, fem, spd))
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: splus.append(A.shape) or real_splu(A, **kw))
+    monkeypatch.setattr(GlobalStokesSystem.__dict__["pressure_schur"], "func",
+                        lambda self: sweeps.append(self) or real_T(self))
+    mp = parse_domain("grid(1,1)")
+    for degree in (1, 2):
+        for level in (2, 3, 4):
+            glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=level),
+                                   rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+            glob.solve()
+            dense = analysis.pressure_schur_spectrum(glob, method="dense")
+            if degree + level <= 4:  # LOBPCG takes seconds on the larger cells
+                iterative = analysis.pressure_schur_spectrum(glob, method="iterative")
+                assert iterative.method == ("dense" if level == 2 and degree == 1
+                                            else "iterative")
+                assert abs(iterative.kappa - dense.kappa) <= 1e-6 * dense.kappa
+            assert calls == [("velocity stiffness of the monolithic Stokes system", True),
+                             ("pressure Schur complement of the monolithic Stokes system",
+                              False)]
+            assert isinstance(glob.velocity_factor, BandCholesky) and sweeps == [glob]
+            calls.clear()
+            sweeps.clear()
+    assert splus == []
 
 
 def test_band_cholesky_rejects_indefinite_and_floating_matrices():
