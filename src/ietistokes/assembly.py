@@ -118,8 +118,8 @@ BAND_ENTRIES = 1_100_000  # sparse SPD systems whose band holds up to this many:
 class DenseLU:
     """LAPACK LU factors of a small system, with the SuperLU interface the
     package reads: shape, solve (1-D or 2-D right-hand sides) and the unit
-    lower and upper triangles L and U, built on demand as CSC matrices of
-    n (n + 1) / 2 entries each, explicit zeros kept.
+    lower and upper triangles L and U, built on demand as sparse matrices
+    of n (n + 1) / 2 entries each, explicit zeros kept.
     """
 
     def __init__(self, lu, piv):
@@ -135,19 +135,13 @@ class DenseLU:
 
     @property
     def L(self):
-        c, r = np.triu_indices(self.shape[0])  # the lower triangle, column major
-        data = self._lu[r, c]
-        data[r == c] = 1.0
-        return self._triangle(data, r, c)
+        r, c = np.tril_indices(self.shape[0])
+        return sp.csc_matrix((np.where(r == c, 1.0, self._lu[r, c]), (r, c)), shape=self.shape)
 
     @property
     def U(self):
-        c, r = np.tril_indices(self.shape[0])  # the upper triangle, column major
-        return self._triangle(self._lu[r, c], r, c)
-
-    def _triangle(self, data, rows, cols):
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=self.shape[1]))])
-        return sp.csc_matrix((data, rows, indptr), shape=self.shape)
+        r, c = np.triu_indices(self.shape[0])
+        return sp.csc_matrix((self._lu[r, c], (r, c)), shape=self.shape)
 
 
 class BandCholesky:
@@ -203,12 +197,7 @@ class BandCholesky:
 
     @property
     def U(self):
-        n, ks = self.shape[0], np.arange(self.bandwidth, -1, -1)
-        rows = np.arange(n)[:, None] - ks  # (column, k): U[j - k, j] = L[j, j - k]
-        keep = rows >= 0
-        return sp.csc_matrix((self._ab[ks, np.maximum(rows, 0)][keep], rows[keep],
-                              np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-                             shape=self.shape)
+        return self.L.T.tocsc()
 
 
 def _lower_band(A):
@@ -1203,35 +1192,52 @@ class GlobalStokesSystem:
         With fix_pressure_mean the pressure integral is held at zero by a
         Lagrange multiplier. When the bordered pressure system
         [[-T, m], [m^T, 0]] (m the pressure integral row; -T alone without
-        fix_pressure_mean) has at most DENSE_LU_ROWS rows and velocity_factor
-        is a BandCholesky, the velocity is eliminated through the pressure
-        Schur complement T (pressure_schur; Benzi, Golub & Liesen, Acta
-        Numerica 2005): z = K_ff^-1 f, p from the dense bordered system with
-        right-hand side h - D_f z, and u = K_ff^-1 (f - D_f^T p). The factor
-        and T are cached on the system, so the pressure Schur spectrum of the
-        same system factors nothing more. A larger system is factored as one
-        sparse saddle matrix with factorize(fem=True) (FEM_SUPERLU).
+        fix_pressure_mean) has at most DENSE_LU_ROWS rows, the velocity is
+        eliminated through the pressure Schur complement T (pressure_schur;
+        Benzi, Golub & Liesen, Acta Numerica 2005): z = K_ff^-1 f, p from the
+        dense bordered system with right-hand side h - D_f z, and
+        u = K_ff^-1 (f - D_f^T p). The factor and T are cached on the system,
+        so the pressure Schur spectrum of the same system factors nothing
+        more. A larger system is factored as one sparse saddle matrix with
+        factorize(fem=True) (FEM_SUPERLU).
 
-        Called alone, the elimination is slower than the saddle on some
-        cells below the cut and faster on others; followed by the spectrum
-        it was faster on every cell tried. Medians of 7 in one process, one
-        2-vCPU host, BLAS on one thread, ms (rows of the bordered system):
+        The cut, the dense factor's DENSE_LU_ROWS, bounds what solve pays
+        when nothing else reads T. Followed by the spectrum, which forms T
+        anyway, the elimination was faster on every cell measured, at every
+        size. Called alone, it was faster on grid(1,1) p2 l4 and the
+        145-row cells and slower on the rest, and forming T costs n_f n_p^2 while the saddle's fill
+        grows more slowly: at most 1.8x (12.6 ms) below the cut, 1.5-1.7x
+        (at most 16.6 ms) at 351-401 rows, 2-2.5x at 577-626 and 2.6-11x
+        from 730. Medians of 7 (5 at 577-626, 3 from 730 rows), both paths
+        alternating in one process, one 2-vCPU host, BLAS on one thread, ms:
 
             cell                            rows   saddle solve   elimination
                                                    (+ spectrum)   (+ spectrum)
-            grid(1,1) p1 l4                 290    10.6 (38.4)    17.2 (24.5)
-            grid(2,2) p1 l3                 325    15.5 (67.0)    23.9 (33.3)
-            grid(3,3) p2 l2                 325    13.7 (47.9)    18.4 (27.4)
-            rectangle_with_hole p1 l2       276    7.7 (28.4)     13.6 (22.1)
-            grid(1,1) p2 l4                 325    41.2 (85.0)    26.3 (35.5)
-            grid(2,2) p2 l2                 145    9.3 (14.3)     3.8 (5.7)
-            quarter_annulus(1,2,2,2) p2 l2  145    9.4 (14.4)     4.6 (7.1)
+            grid(2,2) p2 l2                 145    13.6 (15.6)    4.6 (7.0)
+            quarter_annulus(1,2,2,2) p2 l2  145    10.5 (15.7)    3.5 (5.2)
+            rectangle_with_hole p1 l2       276    6.4 (23.8)     11.0 (17.9)
+            grid(1,1) p1 l4                 290    10.9 (35.2)    17.3 (23.8)
+            grid(1,1) p2 l4                 325    31.9 (67.2)    24.9 (34.1)
+            grid(2,2) p1 l3                 325    15.3 (53.9)    27.9 (43.0)
+            grid(3,3) p2 l2                 325    13.3 (40.9)    19.5 (28.7)
+            grid(2,7) p1 l2                 351    12.6 (40.9)    18.9 (29.7)
+            grid(4,4) p1 l2                 401    28.1 (86.6)    43.0 (62.6)
+            grid(2,2) p2 l3                 401    22.3 (75.6)    38.9 (54.0)
+            grid(4,4) p2 l2                 577    42.9 (160)     84.6 (132)
+            grid(5,5) p1 l2                 626    40.3 (188)     100 (145)
+            grid(3,3) p1 l3                 730    31.4 (338)     222 (304)
+            grid(3,3) p2 l3                 901    112 (746)      485 (688)
+            grid(1,1) p1 l5                 1,090  54.7 (894)     584 (851)
+            grid(1,1) p2 l5                 1,157  342 (1,551)    876 (1,162)
+
+        Both paths agreed to 5e-11 relative in pressure and 5e-13 in
+        velocity on all of these.
         """
         Kff, Df, rhs_f, h = self.free_blocks()
         nU, npre = Kff.shape[0], self.n_pressure
         m = self.pressure_integral_row()
         n = npre + fix_pressure_mean
-        if n <= DENSE_LU_ROWS and isinstance(self.velocity_factor, BandCholesky):
+        if n <= DENSE_LU_ROWS:
             M = np.zeros((n, n))
             M[:npre, :npre] = -self.pressure_schur
             if fix_pressure_mean:

@@ -225,23 +225,13 @@ class CondensedLU:
 
     @property
     def L(self):
-        return _block_diag_csc([f.L for f in (self.interior, self.reduced) if f is not None])
+        return sp.block_diag([f.L for f in (self.interior, self.reduced) if f is not None],
+                             format="csc")
 
     @property
     def U(self):
-        return _block_diag_csc([f.U for f in (self.interior, self.reduced) if f is not None])
-
-
-def _block_diag_csc(blocks):
-    """sp.block_diag of square sparse blocks as one CSC matrix, by offsetting
-    and concatenating their CSC arrays; explicit zeros kept."""
-    blocks = [b.tocsc() for b in blocks]
-    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
-    nnz = np.cumsum([0] + [b.nnz for b in blocks])
-    return sp.csc_matrix((np.concatenate([b.data for b in blocks]),
-                          np.concatenate([b.indices + r for b, r in zip(blocks, rows)]),
-                          np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, nnz)])),
-                         shape=(rows[-1], rows[-1]))
+        return sp.block_diag([f.U for f in (self.interior, self.reduced) if f is not None],
+                             format="csc")
 
 
 class AugmentedLocalSystem:

@@ -674,7 +674,8 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
     # T = Y_0^T Y_0 + Y_1^T Y_1 with Y = L^-1 P [D_0^T | D_1^T], L the band
     # factor of the scalar free stiffness, is D K^-1 D^T; a scalar stiffness
     # whose band holds one entry more than BAND_ENTRIES goes to SuperLU's
-    # symmetric mode instead, and gives the same spectrum
+    # symmetric mode instead, and gives the same spectrum and, through the
+    # same T, the same eliminated solve
     import ietistokes.analysis as analysis
     import ietistokes.assembly as assembly
 
@@ -690,16 +691,19 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
                         lambda T, Mp: got.append(T) or real_extremes(T, Mp))
     monkeypatch.setattr(spla, "splu",
                         lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
-    kappas = []
+    kappas, solutions = [], []
     for cut, kind in ((entries, BandCholesky), (entries - 1, spla.SuperLU)):
         monkeypatch.setattr(assembly, "BAND_ENTRIES", cut)
         _, glob = _velocity_stiffness("grid(1,1)", 2, 4)  # the factor is cached per system
         kappas.append(analysis.pressure_schur_spectrum(glob).kappa)
         assert isinstance(glob.velocity_factor, kind)
+        us, ps = glob.solve()
+        solutions.append(np.concatenate([x.ravel() for x in us + ps]))
     assert calls == [(nf, FEM_SUPERLU)] and len(got) == 2
     for T in got:
         assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
     assert abs(kappas[0] - kappas[1]) <= 1e-12 * kappas[1]
+    assert np.linalg.norm(solutions[1] - solutions[0]) <= 1e-12 * np.linalg.norm(solutions[0])
 
 
 def _neumann_outlet(domain, m):

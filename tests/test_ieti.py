@@ -500,23 +500,6 @@ def test_benchmark_counts_contract():
         assert lu.L.nnz > 0 and lu.U.nnz > 0
 
 
-def test_factor_triangles_are_built_in_csc_with_their_explicit_zeros():
-    # CondensedLU's L and U are the block diagonals of its two factors'
-    # triangles, and the band factor's U is its L transposed: the same CSC
-    # arrays as sp.block_diag and a transpose give, explicit zeros kept
-    mp, spaces, glob = build_grid_problem(2, 2)
-    op, _ = setup_ieti(mp, spaces, systems=glob.systems)
-    for aug in op.locals_:
-        parts = (aug.lu.interior, aug.lu.reduced)
-        band = aug.lu.interior
-        for got, want in ((aug.lu.L, sp.block_diag([f.L for f in parts], format="csc")),
-                          (aug.lu.U, sp.block_diag([f.U for f in parts], format="csc")),
-                          (band.U, band.L.T.tocsc())):
-            assert got.format == "csc" and got.shape == want.shape
-            for a in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, a), getattr(want, a))
-
-
 def _neumann_outlet_grid():
     # grid(2,1) with a Neumann (outflow) east side on the second patch
     mp0 = build_domain("grid", m=2, n=1)
