@@ -4,8 +4,10 @@ Everything here revolves around the generalized eigenvalue problem
 
     D K^-1 D^T q = lambda M_p q
 
-posed on mean-zero pressures: the square root of the smallest nonzero
-eigenvalue is the discrete inf-sup constant, the largest eigenvalue is the
+posed off the constant pressure when the boundary fixes the pressure only
+up to one (MultiPatch.pressure_up_to_constant: the velocity is Dirichlet on
+the whole boundary), on all pressures otherwise. The square root of the
+smallest eigenvalue is the discrete inf-sup constant, the largest one the
 discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
 complement. pressure_schur_extremes factors the velocity stiffness K it is
@@ -18,7 +20,7 @@ cached on the global system, which the system's solve shares
 pressure_schur, T formed the same way). local_infsup and skeleton_matrices
 read the same half solve for the patch's interior velocity, the elimination
 the IETI-DP setup performs too (PatchStokesSystem.condense_interior). The
-dense eigensolve removes the constant pressure with one Householder
+dense eigensolve removes a left-out constant pressure with one Householder
 reflector. The skeleton routines compare the boundary Schur complement of
 the full saddle point system with the one of the vector Laplacian.
 """
@@ -100,8 +102,8 @@ def _mean_row(Mp):
     return np.asarray(Mp.sum(axis=0)).ravel()
 
 
-def _dense_extremes(T, Mp):
-    """Extreme eigenvalues of (T, M_p) off the constant pressure.
+def _dense_extremes(T, Mp, deflate):
+    """Extreme eigenvalues of (T, M_p), off the constant pressure if deflate.
 
     The reflector H = I - 2 v v^T that maps the mean row M_p 1 to a multiple
     of e_1 has, in its other columns, an orthonormal basis of the row's
@@ -109,6 +111,9 @@ def _dense_extremes(T, Mp):
     first row and column, and H X H = X - 2 (v z^T + z v^T) with
     z = X v - (v^T X v) v for a symmetric X.
     """
+    if not deflate:
+        ev = sla.eigh(T, Mp.toarray(), eigvals_only=True)
+        return float(ev[0]), float(ev[-1])
     v = _mean_row(Mp)
     v /= np.linalg.norm(v)
     v[0] += math.copysign(1.0, v[0])
@@ -124,10 +129,10 @@ def _dense_extremes(T, Mp):
     return float(ev[0]), float(ev[-1])
 
 
-def _iterative_extremes(schur, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
+def _iterative_extremes(schur, Mp, deflate, tol=1e-8, maxiter=2000, seed=0, block=5):
     n = Mp.shape[0]
     T = spla.LinearOperator((n, n), matvec=schur, matmat=schur, dtype=float)
-    ones = np.ones((n, 1))
+    Y = np.ones((n, 1)) if deflate else None
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, min(block, max(1, n - 2))))
     if n - 1 < 5 * X.shape[1]:
@@ -142,7 +147,7 @@ def _iterative_extremes(schur, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
         # threads of InfSupStudy.run from restoring each other's filters.
         with _LOBPCG_LOCK, warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            w, V = spla.lobpcg(T, X.copy(), B=Mp, Y=ones, largest=largest,
+            w, V = spla.lobpcg(T, X.copy(), B=Mp, Y=Y, largest=largest,
                                tol=tol, maxiter=maxiter)
         j = int(np.argmin(w)) if not largest else int(np.argmax(w))
         lam, x = float(w[j]), V[:, j]
@@ -155,14 +160,15 @@ def _iterative_extremes(schur, Mp, tol=1e-8, maxiter=2000, seed=0, block=5):
     return out[0], out[1]
 
 
-def _schur_extremes(schur, dense, Mp, dofs, method):
+def _schur_extremes(schur, dense, Mp, dofs, method, deflate=True):
     """SchurSpectrum of T, applied as schur(Q) = T Q and formed by dense(),
-    by the method policy of pressure_schur_extremes."""
+    by the method policy of pressure_schur_extremes; off the constant
+    pressure if deflate."""
     if method == "auto":
         method = "dense" if dofs <= DENSE_LIMIT else "iterative"
     if method == "iterative":
         try:
-            lmin, lmax = _iterative_extremes(schur, Mp)
+            lmin, lmax = _iterative_extremes(schur, Mp, deflate)
             return SchurSpectrum(lmin, lmax, dofs, "iterative")
         except _NotConverged:
             if dofs > DENSE_LIMIT:
@@ -172,7 +178,7 @@ def _schur_extremes(schur, dense, Mp, dofs, method):
             method = "dense"
     if method != "dense":
         raise ValueError("unknown method %r" % (method,))
-    lmin, lmax = _dense_extremes(dense(), Mp)
+    lmin, lmax = _dense_extremes(dense(), Mp, deflate)
     return SchurSpectrum(lmin, lmax, dofs, "dense")
 
 
@@ -181,8 +187,9 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
 
     K is the velocity stiffness on the unconstrained dofs (components
     stacked), D the matching divergence block and M_p the pressure mass. K
-    is factored once for both paths, which form or apply T = D K^-1 D^T. The
-    constant-pressure direction is removed: dense work restricts to the
+    is factored once for both paths, which form or apply T = D K^-1 D^T.
+    Generic blocks carry no boundary tags, so the constant-pressure
+    direction is always removed: dense work restricts to the
     orthogonal complement of M_p 1 that one Householder reflector spans
     (_dense_extremes), the iterative path keeps the LOBPCG block orthogonal
     to it. "auto" picks the dense path up to DENSE_LIMIT dofs. A
@@ -211,14 +218,17 @@ def pressure_schur_spectrum(glob, method="auto"):
     dense path the cached T (GlobalStokesSystem.pressure_schur), the
     iterative one T Q = D_f K_ff^-1 D_f^T Q through the one factor of the
     scalar free stiffness (GlobalStokesSystem.stiffness_solve). The method
-    policy is that of pressure_schur_extremes.
+    policy is that of pressure_schur_extremes. The constant pressure is
+    left out iff glob.mp.pressure_up_to_constant; with a Neumann side the
+    whole pencil (T, M_p) is solved.
     """
     Df = glob.free_blocks()[1]
 
     def schur(Q):
         return Df @ glob.stiffness_solve(np.asarray(Df.T @ Q, dtype=float))
 
-    return _schur_extremes(schur, lambda: glob.pressure_schur, glob.Mp, glob.n_dofs, method)
+    return _schur_extremes(schur, lambda: glob.pressure_schur, glob.Mp, glob.n_dofs, method,
+                           glob.mp.pressure_up_to_constant)
 
 
 def pressure_schur_condition(glob, method="auto"):
@@ -231,8 +241,9 @@ def local_infsup(system, method="auto"):
     """Inf-sup constant beta_k of a single patch.
 
     The patch system must have Dirichlet conditions on the whole velocity
-    boundary (ValueError otherwise); beta_k is the square root of the
-    smallest nonzero generalized eigenvalue of (T, M_p), with
+    boundary (ValueError otherwise), so the constant pressure is left out:
+    beta_k is the square root of the smallest nonzero generalized
+    eigenvalue of (T, M_p), with
     T = sum_c D_ci K_ii^-1 D_ci^T the pressure Schur complement of the
     patch's interior condensation (PatchStokesSystem.condense_interior).
     """
@@ -296,8 +307,8 @@ def skeleton_spectra(system):
 class InfSupStudy:
     """Pressure Schur condition numbers over a (degree, level) grid.
 
-    Each cell assembles the domain with all-Dirichlet velocity boundary and
-    reports kappa, beta, delta_h and the dof count. Cells are independent and
+    Each cell assembles the domain with its own boundary tags and reports
+    kappa, beta, delta_h (pressure_schur_spectrum) and the dof count. Cells are independent and
     can run on a thread pool.
     """
 

@@ -1186,13 +1186,14 @@ class GlobalStokesSystem:
         X = self.velocity_factor.solve(b.reshape(2, nf, -1).transpose(1, 0, 2).reshape(nf, -1))
         return X.reshape(nf, 2, -1).transpose(1, 0, 2).reshape(b.shape)
 
-    def solve(self, fix_pressure_mean=True):
+    def solve(self):
         """Direct solve; returns per-patch (u, p) coefficient arrays.
 
-        With fix_pressure_mean the pressure integral is held at zero by a
-        Lagrange multiplier. When the bordered pressure system
-        [[-T, m], [m^T, 0]] (m the pressure integral row; -T alone without
-        fix_pressure_mean) has at most DENSE_LU_ROWS rows, the velocity is
+        The pressure integral is held at zero by a Lagrange multiplier iff
+        the domain fixes the pressure only up to a constant
+        (MultiPatch.pressure_up_to_constant). When the bordered pressure
+        system [[-T, m], [m^T, 0]] (m the pressure integral row; -T alone
+        without it) has at most DENSE_LU_ROWS rows, the velocity is
         eliminated through the pressure Schur complement T (pressure_schur;
         Benzi, Golub & Liesen, Acta Numerica 2005): z = K_ff^-1 f, p from the
         dense bordered system with right-hand side h - D_f z, and
@@ -1235,32 +1236,20 @@ class GlobalStokesSystem:
         """
         Kff, Df, rhs_f, h = self.free_blocks()
         nU, npre = Kff.shape[0], self.n_pressure
-        m = self.pressure_integral_row()
-        n = npre + fix_pressure_mean
-        if n <= DENSE_LU_ROWS:
-            M = np.zeros((n, n))
-            M[:npre, :npre] = -self.pressure_schur
-            if fix_pressure_mean:
-                M[:npre, npre] = M[npre, :npre] = m
-            r = np.zeros(n)
+        m = (self.pressure_integral_row()[:, None] if self.mp.pressure_up_to_constant
+             else np.zeros((npre, 0)))  # the mean row's column, or none
+        nm = m.shape[1]
+        if npre + nm <= DENSE_LU_ROWS:
+            M = np.block([[-self.pressure_schur, m], [m.T, np.zeros((nm, nm))]])
+            r = np.zeros(npre + nm)
             r[:npre] = h - Df @ self.stiffness_solve(rhs_f)
             what = "pressure Schur complement of the monolithic Stokes system"
             p = factorize(M, what).solve(r)[:npre]
             uf = self.stiffness_solve(rhs_f - Df.T @ p).reshape(2, -1)
         else:
-            if fix_pressure_mean:
-                A = sp.bmat(
-                    [
-                        [Kff, Df.T, None],
-                        [Df, None, sp.csr_matrix(m[:, None])],
-                        [None, sp.csr_matrix(m[None, :]), None],
-                    ],
-                    format="csc",
-                )
-                b = np.concatenate([rhs_f, h, [0.0]])
-            else:
-                A = sp.bmat([[Kff, Df.T], [Df, None]], format="csc")
-                b = np.concatenate([rhs_f, h])
+            m = sp.csr_matrix(m)
+            A = sp.bmat([[Kff, Df.T, None], [Df, None, m], [None, m.T, None]], format="csc")
+            b = np.concatenate([rhs_f, h, np.zeros(nm)])
             x = factorize(A, "monolithic Stokes system", fem=True).solve(b)
             uf = x[:nU].reshape(2, -1)
             p = x[nU : nU + npre]

@@ -63,8 +63,7 @@ class RunConfig:
 
     def __init__(self, command, domain, degrees, levels, smoothness=None,
                  tol=1e-6, max_iter=500, seed=42, output=None, threads=1,
-                 use_global_pressure_mean=True, zero_data=False, samples=9,
-                 method="auto", suite="all"):
+                 zero_data=False, samples=9, method="auto", suite="all"):
         self.command = command
         self.domain = domain
         self.degrees = list(degrees)
@@ -75,7 +74,6 @@ class RunConfig:
         self.seed = int(seed)
         self.output = output
         self.threads = int(threads)
-        self.use_global_pressure_mean = bool(use_global_pressure_mean)
         self.zero_data = bool(zero_data)
         self.samples = int(samples)
         self.method = method
@@ -116,17 +114,15 @@ def channel_inlet(pts):
 
 
 def problem_data(mp, config):
-    """(rhs, dirichlet, use_mean, manufactured) for a domain.
-
-    Domains with a Neumann outlet get the channel inflow data (f = 0) and the
-    pressure mean constraint is dropped there regardless of the flag, since
-    the outlet already fixes the pressure level.
+    """(rhs, dirichlet, manufactured) for a domain: the channel inflow data
+    (f = 0) with a Neumann outlet, else the manufactured solution. The
+    domain alone decides the pressure mean (MultiPatch.pressure_up_to_constant).
     """
     if config.zero_data:
-        return None, None, config.use_global_pressure_mean, False
-    if any(tag == "neumann" for tag in mp.boundary.values()):
-        return None, channel_inlet, False, False
-    return manufactured_rhs, manufactured_velocity, config.use_global_pressure_mean, True
+        return None, None, False
+    if not mp.pressure_up_to_constant:
+        return None, channel_inlet, False
+    return manufactured_rhs, manufactured_velocity, True
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +170,9 @@ def bench_cell(config, degree, level):
     t0 = time.perf_counter()
     mp = load_domain(config.domain)
     spaces = taylor_hood_spaces(mp, degree, config.smoothness, level)
-    rhs, dirichlet, use_mean, _ = problem_data(mp, config)
+    rhs, dirichlet, _ = problem_data(mp, config)
     us, ps, report = solve_stokes_ieti(
-        mp, spaces, rhs=rhs, dirichlet=dirichlet,
-        use_global_pressure_mean=use_mean, tol=config.tol,
+        mp, spaces, rhs=rhs, dirichlet=dirichlet, tol=config.tol,
         max_iter=config.max_iter, seed=config.seed)
     dofs = sum(t.n_local for t in spaces)
     return {
@@ -271,10 +266,9 @@ def run_solve(config):
     mp = load_domain(config.domain)
     (degree,), (level,) = config.degrees, config.levels
     spaces = taylor_hood_spaces(mp, degree, config.smoothness, level)
-    rhs, dirichlet, use_mean, manufactured = problem_data(mp, config)
+    rhs, dirichlet, manufactured = problem_data(mp, config)
     us, ps, report = solve_stokes_ieti(
-        mp, spaces, rhs=rhs, dirichlet=dirichlet,
-        use_global_pressure_mean=use_mean, tol=config.tol,
+        mp, spaces, rhs=rhs, dirichlet=dirichlet, tol=config.tol,
         max_iter=config.max_iter, seed=config.seed)
     print("domain: %s  degree=%d  level=%d" % (config.domain, degree, level))
     print("iterations=%d  kappa=%.3f  converged=%s"
@@ -482,15 +476,13 @@ def build_parser():
 
     parser = argparse.ArgumentParser(prog="ietistokes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    bench = sub.add_parser("bench-ieti", parents=[common],
-                           help="iteration counts and condition numbers")
-    bench.add_argument("--no-global-pressure-mean", action="store_true")
+    sub.add_parser("bench-ieti", parents=[common],
+                   help="iteration counts and condition numbers")
     study = sub.add_parser("study-infsup", parents=[common],
                            help="pressure Schur condition study")
     study.add_argument("--method", choices=("auto", "dense", "iterative"),
                        default="auto")
     solve = sub.add_parser("solve", parents=[common], help="single solve with export")
-    solve.add_argument("--no-global-pressure-mean", action="store_true")
     solve.add_argument("--zero-data", action="store_true")
     solve.add_argument("--samples", type=int, default=9)
     verify = sub.add_parser("verify", parents=[common], help="property suites")
@@ -530,7 +522,6 @@ def parse_config(argv):
         seed=args.seed,
         output=args.output,
         threads=threads,
-        use_global_pressure_mean=not getattr(args, "no_global_pressure_mean", False),
         zero_data=getattr(args, "zero_data", False),
         samples=getattr(args, "samples", 9),
         method=getattr(args, "method", "auto"),

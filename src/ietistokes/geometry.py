@@ -565,6 +565,16 @@ class MultiPatch:
     def n_patches(self):
         return len(self.patches)
 
+    @property
+    def pressure_up_to_constant(self):
+        """True iff no side is tagged "neumann": with the velocity Dirichlet
+        on the whole boundary, int div v = 0 for every test function v and
+        the pressure is determined only up to a constant, so the solvers fix
+        its mean and the pressure Schur spectrum leaves it out. A do-nothing
+        (Neumann) side fixes the level itself (Elman, Silvester & Wathen,
+        Finite Elements and Fast Iterative Solvers, 2014, ch. 3)."""
+        return "neumann" not in self.boundary.values()
+
     def side_role(self, k, side):
         return self._side_roles[(k, side)]
 

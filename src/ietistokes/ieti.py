@@ -384,21 +384,21 @@ class IetiOperator:
     symmetric part of -psi_mu (which equals psi^T A3 psi, see the module
     docstring) at the patch's global primal indices; B_pi = B Psi_gamma is
     the sparse product of B with the signed u_gamma rows of the primal
-    bases. The coarse system, A_pi bordered by the pressure-mean row when
-    use_global_pressure_mean, goes to factorize as COO triplets.
+    bases. The coarse system, A_pi bordered by the area-weighted mean of
+    the patch pressure averages iff mp.pressure_up_to_constant, goes to
+    factorize as COO triplets.
 
     setup_phases holds the wall seconds of "constraints" (primal rows and
     the jump matrix), "local" (condensation, primal bases and F) and
     "coarse" (the coarse matrices and their factorization).
     """
 
-    def __init__(self, mp, spaces, systems, use_global_pressure_mean=True):
+    def __init__(self, mp, spaces, systems):
         t0 = time.perf_counter()
         self.mp = mp
         self.spaces = spaces
         self.systems = systems
         self.constraints = constraints = PrimalConstraints(mp, spaces, systems)
-        self.use_global_pressure_mean = use_global_pressure_mean
 
         self.B, offsets = build_jump_operator(constraints, spaces)
         t1 = time.perf_counter()
@@ -445,20 +445,16 @@ class IetiOperator:
         rows, cols, vals = (np.concatenate(a) for a in a_pi)
         self.A_pi = sp.csr_matrix((vals, (rows, cols)), shape=(n_pi, n_pi))
 
-        if use_global_pressure_mean:
+        coarse = self.A_pi
+        if mp.pressure_up_to_constant:
             areas = np.array([s.area for s in systems])
-            row = np.zeros(n_pi)
-            row[constraints.avg_offset :] = areas / areas.sum()
-            self.C_pi = row
+            row = areas / areas.sum()
             avg = constraints.avg_offset + np.arange(len(areas))
             border = np.full(len(areas), n_pi)
             coarse = sp.coo_matrix(  # [[A_pi, row^T], [row, 0]]
-                (np.concatenate([vals, row[avg], row[avg]]),
+                (np.concatenate([vals, row, row]),
                  (np.concatenate([rows, avg, border]), np.concatenate([cols, border, avg]))),
                 shape=(n_pi + 1, n_pi + 1))
-        else:
-            self.C_pi = None
-            coarse = self.A_pi
         self._coarse_lu = factorize(coarse, "coarse primal system")
         self.n_coarse = coarse.shape[0]
         self.n_primal = n_pi
@@ -655,8 +651,7 @@ def solve_pcg(apply_op, apply_prec, g, tol=1e-6, max_iter=500, seed=42):
 # drivers
 
 
-def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=True,
-               nquad=None, systems=None):
+def setup_ieti(mp, spaces, rhs=None, dirichlet=None, nquad=None, systems=None):
     """The dual-primal operator and the scaled Dirichlet preconditioner.
 
     The patch systems are assembled unless given: the element matrices and
@@ -664,7 +659,8 @@ def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=Tr
     the rest per patch (assemble_patch).
     op.setup_phases holds the wall seconds of "assembly" (next to nothing
     when systems are given), "constraints", "local", "coarse" (see
-    IetiOperator) and "preconditioner".
+    IetiOperator) and "preconditioner". The coarse system fixes the
+    pressure mean iff mp.pressure_up_to_constant.
     """
     t0 = time.perf_counter()
     if systems is None:
@@ -672,8 +668,7 @@ def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=Tr
         systems = [assemble_patch(geo, ths, elements=el)
                    for geo, ths, el in zip(mp.patches, spaces, forms)]
     t1 = time.perf_counter()
-    op = IetiOperator(mp, spaces, systems,
-                      use_global_pressure_mean=use_global_pressure_mean)
+    op = IetiOperator(mp, spaces, systems)
     t2 = time.perf_counter()
     pc = ScaledDirichletPreconditioner(op.locals_, op.B)
     op.setup_phases = {"assembly": t1 - t0, **op.setup_phases,
@@ -681,19 +676,18 @@ def setup_ieti(mp, spaces, rhs=None, dirichlet=None, use_global_pressure_mean=Tr
     return op, pc
 
 
-def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None,
-                      use_global_pressure_mean=True, tol=1e-6, max_iter=500,
+def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None, tol=1e-6, max_iter=500,
                       seed=42, nquad=None, systems=None):
     """Assemble, solve the multiplier system, recover patch solutions.
 
-    report.timings holds the wall seconds of the phases "setup" (assembly
-    when systems is None, local factorizations, primal basis, coarse
-    problem, preconditioner), "rhs", "pcg" and "recover";
+    The pressure has mean zero iff mp.pressure_up_to_constant (no side
+    tagged "neumann"). report.timings holds the wall seconds of the phases
+    "setup" (assembly when systems is None, local factorizations, primal
+    basis, coarse problem, preconditioner), "rhs", "pcg" and "recover";
     report.setup_phases splits "setup" (see setup_ieti).
     """
     t0 = time.perf_counter()
-    op, pc = setup_ieti(mp, spaces, rhs, dirichlet, use_global_pressure_mean,
-                        nquad, systems)
+    op, pc = setup_ieti(mp, spaces, rhs, dirichlet, nquad, systems)
     t1 = time.perf_counter()
     g = op.rhs()
     t2 = time.perf_counter()

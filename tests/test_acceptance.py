@@ -216,8 +216,7 @@ def test_criterion_11_channel_with_hole():
     mp = parse_domain("rectangle_with_hole")
     spaces = taylor_hood_spaces(mp, 2, refinement=2)
     us, ps, rep = solve_stokes_ieti(mp, spaces, rhs=None,
-                                    dirichlet=channel_inlet,
-                                    use_global_pressure_mean=False, tol=1e-6)
+                                    dirichlet=channel_inlet, tol=1e-6)
     ok = rep.converged and rep.iterations <= 25
     _finish(11, "channel with hole", ok, t0, 120,
             "it %d kappa %.2f" % (rep.iterations, rep.kappa))

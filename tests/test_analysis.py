@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ietistokes.analysis import (
@@ -22,7 +23,7 @@ from ietistokes.assembly import (
     manufactured_velocity,
     taylor_hood_spaces,
 )
-from ietistokes.domains import build_domain, quarter_annulus_patch
+from ietistokes.domains import build_domain, parse_domain, quarter_annulus_patch
 from ietistokes.geometry import GeometryMap, bilinear_patch, build_multipatch
 from ietistokes.ieti import solve_stokes_ieti
 
@@ -180,6 +181,20 @@ def test_dense_and_iterative_paths_agree():
     assert iterative.method == "iterative"
     assert abs(dense.kappa - iterative.kappa) < 0.01 * dense.kappa
     assert abs(dense.beta - iterative.beta) < 0.01 * dense.beta
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_outflow_spectrum_is_the_full_pencil(degree):
+    # a Neumann side fixes the pressure level, so no constant is deflated:
+    # both paths give the extremes of the whole pencil (T, M_p)
+    mp = parse_domain("rectangle_with_hole")
+    glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=2))
+    ev = sla.eigh(glob.pressure_schur, glob.Mp.toarray(), eigvals_only=True)
+    for method in ("dense", "iterative"):
+        spec = pressure_schur_spectrum(glob, method)
+        assert spec.method == method
+        assert abs(spec.lam_min - ev[0]) <= 1e-10 * ev[0]
+        assert abs(spec.lam_max - ev[-1]) <= 1e-10 * ev[-1]
 
 
 def test_iterative_request_on_a_problem_too_small_for_lobpcg_goes_dense():

@@ -396,7 +396,8 @@ def test_neumann_outlet_solvable_without_mean_constraint():
     mp = build_multipatch(mp.patches, boundary=lambda k, s, m: tags[(k, s)])
     spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
     glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
-    us, ps = glob.solve(fix_pressure_mean=False)
+    assert not mp.pressure_up_to_constant
+    us, ps = glob.solve()
     assert all(np.all(np.isfinite(u)) for u in us)
     # divergence equation holds for the computed solution
     Kff, Df, rhs_f, h = glob.free_blocks()
@@ -409,17 +410,25 @@ def test_neumann_outlet_solvable_without_mean_constraint():
 
 def test_singular_monolithic_solve_raises():
     # with Dirichlet data on the whole boundary the pressure is fixed only up
-    # to a constant; without the mean row the solve must fail, not return a
-    # shifted pressure: in the pressure Schur complement below the dense
-    # cut, in the saddle above it
+    # to a constant, which is why solve borders these systems with the mean
+    # row; unbordered, their factorization must fail, not return a shifted
+    # pressure: the pressure Schur complement below the dense cut, the
+    # saddle above it
     for spec, level, what in (("grid(2,2)", 1, "pressure Schur complement of the monolithic"),
                               ("grid(4,4)", 2, "monolithic Stokes system is")):
         mp = parse_domain(spec)
         spaces = taylor_hood_spaces(mp, degree=1, refinement=level)
         glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        assert mp.pressure_up_to_constant
         assert (glob.n_pressure <= DENSE_LU_ROWS) == (spec == "grid(2,2)")
         with pytest.raises(SingularLocalSystemError, match=what):
-            glob.solve(fix_pressure_mean=False)
+            if glob.n_pressure <= DENSE_LU_ROWS:
+                factorize(-glob.pressure_schur,
+                          "pressure Schur complement of the monolithic Stokes system")
+            else:
+                Kff, Df, _, _ = glob.free_blocks()
+                factorize(sp.bmat([[Kff, Df.T], [Df, None]], format="csc"),
+                          "monolithic Stokes system", fem=True)
 
 
 def _stiffness_ii(degree, refinement):
@@ -506,12 +515,13 @@ def test_kernels_build_one_gauss_rule_per_call(monkeypatch):
     assert len(calls) == len(sizes) == 1
 
 
-def _monolithic_saddle(glob, fix_pressure_mean=True):
+def _monolithic_saddle(glob):
     """(A, b): the sparse saddle system of GlobalStokesSystem.solve above the
-    dense cut, built from the free-dof blocks; b includes the Lagrange
-    multiplier's row when the pressure mean is fixed."""
+    dense cut, built from the free-dof blocks; bordered by the Lagrange
+    multiplier of the pressure mean when the domain leaves the pressure
+    level open."""
     Kff, Df, rhs_f, h = glob.free_blocks()
-    if not fix_pressure_mean:
+    if not glob.mp.pressure_up_to_constant:
         return sp.bmat([[Kff, Df.T], [Df, None]], format="csc"), np.concatenate([rhs_f, h])
     m = sp.csr_matrix(glob.pressure_integral_row())
     A = sp.bmat([[Kff, Df.T, None], [Df, None, m.T], [None, m, None]], format="csc")
@@ -688,7 +698,7 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
     got, calls = [], []
     real_extremes, real_splu = analysis._dense_extremes, spla.splu
     monkeypatch.setattr(analysis, "_dense_extremes",
-                        lambda T, Mp: got.append(T) or real_extremes(T, Mp))
+                        lambda T, Mp, deflate: got.append(T) or real_extremes(T, Mp, deflate))
     monkeypatch.setattr(spla, "splu",
                         lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
     kappas, solutions = [], []
@@ -714,11 +724,11 @@ def _neumann_outlet(domain, m):
                             if (k, s) == (m - 1, "east") else "dirichlet")
 
 
-ELIMINATION_CASES = {  # domain, degree, level, fix_pressure_mean, bordered rows
-    "one patch": (lambda: parse_domain("grid(1,1)"), 2, 4, True, 325),
-    "four curved patches": (lambda: parse_domain("quarter_annulus(1,2,2,2)"), 2, 2, True, 145),
-    "Neumann outlet": (lambda: _neumann_outlet("grid", 2), 2, 2, False, 72),
-    "at the cut": (lambda: _neumann_outlet("strip", 14), 1, 2, False, DENSE_LU_ROWS),
+ELIMINATION_CASES = {  # domain, degree, level, bordered rows
+    "one patch": (lambda: parse_domain("grid(1,1)"), 2, 4, 325),
+    "four curved patches": (lambda: parse_domain("quarter_annulus(1,2,2,2)"), 2, 2, 145),
+    "Neumann outlet": (lambda: _neumann_outlet("grid", 2), 2, 2, 72),
+    "at the cut": (lambda: _neumann_outlet("strip", 14), 1, 2, DENSE_LU_ROWS),
 }
 
 
@@ -727,14 +737,14 @@ def test_eliminated_solve_matches_the_saddle_solve(case):
     # below the dense cut solve eliminates the velocity through the pressure
     # Schur complement; it agrees with SuperLU's symmetric-mode solve of the
     # saddle to round-off, in velocity and in pressure
-    make, degree, refinement, fix, rows = ELIMINATION_CASES[case]
+    make, degree, refinement, rows = ELIMINATION_CASES[case]
     mp = make()
     glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement),
                            rhs=manufactured_rhs, dirichlet=manufactured_velocity)
-    assert glob.n_pressure + fix == rows <= DENSE_LU_ROWS
-    us, ps = glob.solve(fix_pressure_mean=fix)
+    assert glob.n_pressure + mp.pressure_up_to_constant == rows <= DENSE_LU_ROWS
+    us, ps = glob.solve()
     assert isinstance(glob.velocity_factor, BandCholesky) and "pressure_schur" in glob.__dict__
-    A, b = _monolithic_saddle(glob, fix)
+    A, b = _monolithic_saddle(glob)
     x = spla.splu(A, **FEM_SUPERLU).solve(b)
     nU = glob.n_free_velocity
     uglob = np.zeros((2, glob.n_scalar))

@@ -145,7 +145,7 @@ def test_study_eigensolve_failure_exits_1(monkeypatch, capsys):
     # fallback; a condition number below one is refused the same way
     import ietistokes.analysis as analysis
 
-    def not_converged(schur, Mp):
+    def not_converged(schur, Mp, deflate):
         raise analysis._NotConverged("forced")
 
     monkeypatch.setattr(analysis, "DENSE_LIMIT", 10)
@@ -198,10 +198,34 @@ def test_channel_inlet_profile():
 def test_problem_data_modes():
     config = RunConfig("solve", "rectangle_with_hole", [2], [2])
     mp = rectangle_with_hole_domain()
-    rhs, dirichlet, use_mean, manufactured = problem_data(mp, config)
-    # a Neumann outlet fixes the pressure level, so the mean constraint drops
+    rhs, dirichlet, manufactured = problem_data(mp, config)
+    # a Neumann outlet gets the channel data; the pressure level is the
+    # domain's own (MultiPatch.pressure_up_to_constant)
     assert rhs is None and dirichlet is channel_inlet
-    assert use_mean is False and manufactured is False
+    assert manufactured is False and not mp.pressure_up_to_constant
+
+
+def test_removed_pressure_mean_flag_is_a_usage_error(capsys):
+    # the boundary tags decide the pressure level; the old flag is an
+    # unknown argument, argparse's exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--domain", "grid(2,2)", "--no-global-pressure-mean"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --no-global-pressure-mean" in err
+    assert "Traceback" not in err
+
+
+def test_study_on_an_outflow_domain_reports_the_full_pencil(tmp_path, capsys):
+    # rectangle_with_hole has a Neumann outlet: no constant is deflated, and
+    # beta is the full pencil's (the deflated pencil read 0.1199)
+    out = tmp_path / "study.csv"
+    assert main(["study-infsup", "--domain", "rectangle_with_hole", "--degrees", "2",
+                 "--levels", "1", "--output", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["1", "20.857", "0.0571"]
+    header, (row,) = read_csv(out)
+    row = dict(zip(header, row))
+    assert abs(float(row["beta"]) - 0.057052) < 1e-6
 
 
 def test_bench_csv_schema_and_determinism(tmp_path, capsys):

@@ -309,6 +309,18 @@ def test_rectangle_with_hole_counts_and_tags():
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
 
 
+def test_pressure_level_follows_the_neumann_tags():
+    # all-Dirichlet domains fix the pressure only up to a constant; one
+    # Neumann (outflow) side fixes its level
+    for spec in ("grid(2,2)", "strip(3)", "quarter_annulus(1,2,2,2)"):
+        assert parse_domain(spec).pressure_up_to_constant
+    assert not rectangle_with_hole_domain().pressure_up_to_constant
+    mp = grid_domain(2, 1)
+    outlet = build_multipatch(mp.patches, boundary=lambda k, s, _: "neumann"
+                              if (k, s) == (1, "east") else "dirichlet")
+    assert not outlet.pressure_up_to_constant
+
+
 def test_interface_traces_coincide():
     rng = np.random.default_rng(42)
     for mp in (quarter_annulus_domain(1, 2, 3, 3), rectangle_with_hole_domain()):

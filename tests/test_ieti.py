@@ -248,24 +248,86 @@ def test_ieti_matches_monolithic_dirichlet():
     assert dp < 1e-8
 
 
-def test_ieti_matches_monolithic_neumann_outlet():
+def _neumann_outlet_grid():
+    # grid(2,1) with a Neumann (outflow) east side on the second patch
     mp0 = build_domain("grid", m=2, n=1)
     tags = {(k, s): "dirichlet" for k in (0, 1)
             for s in ("west", "east", "south", "north")}
     tags[(1, "east")] = "neumann"
-    mp = build_multipatch(mp0.patches, boundary=lambda k, s, m: tags[(k, s)])
+    return build_multipatch(mp0.patches, boundary=lambda k, s, m: tags[(k, s)])
+
+
+def test_ieti_matches_monolithic_neumann_outlet():
+    mp = _neumann_outlet_grid()
     spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
     glob = assemble_global(mp, spaces, rhs=manufactured_rhs,
                            dirichlet=manufactured_velocity)
-    us_ref, ps_ref = glob.solve(fix_pressure_mean=False)
+    us_ref, ps_ref = glob.solve()
     us, ps, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
                                     dirichlet=manufactured_velocity,
-                                    use_global_pressure_mean=False,
                                     tol=1e-10, systems=glob.systems)
     assert rep.converged
     for k in range(2):
         assert np.abs(us[k] - us_ref[k]).max() < 1e-8
         assert np.abs(ps[k] - ps_ref[k]).max() < 1e-8
+
+
+def _continuity_defect(glob, us):
+    """max |D_f u_f - h| of per-patch velocities on the monolithic system."""
+    uglob = np.zeros((2, glob.n_scalar))
+    for u, l2g in zip(us, glob.scalar_l2g):
+        uglob[:, l2g] = u
+    _, Df, _, h = glob.free_blocks()
+    return np.abs(Df @ uglob[:, glob.free].ravel() - h).max()
+
+
+def _poiseuille_inlet(pts):
+    """u = (y (1 - y), 0) on the west side x = 0 of a unit-height row, zero
+    elsewhere: inflow that the Neumann outlet lets out."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(pts.shape)
+    y = pts[..., 1]
+    out[..., 0] = np.where(np.abs(pts[..., 0]) < 1e-9, y * (1.0 - y), 0.0)
+    return out
+
+
+OUTFLOW_CASES = {  # domain, degree, rhs, Dirichlet data
+    "rectangle_with_hole": (lambda: parse_domain("rectangle_with_hole"), 2, None, channel_inlet),
+    "Neumann outlet": (_neumann_outlet_grid, 1, manufactured_rhs, manufactured_velocity),
+    "Neumann outlet, inflow": (_neumann_outlet_grid, 1, None, _poiseuille_inlet),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTFLOW_CASES))
+def test_default_solves_on_outflow_domains_keep_continuity(case):
+    # an outflow side fixes the pressure level, so neither solver adds a
+    # mean row on its own: a mean row would over-constrain the pressure and
+    # break continuity (6.4e-2 on rectangle_with_hole p2 l1)
+    make, degree, rhs, dirichlet = OUTFLOW_CASES[case]
+    mp = make()
+    assert not mp.pressure_up_to_constant
+    spaces = taylor_hood_spaces(mp, degree=degree, refinement=1)
+    glob = assemble_global(mp, spaces, rhs=rhs, dirichlet=dirichlet)
+    us_ref, ps_ref = glob.solve()
+    us, ps, rep = solve_stokes_ieti(mp, spaces, rhs=rhs, dirichlet=dirichlet,
+                                    systems=glob.systems, tol=1e-10)
+    assert rep.converged
+    assert _continuity_defect(glob, us_ref) <= 1e-10
+    assert _continuity_defect(glob, us) <= 1e-10
+    for k in range(mp.n_patches):
+        assert np.abs(us[k] - us_ref[k]).max() < 1e-8
+        assert np.abs(ps[k] - ps_ref[k]).max() < 1e-8
+
+
+def test_unbordered_coarse_system_is_singular():
+    # on an all-Dirichlet domain the coarse primal matrix A_pi keeps the
+    # constant pressure in its kernel, which is why the operator borders it
+    # with the mean row; unbordered, its factorization must fail
+    mp, spaces, glob = build_grid_problem(2, 2)
+    op, _ = setup_ieti(mp, spaces, systems=glob.systems)
+    assert mp.pressure_up_to_constant and op.n_coarse == op.n_primal + 1
+    with pytest.raises(SingularLocalSystemError, match="coarse primal system"):
+        assembly.factorize(op.A_pi, "coarse primal system")
 
 
 def test_channel_with_hole_p1_needs_finer_quadrature():
@@ -276,11 +338,10 @@ def test_channel_with_hole_p1_needs_finer_quadrature():
     mp = parse_domain("rectangle_with_hole")
     spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
     with pytest.raises(SingularLocalSystemError, match="averaging basis column"):
-        setup_ieti(mp, spaces, dirichlet=channel_inlet, use_global_pressure_mean=False)
+        setup_ieti(mp, spaces, dirichlet=channel_inlet)
     glob = assemble_global(mp, spaces, dirichlet=channel_inlet, nquad=6)
-    us_ref, ps_ref = glob.solve(fix_pressure_mean=False)
-    us, ps, rep = solve_stokes_ieti(mp, spaces, dirichlet=channel_inlet,
-                                    use_global_pressure_mean=False, tol=1e-10, nquad=6)
+    us_ref, ps_ref = glob.solve()
+    us, ps, rep = solve_stokes_ieti(mp, spaces, dirichlet=channel_inlet, tol=1e-10, nquad=6)
     assert rep.converged
     du, dp = relative_difference(glob, us, ps, us_ref, ps_ref)
     assert du < 1e-8
@@ -500,15 +561,6 @@ def test_benchmark_counts_contract():
         assert lu.L.nnz > 0 and lu.U.nnz > 0
 
 
-def _neumann_outlet_grid():
-    # grid(2,1) with a Neumann (outflow) east side on the second patch
-    mp0 = build_domain("grid", m=2, n=1)
-    tags = {(k, s): "dirichlet" for k in (0, 1)
-            for s in ("west", "east", "south", "north")}
-    tags[(1, "east")] = "neumann"
-    return build_multipatch(mp0.patches, boundary=lambda k, s, m: tags[(k, s)])
-
-
 def _patch_without_interior():
     # one square patch whose velocity dofs are all interface dofs (p=1, one
     # element: the centre dof is reclassified), with average and corner rows
@@ -533,13 +585,11 @@ def _local_systems(case):
     if case == "neumann outlet":
         mp = _neumann_outlet_grid()
         spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
-        op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity,
-                           use_global_pressure_mean=False)
+        op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
     elif case == "rectangle_with_hole":
         mp = parse_domain(case)
         spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
-        op, _ = setup_ieti(mp, spaces, dirichlet=channel_inlet, use_global_pressure_mean=False,
-                           nquad=6)
+        op, _ = setup_ieti(mp, spaces, dirichlet=channel_inlet, nquad=6)
     elif case == "quarter_annulus(1,2,3,2)":
         mp = parse_domain(case)
         spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
