@@ -396,7 +396,7 @@ class TaylorHoodPatchSpace:
     """
 
     def __init__(self, geo, degree, smoothness, refinement, side_roles,
-                 dirichlet_corners=(), gamma_corners=(), pair=None):
+                 dirichlet_corners=(), gamma_corners=(), pair=None, dofs=None):
         if degree < 1:
             raise ValueError("pressure degree must be at least 1")
         self.geo = geo
@@ -409,25 +409,10 @@ class TaylorHoodPatchSpace:
         for side, role in self.side_roles.items():
             if role not in ("interface", "dirichlet", "neumann"):
                 raise ValueError("unknown side role %r on side %r" % (role, side))
-
-        # one mark per scalar dof: 0 interior, 1 interface, 2 Dirichlet,
-        # marked last so that it takes precedence
-        vel = self.vel
-        mark = np.zeros(vel.dim, dtype=np.int8)
-        for m, tag, corners in ((1, "interface", gamma_corners),
-                                (2, "dirichlet", dirichlet_corners)):
-            for side, role in self.side_roles.items():
-                if role == tag:
-                    mark[vel.side_dofs(side)] = m
-            mark[np.array([vel.corner_dof(*c) for c in corners], dtype=int)] = m
-        self.dirichlet = np.flatnonzero(mark == 2)
-        self.gamma = np.flatnonzero(mark == 1)
-        self.inner = np.flatnonzero(mark == 0)
-        ng, ni = len(self.gamma), len(self.inner)
-        self.pos = np.full((2, vel.dim), -1, dtype=int)
-        for c in (0, 1):
-            self.pos[c, self.gamma] = c * ng + np.arange(ng)
-            self.pos[c, self.inner] = 2 * ng + c * ni + np.arange(ni)
+        # dofs: (dirichlet, gamma, inner, pos) of another patch of the same
+        # role class (taylor_hood_spaces), shared
+        self.dirichlet, self.gamma, self.inner, self.pos = dofs or _classify_dofs(
+            self.vel, self.side_roles, dirichlet_corners, gamma_corners)
 
     @property
     def n_gamma(self):
@@ -455,6 +440,26 @@ class TaylorHoodPatchSpace:
         if np.any((pos < 0) | (pos >= 2 * self.n_gamma)):
             raise KeyError("not an interface dof: %r" % (scalar,))
         return pos
+
+
+def _classify_dofs(vel, side_roles, dirichlet_corners, gamma_corners):
+    """(dirichlet, gamma, inner, pos) of TaylorHoodPatchSpace: one mark per
+    scalar dof, 0 interior, 1 interface, 2 Dirichlet, marked last so that it
+    takes precedence."""
+    mark = np.zeros(vel.dim, dtype=np.int8)
+    for m, tag, corners in ((1, "interface", gamma_corners),
+                            (2, "dirichlet", dirichlet_corners)):
+        for side, role in side_roles.items():
+            if role == tag:
+                mark[vel.side_dofs(side)] = m
+        mark[np.array([vel.corner_dof(*c) for c in corners], dtype=int)] = m
+    dirichlet, gamma, inner = (np.flatnonzero(mark == m) for m in (2, 1, 0))
+    ng, ni = len(gamma), len(inner)
+    pos = np.full((2, vel.dim), -1, dtype=int)
+    for c in (0, 1):
+        pos[c, gamma] = c * ng + np.arange(ng)
+        pos[c, inner] = 2 * ng + c * ni + np.arange(ni)
+    return dirichlet, gamma, inner, pos
 
 
 def _taylor_hood_pair(geo, degree, smoothness, refinement):
@@ -487,7 +492,10 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
     eliminated in every patch that touches the vertex; corner dofs at shared
     non-Dirichlet vertices count as interface dofs even when the patches only
     touch at the corner. Patches with equal breakpoints (by value) share one
-    vel/pre pair; the spaces are never modified after construction.
+    vel/pre pair. A role class is the set of patches with equal breakpoints,
+    side roles and corner roles (eliminated or interface); its dofs are
+    classified once, and its patches share the read-only dirichlet, gamma,
+    inner and pos arrays. The spaces are never modified after construction.
     """
     if smoothness is None:
         smoothness = degree - 1
@@ -500,13 +508,21 @@ def taylor_hood_spaces(mp, degree, smoothness=None, refinement=0):
         elif len(v.patches) >= 2:
             for k, corner in v.members:
                 gam_corners[k].append(corner)
-    pairs = {}
+    pairs, classes = {}, {}
     spaces = []
     for k, geo in enumerate(mp.patches):
         key = tuple(s.breakpoints.tobytes() for s in (geo.space.space_x, geo.space.space_y))
-        ths = TaylorHoodPatchSpace(geo, degree, smoothness, refinement, mp.side_roles(k),
-                                   dir_corners[k], gam_corners[k], pairs.get(key))
+        roles = mp.side_roles(k)
+        role_key = (key, tuple(roles.items()), tuple(sorted(dir_corners[k])),
+                    tuple(sorted(gam_corners[k])))
+        ths = TaylorHoodPatchSpace(geo, degree, smoothness, refinement, roles,
+                                   dir_corners[k], gam_corners[k], pairs.get(key),
+                                   classes.get(role_key))
         pairs.setdefault(key, (ths.vel, ths.pre))
+        if role_key not in classes:
+            for a in (ths.dirichlet, ths.gamma, ths.inner, ths.pos):
+                a.flags.writeable = False
+            classes[role_key] = ths.dirichlet, ths.gamma, ths.inner, ths.pos
         spaces.append(ths)
     report = check_interface_matching(mp, [s.vel for s in spaces])
     if not report.ok:

@@ -113,16 +113,30 @@ def channel_inlet(pts):
     return out
 
 
+def _on_inlet(geo, side):
+    """True when a patch side lies on the line x = -2 of channel_inlet: a
+    spline (or NURBS) curve has constant x iff its control points do."""
+    return bool(np.abs(geo.control[geo.space.side_dofs(side), 0] + 2.0).max() < 1e-9)
+
+
 def problem_data(mp, config):
     """(rhs, dirichlet, manufactured) for a domain: the channel inflow data
     (f = 0) with a Neumann outlet, else the manufactured solution. The
     domain alone decides the pressure mean (MultiPatch.pressure_up_to_constant).
+    The channel data is zero away from x = -2, so a domain with an outlet
+    but no Dirichlet side on that line is a ConfigError, not the zero
+    problem solved without a word; --zero-data asks for that one.
     """
     if config.zero_data:
         return None, None, False
-    if not mp.pressure_up_to_constant:
-        return None, channel_inlet, False
-    return manufactured_rhs, manufactured_velocity, True
+    if mp.pressure_up_to_constant:
+        return manufactured_rhs, manufactured_velocity, True
+    if not any(tag == "dirichlet" and _on_inlet(mp.patches[k], side)
+               for (k, side), tag in mp.boundary.items()):
+        raise ConfigError("the domain has a Neumann side, and its channel inflow data is set "
+                          "on Dirichlet sides on the line x = -2, of which it has none: "
+                          "the data would be zero (pass --zero-data to solve that problem)")
+    return None, channel_inlet, False
 
 
 # ---------------------------------------------------------------------------
@@ -295,42 +309,61 @@ def run_solve(config):
 
 def _interior_divergence_of_constants(system):
     """max |int_patch 1 * div v| over the interior velocity basis functions v
-    of both components: the column sums of [D_0 | D_1] on the interior dofs."""
+    of both components with zero trace: the column sums of [D_0 | D_1] on
+    the interior dofs off the Neumann sides (those are classed interior, but
+    their trace does not vanish)."""
     ths = system.ths
-    if not ths.n_inner:
+    trace = [ths.vel.side_dofs(side) for side, role in ths.side_roles.items()
+             if role == "neumann"]
+    zero = ~np.isin(ths.inner, np.concatenate(trace + [np.zeros(0, dtype=int)]))
+    if not zero.any():
         return 0.0
     _, W = system.condensation_blocks()
     n = ths.n_inner + ths.n_gamma
-    return np.abs(W[n:, : ths.n_inner].reshape(2, ths.n_pressure, -1).sum(axis=1)).max()
+    sums = W[n:, : ths.n_inner].reshape(2, ths.n_pressure, -1).sum(axis=1)
+    return np.abs(sums[:, zero]).max()
 
 
 def _suite_algebra(config):
+    """Algebraic identities of the assembled and IETI-DP systems. Each holds
+    up to the quadrature error, so on rational geometry the systems are
+    assembled with nquad = velocity degree + 6 (the solver's default is
+    velocity degree + 2); each check reports the nquad used."""
     checks = []
     for degree in config.degrees:
         for level in config.levels:
             tag = "p=%d l=%d" % (degree, level)
             mp = load_domain(config.domain)
             spaces = taylor_hood_spaces(mp, degree, config.smoothness, level)
+            nquad = degree + 1 + (6 if any(g.is_rational for g in mp.patches) else 2)
             glob = assemble_global(mp, spaces, rhs=manufactured_rhs,
-                                   dirichlet=manufactured_velocity)
+                                   dirichlet=manufactured_velocity, nquad=nquad)
+            quad = ", nquad %d" % nquad
             worst_div = max(_interior_divergence_of_constants(s) for s in glob.systems)
             checks.append(("interior divergence of constants %s" % tag,
-                           worst_div < 1e-12, "%.2e" % worst_div))
+                           worst_div < 1e-12, "%.2e%s" % (worst_div, quad)))
             worst_ker = max(
                 np.abs(s.Ks @ np.ones(s.Ks.shape[0])).max()
                 / max(np.abs(s.Ks.data).max(), 1.0)
                 for s in glob.systems)
             checks.append(("constant velocity in stiffness kernel %s" % tag,
-                           worst_ker < 1e-12, "%.2e" % worst_ker))
+                           worst_ker < 1e-12, "%.2e%s" % (worst_ker, quad)))
             op = IetiOperator(mp, spaces, glob.systems)
+            # the averaging column of the primal basis, A^-1 [0; e_0], on the
+            # patches without a Neumann side (an outlet fixes the pressure
+            # level, so there the column need not be a constant pressure)
             worst_psi = 0.0
-            for k, ths in enumerate(spaces):
-                psi = op.psi_x[k]
+            for aug, ths in zip(op.locals_, spaces):
+                if "neumann" in ths.side_roles.values():
+                    continue
+                e0 = np.zeros(aug.n_x + aug.n_mu)
+                e0[aug.n_x] = 1.0
+                psi = aug.lu.solve(e0)[: aug.n_x]
                 nu = 2 * (ths.n_gamma + ths.n_inner)
-                worst_psi = max(worst_psi, np.abs(psi[:nu, 0]).max(),
-                                np.abs(psi[nu:, 0] - 1.0).max())
+                worst_psi = max(worst_psi, np.abs(psi[:nu]).max(initial=0.0),
+                                np.abs(psi[nu:] - 1.0).max())
             checks.append(("averaging basis structure %s" % tag,
-                           worst_psi < 1e-10, "%.2e" % worst_psi))
+                           worst_psi < 1e-10, "%.2e%s" % (worst_psi, quad)))
             rng = np.random.default_rng(config.seed)
             B = op.B
             worst_b = 0.0

@@ -31,9 +31,25 @@ A3 psi + C^T psi_mu = 0 and C psi = I, its coarse contribution is
 psi^T A3 psi = -psi_mu (Farhat, Lesoinne, Le Tallec, Pierson & Rixen, IJNME
 2001), so Acoarse is read off the multipliers of the basis solve, and no
 patch saddle matrix is ever assembled on this path.
+
+Setup runs in this order. The constraint rows and the jump matrix come
+first; their index work (row patterns, interface positions) runs once per
+role class of patches, and only the values per patch. Then, per patch: the
+interior condensation; one solve with the reduced system R on the unit
+columns of u_gamma and of mu, whose blocks are F_k and the reduced rows
+[u_gamma | p | mu] of psi (its interior rows are never needed: C is zero
+there, and the check of the averaging column sweeps back that column
+alone); and one solve with the local right-hand side, z_k = A_k^-1 [b_k;
+shifts_k]. The augmented matrix is symmetric, so psi^T [b_k; shifts_k], the
+patch's share of the coarse right-hand side, is the multiplier part of z_k.
+The right-hand side of the multiplier system then reads the u_gamma part
+of z_k, and the recovery adds one solve per patch whose interior
+right-hand side is zero, with the primal correction entering as constraint
+values.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,7 +61,6 @@ from .assembly import (
     element_forms,
     factorize,
     family_flux_rows,
-    matched_side_dofs,
 )
 
 __all__ = (
@@ -67,6 +82,13 @@ __all__ = (
 # primal constraints and the jump operator
 
 
+def _role_class(ths):
+    """The objects a patch's dof positions depend on: taylor_hood_spaces
+    gives the patches of one role class the same ones (a space built on its
+    own is a class of one)."""
+    return id(ths.vel), id(ths.pre), id(ths.pos)
+
+
 class PrimalConstraints:
     """Primal dof numbering and per-patch constraint rows.
 
@@ -74,7 +96,11 @@ class PrimalConstraints:
     one net flux per interface, one average pressure per patch. Per patch the
     constraint rows are stacked [average | corners | fluxes]; flux rows pick
     up a right-hand-side shift from eliminated Dirichlet dofs on the edge.
-    The flux rows come from family_flux_rows, once per family and side.
+    The flux rows come from family_flux_rows, once per family and side. The
+    row pattern (indptr, indices and where each value goes) is built once
+    per role class with equal corners and faces in the same order; per patch
+    only the values are formed: the pressure-average row, the flux values
+    and the Dirichlet shifts.
     """
 
     def __init__(self, mp, spaces, systems):
@@ -102,53 +128,70 @@ class PrimalConstraints:
 
         fluxes = family_flux_rows(mp.patches, spaces, [[f[1] for f in faces]
                                                        for faces in patch_faces])
+        patterns = {}
         for k, ths in enumerate(spaces):
             sysk = systems[k]
-            p_off = 2 * (ths.n_gamma + ths.n_inner)
-            n_x = p_off + ths.n_pressure
-            faces = patch_faces[k]
-            fis = np.array([f[0] for f in faces], dtype=int)
-            sides = [fluxes[k][f[1]] for f in faces]
-            dofs = np.concatenate([d for d, _ in sides] + [np.zeros(0, dtype=int)])
-            R = np.concatenate([r for _, r in sides] + [np.zeros((0, 2))])
-            face = np.repeat(np.arange(len(faces)), [len(d) for d, _ in sides])
-            is_dir = ths.pos[0, dofs] < 0
-            free = ~is_dir
-            corners = vertex_corners[k]
-            nc = len(corners)
-            cdofs = np.array([ths.vel.corner_dof(*c) for _, c in corners], dtype=int)
+            faces, corners = patch_faces[k], vertex_corners[k]
+            sides = tuple(f[1] for f in faces)
+            key = (_role_class(ths), tuple(c for _, c in corners), sides)
+            if key not in patterns:
+                patterns[key] = _constraint_pattern(ths, [c for _, c in corners], sides)
+            pat = patterns[key]
 
-            # rows [average | (vertex, component) | face]; the velocity
-            # entries, one per (scalar dof, component), come from one
-            # gamma_pos call
-            scalar = np.repeat(np.concatenate([cdofs, dofs[free]]), 2)
-            ri = np.concatenate([np.zeros(ths.n_pressure, dtype=int), 1 + np.arange(2 * nc),
-                                 np.repeat(1 + 2 * nc + face[free], 2)])
-            ci = np.concatenate([p_off + np.arange(ths.n_pressure),
-                                 ths.gamma_pos(np.arange(len(scalar)) % 2, scalar)])
-            vals = np.concatenate([sysk.pressure_average_row(), np.ones(2 * nc),
-                                   R[free].ravel()])
-            nrow = 1 + 2 * nc + len(faces)
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(ri, minlength=nrow))])
-            rows = sp.csr_matrix((vals, ci, indptr), shape=(nrow, n_x))
-            rows.sort_indices()
-            self.rows.append(rows)
+            R = np.concatenate([fluxes[k][side][1] for side in sides] + [np.zeros((0, 2))])
+            vals = np.concatenate([sysk.pressure_average_row(), np.ones(pat.n_corner_vals),
+                                   R[pat.free].ravel()])
+            self.rows.append(sp.csr_matrix((vals[pat.order], pat.indices, pat.indptr),
+                                           shape=pat.shape))
 
             # flux shifts from the eliminated Dirichlet dofs on each face: at
             # most its two end dofs, so bincount's running sums are np.sum's
             # (an empty bincount is integer, hence the cast)
-            gd = sysk.dirichlet_values[:, np.searchsorted(ths.dirichlet, dofs[is_dir])]
-            lift = np.bincount(np.repeat(face[is_dir], 2), weights=(R[is_dir] * gd.T).ravel(),
+            gd = sysk.dirichlet_values[:, pat.dir_index]
+            lift = np.bincount(pat.lift_bins, weights=(R[pat.is_dir] * gd.T).ravel(),
                                minlength=len(faces))
             vi = np.array([v for v, _ in corners], dtype=int)
-            self.shifts.append(np.concatenate([np.zeros(1 + 2 * nc), -lift.astype(float)]))
+            self.shifts.append(np.concatenate([np.zeros(1 + 2 * len(vi)), -lift.astype(float)]))
             self.globals_.append(np.concatenate([[self.avg_offset + k],
                                                  (2 * vi[:, None] + np.arange(2)).ravel(),
-                                                 self.flux_offset + fis]))
-            self.signs.append(np.concatenate([np.ones(1 + 2 * nc), [f[2] for f in faces]]))
+                                                 self.flux_offset + np.array(
+                                                     [f[0] for f in faces], dtype=int)]))
+            self.signs.append(np.concatenate([np.ones(1 + 2 * len(vi)), [f[2] for f in faces]]))
 
     def n_local(self, k):
         return self.rows[k].shape[0]
+
+
+def _constraint_pattern(ths, corners, sides):
+    """Row pattern of PrimalConstraints for one role class with the given
+    primal corners and faces, in row order.
+
+    The rows are [average | (corner, component) | face]; the velocity
+    entries, one per (scalar dof, component), come from one gamma_pos call.
+    The values of a patch, [average row | ones | flux values on the free
+    face dofs], land at indices in CSR order through order.
+    """
+    p_off = 2 * (ths.n_gamma + ths.n_inner)
+    dofs = [ths.vel.side_dofs(side) for side in sides]
+    face = np.repeat(np.arange(len(sides)), [len(d) for d in dofs])
+    dofs = np.concatenate(dofs + [np.zeros(0, dtype=int)])
+    is_dir = ths.pos[0, dofs] < 0
+    free = ~is_dir
+    nc = len(corners)
+    cdofs = np.array([ths.vel.corner_dof(*c) for c in corners], dtype=int)
+    scalar = np.repeat(np.concatenate([cdofs, dofs[free]]), 2)
+    ri = np.concatenate([np.zeros(ths.n_pressure, dtype=int), 1 + np.arange(2 * nc),
+                         np.repeat(1 + 2 * nc + face[free], 2)])
+    ci = np.concatenate([p_off + np.arange(ths.n_pressure),
+                         ths.gamma_pos(np.arange(len(scalar)) % 2, scalar)])
+    nrow = 1 + 2 * nc + len(sides)
+    order = np.lexsort((ci, ri))  # rows in order, columns sorted within each
+    return SimpleNamespace(
+        shape=(nrow, p_off + ths.n_pressure), order=order, indices=ci[order],
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(ri, minlength=nrow))]),
+        n_corner_vals=2 * nc, free=free, is_dir=is_dir,
+        dir_index=np.searchsorted(ths.dirichlet, dofs[is_dir]),
+        lift_bins=np.repeat(face[is_dir], 2))
 
 
 def build_jump_operator(constraints, spaces):
@@ -157,18 +200,29 @@ def build_jump_operator(constraints, spaces):
     Columns offsets[k]:offsets[k+1] are the u_gamma block of patch k, in its
     own order. One multiplier row per matched non-corner interface dof pair
     and component: +1 on the lower patch, -1 on the higher. Rows are ordered
-    by (patch pair, component, position along the edge). Returns (B, offsets).
+    by (patch pair, component, position along the edge). The positions of a
+    side's non-corner dofs are looked up once per role class and side.
+    Returns (B, offsets).
     """
-    mp = constraints.mp
     offsets = np.cumsum([0] + [2 * ths.n_gamma for ths in spaces])
     comp = np.arange(2)[:, None]
+    side_pos = {}
+
+    def positions(ths, side):  # (2, n): u_gamma positions along the side
+        key = (_role_class(ths), side)
+        if key not in side_pos:
+            side_pos[key] = ths.gamma_pos(comp, ths.vel.side_dofs(side)[1:-1])
+        return side_pos[key]
+
     cols = [np.zeros((2, 0), dtype=int)]  # per row: column on the lower, on the higher patch
     for iface in constraints.interfaces:
-        da, db = matched_side_dofs(mp, spaces, iface)
-        cols.append(np.stack([
-            offsets[iface.a] + spaces[iface.a].gamma_pos(comp, da[1:-1]).ravel(),
-            offsets[iface.b] + spaces[iface.b].gamma_pos(comp, db[1:-1]).ravel(),
-        ]))
+        pa = positions(spaces[iface.a], iface.side_a)
+        pb = positions(spaces[iface.b], iface.side_b)
+        if iface.reversed_:
+            pb = pb[:, ::-1]
+        if pa.shape != pb.shape:
+            raise ValueError("interface dof counts differ")
+        cols.append(np.stack([offsets[iface.a] + pa.ravel(), offsets[iface.b] + pb.ravel()]))
     cols = np.concatenate(cols, axis=1)
     n = cols.shape[1]
     B = sp.csr_matrix((np.repeat([1.0, -1.0], n), (np.tile(np.arange(n), 2), cols.ravel())),
@@ -189,8 +243,10 @@ class CondensedLU:
     velocity components; reduced the factor of the dense reduced system R;
     Y is condense_interior's L^-1 P [K_ig | D_0i^T | D_1i^T]. solve takes a
     full right-hand side (1-D or a column per solve): w = forward(b_i), Y
-    products, one R solve and x_i = backward(w - Y V). L and U are the
-    block diagonals of the two factors' triangles, the fill it holds.
+    products, one R solve and x_i = backward(w - Y V) (interior_velocity).
+    An interior right-hand side that is exactly zero skips the forward
+    sweep, as w is then zero. L and U are the block diagonals of the two
+    factors' triangles, the fill it holds.
     """
 
     def __init__(self, interior, reduced, Y, n_gamma, n_pressure):
@@ -204,24 +260,36 @@ class CondensedLU:
         nu = 2 * (ng + ni)
         B = b.reshape(len(b), -1)
         k = B.shape[1]
-        # interior rhs, one column per (component, solve)
-        b_i = B[2 * ng : nu].reshape(2, ni, k).transpose(1, 0, 2).reshape(ni, 2 * k)
-        w = self.interior.forward(b_i) if ni else b_i
-        P = Y.T @ w
         r = np.concatenate([B[: 2 * ng], B[nu:]])
-        r[:ng] -= P[:ng, :k]
-        r[ng : 2 * ng] -= P[:ng, k:]
-        r[2 * ng : 2 * ng + npre] -= P[ng : ng + npre, :k] + P[ng + npre :, k:]
+        w = None
+        if B[2 * ng : nu].any():
+            # interior rhs, one column per (component, solve)
+            b_i = B[2 * ng : nu].reshape(2, ni, k).transpose(1, 0, 2).reshape(ni, 2 * k)
+            w = self.interior.forward(b_i)
+            P = Y.T @ w
+            r[:ng] -= P[:ng, :k]
+            r[ng : 2 * ng] -= P[:ng, k:]
+            r[2 * ng : 2 * ng + npre] -= P[ng : ng + npre, :k] + P[ng + npre :, k:]
         y = self.reduced.solve(r)
+        out = np.concatenate([y[: 2 * ng], self.interior_velocity(y, w), y[2 * ng :]])
+        return out.reshape(b.shape)
+
+    def interior_velocity(self, y, w=None):
+        """The interior velocity rows (2 n_inner, component major) of the
+        solution whose reduced part [u_gamma | p | ...] is y (a column per
+        solve): backward(w - Y V), with w the forward sweep of the interior
+        right-hand side, or None when that is zero."""
+        ng, ni, npre, Y = self._ng, self._ni, self._np, self._Y
+        k = y.shape[1]
+        if not ni:
+            return np.zeros((0, k))
         V = np.zeros((Y.shape[1], 2 * k))
         V[:ng, :k] = y[:ng]
         V[:ng, k:] = y[ng : 2 * ng]
         V[ng : ng + npre, :k] = V[ng + npre :, k:] = y[2 * ng : 2 * ng + npre]
-        x_i = self.interior.backward(w - Y @ V) if ni else w
-        out = np.concatenate([y[: 2 * ng],
-                              x_i.reshape(ni, 2, k).transpose(1, 0, 2).reshape(2 * ni, k),
-                              y[2 * ng :]])
-        return out.reshape(b.shape)
+        v = Y @ V
+        x_i = self.interior.backward(np.negative(v, out=v) if w is None else w - v)
+        return x_i.reshape(ni, 2, k).transpose(1, 0, 2).reshape(2 * ni, k)
 
     @property
     def L(self):
@@ -248,12 +316,18 @@ class AugmentedLocalSystem:
     condensed divergence D_g and D_i K_ii^-1 D_i^T are formed, by
     PatchStokesSystem.condense_interior; its factor and Y go on to
     CondensedLU. The constraint rows C must not act on interior velocity
-    dofs; label names the patch in errors. Read off at setup:
+    dofs; label names the patch in errors. One solve with R on the unit
+    columns of u_gamma and of mu yields, at setup:
 
     - F: the u_gamma x u_gamma block of the augmented inverse (that of
       R^-1), the patch's share of the dual-primal operator;
-    - S: the scalar Schur complement K_gg - K_gi K_ii^-1 K_ig, which the
-      preconditioner applies to each component.
+    - basis: the reduced rows [u_gamma | p | mu] of the local primal basis
+      A^-1 [0; I], one column per constraint; its interior velocity is
+      CondensedLU.interior_velocity of these rows, as C is zero there.
+
+    S is the scalar Schur complement K_gg - K_gi K_ii^-1 K_ig, which the
+    preconditioner applies to each component. C_reduced is C on the reduced
+    unknowns [u_gamma | p], dense.
 
     lu solves the whole augmented system (see CondensedLU); A3 is built
     only when asked for. A failed check on R means the constraint set
@@ -273,6 +347,7 @@ class AugmentedLocalSystem:
         Cd = C.toarray()
         if Cd[:, ng2:nu].any():
             raise ValueError("constraint rows of %s act on interior velocity dofs" % label)
+        self.C_reduced = np.concatenate([Cd[:, :ng2], Cd[:, nu:]], axis=1)
 
         cond = system.condense_interior("interior stiffness of %s" % label)
         self.S = cond.S
@@ -282,12 +357,16 @@ class AugmentedLocalSystem:
         R[p, :ng] = cond.Dg[0]
         R[p, ng:ng2] = cond.Dg[1]
         R[p, p] = -cond.T
-        R[p.stop :, :ng2] = Cd[:, :ng2]
-        R[p.stop :, p] = Cd[:, nu:]
+        R[p.stop :, : p.stop] = self.C_reduced
         R[: p.stop, p.stop :] = R[p.stop :, : p.stop].T
         R[:ng2, p] = R[p, :ng2].T
         lu_r = factorize(R, "condensed system of %s (%d constraint rows)" % (label, self.n_mu))
-        self.F = lu_r.solve(np.eye(len(R), ng2))[:ng2]
+        E = np.zeros((len(R), ng2 + self.n_mu))  # unit columns [E_gamma | E_mu]
+        E[np.arange(ng2), np.arange(ng2)] = 1.0
+        E[p.stop + np.arange(self.n_mu), ng2 + np.arange(self.n_mu)] = 1.0
+        Z = lu_r.solve(E)  # copied out below, so that Z is freed
+        self.F = Z[:ng2, :ng2].copy()
+        self.basis = Z[:, ng2:].copy()
         self.lu = CondensedLU(cond.lu, lu_r, cond.Y, ng, npre)
 
     @property
@@ -309,40 +388,40 @@ class AugmentedLocalSystem:
 
 
 def build_primal_basis(aug, ths):
-    """Columns of the local primal basis, one per local constraint.
+    """The u_gamma and multiplier rows (psi_gamma, psi_mu) of the local
+    primal basis, one column per local constraint: aug.basis, the solve of
+    the augmented system with unit constraint values, checked.
 
-    Solves the augmented system with unit constraint values. On a patch
-    without a Neumann side the first (averaging) column must have zero
-    velocity blocks and constant pressure, to 1e-6 relative: that holds up
-    to the quadrature error of the divergence matrix on rational geometry.
-    A known limit: on rectangle_with_hole at p=1, l=1 the default nquad (4)
-    leaves the column off by 2.6e-6 and this raises; nquad=6 gives 5e-10,
-    and the cell then solves and matches the monolithic solve.
+    C psi = I must hold to 1e-8, read on the u_gamma and pressure rows (C
+    is zero on the interior ones). On a patch without a Neumann side the
+    first (averaging) column must have zero velocity blocks, the interior
+    one from a backward half solve of that column alone, and constant
+    pressure, to 1e-6 relative: that holds up to the quadrature error of
+    the divergence matrix on rational geometry. A known limit: on
+    rectangle_with_hole at p=1, l=1 the default nquad (4) leaves the column
+    off by 2.6e-6 and this raises; nquad=6 gives 5e-10, and the cell then
+    solves and matches the monolithic solve.
     """
-    n_x, n_mu = aug.n_x, aug.n_mu
-    rhs = np.zeros((n_x + n_mu, n_mu))
-    rhs[n_x:, :] = np.eye(n_mu)
-    X = aug.lu.solve(rhs)
-    psi_x = X[:n_x, :]
-    psi_mu = X[n_x:, :]
-
-    repro = aug.C @ psi_x - np.eye(n_mu)
+    n_mu, ng2, npre = aug.n_mu, 2 * ths.n_gamma, ths.n_pressure
+    X = aug.basis
+    repro = aug.C_reduced @ X[: ng2 + npre] - np.eye(n_mu)
     if np.abs(repro).max() > 1e-8:
         raise SingularLocalSystemError(
             "primal basis does not reproduce its constraints (err %.2e)"
             % np.abs(repro).max()
         )
     if "neumann" not in ths.side_roles.values():
-        nu = 2 * (ths.n_gamma + ths.n_inner)
-        scale = max(1.0, np.abs(psi_x[:, 0]).max())
-        vel_err = np.abs(psi_x[:nu, 0]).max() if nu else 0.0
-        prs_err = np.abs(psi_x[nu:, 0] - 1.0).max()
+        col = X[: ng2 + npre, :1]
+        u_i = aug.lu.interior_velocity(col)
+        scale = max(1.0, np.abs(col).max(), np.abs(u_i).max(initial=0.0))
+        vel_err = max(np.abs(col[:ng2]).max(initial=0.0), np.abs(u_i).max(initial=0.0))
+        prs_err = np.abs(col[ng2:] - 1.0).max()
         if max(vel_err, prs_err) > 1e-6 * scale:
             raise SingularLocalSystemError(
                 "averaging basis column lost its structure "
                 "(velocity %.2e, pressure %.2e)" % (vel_err, prs_err)
             )
-    return psi_x, psi_mu
+    return X[:ng2], X[ng2 + npre :]
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +455,16 @@ class IetiOperator:
     gamma_slices[k] for patch k). F is the CSR block diagonal of the
     patches' condensed blocks F_k, on the same columns, and the only copy
     of them: each local system's F is a view of F.data. apply_F is the
-    coarse term plus B F B^T lam, with no local solve. rhs and recover
-    solve each patch's augmented system once, between one product with B^T
-    and one with B.
+    coarse term plus B F B^T lam, with no local solve.
+
+    At setup each patch's augmented system is solved once with its local
+    right-hand side, z_k = A_k^-1 [b_k; shifts_k]; x_local[k] is its x part.
+    As A_k is symmetric, the coarse right-hand side psi_k^T [b_k; shifts_k]
+    is the multiplier part of z_k. rhs reads the u_gamma rows of x_local and
+    makes no local solve. recover adds to x_local[k] one solve with -B_k^T
+    lam on u_gamma, zero on the interior and pressure rows and the primal
+    values s x_pi[G] on the constraint rows, so the primal correction
+    enters as constraint values and the interior forward sweep is skipped.
 
     The coarse layer stays sparse. A_pi sums, over the patches, the signed
     symmetric part of -psi_mu (which equals psi^T A3 psi, see the module
@@ -389,8 +475,9 @@ class IetiOperator:
     factorize as COO triplets.
 
     setup_phases holds the wall seconds of "constraints" (primal rows and
-    the jump matrix), "local" (condensation, primal bases and F) and
-    "coarse" (the coarse matrices and their factorization).
+    the jump matrix), "local" (condensation, primal bases, F and the local
+    right-hand-side solves) and "coarse" (the coarse matrices and their
+    factorization).
     """
 
     def __init__(self, mp, spaces, systems):
@@ -405,8 +492,7 @@ class IetiOperator:
         self.n_lambda = self.B.shape[0]
         self.gamma_slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.locals_ = []
-        self.psi_x = []
-        self.psi_mu = []
+        self.x_local = []
         n_pi = constraints.n_primal
         a_pi = ([], [], [])  # triplets of A_pi
         psi_g = ([], [], [])  # signed u_gamma rows of the primal basis, on B's columns
@@ -416,10 +502,8 @@ class IetiOperator:
                 systems[k], constraints.rows[k], constraints.shifts[k],
                 label="patch %d" % k,
             )
-            px, pm = build_primal_basis(aug, ths)
+            pg, pm = build_primal_basis(aug, ths)
             self.locals_.append(aug)
-            self.psi_x.append(px)
-            self.psi_mu.append(pm)
 
             G = constraints.globals_[k]
             s = constraints.signs[k]
@@ -428,13 +512,13 @@ class IetiOperator:
             a_pi[0].append(np.repeat(G, len(G)))
             a_pi[1].append(np.tile(G, len(G)))
             a_pi[2].append(((s[:, None] * s[None, :]) * contrib).ravel())
-            bx = systems[k].rhs()
-            gloc = px.T @ bx + pm.T @ constraints.shifts[k]
-            np.add.at(b_pi, G, s * gloc)
+            z = aug.lu.solve(np.concatenate([systems[k].rhs(), constraints.shifts[k]]))
+            self.x_local.append(z[: aug.n_x])
+            np.add.at(b_pi, G, s * z[aug.n_x :])  # psi^T [b; shifts], A symmetric
             ng2 = 2 * ths.n_gamma
             psi_g[0].append(np.repeat(offsets[k] + np.arange(ng2), len(G)))
             psi_g[1].append(np.tile(G, ng2))  # G has no repeats within a patch
-            psi_g[2].append((px[:ng2] * s).ravel())
+            psi_g[2].append((pg * s).ravel())
         self.F, views = _block_diagonal([aug.F for aug in self.locals_])
         for aug, F in zip(self.locals_, views):
             aug.F = F
@@ -471,10 +555,8 @@ class IetiOperator:
                 + self.B @ (self.F @ (self.B.T @ lam)))
 
     def rhs(self):
-        y = np.empty(self.B.shape[1])
-        for k, (aug, sl) in enumerate(zip(self.locals_, self.gamma_slices)):
-            x = aug.solve_x(self.systems[k].rhs(), self.constraints.shifts[k])
-            y[sl] = x[: sl.stop - sl.start]
+        y = np.concatenate([x[: sl.stop - sl.start]
+                            for x, sl in zip(self.x_local, self.gamma_slices)])
         return self.B_pi @ self.coarse_solve(self.b_pi) + self.B @ y
 
     def recover(self, lam):
@@ -485,11 +567,8 @@ class IetiOperator:
         for k, (aug, sl) in enumerate(zip(self.locals_, self.gamma_slices)):
             ths = self.spaces[k]
             ng2, ni2 = 2 * ths.n_gamma, 2 * ths.n_inner
-            r = self.systems[k].rhs()
-            r[:ng2] -= t[sl]
-            x = aug.solve_x(r, self.constraints.shifts[k])
             G, s = self.constraints.globals_[k], self.constraints.signs[k]
-            x = x + self.psi_x[k] @ (s * x_pi[G])
+            x = self.x_local[k] + aug.solve_x(-t[sl], s * x_pi[G])
             us.append(self.systems[k].expand(x[:ng2], x[ng2 : ng2 + ni2]))
             ps.append(x[ng2 + ni2 :])
         return us, ps, x_pi
@@ -549,7 +628,10 @@ class SolveReport:
     breakdown is None, or why the iteration stopped early: "nonpositive
     curvature" (p.Fp <= 0, F or the preconditioner is not positive definite)
     or "non-finite residual". A breakdown always means converged is False.
-    timings and setup_phases hold wall seconds (see solve_stokes_ieti).
+    timings and setup_phases hold wall seconds (see solve_stokes_ieti):
+    "rhs" reads the local solutions stored at setup and takes next to no
+    time, and the "local" setup phase includes the local right-hand-side
+    solves.
     """
 
     def __init__(self, iterations, residuals, converged, eig_min, eig_max, kappa,
@@ -683,8 +765,10 @@ def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None, tol=1e-6, max_iter=5
     The pressure has mean zero iff mp.pressure_up_to_constant (no side
     tagged "neumann"). report.timings holds the wall seconds of the phases
     "setup" (assembly when systems is None, local factorizations, primal
-    basis, coarse problem, preconditioner), "rhs", "pcg" and "recover";
-    report.setup_phases splits "setup" (see setup_ieti).
+    basis, local right-hand-side solves, coarse problem, preconditioner),
+    "rhs" (about 0 s: it reads the local solutions of setup and makes one
+    coarse solve), "pcg" and "recover"; report.setup_phases splits "setup"
+    (see setup_ieti; its "local" phase includes the right-hand-side solves).
     """
     t0 = time.perf_counter()
     op, pc = setup_ieti(mp, spaces, rhs, dirichlet, nquad, systems)

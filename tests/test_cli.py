@@ -13,7 +13,8 @@ from ietistokes.cli import (
     parse_config,
     problem_data,
 )
-from ietistokes.domains import rectangle_with_hole_domain
+from ietistokes.domains import parse_domain, rectangle_with_hole_domain
+from ietistokes.geometry import build_multipatch, save_multipatch
 
 
 def read_csv(path):
@@ -203,6 +204,55 @@ def test_problem_data_modes():
     # domain's own (MultiPatch.pressure_up_to_constant)
     assert rhs is None and dirichlet is channel_inlet
     assert manufactured is False and not mp.pressure_up_to_constant
+
+
+def _outlet_grid_file(tmp_path):
+    # grid(2,1) saved as a geometry file with a Neumann east side: an outlet,
+    # but no Dirichlet side on the channel inlet x = -2
+    mp0 = parse_domain("grid(2,1)")
+    tags = {(k, s): "dirichlet" for k in (0, 1) for s in ("west", "east", "south", "north")}
+    tags[(1, "east")] = "neumann"
+    path = tmp_path / "outlet.txt"
+    save_multipatch(build_multipatch(mp0.patches, boundary=lambda k, s, m: tags[(k, s)]), path)
+    return path
+
+
+def test_outlet_without_the_channel_inlet_exits_2(tmp_path, capsys):
+    # the channel data is zero away from x = -2, so solving with it here
+    # would be the zero problem (0 iterations, every exported sample 0.0)
+    path = _outlet_grid_file(tmp_path)
+    out = tmp_path / "fields.txt"
+    for command in ("solve", "bench-ieti"):
+        assert main([command, "--domain", str(path), "--degrees", "1", "--levels", "1",
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--zero-data" in err[0]
+        assert "iterations" not in captured.out
+    assert not out.exists()
+    # the zero problem itself is still there when asked for
+    assert main(["solve", "--domain", str(path), "--degrees", "1", "--levels", "1",
+                 "--zero-data"]) == 0
+
+
+def test_channel_with_hole_still_gets_the_inflow(capsys):
+    assert main(["solve", "--domain", "rectangle_with_hole", "--degrees", "2",
+                 "--levels", "1"]) == 0
+    assert "iterations=10 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("domain", ["rectangle_with_hole", "quarter_annulus(1,2,2,2)"])
+def test_algebra_suite_holds_on_rational_and_outflow_domains(domain, capsys):
+    # rectangle_with_hole: the Neumann side's dofs are interior with a
+    # nonzero trace, and its patches' averaging columns need not be
+    # constant; both domains are rational, so the suite assembles with
+    # nquad = velocity degree + 6 and says so (3.78e-11 and 9.11e-09 with
+    # the default quadrature on the annulus)
+    assert main(["verify", "--suite", "algebra", "--domain", domain, "--degrees", "2",
+                 "--levels", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "7 checks, 0 failed"
+    assert all(line.endswith("nquad 9") for line in lines[:2])
 
 
 def test_removed_pressure_mean_flag_is_a_usage_error(capsys):

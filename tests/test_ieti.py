@@ -16,6 +16,7 @@ from ietistokes.assembly import (
     build_taylor_hood,
     manufactured_rhs,
     manufactured_velocity,
+    matched_side_dofs,
     taylor_hood_spaces,
 )
 from ietistokes.cli import RunConfig, _suite_algebra, channel_inlet
@@ -28,6 +29,7 @@ from ietistokes.ieti import (
     PrimalConstraints,
     ScaledDirichletPreconditioner,
     SingularLocalSystemError,
+    build_jump_operator,
     setup_ieti,
     solve_pcg,
     solve_stokes_ieti,
@@ -124,12 +126,22 @@ def test_flux_row_with_dirichlet_shift_gives_total_flux():
     assert abs(total - 1.0) < 1e-12
 
 
+def _primal_basis(aug):
+    """The local primal basis A^-1 [0; I] (x and multiplier rows) from one
+    solve of the whole augmented system: the reference for what setup
+    reads off the reduced solve."""
+    rhs = np.zeros((aug.n_x + aug.n_mu, aug.n_mu))
+    rhs[aug.n_x :] = np.eye(aug.n_mu)
+    X = aug.lu.solve(rhs)
+    return X[: aug.n_x], X[aug.n_x :]
+
+
 def test_primal_basis_structure_affine():
     mp, spaces, glob = build_grid_problem(2, 2)
     op = IetiOperator(mp, spaces, glob.systems)
     for k in range(len(spaces)):
         C = op.constraints.rows[k].toarray()
-        psi = op.psi_x[k]
+        psi, _ = _primal_basis(op.locals_[k])
         assert np.abs(C @ psi - np.eye(C.shape[0])).max() < 1e-10
     # averaging column: velocity identically zero, pressure constant one
     assert algebra_checks(1)["averaging basis structure"]
@@ -620,11 +632,11 @@ def test_condensed_solve_matches_the_augmented_matrix(case):
 
 
 def test_pcg_makes_no_local_solves(monkeypatch):
-    # every PCG iteration applies F and the preconditioner through the
-    # matrices read off at setup; only the coarse factor is solved with
+    # rhs() and every PCG iteration apply F and the preconditioner through
+    # the matrices and local solutions of setup; only the coarse factor is
+    # solved with
     mp, spaces, glob = build_grid_problem(3, 3, degree=2)
     op, pc = setup_ieti(mp, spaces, systems=glob.systems)
-    g = op.rhs()
     local = [f for aug in op.locals_ for f in (aug.lu, aug.lu.interior, aug.lu.reduced)]
     assert all(isinstance(f, BandCholesky) for f in local[1::3])
     assert all(isinstance(f, DenseLU) for f in local[2::3])
@@ -639,6 +651,8 @@ def test_pcg_makes_no_local_solves(monkeypatch):
                 return real(self, b)
 
             monkeypatch.setattr(cls, name, counting_solve)
+    # nor does the right-hand side: it reads the local solutions of setup
+    g = op.rhs()
     lam, rep = solve_pcg(op.apply_F, pc.apply, g)
     assert rep.converged and rep.iterations > 0
     assert solved and all(f is op._coarse_lu for f in solved)
@@ -713,6 +727,7 @@ def _per_row_constraints(mp, spaces, systems, cons):
     ("quarter_annulus(1,2,3,2)", 2, manufactured_velocity),
     ("rectangle_with_hole", 1, channel_inlet),
     ("neumann outlet", 2, manufactured_velocity),
+    ("quarter_annulus(1,2,8,8)", 2, manufactured_velocity),  # all 9 role classes
 ])
 def test_constraint_rows_match_the_per_row_algorithm(domain, degree, data):
     mp = _neumann_outlet_grid() if domain == "neumann outlet" else parse_domain(domain)
@@ -746,11 +761,164 @@ def test_coarse_matrix_from_basis_multipliers(domain, degree):
     cons = op.constraints
     ref = np.zeros((op.n_primal, op.n_primal))
     for k, aug in enumerate(op.locals_):
-        psi = op.psi_x[k] * cons.signs[k]
+        psi = _primal_basis(aug)[0] * cons.signs[k]
         G = cons.globals_[k]
         np.add.at(ref, (G[:, None], G[None, :]), psi.T @ (aug.A3 @ psi))
     assert sp.issparse(op.A_pi) and sp.issparse(op.B_pi)
     assert np.abs(op.A_pi.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _reversed_pair():
+    # two unit squares whose shared edge runs the other way on the second
+    a = bilinear_patch((0, 0), (1, 0), (0, 1), (1, 1))
+    b = bilinear_patch((2, 1), (1, 1), (2, 0), (1, 0))
+    mp = build_multipatch([a, b])
+    assert mp.interfaces[0].reversed_
+    return mp
+
+
+JUMP_CASES = {  # domain, degree, level
+    "grid(3,3)": (lambda: parse_domain("grid(3,3)"), 1, 1),
+    "quarter_annulus(1,2,8,8)": (lambda: parse_domain("quarter_annulus(1,2,8,8)"), 2, 1),
+    "neumann outlet": (_neumann_outlet_grid, 2, 1),
+    "reversed pair": (_reversed_pair, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUMP_CASES))
+def test_jump_operator_matches_the_per_interface_algorithm(case):
+    # B from positions kept per role class and side, bitwise against B
+    # built one interface at a time from matched_side_dofs and gamma_pos
+    make, degree, level = JUMP_CASES[case]
+    mp = make()
+    spaces = taylor_hood_spaces(mp, degree=degree, refinement=level)
+    systems = [assemble_patch(g, ths) for g, ths in zip(mp.patches, spaces)]
+    cons = PrimalConstraints(mp, spaces, systems)
+    B, offsets = build_jump_operator(cons, spaces)
+    ref_offsets = np.cumsum([0] + [2 * ths.n_gamma for ths in spaces])
+    comp = np.arange(2)[:, None]
+    cols = [np.zeros((2, 0), dtype=int)]
+    for iface in cons.interfaces:
+        da, db = matched_side_dofs(mp, spaces, iface)
+        cols.append(np.stack([
+            ref_offsets[iface.a] + spaces[iface.a].gamma_pos(comp, da[1:-1]).ravel(),
+            ref_offsets[iface.b] + spaces[iface.b].gamma_pos(comp, db[1:-1]).ravel(),
+        ]))
+    cols = np.concatenate(cols, axis=1)
+    n = cols.shape[1]
+    ref = sp.csr_matrix((np.repeat([1.0, -1.0], n), (np.tile(np.arange(n), 2), cols.ravel())),
+                        shape=(n, ref_offsets[-1]))
+    assert np.array_equal(offsets, ref_offsets) and B.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(B, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_role_classes_share_the_dof_classification(monkeypatch):
+    # quarter_annulus(1,2,8,8): 36 interior patches, four classes of 6 with
+    # one Dirichlet side, four single patches with two; each class is
+    # classified once, its arrays are shared and read-only, and they equal
+    # the classification of each patch on its own
+    from ietistokes import ieti
+
+    mp = parse_domain("quarter_annulus(1,2,8,8)")
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    classes = {}
+    for k, ths in enumerate(spaces):
+        classes.setdefault(id(ths.pos), []).append(k)
+    assert sorted(len(c) for c in classes.values()) == [1, 1, 1, 1, 6, 6, 6, 6, 36]
+    dir_corners = [[] for _ in spaces]
+    gam_corners = [[] for _ in spaces]
+    for v in mp.vertices:
+        target = dir_corners if mp.vertex_is_dirichlet(v) else gam_corners
+        if target is dir_corners or len(v.patches) >= 2:
+            for k, corner in v.members:
+                target[k].append(corner)
+    for k, ths in enumerate(spaces):
+        own = assembly.TaylorHoodPatchSpace(ths.geo, 2, 1, 1, mp.side_roles(k), dir_corners[k],
+                                            gam_corners[k], (ths.vel, ths.pre))
+        for name in ("dirichlet", "gamma", "inner", "pos"):
+            shared = getattr(ths, name)
+            assert not shared.flags.writeable
+            assert np.array_equal(shared, getattr(own, name)), (k, name)
+    # PrimalConstraints builds one row pattern per class
+    patterns = []
+    real = ieti._constraint_pattern
+    monkeypatch.setattr(ieti, "_constraint_pattern",
+                        lambda *args: patterns.append(args) or real(*args))
+    systems = [assemble_patch(g, ths) for g, ths in zip(mp.patches, spaces)]
+    PrimalConstraints(mp, spaces, systems)
+    assert len(patterns) == 9
+
+
+SETUP_CASES = {  # domain, degree
+    "grid(3,3)": (lambda: parse_domain("grid(3,3)"), 1),
+    "quarter_annulus(1,2,3,2)": (lambda: parse_domain("quarter_annulus(1,2,3,2)"), 2),
+    "neumann outlet": (_neumann_outlet_grid, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_CASES))
+def test_setup_solves_match_the_primal_basis_formulas(case):
+    # b_pi, rhs() and recover() come from one local right-hand-side solve
+    # per patch and, in recover, one solve with the primal values as
+    # constraint values; they equal the formulas through the full primal
+    # basis psi = A^-1 [0; I]: b_pi = sum psi^T [b; shifts],
+    # rhs = B_pi A_pi^-1 b_pi + B A^-1 [b; shifts] and
+    # x = A^-1 [b - B^T lam; shifts] + psi s x_pi
+    make, degree = SETUP_CASES[case]
+    mp = make()
+    spaces = taylor_hood_spaces(mp, degree=degree, refinement=1)
+    op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    cons = op.constraints
+    lam = np.random.default_rng(17).standard_normal(op.n_lambda)
+    t = op.B.T @ lam
+    b_pi = np.zeros(op.n_primal)
+    y = np.zeros(op.B.shape[1])
+    for k, (aug, sl) in enumerate(zip(op.locals_, op.gamma_slices)):
+        psi_x, psi_mu = _primal_basis(aug)
+        b = op.systems[k].rhs()
+        np.add.at(b_pi, cons.globals_[k],
+                  cons.signs[k] * (psi_x.T @ b + psi_mu.T @ cons.shifts[k]))
+        y[sl] = aug.solve_x(b, cons.shifts[k])[: sl.stop - sl.start]
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(op.b_pi, b_pi)
+    assert close(op.rhs(), op.B_pi @ op.coarse_solve(b_pi) + op.B @ y)
+    x_pi = op.coarse_solve(b_pi - op.B_pi.T @ lam)
+    us, ps, got_pi = op.recover(lam)
+    assert close(got_pi, x_pi)
+    for k, (aug, sl) in enumerate(zip(op.locals_, op.gamma_slices)):
+        ths = spaces[k]
+        ng2, nu = 2 * ths.n_gamma, 2 * (ths.n_gamma + ths.n_inner)
+        r = op.systems[k].rhs()
+        r[:ng2] -= t[sl]
+        x = (aug.solve_x(r, cons.shifts[k])
+             + _primal_basis(aug)[0] @ (cons.signs[k] * x_pi[cons.globals_[k]]))
+        assert close(us[k], op.systems[k].expand(x[:ng2], x[ng2:nu])), k
+        assert close(ps[k], x[nu:]), k
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_CASES))
+def test_reduced_primal_basis_matches_the_full_solve(case):
+    # the reduced rows [u_gamma | p | mu] of the basis come from the one R
+    # solve of setup, and the interior velocity of the averaging column
+    # that build_primal_basis checks from one backward half solve of that
+    # column alone; both equal the solve of the whole system with [0; I]
+    make, degree = SETUP_CASES[case]
+    mp = make()
+    spaces = taylor_hood_spaces(mp, degree=degree, refinement=1)
+    op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    for aug, ths in zip(op.locals_, spaces):
+        ng2, nu = 2 * ths.n_gamma, 2 * (ths.n_gamma + ths.n_inner)
+        psi_x, psi_mu = _primal_basis(aug)
+        ref = np.concatenate([psi_x[:ng2], psi_x[nu:], psi_mu])
+        assert aug.basis.shape == ref.shape
+        assert np.abs(aug.basis - ref).max() <= 1e-12 * np.abs(ref).max()
+        u_i = aug.lu.interior_velocity(aug.basis[:, :1])[:, 0]
+        assert np.abs(u_i - psi_x[ng2:nu, 0]).max() <= 1e-12 * max(1.0, np.abs(psi_x).max())
 
 
 def test_setup_never_assembles_the_saddle_matrix(monkeypatch):
