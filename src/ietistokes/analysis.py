@@ -12,8 +12,9 @@ discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
 complement. pressure_schur_extremes factors the velocity stiffness K it is
 given once, as an SPD matrix; with a band Cholesky P K P^T = L L^T the dense
-path forms T = D K^-1 D^T as Y^T Y from one forward half solve
-Y = L^-1 P D^T, and otherwise as D times the solve K^-1 D^T.
+path forms T = D K^-1 D^T = Y^T Y, Y = L^-1 P D^T, with the factor's blocked
+Gram kernel (BandCholesky.gram) from D's entries, and otherwise as D times
+the solve K^-1 D^T.
 pressure_schur_spectrum factors nothing: it reads the velocity elimination
 cached on the global system, which the system's solve shares
 (GlobalStokesSystem.velocity_factor, the scalar free stiffness, and
@@ -58,9 +59,11 @@ _LOBPCG_LOCK = threading.Lock()
 class SchurSpectrum:
     """Extreme nonzero generalized eigenvalues of (D K^-1 D^T, M_p).
 
-    When lam_min <= 0, beta is 0 and kappa inf. An inf-sup unstable pair
-    may also give a lam_min of round-off size above 0; that is reported as
-    is, with a tiny beta and a large finite kappa.
+    When lam_min <= 0, beta is 0 and kappa inf. The dense path returns a
+    lam_min of round-off size (within n eps lam_max of zero) as 0; on the
+    iterative path an inf-sup unstable pair may give a lam_min of round-off
+    size above 0, which is reported as is, with a tiny beta and a large
+    finite kappa.
     """
 
     def __init__(self, lam_min, lam_max, dofs, method):
@@ -109,11 +112,12 @@ def _dense_extremes(T, Mp, deflate):
     of e_1 has, in its other columns, an orthonormal basis of the row's
     complement; the pencil restricted to it is (H T H, H M_p H) without the
     first row and column, and H X H = X - 2 (v z^T + z v^T) with
-    z = X v - (v^T X v) v for a symmetric X.
+    z = X v - (v^T X v) v for a symmetric X. A smallest eigenvalue within
+    n eps lam_max of zero, the round-off of the eigensolve, is returned as 0:
+    its sign depends on the rounding of T, not on the pair.
     """
     if not deflate:
-        ev = sla.eigh(T, Mp.toarray(), eigvals_only=True)
-        return float(ev[0]), float(ev[-1])
+        return _extremes(sla.eigh(T, Mp.toarray(), eigvals_only=True))
     v = _mean_row(Mp)
     v /= np.linalg.norm(v)
     v[0] += math.copysign(1.0, v[0])
@@ -125,8 +129,15 @@ def _dense_extremes(T, Mp, deflate):
         z = (w - (v @ w) * v)[1:]
         return X[1:, 1:] - 2.0 * (np.outer(v[1:], z) + np.outer(z, v[1:]))
 
-    ev = sla.eigh(reflected(T), reflected(Mp.toarray()), eigvals_only=True)
-    return float(ev[0]), float(ev[-1])
+    return _extremes(sla.eigh(reflected(T), reflected(Mp.toarray()), eigvals_only=True))
+
+
+def _extremes(ev):
+    """(lam_min, lam_max) of ascending eigenvalues, lam_min 0 at round-off."""
+    lam_min, lam_max = float(ev[0]), float(ev[-1])
+    if lam_min <= len(ev) * np.finfo(float).eps * abs(lam_max):
+        lam_min = 0.0
+    return lam_min, lam_max
 
 
 def _iterative_extremes(schur, Mp, deflate, tol=1e-8, maxiter=2000, seed=0, block=5):
@@ -204,8 +215,7 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
 
     def dense():
         if isinstance(lu, BandCholesky):  # T = Y^T Y, Y = L^-1 P D^T
-            Y = lu.forward(D.toarray().T)
-            return Y.T @ Y
+            return lu.gram(D.T)
         return D @ lu.solve(D.toarray().T)
 
     return _schur_extremes(schur, dense, Mp, K.shape[0] + Mp.shape[0], method)

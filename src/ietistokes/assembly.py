@@ -38,9 +38,10 @@ K_ii and one forward half solve); the IETI-DP local systems,
 analysis.local_infsup and analysis.skeleton_matrices read it. The
 monolithic GlobalStokesSystem caches one velocity elimination the same way
 (velocity_factor, the scalar free stiffness factored once for both
-components, and the pressure Schur complement pressure_schur from one
-forward half solve): its solve eliminates the velocity through it below the
-dense cut, and analysis.pressure_schur_spectrum reads it.
+components, and the pressure Schur complement pressure_schur, formed by the
+factor's blocked Gram kernel BandCholesky.gram from the divergence entries):
+its solve eliminates the velocity through it below the dense cut, and
+analysis.pressure_schur_spectrum reads it.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
@@ -149,10 +150,11 @@ class BandCholesky:
     matrix, with the interface the package reads: shape, solve (1-D or 2-D
     right-hand sides) and L and U, the stored band of L and its transpose as
     sparse matrices, explicit zeros kept. solve is the two half solves
-    forward(B) = L^-1 P B and backward(Y) = P^T L^-T Y, and B^T A^-1 B =
-    Y^T Y with Y = forward(B). perm is the order (row i of P A P^T is row
-    perm[i] of A), or None for A's own order; bandwidth is the number of
-    subdiagonals of L.
+    forward(B) = L^-1 P B and backward(Y) = P^T L^-T Y, LAPACK tbtrs, and
+    gram(B) forms B^T A^-1 B = Y^T Y, Y = forward(B), from a sparse B by
+    row blocks without storing B or Y. perm is the order (row i of P A P^T
+    is row perm[i] of A), or None for A's own order; bandwidth is the
+    number of subdiagonals of L.
     """
 
     def __init__(self, ab, perm, what):
@@ -170,13 +172,76 @@ class BandCholesky:
         return self.backward(self.forward(b))
 
     def forward(self, b):
-        return self.forward_in_place(np.array(b if self.perm is None else b[self.perm], order="F"))
-
-    def forward_in_place(self, y):
-        """L^-1 y for a y already in the factor's order (P b), overwriting y
-        when it is a Fortran-ordered float array; returns the result."""
+        y = np.array(b if self.perm is None else b[self.perm], order="F")
         y, _ = self._tbtrs(self._ab, y, uplo="L", overwrite_b=1)
         return y
+
+    def gram(self, B):
+        """sum_c Y_c^T Y_c, Y_c = L^-1 P B_c, for a sparse B = [B_0; B_1; ...]
+        whose row count is a multiple of n; dense, exactly symmetric.
+
+        Row blocks of bs = bandwidth rows (at least one): L_jj, inverted here
+        with LAPACK trtri, and L_j,j-1 hold all of L in block row j, so
+        Y_j = inv(L_jj) (B_j - L_j,j-1 Y_j-1), two triangular matmuls (BLAS
+        trmm) that cover every component at once, and Y_j^T Y_j is one syrk.
+        The columns are sorted by the block of their first nonzero row: Y_j
+        is zero in the columns that start below block j, so block j works on
+        the prefix of columns started by then. Each B_j is scattered from
+        B's entries when its block is reached, so neither a dense B nor Y is
+        held.
+        """
+        n, bw = self.shape[0], self.bandwidth
+        trtri, = sla.get_lapack_funcs(("trtri",), (self._ab,))
+        trmm, syrk = sla.get_blas_funcs(("trmm", "syrk"), (self._ab,))
+        B = sp.csc_matrix(B)
+        B.sum_duplicates()
+        ncomp, ncols = B.shape[0] // n, B.shape[1]
+        comp, rows = np.divmod(B.indices.astype(np.int64), n)
+        if self.perm is not None:
+            rows = np.argsort(self.perm)[rows]
+        bs = max(bw, 1)
+        nb = -(-n // bs)
+        blk, row_in = np.divmod(rows, bs)
+        cols = np.repeat(np.arange(ncols), np.diff(B.indptr))
+        # columns by their first block, so block j reaches the prefix
+        # [:width[j]]; a column without entries reaches none
+        first = np.full(ncols, nb, dtype=np.int64)
+        np.minimum.at(first, cols, blk)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(ncols, dtype=np.int64)
+        rank[order] = np.arange(ncols)
+        width = np.searchsorted(first[order], np.arange(nb), side="right")
+        # B's entries by block: row in the block, (component, column), value;
+        # Y_j is Fortran ordered (h, ncomp * m), column c + ncomp q
+        by_blk = np.argsort(blk, kind="stable")
+        starts = np.searchsorted(blk[by_blk], np.arange(nb + 1))
+        row_in, slot, val = row_in[by_blk], (comp + ncomp * rank[cols])[by_blk], B.data[by_blk]
+        # the band ab[k, c] = L[c + k, c] sits at flat[k + (bw + 1) c]; read
+        # with leading dimension bs it gives L's blocks by their columns:
+        # flat[o + b bs + a] is L[s + a, s + b] (o = (bw + 1) s, lower
+        # triangle) and L[s + a, s - bs + b] (o = bs + (bw + 1) (s - bs),
+        # upper triangle); trtri and trmm read only those triangles
+        flat = self._ab.reshape(-1, order="F")
+        T = np.zeros((ncols, ncols), order="F")
+        Y = None
+        for j in range(nb):
+            s, h, m = j * bs, min(bs, n - j * bs), width[j]
+            if m == 0:
+                continue
+            e = slice(starts[j], starts[j + 1])
+            R = np.zeros(h * ncomp * m)
+            R[row_in[e] + h * slot[e]] = val[e]
+            R = R.reshape(h, ncomp * m, order="F")
+            if Y is not None and bw:
+                o = bs + (bw + 1) * (s - bs)
+                LY = trmm(1.0, flat[o : o + bs * bs].reshape(bs, bs).T, Y, overwrite_b=1)
+                R[:, : LY.shape[1]] -= LY[:h]
+            o = (bw + 1) * s
+            inv, _ = trtri(flat[o : o + h * bs].reshape(h, bs)[:, :h].T, lower=1)
+            Y = trmm(1.0, inv, R, lower=1, overwrite_b=1)
+            T[:m, :m] += syrk(1.0, Y.reshape(h * ncomp, m, order="F"), trans=1)
+        T += np.triu(T, 1).T  # syrk fills the upper triangle
+        return T[np.ix_(rank, rank)]
 
     def backward(self, y):
         x, _ = self._tbtrs(self._ab, y, uplo="L", trans="T")
@@ -275,12 +340,14 @@ def factorize(A, what, fem=False, spd=False):
     grid(1,1), factor included (the stacked stiffness, its own order, best
     of 7; T agrees to 1.5e-15 relative):
 
-        cell    rows   fem, solve, D X       band solve, D X   band forward, Y^T Y
-        p1 l3   450    2.4                   2.1               1.1
-        p1 l4   1,922  32.1                  32.0              15.3
-        p2 l3   512    3.7                   3.5               1.7
-        p2 l4   2,048  71.9                  58.2              28.4
-        six cells, p 1-2, l 2-4    110.7     96.6              47.0
+        cell    rows   fem, solve, D X       band solve, D X
+        p1 l3   450    2.4                   2.1
+        p1 l4   1,922  32.1                  32.0
+        p2 l3   512    3.7                   3.5
+        p2 l4   2,048  71.9                  58.2
+        six cells, p 1-2, l 2-4    110.7     96.6
+
+    The band's Gram kernel BandCholesky.gram on the same cells: BENCH_22.json.
 
     The same, factor included, best of 3, on larger domains (RCM order):
 
@@ -1176,23 +1243,14 @@ class GlobalStokesSystem:
     @cached_property
     def pressure_schur(self):
         """The pressure Schur complement T = D_f K_ff^-1 D_f^T, dense, formed on
-        first use. With a BandCholesky P K_f P^T = L L^T it is Y_0^T Y_0 +
-        Y_1^T Y_1, Y = [Y_0 | Y_1] = L^-1 P [D_0f^T | D_1f^T] from one forward
-        half solve; D_cf is the divergence acting on velocity component c."""
-        lu, npre, nf = self.velocity_factor, self.n_pressure, len(self.free)
-        D = self.free_blocks()[1].tocoo()
-        band = isinstance(lu, BandCholesky)
-        rows = D.col % nf
-        if band and lu.perm is not None:  # B in the factor's order, swept in place
-            rows = np.argsort(lu.perm)[rows]
-        B = np.zeros((nf, 2 * npre), order="F")  # [D_0f^T | D_1f^T]
-        B[rows, D.col // nf * npre + D.row] = D.data
-        if band:
-            Y = lu.forward_in_place(B)
-            Y0, Y1 = Y[:, :npre], Y[:, npre:]
-            return Y0.T @ Y0 + Y1.T @ Y1
-        X = lu.solve(B)
-        return B[:, :npre].T @ X[:, :npre] + B[:, npre:].T @ X[:, npre:]
+        first use. D_f^T = [D_0f^T; D_1f^T] stacks the divergence acting on
+        each velocity component along the rows; with a BandCholesky of K_f, T
+        is its blocked Gram kernel gram(D_f^T) = Y_0^T Y_0 + Y_1^T Y_1, Y_c =
+        L^-1 P D_cf^T, and otherwise D_f times stiffness_solve(D_f^T)."""
+        D = self.free_blocks()[1]
+        if isinstance(self.velocity_factor, BandCholesky):
+            return self.velocity_factor.gram(D.T)
+        return D @ self.stiffness_solve(D.T.toarray())
 
     def stiffness_solve(self, b):
         """K_ff^-1 b for b on the free velocity dofs, components stacked (1-D
@@ -1220,35 +1278,13 @@ class GlobalStokesSystem:
 
         The cut, the dense factor's DENSE_LU_ROWS, bounds what solve pays
         when nothing else reads T. Followed by the spectrum, which forms T
-        anyway, the elimination was faster on every cell measured, at every
-        size. Called alone, it was faster on grid(1,1) p2 l4 and the
-        145-row cells and slower on the rest, and forming T costs n_f n_p^2 while the saddle's fill
-        grows more slowly: at most 1.8x (12.6 ms) below the cut, 1.5-1.7x
-        (at most 16.6 ms) at 351-401 rows, 2-2.5x at 577-626 and 2.6-11x
-        from 730. Medians of 7 (5 at 577-626, 3 from 730 rows), both paths
-        alternating in one process, one 2-vCPU host, BLAS on one thread, ms:
-
-            cell                            rows   saddle solve   elimination
-                                                   (+ spectrum)   (+ spectrum)
-            grid(2,2) p2 l2                 145    13.6 (15.6)    4.6 (7.0)
-            quarter_annulus(1,2,2,2) p2 l2  145    10.5 (15.7)    3.5 (5.2)
-            rectangle_with_hole p1 l2       276    6.4 (23.8)     11.0 (17.9)
-            grid(1,1) p1 l4                 290    10.9 (35.2)    17.3 (23.8)
-            grid(1,1) p2 l4                 325    31.9 (67.2)    24.9 (34.1)
-            grid(2,2) p1 l3                 325    15.3 (53.9)    27.9 (43.0)
-            grid(3,3) p2 l2                 325    13.3 (40.9)    19.5 (28.7)
-            grid(2,7) p1 l2                 351    12.6 (40.9)    18.9 (29.7)
-            grid(4,4) p1 l2                 401    28.1 (86.6)    43.0 (62.6)
-            grid(2,2) p2 l3                 401    22.3 (75.6)    38.9 (54.0)
-            grid(4,4) p2 l2                 577    42.9 (160)     84.6 (132)
-            grid(5,5) p1 l2                 626    40.3 (188)     100 (145)
-            grid(3,3) p1 l3                 730    31.4 (338)     222 (304)
-            grid(3,3) p2 l3                 901    112 (746)      485 (688)
-            grid(1,1) p1 l5                 1,090  54.7 (894)     584 (851)
-            grid(1,1) p2 l5                 1,157  342 (1,551)    876 (1,162)
-
-        Both paths agreed to 5e-11 relative in pressure and 5e-13 in
-        velocity on all of these.
+        anyway, the elimination was faster on every cell measured, from 145
+        to 1,157 rows. Called alone, it was faster on 5 of the 7 cells below
+        the cut and at most 1.35x (3.7 ms) slower, 0.7-1.2x at 351-401 rows,
+        1.2-1.5x at 577-626 and 1.0-3.8x from 730: forming T costs
+        n_f n_p^2 while the saddle's fill grows more slowly. Both paths agree
+        to 5e-11 relative in pressure and 5e-13 in velocity. The timings are
+        in BENCH_22.json (solve_cut_ms).
         """
         Kff, Df, rhs_f, h = self.free_blocks()
         nU, npre = Kff.shape[0], self.n_pressure

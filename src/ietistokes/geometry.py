@@ -858,11 +858,13 @@ def check_interface_matching(mp, spaces, tol=1e-10):
     spaces is one TensorSplineSpace per patch. Along each interface the edge
     spaces must have the same degree and smoothness and matching breakpoints
     (mirrored when the orientation is reversed), and the geometry traces must
-    agree at the Greville points of the edge space. The traces come from one
+    agree at the Greville points of the edge space. The Greville points
+    are formed once per shared space and side, and the traces come from one
     side_traces call per family of maps and distinct (side, Greville
     points). Returns a MatchReport.
     """
     params = [{} for _ in mp.patches]  # per patch: side -> Greville points
+    greville = {}  # (id of a space, side) -> Greville points of its edge space
     found = []  # per interface: a problem, or None while its traces are unchecked
     for iface in mp.interfaces:
         ea = spaces[iface.a].side_space(iface.side_a)
@@ -874,7 +876,10 @@ def check_interface_matching(mp, spaces, tol=1e-10):
         if len(ea.breakpoints) != len(zb) or np.abs(ea.breakpoints - zb).max() > tol:
             found.append(("breakpoints", iface.astuple(), None))
             continue
-        t = ea.greville()
+        key = (id(spaces[iface.a]), iface.side_a)
+        if key not in greville:
+            greville[key] = ea.greville()
+        t = greville[key]
         params[iface.a][iface.side_a] = t
         params[iface.b][iface.side_b] = 1.0 - t if iface.reversed_ else t
         found.append(None)

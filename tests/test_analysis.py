@@ -69,6 +69,25 @@ def test_beta_and_delta_bounded():
         assert spec.lam_min > 0
 
 
+@pytest.mark.parametrize("deflate", [False, True])
+def test_round_off_lam_min_reads_zero(deflate):
+    # a smallest eigenvalue within n eps lam_max of zero is zero to working
+    # precision whatever its sign, so the spectrum reads beta 0 and kappa
+    # inf; one just above that stays as it is. H's first column is the
+    # constant, whose eigenvalue 1.5 is no extreme either way
+    import ietistokes.analysis as analysis
+
+    Mp = sp.identity(5, format="csr")
+    H = np.linalg.qr(np.column_stack([np.ones(5), np.eye(5)[:, 1:]]))[0]
+    for tiny, want in ((3e-17, 0.0), (-3e-17, 0.0), (1e-12, 1e-12)):
+        T = H @ np.diag([1.5, tiny, 0.5, 1.0, 2.0]) @ H.T
+        lam_min, lam_max = analysis._dense_extremes(T, Mp, deflate)
+        assert abs(lam_max - 2.0) <= 1e-12
+        assert lam_min == 0.0 if want == 0.0 else abs(lam_min - want) <= 1e-14
+        spec = analysis.SchurSpectrum(lam_min, lam_max, 5, "dense")
+        assert (spec.kappa == np.inf) == (want == 0.0)
+
+
 def test_stretched_patch_has_smaller_beta():
     square = local_infsup(dirichlet_patch_system(unit_square(), 1, 2))
     stretched = local_infsup(dirichlet_patch_system(

@@ -681,11 +681,11 @@ def test_spd_factor_is_a_band_cholesky_in_the_narrower_order(spec, degree, refin
 
 
 def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
-    # T = Y_0^T Y_0 + Y_1^T Y_1 with Y = L^-1 P [D_0^T | D_1^T], L the band
-    # factor of the scalar free stiffness, is D K^-1 D^T; a scalar stiffness
-    # whose band holds one entry more than BAND_ENTRIES goes to SuperLU's
-    # symmetric mode instead, and gives the same spectrum and, through the
-    # same T, the same eliminated solve
+    # T = Y_0^T Y_0 + Y_1^T Y_1 with Y_c = L^-1 P D_c^T, L the band factor of
+    # the scalar free stiffness, formed by its Gram kernel, is D K^-1 D^T;
+    # a scalar stiffness whose band holds one entry more than BAND_ENTRIES
+    # goes to SuperLU's symmetric mode instead, and gives the same spectrum
+    # and, through the same T, the same eliminated solve
     import ietistokes.analysis as analysis
     import ietistokes.assembly as assembly
 
@@ -714,6 +714,77 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
         assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
     assert abs(kappas[0] - kappas[1]) <= 1e-12 * kappas[1]
     assert np.linalg.norm(solutions[1] - solutions[0]) <= 1e-12 * np.linalg.norm(solutions[0])
+
+
+def _band_spd(n, bandwidth, seed):
+    """A dense SPD matrix of n rows with exactly `bandwidth` subdiagonals."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n))
+    S = np.where(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= bandwidth, S + S.T, 0.0)
+    return S + np.eye(n) * (np.abs(S).sum(axis=1).max() + 1.0)
+
+
+def _sparse_columns(rows, cols, seed, empty=()):
+    """A random sparse B with a few entries per column, duplicates included
+    (COO), and no entry in the columns `empty`."""
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, rows, 6 * cols)
+    c = np.repeat(np.arange(cols), 6)
+    keep = ~np.isin(c, empty)
+    r, c = np.concatenate([r[keep], r[keep][:5]]), np.concatenate([c[keep], c[keep][:5]])
+    return sp.coo_matrix((rng.standard_normal(len(r)), (r, c)), shape=(rows, cols))
+
+
+def _gram_by_forward(lu, B):
+    """sum_c Y_c^T Y_c from the tbtrs half solve, Y_c = forward(B_c)."""
+    n = lu.shape[0]
+    Bd = B.toarray()
+    return sum(Y.T @ Y for Y in (lu.forward(Bd[c * n : (c + 1) * n])
+                                for c in range(Bd.shape[0] // n)))
+
+
+GRAM_BANDS = {  # n, bandwidth, components, empty columns
+    "bandwidth 0": (7, 0, 2, ()),
+    "bandwidth 1": (10, 1, 1, ()),
+    "n not a multiple of the bandwidth": (23, 5, 2, (0, 4)),
+    "n below two blocks": (9, 6, 2, (7,)),
+    "one dense block": (12, 11, 3, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_BANDS))
+def test_gram_matches_the_forward_half_solve(case):
+    # the blocked Gram kernel against tbtrs and Y^T Y on band matrices whose
+    # last row block is short or the only one, with columns without entries
+    n, bandwidth, ncomp, empty = GRAM_BANDS[case]
+    lu = factorize(_band_spd(n, bandwidth, 5), "band SPD", spd=True)
+    assert isinstance(lu, BandCholesky) and lu.bandwidth == bandwidth and lu.perm is None
+    B = _sparse_columns(ncomp * n, 8, 6, empty)
+    want, got = _gram_by_forward(lu, B), lu.gram(B)
+    assert got.shape == (8, 8) and np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not got[list(empty)].any()
+
+
+@pytest.mark.parametrize("spec, degree, refinement",
+                         [("grid(3,3)", 2, 2)] + [("grid(1,1)", p, level)
+                                                  for p in (1, 2) for level in (2, 3, 4)])
+def test_gram_forms_the_pressure_schur_complement(spec, degree, refinement):
+    # every square-study cell (one patch, its own order) and a reverse
+    # Cuthill-McKee ordered factor: T = gram(D_f^T) against the two forward
+    # half solves of the scalar factor, and one column without entries
+    _, glob = _velocity_stiffness(spec, degree, refinement)
+    lu, D = glob.velocity_factor, glob.free_blocks()[1]
+    assert isinstance(lu, BandCholesky) and (lu.perm is not None) == (spec == "grid(3,3)")
+    want = _gram_by_forward(lu, D.T)
+    assert np.abs(glob.pressure_schur - want).max() <= 1e-12 * np.abs(want).max()
+    Dt = D.T.tocsc(copy=True)
+    Dt.data[Dt.indptr[3] : Dt.indptr[4]] = 0.0
+    Dt.eliminate_zeros()
+    assert Dt.indptr[4] == Dt.indptr[3]
+    got = lu.gram(Dt)
+    want = _gram_by_forward(lu, Dt)
+    assert not got[3].any() and np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _neumann_outlet(domain, m):
@@ -928,15 +999,16 @@ def _dense_solver_calls(tree):
 def test_direct_solves_only_in_factorize():
     # every factorization in the package goes through the checked
     # factorize: SuperLU and LAPACK getrf in factorize, getrs in its dense
-    # factor class, the band Cholesky and its half solves in the band
-    # factor class; no dense Cholesky anywhere
+    # factor class, the band Cholesky, its half solves and the inverted
+    # diagonal blocks of its Gram kernel in the band factor class; no dense
+    # Cholesky anywhere
     src = Path(ietistokes.__file__).parent
     tree = ast.parse((src / "assembly.py").read_text())
     scopes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name in ("factorize", "DenseLU", "BandCholesky")}
     calls = ("splu(", "spsolve(", "lu_factor(", "lu_solve(", "getrf", "getrs",
-             "pbtrf", "pbtrs", "tbtrs", "potrf")
+             "pbtrf", "pbtrs", "tbtrs", "potrf", "trtri")
     hits = {
         (path.name, next((name for name, lines in scopes.items()
                           if path.name == "assembly.py" and lineno in lines), None), call)
@@ -946,7 +1018,8 @@ def test_direct_solves_only_in_factorize():
     }
     assert hits == {("assembly.py", "factorize", "splu("), ("assembly.py", "factorize", "getrf"),
                     ("assembly.py", "DenseLU", "getrs"), ("assembly.py", "BandCholesky", "pbtrf"),
-                    ("assembly.py", "BandCholesky", "tbtrs")}
+                    ("assembly.py", "BandCholesky", "tbtrs"),
+                    ("assembly.py", "BandCholesky", "trtri")}
     # and no local solve of the IETI layer bypasses it through a dense
     # numpy/scipy solve or inverse; the brute-force checks may use them
     found = _dense_solver_calls(ast.parse((src / "ieti.py").read_text()))
