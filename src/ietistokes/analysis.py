@@ -11,10 +11,8 @@ smallest eigenvalue is the discrete inf-sup constant, the largest one the
 discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
 complement. pressure_schur_extremes factors the velocity stiffness K it is
-given once, as an SPD matrix; with a band Cholesky P K P^T = L L^T the dense
-path forms T = D K^-1 D^T = Y^T Y, Y = L^-1 P D^T, with the factor's blocked
-Gram kernel (BandCholesky.gram) from D's entries, and otherwise as D times
-the solve K^-1 D^T.
+given once, as an SPD matrix, and its dense path forms T = D K^-1 D^T from
+that factor and D's entries with linalg.schur_complement.
 pressure_schur_spectrum factors nothing: it reads the velocity elimination
 cached on the global system, which the system's solve shares
 (GlobalStokesSystem.velocity_factor, the scalar free stiffness, and
@@ -36,9 +34,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import BandCholesky, assemble_global, factorize, taylor_hood_spaces
+from .assembly import assemble_global, taylor_hood_spaces
 from .domains import load_domain
 from .geometry import SIDES
+from .linalg import factorize, schur_complement
 
 __all__ = (
     "SchurSpectrum",
@@ -206,19 +205,16 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
     to it. "auto" picks the dense path up to DENSE_LIMIT dofs. A
     non-converged iterative solve falls back to the dense path when the size
     permits, and so does a problem too small for LOBPCG's iterations;
-    spectrum.method then reads "dense".
+    spectrum.method then reads "dense". No code in the package calls it;
+    perfbench/run.py traces it by name (TRACE_TARGETS).
     """
     lu = factorize(K, "velocity stiffness", spd=True)
 
     def schur(Q):
         return D @ lu.solve(np.asarray(D.T @ Q, dtype=float))
 
-    def dense():
-        if isinstance(lu, BandCholesky):  # T = Y^T Y, Y = L^-1 P D^T
-            return lu.gram(D.T)
-        return D @ lu.solve(D.toarray().T)
-
-    return _schur_extremes(schur, dense, Mp, K.shape[0] + Mp.shape[0], method)
+    return _schur_extremes(schur, lambda: schur_complement(lu, D.T), Mp,
+                           K.shape[0] + Mp.shape[0], method)
 
 
 def pressure_schur_spectrum(glob, method="auto"):

@@ -33,30 +33,27 @@ like patch_errors, treats the patch as a family of one.
 PatchStokesSystem scatters the element matrices in two places when first
 asked for: the sparse all-dof forms Ks, D, Mp, and the dense scalar blocks
 on the free dofs (condensation_blocks). condense_interior is the one
-elimination of a patch's interior velocity (one band Cholesky of the scalar
-K_ii and one forward half solve); the IETI-DP local systems,
+elimination of a patch's interior velocity (one linalg.factorize of the
+scalar K_ii and one forward half solve); the IETI-DP local systems,
 analysis.local_infsup and analysis.skeleton_matrices read it. The
 monolithic GlobalStokesSystem caches one velocity elimination the same way
 (velocity_factor, the scalar free stiffness factored once for both
-components, and the pressure Schur complement pressure_schur, formed by the
-factor's blocked Gram kernel BandCholesky.gram from the divergence entries):
+components, and the pressure Schur complement pressure_schur, formed by
+linalg.schur_complement from the divergence entries):
 its solve eliminates the velocity through it below the dense cut, and
 analysis.pressure_schur_spectrum reads it.
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
 kernel call per family and side: family_flux_rows forms the flux rows of
-all patches of a family at once, one Gauss rule per rule size, and
-edge_flux_rows is its family of one.
+all patches of a family at once, one Gauss rule per rule size.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bspline import TensorSplineSpace, gauss_rule_1d, rule_on_elements
 from .geometry import (
@@ -73,10 +70,9 @@ from .geometry import (
     check_interface_matching,
     side_traces,
 )
+from .linalg import DENSE_LU_ROWS, factorize, schur_complement, solve_stacked
 
 __all__ = (
-    "SingularLocalSystemError",
-    "factorize",
     "TaylorHoodPatchSpace",
     "PatchStokesSystem",
     "GlobalStokesSystem",
@@ -86,8 +82,6 @@ __all__ = (
     "element_forms",
     "assemble_global",
     "matched_side_dofs",
-    "edge_flux_matrix",
-    "edge_flux_rows",
     "family_flux_rows",
     "divergence_bubble",
     "fortin_correction",
@@ -98,354 +92,6 @@ __all__ = (
     "manufactured_pressure",
     "manufactured_rhs",
 )
-
-
-# ---------------------------------------------------------------------------
-# the one checked factorization
-
-
-class SingularLocalSystemError(RuntimeError):
-    """A system handed to `factorize` is singular or numerically singular."""
-
-
-DENSE_LU_ROWS = 350  # sparse systems up to this many rows are factored dense
-# SuperLU for finite-element matrices (factorize's fem=True): minimum degree
-# on A^T + A, diagonal pivots preferred down to 1e-3 of the column maximum
-FEM_SUPERLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                   options=dict(SymmetricMode=True))
-BAND_ENTRIES = 1_100_000  # sparse SPD systems whose band holds up to this many: BandCholesky
-
-
-class DenseLU:
-    """LAPACK LU factors of a small system, with the SuperLU interface the
-    package reads: shape, solve (1-D or 2-D right-hand sides) and the unit
-    lower and upper triangles L and U, built on demand as sparse matrices
-    of n (n + 1) / 2 entries each, explicit zeros kept.
-    """
-
-    def __init__(self, lu, piv):
-        self._lu, self._piv = lu, piv
-        self.shape = lu.shape
-        self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
-
-    def solve(self, b):
-        # LAPACK getrs without lu_solve's argument checks, which cost more
-        # than the solve itself on these sizes
-        x, _ = self._getrs(self._lu, self._piv, b)
-        return x
-
-    @property
-    def L(self):
-        r, c = np.tril_indices(self.shape[0])
-        return sp.csc_matrix((np.where(r == c, 1.0, self._lu[r, c]), (r, c)), shape=self.shape)
-
-    @property
-    def U(self):
-        r, c = np.triu_indices(self.shape[0])
-        return sp.csc_matrix((self._lu[r, c], (r, c)), shape=self.shape)
-
-
-class BandCholesky:
-    """LAPACK band Cholesky P A P^T = L L^T of a symmetric positive definite
-    matrix, with the interface the package reads: shape, solve (1-D or 2-D
-    right-hand sides) and L and U, the stored band of L and its transpose as
-    sparse matrices, explicit zeros kept. solve is the two half solves
-    forward(B) = L^-1 P B and backward(Y) = P^T L^-T Y, LAPACK tbtrs, and
-    gram(B) forms B^T A^-1 B = Y^T Y, Y = forward(B), from a sparse B by
-    row blocks without storing B or Y. perm is the order (row i of P A P^T
-    is row perm[i] of A), or None for A's own order; bandwidth is the
-    number of subdiagonals of L.
-    """
-
-    def __init__(self, ab, perm, what):
-        # ab: the lower band, ab[k, j] = (P A P^T)[j + k, j], Fortran ordered
-        pbtrf, self._tbtrs = sla.get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
-        self._ab, info = pbtrf(ab, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise SingularLocalSystemError(
-                "%s is not positive definite (band Cholesky pivot %d)" % (what, info))
-        self.perm = perm
-        self.bandwidth = ab.shape[0] - 1
-        self.shape = (ab.shape[1], ab.shape[1])
-
-    def solve(self, b):
-        return self.backward(self.forward(b))
-
-    def forward(self, b):
-        y = np.array(b if self.perm is None else b[self.perm], order="F")
-        y, _ = self._tbtrs(self._ab, y, uplo="L", overwrite_b=1)
-        return y
-
-    def gram(self, B):
-        """sum_c Y_c^T Y_c, Y_c = L^-1 P B_c, for a sparse B = [B_0; B_1; ...]
-        whose row count is a multiple of n; dense, exactly symmetric.
-
-        Row blocks of bs = bandwidth rows (at least one): L_jj, inverted here
-        with LAPACK trtri, and L_j,j-1 hold all of L in block row j, so
-        Y_j = inv(L_jj) (B_j - L_j,j-1 Y_j-1), two triangular matmuls (BLAS
-        trmm) that cover every component at once, and Y_j^T Y_j is one syrk.
-        The columns are sorted by the block of their first nonzero row: Y_j
-        is zero in the columns that start below block j, so block j works on
-        the prefix of columns started by then. Each B_j is scattered from
-        B's entries when its block is reached, so neither a dense B nor Y is
-        held.
-        """
-        n, bw = self.shape[0], self.bandwidth
-        trtri, = sla.get_lapack_funcs(("trtri",), (self._ab,))
-        trmm, syrk = sla.get_blas_funcs(("trmm", "syrk"), (self._ab,))
-        B = sp.csc_matrix(B)
-        B.sum_duplicates()
-        ncomp, ncols = B.shape[0] // n, B.shape[1]
-        comp, rows = np.divmod(B.indices.astype(np.int64), n)
-        if self.perm is not None:
-            rows = np.argsort(self.perm)[rows]
-        bs = max(bw, 1)
-        nb = -(-n // bs)
-        blk, row_in = np.divmod(rows, bs)
-        cols = np.repeat(np.arange(ncols), np.diff(B.indptr))
-        # columns by their first block, so block j reaches the prefix
-        # [:width[j]]; a column without entries reaches none
-        first = np.full(ncols, nb, dtype=np.int64)
-        np.minimum.at(first, cols, blk)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(ncols, dtype=np.int64)
-        rank[order] = np.arange(ncols)
-        width = np.searchsorted(first[order], np.arange(nb), side="right")
-        # B's entries by block: row in the block, (component, column), value;
-        # Y_j is Fortran ordered (h, ncomp * m), column c + ncomp q
-        by_blk = np.argsort(blk, kind="stable")
-        starts = np.searchsorted(blk[by_blk], np.arange(nb + 1))
-        row_in, slot, val = row_in[by_blk], (comp + ncomp * rank[cols])[by_blk], B.data[by_blk]
-        # the band ab[k, c] = L[c + k, c] sits at flat[k + (bw + 1) c]; read
-        # with leading dimension bs it gives L's blocks by their columns:
-        # flat[o + b bs + a] is L[s + a, s + b] (o = (bw + 1) s, lower
-        # triangle) and L[s + a, s - bs + b] (o = bs + (bw + 1) (s - bs),
-        # upper triangle); trtri and trmm read only those triangles
-        flat = self._ab.reshape(-1, order="F")
-        T = np.zeros((ncols, ncols), order="F")
-        Y = None
-        for j in range(nb):
-            s, h, m = j * bs, min(bs, n - j * bs), width[j]
-            if m == 0:
-                continue
-            e = slice(starts[j], starts[j + 1])
-            R = np.zeros(h * ncomp * m)
-            R[row_in[e] + h * slot[e]] = val[e]
-            R = R.reshape(h, ncomp * m, order="F")
-            if Y is not None and bw:
-                o = bs + (bw + 1) * (s - bs)
-                LY = trmm(1.0, flat[o : o + bs * bs].reshape(bs, bs).T, Y, overwrite_b=1)
-                R[:, : LY.shape[1]] -= LY[:h]
-            o = (bw + 1) * s
-            inv, _ = trtri(flat[o : o + h * bs].reshape(h, bs)[:, :h].T, lower=1)
-            Y = trmm(1.0, inv, R, lower=1, overwrite_b=1)
-            T[:m, :m] += syrk(1.0, Y.reshape(h * ncomp, m, order="F"), trans=1)
-        T += np.triu(T, 1).T  # syrk fills the upper triangle
-        return T[np.ix_(rank, rank)]
-
-    def backward(self, y):
-        x, _ = self._tbtrs(self._ab, y, uplo="L", trans="T")
-        if self.perm is None:
-            return x
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
-
-    @property
-    def L(self):
-        n = self.shape[0]
-        rows = np.arange(n)[:, None] + np.arange(self.bandwidth + 1)  # (column, k)
-        keep = rows < n
-        return sp.csc_matrix((self._ab.T[keep], rows[keep],
-                              np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-                             shape=self.shape)
-
-    @property
-    def U(self):
-        return self.L.T.tocsc()
-
-
-def _lower_band(A):
-    """(ab, perm) of a symmetric A for BandCholesky, or None when a sparse
-    A's band would hold more than BAND_ENTRIES entries.
-
-    A sparse A takes the narrower of its own order and the reverse
-    Cuthill-McKee order; a dense A keeps its order, and its band is read
-    from its diagonals (only its lower triangle is read).
-    """
-    n = A.shape[0]
-    if isinstance(A, np.ndarray):
-        bw = int((np.arange(n) - np.argmax(A != 0, axis=1)).max(initial=0))
-        rows = np.arange(n)[:, None] + np.arange(bw + 1)  # (column, k)
-        ab = A[np.minimum(rows, n - 1), np.arange(n)[:, None]]
-        ab[rows >= n] = 0.0
-        return ab.T, None
-    # imported here, like in assemble_global: only the monolithic path orders
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    A = sp.coo_matrix(A)
-    r, c = A.row.astype(np.int64), A.col.astype(np.int64)
-    perm = reverse_cuthill_mckee(sp.csr_matrix(A), symmetric_mode=True)
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    bw = int(np.abs(r - c).max(initial=0))
-    bw_rcm = int(np.abs(inv[r] - inv[c]).max(initial=0))
-    if bw_rcm < bw:
-        r, c, bw = inv[r], inv[c], bw_rcm
-    else:
-        perm = None
-    if n * (bw + 1) > BAND_ENTRIES:
-        return None
-    low = r >= c
-    ab = np.bincount(c[low] * (bw + 1) + (r - c)[low], weights=A.data[low],
-                     minlength=n * (bw + 1)).reshape(n, bw + 1)
-    return ab.T, perm
-
-
-@lru_cache(maxsize=64)
-def _check_vector(n):
-    """The seeded random right-hand side of factorize's residual check."""
-    b = np.random.default_rng(7).standard_normal(n)
-    b.flags.writeable = False
-    return b
-
-
-def factorize(A, what, fem=False, spd=False):
-    """Checked factorization of A; every direct solve in the package uses it.
-
-    A is a dense ndarray or any sparse matrix; COO input may repeat entries,
-    which are summed. When the caller states with spd=True that A is
-    symmetric positive definite, a LAPACK band Cholesky (BandCholesky)
-    factors a dense A at any size, in its order, its band cut from its
-    diagonals, and a sparse A while its band holds at most BAND_ENTRIES
-    entries, n (bandwidth + 1), in the narrower of its order and reverse
-    Cuthill-McKee (Cuthill & McKee 1969); a wider one goes to SuperLU as
-    if fem=True. Otherwise a dense ndarray goes to getrf, which factors a copy;
-    a sparse matrix of at most DENSE_LU_ROWS rows is densified and factored
-    in place by getrf; both return a DenseLU. A larger sparse matrix goes to
-    SuperLU (the SuperLU object is returned): with its defaults, COLAMD and
-    partial pivoting, or, when the caller states with fem=True that A is a
-    finite-element stiffness or Stokes saddle matrix, with FEM_SUPERLU, the
-    symmetric mode that the SuperLU Users' Guide gives for matrices of
-    symmetric structure. On every path a zero pivot, a failed band Cholesky,
-    or a relative residual above 1e-6 on a seeded random right-hand side
-    (drawn once per size) raises SingularLocalSystemError naming `what`:
-    pivoted LU of a singular saddle system can succeed with garbage factors,
-    and so can a too small diagonal pivot threshold or the Cholesky of a
-    singular semidefinite matrix.
-
-    The band path against fem=True (SuperLU above DENSE_LU_ROWS, getrf at
-    or below), on one 2-vCPU host, BLAS on one thread, ms. Forming the
-    pressure Schur complement T = D K^-1 D^T of pressure_schur_extremes on
-    grid(1,1), factor included (the stacked stiffness, its own order, best
-    of 7; T agrees to 1.5e-15 relative):
-
-        cell    rows   fem, solve, D X       band solve, D X
-        p1 l3   450    2.4                   2.1
-        p1 l4   1,922  32.1                  32.0
-        p2 l3   512    3.7                   3.5
-        p2 l4   2,048  71.9                  58.2
-        six cells, p 1-2, l 2-4    110.7     96.6
-
-    The band's Gram kernel BandCholesky.gram on the same cells: BENCH_22.json.
-
-    The same, factor included, best of 3, on larger domains (RCM order):
-
-        system                           band entries   SuperLU   band
-        grid(2,2) p2 l3                  279k           70        45
-        quarter_annulus(1,2,4,4) p2 l2   431k           105       106
-        rectangle_with_hole p1 l3        722k           409       399
-        grid(5,5) p2 l2                  891k           390       363
-        grid(3,3) p2 l3                  1.09M          452       448
-        grid(4,4) p1 l3                  1.94M          1,072     1,200
-        grid(2,2) p2 l4                  2.16M          1,370     1,309
-        quarter_annulus(1,2,4,4) p2 l3   2.87M          1,787     2,039
-
-    The band wins clearly up to a few hundred thousand entries, is even
-    with SuperLU up to about 1.1M, and loses by 12-14% at 1.9M and 2.9M;
-    hence BAND_ENTRIES. On grid(1,1) p2 l4 the own order (bandwidth 99)
-    beats RCM (123); on grid(3,3) p2 l2 RCM narrows 255 to 121. A dense
-    Cholesky took 40.2 ms on p1 l4 above against 27.4 for SuperLU. For
-    K_ii, condense_interior of one quarter_annulus(1,2,2,2) patch, best of
-    5-7, ms, with X = K_ii^-1 Q^T and Q X (SuperLU from CSC, getrf to 350
-    rows, band above) or the band and Y^T Y, Y = L^-1 P Q^T (S, Dg and T
-    the same to 4e-15):
-
-        K_ii rows     64     81     256    289    1,024  1,089 (p2/p3 l2-4)
-        SuperLU, X                                78.4   120.6
-        getrf/band X  0.27   0.48   3.78   5.51   64.4   91.2
-        band, Y       0.28   0.45   2.17   3.22   32.7   47.8
-
-    FEM_SUPERLU against the defaults on one 2-vCPU host, BLAS on one
-    thread, best of 3: factor time in ms and stored factor entries. Every
-    relative residual on a random right-hand side was below 1e-9:
-
-        system                                   rows    COLAMD          symmetric
-                                                         ms     entries  ms     entries
-        saddle grid(1,1) p1 l4                   2,212   32.8   408k     9.8    200k
-        saddle grid(1,1) p2 l4                   2,373   75.5   925k     26.9   635k
-        saddle grid(1,1) p3 l4                   2,540   361    2.21M    70.4   1.01M
-        saddle strip(4) p2 l2                    705     7.6    117k     3.2    79k
-        saddle grid(3,3) p2 l2                   1,677   70.0   765k     15.5   257k
-        saddle quarter_annulus(1,2,4,4) p2 l2    3,027   130    1.82M    29.9   650k
-        saddle rectangle_with_hole p1 l3         6,202   2,768  10.5M    30.8   723k
-        saddle quarter_annulus(1,2,4,4) p3 l3    12,019  3,329  22.7M    453    6.38M
-        saddle quarter_annulus(1,2,8,8) p2 l2    12,387  3,598  18.4M    1,035  7.94M
-        doubled K grid(1,1) p1 l4                1,922   9.2    106k     5.3    72k
-        doubled K grid(1,1) p2 l4                2,048   15.7   217k     11.9   209k
-        coarse quarter_annulus(1,2,32,32) p2 l1  4,931   91.3   1.39M    4,077  15.0M
-
-    The saddles are those of GlobalStokesSystem.solve, which now factors
-    such a saddle only above the dense cut of its bordered pressure system
-    (the p1 l4, p2 l4, strip(4) and grid(3,3) saddles above are eliminated
-    through the pressure Schur complement instead). The doubled K is the
-    stacked velocity stiffness that pressure_schur_spectrum factored before
-    it read the system's scalar factor; its solve on 324 pressure columns
-    at p2 l4 gained too, 92.7 to 81.5 ms (best of 5). The
-    coarse primal system of the 1,024-patch domain is the exception, with
-    ten times the fill, so it keeps the defaults. The diagonal pivot
-    threshold, on the saddles: 0 returns wrong solutions with no SuperLU
-    error (residuals 3e+2 on grid(3,3), 3e+6 on quarter_annulus(1,2,4,4)
-    p2 l2, 4e+2 on rectangle_with_hole, 7e+2 on strip(4), 2e+3 on the p3
-    l3 annulus); 1e-2 takes the p3 l3 annulus back to COLAMD's time (3,668
-    ms); 1e-4 is as fast as 1e-3, with a ten times larger residual on that
-    saddle.
-
-    The dense cut DENSE_LU_ROWS is the same for both SuperLU settings. It
-    was measured against SuperLU's defaults on the augmented patch systems
-    of quarter_annulus(1,2,2,2), p 1-7, l 2-3: up to 311 rows getrf won
-    factor time, solve time and bytes on every system, and from 374 rows a
-    dense factor of a sparse C0 system held 1.5x SuperLU's bytes.
-    """
-    n = A.shape[0]
-    dense = isinstance(A, np.ndarray)
-    band = _lower_band(A) if spd else None
-    if band is not None:
-        lu = BandCholesky(*band, what)
-    elif dense or n <= DENSE_LU_ROWS:
-        if dense:
-            work = A  # getrf factors a copy
-        else:
-            A = sp.coo_matrix(A)
-            work = np.bincount(A.col.astype(np.int64) * n + A.row, weights=A.data,
-                               minlength=n * n).reshape((n, n), order="F")
-        getrf, = sla.get_lapack_funcs(("getrf",), (work,))
-        lu, piv, info = getrf(work, overwrite_a=not dense)
-        if info > 0:
-            raise SingularLocalSystemError("%s is singular: Factor is exactly singular" % what)
-        lu = DenseLU(lu, piv)
-    else:
-        A = sp.csc_matrix(A)
-        try:
-            lu = spla.splu(A, **FEM_SUPERLU) if fem or spd else spla.splu(A)
-        except RuntimeError as err:
-            raise SingularLocalSystemError("%s is singular: %s" % (what, err))
-    b = _check_vector(n)
-    rel = np.linalg.norm(A @ lu.solve(b) - b) / np.linalg.norm(b)
-    if not rel <= 1e-6:
-        raise SingularLocalSystemError(
-            "%s is numerically singular (residual %.2e)" % (what, rel))
-    return lu
 
 
 # ---------------------------------------------------------------------------
@@ -741,10 +387,10 @@ class PatchStokesSystem:
     rhs() is the right-hand side on the free dofs, the load minus the
     Dirichlet lift through K in the velocity rows and minus the lift
     through D in the pressure rows, formed element by element and cached.
-    saddle_matrix() is a slice of Ks and D, a reference for tests and
-    counts. The IETI path reads condense_interior(), the right-hand side
-    and the pressure average row, and builds none of Ks, D, Mp; the
-    monolithic path reads only Ks, D and Mp.
+    saddle_matrix() is a slice of Ks and D, a reference for tests and for
+    ieti.AugmentedLocalSystem.A3. The IETI path reads condense_interior(),
+    the right-hand side and the pressure average row, and builds none of
+    Ks, D, Mp; the monolithic path reads only Ks, D and Mp.
     """
 
     def __init__(self, ths, elements, dirichlet_values):
@@ -986,18 +632,17 @@ def assemble_patch(geo, ths, rhs=None, dirichlet=None, nquad=None, elements=None
     rhs and dirichlet are callables taking an (..., 2) array of physical
     points and returning (..., 2) vectors; None means zero. The quadrature
     uses nquad (default: velocity degree + 2) Gauss points per direction per
-    element. elements are the patch's entry of element_forms, which reads
-    rhs, nquad and the Dirichlet data in their place; a dirichlet given here
-    too is projected again, for this patch alone. When elements is None,
-    the patch is a family of one. The assembled matrices are built when
-    first asked for (see PatchStokesSystem).
+    element. elements are the patch's entry of element_forms, which has read
+    rhs, nquad and the Dirichlet data already, so giving any of them with
+    elements raises ValueError. When elements is None, the patch is a family
+    of one. The assembled matrices are built when first asked for (see
+    PatchStokesSystem).
     """
     if elements is None:
-        elements, = element_forms([geo], [ths], rhs, nquad)
-    values = elements.dirichlet_values
-    if dirichlet is not None:
-        values, = _dirichlet_values([geo], [0], ths, [ths], dirichlet)
-    return PatchStokesSystem(ths, elements, values)
+        elements, = element_forms([geo], [ths], rhs, nquad, dirichlet)
+    elif rhs is not None or dirichlet is not None or nquad is not None:
+        raise ValueError("rhs, dirichlet and nquad are read by element_forms, not with elements")
+    return PatchStokesSystem(ths, elements, elements.dirichlet_values)
 
 
 def _coo(vals, rows, cols, shape):
@@ -1013,8 +658,8 @@ def _coo(vals, rows, cols, shape):
 
 def _side_flux_rows(geos, vel, side, rules):
     """(side_dofs, R) of one side for a family of maps sharing vel, with R
-    of shape (len(geos), len(side_dofs), 2): the rows of edge_flux_rows of
-    every map, from one side_traces call and one collocation table. rules
+    of shape (len(geos), len(side_dofs), 2): the rows of family_flux_rows
+    of every map, from one side_traces call and one collocation table. rules
     maps a Gauss rule size to its rule, built here when missing."""
     gdeg = max(geos[0].space.space_x.degree, geos[0].space.space_y.degree)
     espace = vel.side_space(side)
@@ -1026,29 +671,18 @@ def _side_flux_rows(geos, vel, side, rules):
     return vel.side_dofs(side), espace.collocation(tq).T @ (wq.reshape(-1, 1) * normal)
 
 
-def edge_flux_rows(geo, vel, sides):
-    """Rows evaluating int_edge N_i n_c ds for the dofs with trace on each side.
-
-    Returns {side: (side_dofs, R)} with R of shape (len(side_dofs), 2); the
-    flux of a velocity coefficient field u through the side is
-    sum_c R[:, c] . u[c, side_dofs]. Each side uses edge degree + geometry
-    degree + 2 Gauss points per element. The patch is a family of one for
-    the kernel of family_flux_rows.
-    """
-    out, rules = {}, {}
-    for side in sides:
-        dofs, R = _side_flux_rows([geo], vel, side, rules)
-        out[side] = dofs, R[0]
-    return out
-
-
 def family_flux_rows(patches, spaces, sides):
-    """edge_flux_rows of many patches: sides[k] lists the sides of patch k.
+    """Rows evaluating int_edge N_i n_c ds for the dofs with trace on each
+    listed side: sides[k] lists the sides of patch k.
 
-    Returns per patch {side: (side_dofs, R)}. The rows of a side are formed
-    for all patches of a family (_families) that list it at once, from one
-    side_traces call; one Gauss rule per distinct rule size serves all
-    families and sides.
+    Returns per patch {side: (side_dofs, R)} with R of shape
+    (len(side_dofs), 2); the flux of a velocity coefficient field u through
+    the side is sum_c R[:, c] . u[c, side_dofs]. Each side uses edge degree +
+    geometry degree + 2 Gauss points per element. The rows of a side are
+    formed for all patches of a family (_families) that list it at once,
+    from one side_traces call; one Gauss rule per distinct rule size serves
+    all families and sides. One patch is the family of one
+    family_flux_rows([geo], [ths], [sides])[0].
     """
     out, rules = [{} for _ in patches], {}
     for members in _families(patches, spaces):
@@ -1060,11 +694,6 @@ def family_flux_rows(patches, spaces, sides):
                 for k, r in zip(ks, R):
                     out[k][side] = dofs, r
     return out
-
-
-def edge_flux_matrix(geo, vel, side):
-    """edge_flux_rows for a single side: (side_dofs, R)."""
-    return edge_flux_rows(geo, vel, [side])[side]
 
 
 def divergence_bubble(ths, side):
@@ -1243,22 +872,16 @@ class GlobalStokesSystem:
     @cached_property
     def pressure_schur(self):
         """The pressure Schur complement T = D_f K_ff^-1 D_f^T, dense, formed on
-        first use. D_f^T = [D_0f^T; D_1f^T] stacks the divergence acting on
-        each velocity component along the rows; with a BandCholesky of K_f, T
-        is its blocked Gram kernel gram(D_f^T) = Y_0^T Y_0 + Y_1^T Y_1, Y_c =
-        L^-1 P D_cf^T, and otherwise D_f times stiffness_solve(D_f^T)."""
-        D = self.free_blocks()[1]
-        if isinstance(self.velocity_factor, BandCholesky):
-            return self.velocity_factor.gram(D.T)
-        return D @ self.stiffness_solve(D.T.toarray())
+        first use by linalg.schur_complement from velocity_factor and D_f^T =
+        [D_0f^T; D_1f^T], the divergence acting on each velocity component
+        stacked along the rows: T = sum_c D_cf K_f^-1 D_cf^T."""
+        return schur_complement(self.velocity_factor, self.free_blocks()[1].T)
 
     def stiffness_solve(self, b):
         """K_ff^-1 b for b on the free velocity dofs, components stacked (1-D
         or a column per solve): one solve of velocity_factor, with a column
-        per component and column of b."""
-        nf = len(self.free)
-        X = self.velocity_factor.solve(b.reshape(2, nf, -1).transpose(1, 0, 2).reshape(nf, -1))
-        return X.reshape(nf, 2, -1).transpose(1, 0, 2).reshape(b.shape)
+        per component and column of b (linalg.solve_stacked)."""
+        return solve_stacked(self.velocity_factor, b)
 
     def solve(self):
         """Direct solve; returns per-patch (u, p) coefficient arrays.
@@ -1277,14 +900,11 @@ class GlobalStokesSystem:
         factorize(fem=True) (FEM_SUPERLU).
 
         The cut, the dense factor's DENSE_LU_ROWS, bounds what solve pays
-        when nothing else reads T. Followed by the spectrum, which forms T
-        anyway, the elimination was faster on every cell measured, from 145
-        to 1,157 rows. Called alone, it was faster on 5 of the 7 cells below
-        the cut and at most 1.35x (3.7 ms) slower, 0.7-1.2x at 351-401 rows,
-        1.2-1.5x at 577-626 and 1.0-3.8x from 730: forming T costs
-        n_f n_p^2 while the saddle's fill grows more slowly. Both paths agree
-        to 5e-11 relative in pressure and 5e-13 in velocity. The timings are
-        in BENCH_22.json (solve_cut_ms).
+        when nothing else reads T: forming T costs n_f n_p^2 while the
+        saddle's fill grows more slowly. Followed by the spectrum, which forms
+        T anyway, the elimination is faster on every cell measured. Both
+        paths' timings and the agreement of their solutions: BENCH_22.json,
+        solve_cut_ms.
         """
         Kff, Df, rhs_f, h = self.free_blocks()
         nU, npre = Kff.shape[0], self.n_pressure

@@ -293,13 +293,9 @@ def gauss_rule_1d(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def element_rule(breakpoints, n):
-    """Per-element Gauss points/weights: arrays of shape (nel, n)."""
-    return rule_on_elements(breakpoints, gauss_rule_1d(n))
-
-
 def rule_on_elements(breakpoints, rule):
-    """element_rule with its rule (x, w) on [0, 1], built once, given."""
+    """Per-element points and weights, arrays of shape (nel, n), of a rule
+    (x, w) on [0, 1] of n points, such as gauss_rule_1d(n)."""
     z = np.asarray(breakpoints, dtype=float)
     h = np.diff(z)[:, None]
     return z[:-1, None] + h * rule[0], h * rule[1]

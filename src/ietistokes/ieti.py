@@ -55,13 +55,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import (
-    SingularLocalSystemError,
-    assemble_patch,
-    element_forms,
-    factorize,
-    family_flux_rows,
-)
+from .assembly import assemble_patch, element_forms, family_flux_rows
+from .linalg import SingularLocalSystemError, factorize
 
 __all__ = (
     "SingularLocalSystemError",
@@ -246,7 +241,8 @@ class CondensedLU:
     products, one R solve and x_i = backward(w - Y V) (interior_velocity).
     An interior right-hand side that is exactly zero skips the forward
     sweep, as w is then zero. L and U are the block diagonals of the two
-    factors' triangles, the fill it holds.
+    factors' triangles, the fill it holds; besides the tests, only
+    perfbench/run.py:ieti_counts reads them.
     """
 
     def __init__(self, interior, reduced, Y, n_gamma, n_pressure):
@@ -371,7 +367,8 @@ class AugmentedLocalSystem:
 
     @property
     def A3(self):
-        """The patch saddle matrix, built on each access."""
+        """The patch saddle matrix, built on each access; besides the tests,
+        only perfbench/run.py:ieti_counts reads it."""
         return self.system.saddle_matrix()
 
     def solve_x(self, rhs_x, rhs_mu=None):
@@ -605,7 +602,8 @@ class ScaledDirichletPreconditioner:
     @property
     def blocks(self):
         """Per patch (K_gg, K_gi, factor of K_ii) of one velocity component,
-        K_gg and K_gi sparse; scattered again on each access."""
+        K_gg and K_gi sparse; scattered again on each access. Besides the
+        tests, only perfbench/run.py:ieti_counts reads it."""
         out = []
         for aug in self.locals_:
             ni, ng = aug.system.ths.n_inner, aug.system.ths.n_gamma

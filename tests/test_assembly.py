@@ -9,19 +9,10 @@ import scipy.sparse.linalg as spla
 
 import ietistokes
 from ietistokes.assembly import (
-    BAND_ENTRIES,
-    DENSE_LU_ROWS,
-    FEM_SUPERLU,
-    BandCholesky,
-    DenseLU,
-    SingularLocalSystemError,
-    _check_vector,
     assemble_global,
     assemble_patch,
     build_taylor_hood,
     divergence_bubble,
-    edge_flux_matrix,
-    factorize,
     family_flux_rows,
     fortin_correction,
     manufactured_pressure,
@@ -33,7 +24,7 @@ from ietistokes.assembly import (
     taylor_hood_spaces,
     total_errors,
 )
-from ietistokes.bspline import TensorSplineSpace, element_rule
+from ietistokes.bspline import TensorSplineSpace, gauss_rule_1d, rule_on_elements
 from ietistokes.domains import build_domain, parse_domain, quarter_annulus_patch
 from ietistokes.geometry import (
     SIDES,
@@ -44,6 +35,17 @@ from ietistokes.geometry import (
     bilinear_patch,
     build_multipatch,
     side_param,
+)
+from ietistokes.linalg import (
+    BAND_ENTRIES,
+    DENSE_LU_ROWS,
+    FEM_SUPERLU,
+    BandCholesky,
+    DenseLU,
+    SingularLocalSystemError,
+    _check_vector,
+    factorize,
+    schur_complement,
 )
 
 
@@ -217,7 +219,7 @@ def reference_dirichlet_values(geo, ths, data):
         espace = vel.side_space(side)
         dofs = vel.side_dofs(side)
         n = espace.dim
-        tq, wq = element_rule(espace.breakpoints, espace.degree + 3)
+        tq, wq = rule_on_elements(espace.breakpoints, gauss_rule_1d(espace.degree + 3))
         tq, wq = tq.ravel(), wq.ravel()
         B = espace.collocation(tq)
         pts, jac = geo.eval(*side_param(side, tq))
@@ -687,7 +689,7 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
     # goes to SuperLU's symmetric mode instead, and gives the same spectrum
     # and, through the same T, the same eliminated solve
     import ietistokes.analysis as analysis
-    import ietistokes.assembly as assembly
+    import ietistokes.linalg as linalg
 
     K, glob = _velocity_stiffness("grid(1,1)", 2, 4)
     D = glob.free_blocks()[1]
@@ -703,7 +705,7 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
                         lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
     kappas, solutions = [], []
     for cut, kind in ((entries, BandCholesky), (entries - 1, spla.SuperLU)):
-        monkeypatch.setattr(assembly, "BAND_ENTRIES", cut)
+        monkeypatch.setattr(linalg, "BAND_ENTRIES", cut)
         _, glob = _velocity_stiffness("grid(1,1)", 2, 4)  # the factor is cached per system
         kappas.append(analysis.pressure_schur_spectrum(glob).kappa)
         assert isinstance(glob.velocity_factor, kind)
@@ -755,15 +757,22 @@ GRAM_BANDS = {  # n, bandwidth, components, empty columns
 @pytest.mark.parametrize("case", sorted(GRAM_BANDS))
 def test_gram_matches_the_forward_half_solve(case):
     # the blocked Gram kernel against tbtrs and Y^T Y on band matrices whose
-    # last row block is short or the only one, with columns without entries
+    # last row block is short or the only one, with columns without entries;
+    # schur_complement is the kernel for a band factor and solves with any
+    # other factor of the same matrix
     n, bandwidth, ncomp, empty = GRAM_BANDS[case]
-    lu = factorize(_band_spd(n, bandwidth, 5), "band SPD", spd=True)
+    A = _band_spd(n, bandwidth, 5)
+    lu = factorize(A, "band SPD", spd=True)
     assert isinstance(lu, BandCholesky) and lu.bandwidth == bandwidth and lu.perm is None
     B = _sparse_columns(ncomp * n, 8, 6, empty)
     want, got = _gram_by_forward(lu, B), lu.gram(B)
     assert got.shape == (8, 8) and np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert not got[list(empty)].any()
+    assert np.array_equal(schur_complement(lu, B), got)
+    for other in (factorize(A, "band SPD"), spla.splu(sp.csc_matrix(A))):
+        T = schur_complement(other, B)
+        assert T.shape == (8, 8) and np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("spec, degree, refinement",
@@ -887,7 +896,7 @@ def test_every_spd_input_gets_half_solves(monkeypatch):
     # band never holds more than the array; a sparse SPD matrix whose band
     # holds more than BAND_ENTRIES goes to SuperLU's symmetric mode. Both
     # solve alike, and the band factor's solve is its two half solves
-    import ietistokes.assembly as assembly
+    import ietistokes.linalg as linalg
 
     ths = build_taylor_hood(unit_square(), 1, refinement=4)
     K_ii, _ = assemble_patch(unit_square(), ths).condensation_blocks()
@@ -897,11 +906,11 @@ def test_every_spd_input_gets_half_solves(monkeypatch):
     real_splu = spla.splu
     monkeypatch.setattr(spla, "splu",
                         lambda A, **kw: calls.append((A.shape[0], kw)) or real_splu(A, **kw))
-    monkeypatch.setattr(assembly, "BAND_ENTRIES", 0)
+    monkeypatch.setattr(linalg, "BAND_ENTRIES", 0)
     band = factorize(K_ii, "dense K_ii", spd=True)
     sparse = factorize(sp.csc_matrix(K_ii), "sparse K_ii", spd=True)
     assert isinstance(band, BandCholesky) and band.perm is None
-    assert n * (band.bandwidth + 1) > assembly.BAND_ENTRIES
+    assert n * (band.bandwidth + 1) > linalg.BAND_ENTRIES
     assert isinstance(sparse, spla.SuperLU) and calls == [(n, FEM_SUPERLU)]
     monkeypatch.undo()
     ref = spla.splu(sp.csc_matrix(K_ii))
@@ -998,12 +1007,12 @@ def _dense_solver_calls(tree):
 
 def test_direct_solves_only_in_factorize():
     # every factorization in the package goes through the checked
-    # factorize: SuperLU and LAPACK getrf in factorize, getrs in its dense
-    # factor class, the band Cholesky, its half solves and the inverted
-    # diagonal blocks of its Gram kernel in the band factor class; no dense
-    # Cholesky anywhere
+    # factorize of linalg: SuperLU and LAPACK getrf in factorize, getrs in
+    # its dense factor class, the band Cholesky, its half solves and the
+    # inverted diagonal blocks of its Gram kernel in the band factor class;
+    # no dense Cholesky anywhere
     src = Path(ietistokes.__file__).parent
-    tree = ast.parse((src / "assembly.py").read_text())
+    tree = ast.parse((src / "linalg.py").read_text())
     scopes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name in ("factorize", "DenseLU", "BandCholesky")}
@@ -1011,15 +1020,23 @@ def test_direct_solves_only_in_factorize():
              "pbtrf", "pbtrs", "tbtrs", "potrf", "trtri")
     hits = {
         (path.name, next((name for name, lines in scopes.items()
-                          if path.name == "assembly.py" and lineno in lines), None), call)
+                          if path.name == "linalg.py" and lineno in lines), None), call)
         for path in sorted(src.glob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         for call in calls if call in line
     }
-    assert hits == {("assembly.py", "factorize", "splu("), ("assembly.py", "factorize", "getrf"),
-                    ("assembly.py", "DenseLU", "getrs"), ("assembly.py", "BandCholesky", "pbtrf"),
-                    ("assembly.py", "BandCholesky", "tbtrs"),
-                    ("assembly.py", "BandCholesky", "trtri")}
+    assert hits == {("linalg.py", "factorize", "splu("), ("linalg.py", "factorize", "getrf"),
+                    ("linalg.py", "DenseLU", "getrs"), ("linalg.py", "BandCholesky", "pbtrf"),
+                    ("linalg.py", "BandCholesky", "tbtrs"),
+                    ("linalg.py", "BandCholesky", "trtri")}
+    # and only linalg names the factor classes in code, so no other module
+    # forks on the factor type; docstrings may name them
+    named = {path.name for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id in ("BandCholesky", "DenseLU"))
+             or (isinstance(node, ast.Attribute) and node.attr in ("BandCholesky", "DenseLU"))
+             or (isinstance(node, ast.alias) and node.name in ("BandCholesky", "DenseLU"))}
+    assert named == {"linalg.py"}
     # and no local solve of the IETI layer bypasses it through a dense
     # numpy/scipy solve or inverse; the brute-force checks may use them
     found = _dense_solver_calls(ast.parse((src / "ieti.py").read_text()))
@@ -1138,8 +1155,9 @@ def test_edge_flux_constant_field():
         ths = build_taylor_hood(geo, degree=degree, refinement=1)
         centre = geo(0.5, 0.5)
         total = np.zeros(2)
+        flux, = family_flux_rows([geo], [ths], [SIDES])
         for side in SIDES:
-            dofs, R = edge_flux_matrix(geo, ths.vel, side)
+            dofs, R = flux[side]
             a, mid, b = geo.side_points(side, np.array([0.0, 0.5, 1.0]))
             normal = np.array([b[1] - a[1], a[0] - b[0]])
             if normal @ (mid - centre) < 0:
@@ -1154,7 +1172,8 @@ def test_divergence_bubble_flux_is_one_sixth():
     spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
     iface = mp.interfaces[0]
     geo = mp.patches[iface.a]
-    dofs, R = edge_flux_matrix(geo, spaces[iface.a].vel, iface.side_a)
+    flux, = family_flux_rows([geo], [spaces[iface.a]], [[iface.side_a]])
+    dofs, R = flux[iface.side_a]
     nbar = geo.side_normal(iface.side_a, np.array([0.5]), unit=True)[0]
     bub = divergence_bubble(spaces[iface.a], iface.side_a)
     psi = nbar[:, None] * bub[None, :]
@@ -1177,7 +1196,8 @@ def test_fortin_matches_interface_fluxes():
     proj = fortin_correction(mp, spaces, us)
     for iface in mp.interfaces:
         k = iface.a
-        dofs, R = edge_flux_matrix(mp.patches[k], spaces[k].vel, iface.side_a)
+        flux, = family_flux_rows([mp.patches[k]], [spaces[k]], [[iface.side_a]])
+        dofs, R = flux[iface.side_a]
         fu = sum(R[:, c] @ us[k][c, dofs] for c in (0, 1))
         fp = sum(R[:, c] @ proj[k][c, dofs] for c in (0, 1))
         assert abs(fu - fp) < 1e-12 * max(1.0, abs(fu))
@@ -1238,8 +1258,8 @@ def _dense_tables(geo, ths, nq):
     # reference quadrature data over the whole patch at once: global basis
     # matrices from collocation, the map from GeometryMap.eval
     vel, pre = ths.vel, ths.pre
-    qx, wx = element_rule(vel.space_x.breakpoints, nq)
-    qy, wy = element_rule(vel.space_y.breakpoints, nq)
+    qx, wx = rule_on_elements(vel.space_x.breakpoints, gauss_rule_1d(nq))
+    qy, wy = rule_on_elements(vel.space_y.breakpoints, gauss_rule_1d(nq))
     u, v = qx.ravel(), qy.ravel()
     pts, jac = geo.eval(*np.meshgrid(u, v, indexing="ij"))
     wdet = np.outer(wx.ravel(), wy.ravel()) * np.linalg.det(jac)
@@ -1268,8 +1288,8 @@ def test_geometry_tables_match_pointwise_map(geo):
     # the sum-factorized tables on a tensor grid with different point counts
     # per direction against GeometryMap.eval at each grid point, for a
     # family of the map and a sheared copy with the same space
-    xs = element_rule(np.linspace(0.0, 1.0, 4), 3)[0].ravel()
-    ys = element_rule(np.linspace(0.0, 1.0, 3), 5)[0].ravel()
+    xs = rule_on_elements(np.linspace(0.0, 1.0, 4), gauss_rule_1d(3))[0].ravel()
+    ys = rule_on_elements(np.linspace(0.0, 1.0, 3), gauss_rule_1d(5))[0].ravel()
     family = [geo, GeometryMap(geo.space, geo.control @ [[2.0, 0.5], [0.0, 1.0]] + 1.0,
                                geo.weights)]
     tables = _geometry_tables(family, _grid_tables(geo.space, xs, ys))
@@ -1384,8 +1404,8 @@ def test_family_kernel_matches_a_per_patch_reference(case):
         assert spaces[0].vel is not spaces[1].vel and spaces[4].vel is spaces[1].vel
 
     data = manufactured_velocity if case != "rectangle_with_hole" else None
-    forms = element_forms(mp.patches, spaces, rhs=manufactured_rhs)
-    systems = [assemble_patch(geo, ths, dirichlet=data, elements=el)
+    forms = element_forms(mp.patches, spaces, rhs=manufactured_rhs, dirichlet=data)
+    systems = [assemble_patch(geo, ths, elements=el)
                for geo, ths, el in zip(mp.patches, spaces, forms)]
     rng = np.random.default_rng(5)
     us = [rng.standard_normal((2, ths.vel.dim)) for ths in spaces]
@@ -1422,6 +1442,28 @@ def test_family_kernel_matches_a_per_patch_reference(case):
         assert set(errs[k]) == set(ref)
         for key, val in ref.items():
             assert abs(errs[k][key] - val) <= 1e-13 * abs(val), (k, key)
+
+
+def test_assemble_patch_reads_the_data_once():
+    # element_forms reads rhs, nquad and the Dirichlet data of a patch's
+    # entry, so assemble_patch refuses them next to it instead of ignoring
+    # the load or projecting the boundary data a second time
+    from ietistokes.assembly import element_forms
+
+    mp = parse_domain("grid(2,2)")
+    spaces = taylor_hood_spaces(mp, 1, refinement=1)
+    geo, ths = mp.patches[0], spaces[0]
+    el = element_forms(mp.patches, spaces, rhs=manufactured_rhs,
+                       dirichlet=manufactured_velocity)[0]
+    for data in (dict(rhs=manufactured_rhs), dict(dirichlet=manufactured_velocity),
+                 dict(nquad=4)):
+        with pytest.raises(ValueError, match="element_forms"):
+            assemble_patch(geo, ths, elements=el, **data)
+    sysk = assemble_patch(geo, ths, elements=el)
+    alone = assemble_patch(geo, ths, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    assert sysk.dirichlet_values.any()
+    assert np.array_equal(sysk.dirichlet_values, alone.dirichlet_values)
+    assert np.array_equal(sysk.rhs(), alone.rhs())
 
 
 @pytest.mark.parametrize("count", [1, 15, 16, 17])

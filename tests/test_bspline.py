@@ -4,12 +4,12 @@ import pytest
 from ietistokes.bspline import (
     TensorSplineSpace,
     UnivariateSplineSpace,
-    element_rule,
     eval_all_derivatives,
     gauss_rule_1d,
     insert_knot,
     make_open_knots,
     promote_coefficients,
+    rule_on_elements,
 )
 
 
@@ -154,7 +154,7 @@ def test_batched_evaluation_matches_naive_recursion(degree, continuity):
 
 def test_tabulate_rejects_point_outside_element():
     sp = UnivariateSplineSpace([0.0, 0.5, 1.0], 2, 1)
-    pts, _ = element_rule(sp.breakpoints, 3)
+    pts, _ = rule_on_elements(sp.breakpoints, gauss_rule_1d(3))
     first, vals = sp.tabulate(pts)
     assert vals.shape == (2, 2, 3, 3)
     assert list(first) == list(sp.element_span_starts())
@@ -241,7 +241,7 @@ def test_gauss_rule_exactness():
 
 
 def test_element_rule_partitions():
-    pts, wts = element_rule([0, 0.25, 0.5, 1.0], 4)
+    pts, wts = rule_on_elements([0, 0.25, 0.5, 1.0], gauss_rule_1d(4))
     assert pts.shape == (3, 4)
     assert abs(wts.sum() - 1.0) < 1e-14
     assert (pts[0] < 0.25).all() and (pts[2] > 0.5).all()

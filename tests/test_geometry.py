@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ietistokes.bspline import TensorSplineSpace, element_rule
+from ietistokes.bspline import TensorSplineSpace, gauss_rule_1d, rule_on_elements
 from ietistokes.domains import (
     build_domain,
     grid_domain,
@@ -510,8 +510,8 @@ def _pointwise_shape(g):
     _, jac = g.eval(*np.meshgrid(per_element(zx, 4, True), per_element(zy, 4, True),
                                  indexing="ij"))
     sv = np.linalg.svd(jac, compute_uv=False)
-    xs, wx = element_rule(zx, 6)
-    ys, wy = element_rule(zy, 6)
+    xs, wx = rule_on_elements(zx, gauss_rule_1d(6))
+    ys, wy = rule_on_elements(zy, gauss_rule_1d(6))
     _, jac = g.eval(*np.meshgrid(xs.ravel(), ys.ravel(), indexing="ij"))
     area = np.einsum("i,j,ij->", wx.ravel(), wy.ravel(), np.linalg.det(jac))
     corners = g.eval(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))[0]

@@ -6,10 +6,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ietistokes import assembly
+from ietistokes import assembly, linalg
 from ietistokes.assembly import (
-    BandCholesky,
-    DenseLU,
     PatchStokesSystem,
     assemble_global,
     assemble_patch,
@@ -35,6 +33,7 @@ from ietistokes.ieti import (
     solve_stokes_ieti,
     verify_supmat,
 )
+from ietistokes.linalg import BandCholesky, DenseLU
 
 
 def build_grid_problem(m, n, degree=1, refinement=1, rhs=manufactured_rhs,
@@ -339,7 +338,7 @@ def test_unbordered_coarse_system_is_singular():
     op, _ = setup_ieti(mp, spaces, systems=glob.systems)
     assert mp.pressure_up_to_constant and op.n_coarse == op.n_primal + 1
     with pytest.raises(SingularLocalSystemError, match="coarse primal system"):
-        assembly.factorize(op.A_pi, "coarse primal system")
+        linalg.factorize(op.A_pi, "coarse primal system")
 
 
 def test_channel_with_hole_p1_needs_finer_quadrature():
@@ -670,7 +669,7 @@ def test_preconditioner_shares_the_interior_factor():
 
 def _per_row_constraints(mp, spaces, systems, cons):
     """The constraint rows built one row at a time, as a reference."""
-    from ietistokes.assembly import edge_flux_rows
+    from ietistokes.assembly import family_flux_rows
 
     vertex_corners = [[] for _ in range(mp.n_patches)]
     for vi, j in enumerate(cons.vertices):
@@ -704,7 +703,7 @@ def _per_row_constraints(mp, spaces, systems, cons):
                 globs.append(2 * vi + c)
                 signs.append(1.0)
                 nrow += 1
-        flux = edge_flux_rows(mp.patches[k], ths.vel, [f[1] for f in patch_faces[k]])
+        flux, = family_flux_rows([mp.patches[k]], [ths], [[f[1] for f in patch_faces[k]]])
         for fi, side, sign in patch_faces[k]:
             dofs, R = flux[side]
             is_dir = np.isin(dofs, ths.dirichlet)
@@ -970,7 +969,7 @@ def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
         return us, ps, rep, type(op._coarse_lu)
 
     us, ps, rep, coarse = solve()
-    monkeypatch.setattr(assembly, "DENSE_LU_ROWS", 0)
+    monkeypatch.setattr(linalg, "DENSE_LU_ROWS", 0)
     us0, ps0, rep0, coarse0 = solve()
     assert coarse is DenseLU and coarse0 is spla.SuperLU
     assert rep.converged and rep.iterations == rep0.iterations
