@@ -13,7 +13,6 @@ from .analysis import (
     InfSupStudy,
     SpectrumError,
     local_infsup,
-    pressure_schur_condition,
     pressure_schur_extremes,
     pressure_schur_spectrum,
     skeleton_matrices,
@@ -110,7 +109,6 @@ __all__ = (
     # analysis
     "pressure_schur_extremes",
     "pressure_schur_spectrum",
-    "pressure_schur_condition",
     "local_infsup",
     "skeleton_matrices",
     "skeleton_spectra",

@@ -10,9 +10,12 @@ the whole boundary), on all pressures otherwise. The square root of the
 smallest eigenvalue is the discrete inf-sup constant, the largest one the
 discrete boundedness constant, and kappa = sqrt(lambda_max / lambda_min)
 measures the conditioning of the mass-preconditioned pressure Schur
-complement. pressure_schur_extremes factors the velocity stiffness K it is
-given once, as an SPD matrix, and its dense path forms T = D K^-1 D^T from
-that factor and D's entries with linalg.schur_complement.
+complement. The size of the problem picks the eigensolver: a dense eigh
+up to DENSE_LIMIT dofs (velocity and pressure), LOBPCG above it, and a
+failed LOBPCG solve raises SpectrumError; no argument changes the choice.
+pressure_schur_extremes factors the velocity stiffness K it is given once,
+as an SPD matrix, and its dense path forms T = D K^-1 D^T from that factor
+and D's entries with linalg.schur_complement.
 pressure_schur_spectrum factors nothing: it reads the velocity elimination
 cached on the global system, which the system's solve shares
 (GlobalStokesSystem.velocity_factor, the scalar free stiffness, and
@@ -44,7 +47,6 @@ __all__ = (
     "SpectrumError",
     "pressure_schur_extremes",
     "pressure_schur_spectrum",
-    "pressure_schur_condition",
     "local_infsup",
     "skeleton_matrices",
     "skeleton_spectra",
@@ -62,7 +64,8 @@ class SchurSpectrum:
     lam_min of round-off size (within n eps lam_max of zero) as 0; on the
     iterative path an inf-sup unstable pair may give a lam_min of round-off
     size above 0, which is reported as is, with a tiny beta and a large
-    finite kappa.
+    finite kappa. method names the eigensolver that ran, "dense" or
+    "iterative", as the size picked it (_schur_extremes).
     """
 
     def __init__(self, lam_min, lam_max, dofs, method):
@@ -92,7 +95,7 @@ class SchurSpectrum:
 
 class SpectrumError(RuntimeError):
     """The pressure Schur spectrum could not be computed (the iterative
-    eigensolve failed where the dense one is too large), or it is not
+    eigensolve of a problem above DENSE_LIMIT failed), or it is not
     admissible (a condition number below one)."""
 
 
@@ -139,16 +142,19 @@ def _extremes(ev):
     return lam_min, lam_max
 
 
-def _iterative_extremes(schur, Mp, deflate, tol=1e-8, maxiter=2000, seed=0, block=5):
-    n = Mp.shape[0]
+def _iterative_extremes(schur, Mp, deflate):
+    """Extreme eigenvalues of (T, M_p) by LOBPCG on schur(Q) = T Q, the block
+    of 5 seeded random vectors kept M_p-orthogonal to the constant if deflate;
+    _NotConverged if the problem is too small for lobpcg or an eigenpair
+    residual exceeds 1e-6 relative."""
+    n, block = Mp.shape[0], 5
+    if n - 1 < 5 * block:
+        # below this size lobpcg switches to a dense eigensolver, which
+        # takes no constraint Y
+        raise _NotConverged("%d pressure dofs are too few for lobpcg" % n)
     T = spla.LinearOperator((n, n), matvec=schur, matmat=schur, dtype=float)
     Y = np.ones((n, 1)) if deflate else None
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, min(block, max(1, n - 2))))
-    if n - 1 < 5 * X.shape[1]:
-        # lobpcg's own switch to a dense eigensolver, which takes no
-        # constraint Y: leave such small problems to the dense path
-        raise _NotConverged("%d pressure dofs are too few for lobpcg" % n)
+    X = np.random.default_rng(0).standard_normal((n, block))
     out = []
     for largest in (False, True):
         # lobpcg warns when a block vector misses tol, also one that is
@@ -158,7 +164,7 @@ def _iterative_extremes(schur, Mp, deflate, tol=1e-8, maxiter=2000, seed=0, bloc
         with _LOBPCG_LOCK, warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             w, V = spla.lobpcg(T, X.copy(), B=Mp, Y=Y, largest=largest,
-                               tol=tol, maxiter=maxiter)
+                               tol=1e-8, maxiter=2000)
         j = int(np.argmin(w)) if not largest else int(np.argmax(w))
         lam, x = float(w[j]), V[:, j]
         Tx = schur(x[:, None]).ravel()
@@ -170,29 +176,19 @@ def _iterative_extremes(schur, Mp, deflate, tol=1e-8, maxiter=2000, seed=0, bloc
     return out[0], out[1]
 
 
-def _schur_extremes(schur, dense, Mp, dofs, method, deflate=True):
-    """SchurSpectrum of T, applied as schur(Q) = T Q and formed by dense(),
-    by the method policy of pressure_schur_extremes; off the constant
-    pressure if deflate."""
-    if method == "auto":
-        method = "dense" if dofs <= DENSE_LIMIT else "iterative"
-    if method == "iterative":
-        try:
-            lmin, lmax = _iterative_extremes(schur, Mp, deflate)
-            return SchurSpectrum(lmin, lmax, dofs, "iterative")
-        except _NotConverged:
-            if dofs > DENSE_LIMIT:
-                raise SpectrumError(
-                    "iterative eigensolve did not converge and the problem "
-                    "is too large for the dense fallback (%d dofs)" % dofs)
-            method = "dense"
-    if method != "dense":
-        raise ValueError("unknown method %r" % (method,))
-    lmin, lmax = _dense_extremes(dense(), Mp, deflate)
-    return SchurSpectrum(lmin, lmax, dofs, "dense")
+def _schur_extremes(schur, dense, Mp, dofs, deflate=True):
+    """SchurSpectrum of T, off the constant pressure if deflate: the dense
+    path on dense() = T up to DENSE_LIMIT dofs, LOBPCG on schur(Q) = T Q
+    above it, where a failed solve raises SpectrumError."""
+    if dofs <= DENSE_LIMIT:
+        return SchurSpectrum(*_dense_extremes(dense(), Mp, deflate), dofs, "dense")
+    try:
+        return SchurSpectrum(*_iterative_extremes(schur, Mp, deflate), dofs, "iterative")
+    except _NotConverged as exc:
+        raise SpectrumError("iterative eigensolve failed on %d dofs: %s" % (dofs, exc)) from None
 
 
-def pressure_schur_extremes(K, D, Mp, method="auto"):
+def pressure_schur_extremes(K, D, Mp):
     """Spectrum bounds of the mass-preconditioned pressure Schur complement.
 
     K is the velocity stiffness on the unconstrained dofs (components
@@ -202,10 +198,8 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
     direction is always removed: dense work restricts to the
     orthogonal complement of M_p 1 that one Householder reflector spans
     (_dense_extremes), the iterative path keeps the LOBPCG block orthogonal
-    to it. "auto" picks the dense path up to DENSE_LIMIT dofs. A
-    non-converged iterative solve falls back to the dense path when the size
-    permits, and so does a problem too small for LOBPCG's iterations;
-    spectrum.method then reads "dense". No code in the package calls it;
+    to it. The size picks the path (_schur_extremes), and spectrum.method
+    reads which one ran. No code in the package calls it;
     perfbench/run.py traces it by name (TRACE_TARGETS).
     """
     lu = factorize(K, "velocity stiffness", spd=True)
@@ -214,17 +208,17 @@ def pressure_schur_extremes(K, D, Mp, method="auto"):
         return D @ lu.solve(np.asarray(D.T @ Q, dtype=float))
 
     return _schur_extremes(schur, lambda: schur_complement(lu, D.T), Mp,
-                           K.shape[0] + Mp.shape[0], method)
+                           K.shape[0] + Mp.shape[0])
 
 
-def pressure_schur_spectrum(glob, method="auto"):
+def pressure_schur_spectrum(glob):
     """SchurSpectrum of an assembled global system (Dirichlet eliminated).
 
     It reads the system's velocity elimination, which its solve shares: the
     dense path the cached T (GlobalStokesSystem.pressure_schur), the
     iterative one T Q = D_f K_ff^-1 D_f^T Q through the one factor of the
-    scalar free stiffness (GlobalStokesSystem.stiffness_solve). The method
-    policy is that of pressure_schur_extremes. The constant pressure is
+    scalar free stiffness (GlobalStokesSystem.stiffness_solve). The size
+    picks the path, as in pressure_schur_extremes. The constant pressure is
     left out iff glob.mp.pressure_up_to_constant; with a Neumann side the
     whole pencil (T, M_p) is solved.
     """
@@ -233,17 +227,11 @@ def pressure_schur_spectrum(glob, method="auto"):
     def schur(Q):
         return Df @ glob.stiffness_solve(np.asarray(Df.T @ Q, dtype=float))
 
-    return _schur_extremes(schur, lambda: glob.pressure_schur, glob.Mp, glob.n_dofs, method,
+    return _schur_extremes(schur, lambda: glob.pressure_schur, glob.Mp, glob.n_dofs,
                            glob.mp.pressure_up_to_constant)
 
 
-def pressure_schur_condition(glob, method="auto"):
-    """kappa = sqrt(lambda_max / lambda_min), the quantity tabulated in the
-    inf-sup condition studies."""
-    return pressure_schur_spectrum(glob, method).kappa
-
-
-def local_infsup(system, method="auto"):
+def local_infsup(system):
     """Inf-sup constant beta_k of a single patch.
 
     The patch system must have Dirichlet conditions on the whole velocity
@@ -251,14 +239,15 @@ def local_infsup(system, method="auto"):
     beta_k is the square root of the smallest nonzero generalized
     eigenvalue of (T, M_p), with
     T = sum_c D_ci K_ii^-1 D_ci^T the pressure Schur complement of the
-    patch's interior condensation (PatchStokesSystem.condense_interior).
+    patch's interior condensation (PatchStokesSystem.condense_interior),
+    solved on the path the size picks (_schur_extremes).
     """
     ths = system.ths
     if any(ths.side_roles.get(side) != "dirichlet" for side in SIDES):
         raise ValueError("local inf-sup needs a fully Dirichlet velocity boundary")
     T = system.condense_interior("interior stiffness of the patch").T
     return _schur_extremes(lambda Q: T @ Q, lambda: T, system.Mp,
-                           2 * ths.n_inner + ths.n_pressure, method).beta
+                           2 * ths.n_inner + ths.n_pressure).beta
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +303,23 @@ class InfSupStudy:
     """Pressure Schur condition numbers over a (degree, level) grid.
 
     Each cell assembles the domain with its own boundary tags and reports
-    kappa, beta, delta_h (pressure_schur_spectrum) and the dof count. Cells are independent and
-    can run on a thread pool.
+    kappa, beta, delta_h (pressure_schur_spectrum, whose eigensolver the
+    cell's size picks) and the dof count. Cells are independent and can run
+    on a thread pool.
     """
 
-    def __init__(self, domain, degrees, levels, smoothness=None, method="auto"):
+    def __init__(self, domain, degrees, levels, smoothness=None):
         self.domain = domain
         self.degrees = list(degrees)
         self.levels = list(levels)
         self.smoothness = smoothness
-        self.method = method
 
     def run_cell(self, degree, level):
         t0 = time.perf_counter()
         mp = load_domain(self.domain)
         spaces = taylor_hood_spaces(mp, degree, self.smoothness, level)
         glob = assemble_global(mp, spaces)
-        spec = pressure_schur_spectrum(glob, self.method)
+        spec = pressure_schur_spectrum(glob)
         return {
             "domain": self.domain,
             "degree": degree,

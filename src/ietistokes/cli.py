@@ -63,7 +63,7 @@ class RunConfig:
 
     def __init__(self, command, domain, degrees, levels, smoothness=None,
                  tol=1e-6, max_iter=500, seed=42, output=None, threads=1,
-                 zero_data=False, samples=9, method="auto", suite="all"):
+                 zero_data=False, samples=9, suite="all"):
         self.command = command
         self.domain = domain
         self.degrees = list(degrees)
@@ -76,7 +76,6 @@ class RunConfig:
         self.threads = int(threads)
         self.zero_data = bool(zero_data)
         self.samples = int(samples)
-        self.method = method
         self.suite = suite
         if not self.degrees or not self.levels:
             raise ConfigError("degree and level lists must be non-empty")
@@ -230,12 +229,12 @@ def run_bench(config):
 def run_study(config):
     load_domain(config.domain)  # fail early on bad specs
     study = InfSupStudy(config.domain, config.degrees, config.levels,
-                        smoothness=config.smoothness, method=config.method)
+                        smoothness=config.smoothness)
     rows = study.run(threads=config.threads)
     table = format_grid_table(
         rows, config.degrees, config.levels, ("kappa", "beta"),
         {"kappa": lambda v: "%.3f" % v, "beta": lambda v: "%.4f" % v})
-    print("domain: %s  method=%s" % (config.domain, config.method))
+    print("domain: %s" % config.domain)
     print(table)
     write_csv(config.output, STUDY_COLUMNS, rows)
     return 0
@@ -511,10 +510,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("bench-ieti", parents=[common],
                    help="iteration counts and condition numbers")
-    study = sub.add_parser("study-infsup", parents=[common],
-                           help="pressure Schur condition study")
-    study.add_argument("--method", choices=("auto", "dense", "iterative"),
-                       default="auto")
+    sub.add_parser("study-infsup", parents=[common], help="pressure Schur condition study")
     solve = sub.add_parser("solve", parents=[common], help="single solve with export")
     solve.add_argument("--zero-data", action="store_true")
     solve.add_argument("--samples", type=int, default=9)
@@ -557,7 +553,6 @@ def parse_config(argv):
         threads=threads,
         zero_data=getattr(args, "zero_data", False),
         samples=getattr(args, "samples", 9),
-        method=getattr(args, "method", "auto"),
         suite=getattr(args, "suite", "all"),
     )
 

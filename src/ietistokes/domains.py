@@ -5,6 +5,7 @@ patches share control points (and weights) along the common edge, so the
 glued parameterizations agree pointwise, not just as point sets.
 """
 
+import inspect
 import os
 import re
 
@@ -172,33 +173,49 @@ _BUILDERS = {
 
 def build_domain(name, **params):
     """Construct a built-in domain by name."""
+    return _builder(name)(**params)
+
+
+def _builder(name):
     if name not in _BUILDERS:
         raise ValueError(
             "unknown domain %r (choose from %s)" % (name, ", ".join(sorted(_BUILDERS)))
         )
-    return _BUILDERS[name](**params)
+    return _BUILDERS[name]
+
+
+# the builder parameters that count patches
+_PATCH_COUNTS = ("m", "n", "length")
 
 
 def parse_domain(spec):
-    """Build a domain from a compact string such as 'grid(2,3)' or 'strip(4)'."""
+    """Build a domain from a compact string such as 'grid(2,3)' or 'strip(4)'.
+
+    The arguments fill the builder's parameters in order. More arguments
+    than it has, fewer than it needs, a patch count (m, n, length) that is
+    not an integer literal or a value that is not a number raise ValueError.
+    """
     m = re.fullmatch(r"\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*", spec)
     if not m:
         raise ValueError("cannot parse domain spec %r" % (spec,))
     name = m.group(1)
-    args = []
-    if m.group(2):
-        args = [float(v) if "." in v else int(v) for v in m.group(2).split(",")]
-    return build_domain(name, **dict(zip(_builder_params(name), args)))
-
-
-def _builder_params(name):
-    if name == "grid":
-        return ("m", "n")
-    if name == "strip":
-        return ("length",)
-    if name == "quarter_annulus":
-        return ("r_in", "r_out", "m", "n")
-    return ()
+    builder = _builder(name)
+    signature = inspect.signature(builder)
+    params = signature.parameters
+    args = m.group(2).split(",") if (m.group(2) or "").strip() else []
+    needed = sum(p.default is p.empty for p in params.values())
+    if not needed <= len(args) <= len(params):
+        raise ValueError("domain spec %r: expected %s%s, got %d arguments"
+                         % (spec, name, signature, len(args)))
+    kwargs = {}
+    for key, text in zip(params, args):
+        try:
+            kwargs[key] = int(text) if key in _PATCH_COUNTS or "." not in text else float(text)
+        except ValueError:
+            raise ValueError("domain spec %r: %s must be %s, got %r" % (
+                spec, key, "an integer" if key in _PATCH_COUNTS else "a number",
+                text.strip())) from None
+    return builder(**kwargs)
 
 
 def load_domain(spec):

@@ -728,7 +728,7 @@ def _shape(geos):
     return _diameters(geos), _jacobian_ranges(geos)[:, 0], _outline(geos)
 
 
-def build_multipatch(patches, boundary="dirichlet", tol=None):
+def build_multipatch(patches, boundary=None, tol=None):
     """Derive interfaces and vertices from the patch corners; assemble a MultiPatch.
 
     The corners are clustered into vertices first: a corner joins the first
@@ -742,9 +742,9 @@ def build_multipatch(patches, boundary="dirichlet", tol=None):
     patch. The diameters, the Jacobian extremes, the corners and the side
     midpoints come from one kernel pass per family of maps.
 
-    boundary assigns tags to the non-interface sides: a single tag for all of
-    them, a dict {(patch, side): tag} of overrides (default "dirichlet"), or a
-    callable (patch, side, midpoint) -> tag.
+    boundary tags the non-interface sides: None makes all of them
+    "dirichlet", a callable (patch, side, midpoint) -> tag decides per side;
+    a tag other than "dirichlet" or "neumann" raises ValueError.
     """
     patches = list(patches)
     if not patches:
@@ -765,12 +765,8 @@ def build_multipatch(patches, boundary="dirichlet", tol=None):
         for side in SIDES:
             if (k, side) in matched:
                 continue
-            if callable(boundary):
-                tags[(k, side)] = boundary(k, side, outline[(k,) + _SIDE_MIDS[side]])
-            elif isinstance(boundary, dict):
-                tags[(k, side)] = boundary.get((k, side), "dirichlet")
-            else:
-                tags[(k, side)] = boundary
+            tags[(k, side)] = ("dirichlet" if boundary is None
+                               else boundary(k, side, outline[(k,) + _SIDE_MIDS[side]]))
     for key, tag in tags.items():
         if tag not in ("dirichlet", "neumann"):
             raise ValueError("unknown boundary tag %r for side %s" % (tag, key))

@@ -6,10 +6,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import ietistokes.analysis as analysis
 from ietistokes.analysis import (
     InfSupStudy,
+    SpectrumError,
     local_infsup,
-    pressure_schur_condition,
     pressure_schur_extremes,
     pressure_schur_spectrum,
     skeleton_matrices,
@@ -75,8 +76,6 @@ def test_round_off_lam_min_reads_zero(deflate):
     # precision whatever its sign, so the spectrum reads beta 0 and kappa
     # inf; one just above that stays as it is. H's first column is the
     # constant, whose eigenvalue 1.5 is no extreme either way
-    import ietistokes.analysis as analysis
-
     Mp = sp.identity(5, format="csr")
     H = np.linalg.qr(np.column_stack([np.ones(5), np.eye(5)[:, 1:]]))[0]
     for tiny, want in ((3e-17, 0.0), (-3e-17, 0.0), (1e-12, 1e-12)):
@@ -112,7 +111,7 @@ def global_kappa(patches, degree=2, refinement=1):
     mp = build_multipatch(patches)
     spaces = taylor_hood_spaces(mp, degree=degree, refinement=refinement)
     glob = assemble_global(mp, spaces)
-    return pressure_schur_condition(glob)
+    return pressure_schur_spectrum(glob).kappa
 
 
 def test_kappa_invariant_under_rigid_motion_and_scaling():
@@ -151,13 +150,15 @@ def test_study_threaded_matches_serial():
             assert abs(a[key] - b[key]) <= 1e-12 * abs(a[key])
 
 
-def test_threaded_iterative_study_restores_the_warning_filters():
+def test_threaded_iterative_study_restores_the_warning_filters(monkeypatch):
     # lobpcg's own warnings are recorded under one lock: with more threads
     # than cores and a short switch interval, no thread restores another's
     # filters, so the process-wide filters and showwarning come back as
-    # they were
+    # they were; p=1 level 2 (123 dofs) stays dense, the other three cells
+    # run LOBPCG
+    monkeypatch.setattr(analysis, "DENSE_LIMIT", 123)
     filters, show = list(warnings.filters), warnings.showwarning
-    study = InfSupStudy("grid(1,1)", degrees=[1, 2], levels=[2, 3], method="iterative")
+    study = InfSupStudy("grid(1,1)", degrees=[1, 2], levels=[2, 3])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -191,41 +192,46 @@ def test_ieti_kappa_stays_flat_while_infsup_kappa_grows():
     assert max(ieti) <= 3
 
 
-def test_dense_and_iterative_paths_agree():
+def test_dense_and_iterative_paths_agree(monkeypatch):
     mp = build_domain("grid", m=2, n=2)
     spaces = taylor_hood_spaces(mp, degree=1, refinement=2)
     glob = assemble_global(mp, spaces)
-    dense = pressure_schur_spectrum(glob, method="dense")
-    iterative = pressure_schur_spectrum(glob, method="iterative")
-    assert iterative.method == "iterative"
+    dense = pressure_schur_spectrum(glob)
+    monkeypatch.setattr(analysis, "DENSE_LIMIT", 0)
+    iterative = pressure_schur_spectrum(glob)
+    assert (dense.method, iterative.method) == ("dense", "iterative")
     assert abs(dense.kappa - iterative.kappa) < 0.01 * dense.kappa
     assert abs(dense.beta - iterative.beta) < 0.01 * dense.beta
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_outflow_spectrum_is_the_full_pencil(degree):
+def test_outflow_spectrum_is_the_full_pencil(degree, monkeypatch):
     # a Neumann side fixes the pressure level, so no constant is deflated:
     # both paths give the extremes of the whole pencil (T, M_p)
     mp = parse_domain("rectangle_with_hole")
     glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=2))
     ev = sla.eigh(glob.pressure_schur, glob.Mp.toarray(), eigvals_only=True)
-    for method in ("dense", "iterative"):
-        spec = pressure_schur_spectrum(glob, method)
+    for limit, method in ((analysis.DENSE_LIMIT, "dense"), (0, "iterative")):
+        monkeypatch.setattr(analysis, "DENSE_LIMIT", limit)
+        spec = pressure_schur_spectrum(glob)
         assert spec.method == method
         assert abs(spec.lam_min - ev[0]) <= 1e-10 * ev[0]
         assert abs(spec.lam_max - ev[-1]) <= 1e-10 * ev[-1]
 
 
-def test_iterative_request_on_a_problem_too_small_for_lobpcg_goes_dense():
+def test_a_problem_too_small_for_lobpcg_raises_spectrum_error(monkeypatch):
     # lobpcg would switch to its dense solver, which rejects the constraint
-    # against constant pressures: the dense path answers instead
+    # against constant pressures; the size that picks LOBPCG leaves no
+    # dense fallback, so below it the guard ends in SpectrumError
     mp = build_domain("grid", m=1, n=1)
     glob = assemble_global(mp, taylor_hood_spaces(mp, degree=1, refinement=1))
-    spec = pressure_schur_spectrum(glob, method="iterative")
-    assert spec.method == "dense"
-    assert spec.kappa == pressure_schur_spectrum(glob, method="dense").kappa
     sysk = dirichlet_patch_system(unit_square(), 1, 2)
-    assert local_infsup(sysk, method="iterative") == local_infsup(sysk, method="dense")
+    assert pressure_schur_spectrum(glob).method == "dense" and local_infsup(sysk) > 0
+    monkeypatch.setattr(analysis, "DENSE_LIMIT", 0)
+    with pytest.raises(SpectrumError, match="on 27 dofs: 9 pressure dofs are too few"):
+        pressure_schur_spectrum(glob)
+    with pytest.raises(SpectrumError, match="25 pressure dofs are too few for lobpcg"):
+        local_infsup(sysk)
 
 
 def test_skeleton_constant_kernel():
@@ -248,7 +254,7 @@ def test_skeleton_spectra_within_infsup_bounds():
         assert ev.max() <= 3.0 * 2.0 / beta**2 + 1e-8
 
 
-def doubled_block_infsup(system, method):
+def doubled_block_infsup(system):
     """beta_k through the doubled interior block block_diag(K_ii, K_ii) and
     the global Schur path, the formula local_infsup replaced."""
     ths = system.ths
@@ -256,7 +262,7 @@ def doubled_block_infsup(system, method):
     ni, npre = ths.n_inner, ths.n_pressure
     D_i = np.hstack(W[ni:].reshape(2, npre, ni))
     return pressure_schur_extremes(sp.block_diag((K_ii, K_ii), format="csc"),
-                                   sp.csr_matrix(D_i), system.Mp, method).beta
+                                   sp.csr_matrix(D_i), system.Mp).beta
 
 
 def kron_skeleton_matrices(system):
@@ -284,11 +290,20 @@ def kron_skeleton_matrices(system):
 @pytest.mark.parametrize("geo", [unit_square(), bilinear_patch((0, 0), (4, 0), (0, 1), (4, 1)),
                                  quarter_annulus_patch()], ids=["square", "4x1", "annulus"])
 @pytest.mark.parametrize("degree, refinement", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_patch_analysis_matches_the_doubled_block_formulas(geo, degree, refinement):
+def test_patch_analysis_matches_the_doubled_block_formulas(geo, degree, refinement,
+                                                          monkeypatch):
+    # both paths: dense at the default limit, LOBPCG at limit 0, where the
+    # cells with fewer than 26 pressure dofs are too small for it
     sysk = dirichlet_patch_system(geo, degree, refinement)
-    for method in ("dense", "iterative"):
-        ref = doubled_block_infsup(sysk, method)
-        assert abs(local_infsup(sysk, method) - ref) <= 1e-12 * ref
+    for limit in (analysis.DENSE_LIMIT, 0):
+        monkeypatch.setattr(analysis, "DENSE_LIMIT", limit)
+        if limit == 0 and sysk.ths.n_pressure < 26:
+            for beta in (doubled_block_infsup, local_infsup):
+                with pytest.raises(SpectrumError, match="too few for lobpcg"):
+                    beta(sysk)
+            continue
+        ref = doubled_block_infsup(sysk)
+        assert abs(local_infsup(sysk) - ref) <= 1e-12 * ref
     sysk = floating_patch_system(geo, degree, refinement)
     for got, ref in zip(skeleton_matrices(sysk), kron_skeleton_matrices(sysk), strict=True):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

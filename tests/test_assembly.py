@@ -838,8 +838,8 @@ def test_eliminated_solve_matches_the_saddle_solve(case):
 def test_solve_and_spectrum_share_one_velocity_factor(monkeypatch):
     # on the six square-study cells (grid(1,1), p 1-2, levels 2-4) solve and
     # the dense and iterative spectra factor the scalar free stiffness once
-    # per system, form T once and never call SuperLU (p1 l2 has too few
-    # pressure dofs for LOBPCG and goes dense)
+    # per system, form T once and never call SuperLU; DENSE_LIMIT 0 runs
+    # LOBPCG, for which p1 l2 has too few pressure dofs
     import ietistokes.analysis as analysis
     import ietistokes.assembly as assembly
     from ietistokes.assembly import GlobalStokesSystem
@@ -858,12 +858,18 @@ def test_solve_and_spectrum_share_one_velocity_factor(monkeypatch):
             glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=level),
                                    rhs=manufactured_rhs, dirichlet=manufactured_velocity)
             glob.solve()
-            dense = analysis.pressure_schur_spectrum(glob, method="dense")
+            dense = analysis.pressure_schur_spectrum(glob)
+            assert dense.method == "dense"
             if degree + level <= 4:  # LOBPCG takes seconds on the larger cells
-                iterative = analysis.pressure_schur_spectrum(glob, method="iterative")
-                assert iterative.method == ("dense" if level == 2 and degree == 1
-                                            else "iterative")
-                assert abs(iterative.kappa - dense.kappa) <= 1e-6 * dense.kappa
+                with monkeypatch.context() as limit:
+                    limit.setattr(analysis, "DENSE_LIMIT", 0)
+                    if level == 2 and degree == 1:
+                        with pytest.raises(analysis.SpectrumError, match="too few for lobpcg"):
+                            analysis.pressure_schur_spectrum(glob)
+                    else:
+                        iterative = analysis.pressure_schur_spectrum(glob)
+                        assert iterative.method == "iterative"
+                        assert abs(iterative.kappa - dense.kappa) <= 1e-6 * dense.kappa
             assert calls == [("velocity stiffness of the monolithic Stokes system", True),
                              ("pressure Schur complement of the monolithic Stokes system",
                               False)]

@@ -48,6 +48,22 @@ def test_invalid_domain_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("grid(2.5,2)", "m must be an integer, got '2.5'"),
+    ("grid()", "expected grid(m, n), got 0 arguments"),
+    ("grid(2,2,3)", "expected grid(m, n), got 3 arguments"),
+    ("rectangle_with_hole(3)", "expected rectangle_with_hole(), got 1 arguments"),
+    ("quarter_annulus(1,2,8.0,8)", "m must be an integer, got '8.0'"),
+])
+def test_malformed_domain_spec_exits_2(spec, reason, capsys):
+    # a wrong argument count or a non-integer patch count is refused, not
+    # dropped or passed on to a builder that fails with a TypeError
+    assert main(["solve", "--domain", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: domain spec %r: %s\n" % (spec, reason)
+
+
 def write_bilinear_patches(path, quads):
     lines = ["patches %d" % len(quads)]
     for k, quad in enumerate(quads):
@@ -101,10 +117,12 @@ controlpoints
     (("1 1\n", "1 1\ninterfaces 1\n0 east 0 west revresed\n"),
      "line 12: interface orientation must be 'aligned' or 'reversed', got 'revresed'"),
     (("1 1\n", "1 1\nboundaries 1\n0 west\n"), "line 12: boundary line needs 3 fields"),
+    (("1 1\n", "1 1\nboundaries 1\n0 west slip\n"),
+     "unknown boundary tag 'slip' for side (0, 'west')"),
 ], ids=["degrees_one_value", "bare_patches", "smoothness_one_value", "bare_interfaces",
         "bare_boundaries", "boundary_missing_patch", "boundary_unknown_side", "nan_point",
         "inf_point", "three_coordinates", "two_weights", "four_field_interface",
-        "orientation_typo", "two_field_boundary"])
+        "orientation_typo", "two_field_boundary", "unknown_tag"])
 def test_malformed_geometry_text_exits_2(tmp_path, capsys, edit, reason):
     # raw text a line away from ONE_PATCH; each edit replaces the last match
     head, sep, tail = ONE_PATCH.rpartition(edit[0])
@@ -142,8 +160,8 @@ def test_solve_with_more_than_one_cell_exits_2(capsys):
 
 
 def test_study_eigensolve_failure_exits_1(monkeypatch, capsys):
-    # the iterative eigensolve fails and the cell is too large for the dense
-    # fallback; a condition number below one is refused the same way
+    # the cell is above the (lowered) dense limit and its iterative
+    # eigensolve fails; a condition number below one is refused the same way
     import ietistokes.analysis as analysis
 
     def not_converged(schur, Mp, deflate):
@@ -152,9 +170,9 @@ def test_study_eigensolve_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "DENSE_LIMIT", 10)
     monkeypatch.setattr(analysis, "_iterative_extremes", not_converged)
     args = ["study-infsup", "--domain", "grid(1,1)", "--degrees", "1", "--levels", "2"]
-    assert main(args + ["--method", "iterative"]) == 1
+    assert main(args) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
-    assert line.startswith("error: iterative eigensolve did not converge")
+    assert line == "error: iterative eigensolve failed on 123 dofs: forced"
     monkeypatch.undo()
     monkeypatch.setattr(analysis.InfSupStudy, "run_cell",
                         lambda self, p, l: {"kappa": 0.5, "degree": p, "level": l})
@@ -255,14 +273,18 @@ def test_algebra_suite_holds_on_rational_and_outflow_domains(domain, capsys):
     assert all(line.endswith("nquad 9") for line in lines[:2])
 
 
-def test_removed_pressure_mean_flag_is_a_usage_error(capsys):
-    # the boundary tags decide the pressure level; the old flag is an
-    # unknown argument, argparse's exit 2
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "grid(2,2)", "--no-global-pressure-mean"],
+    ["study-infsup", "--domain", "grid(1,1)", "--method", "dense"],
+], ids=["no-global-pressure-mean", "method"])
+def test_removed_option_is_a_usage_error(argv, capsys):
+    # the boundary tags decide the pressure level and the size the
+    # eigensolver; the old options are unknown arguments, argparse's exit 2
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--domain", "grid(2,2)", "--no-global-pressure-mean"])
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments: --no-global-pressure-mean" in err
+    assert "unrecognized arguments: %s" % " ".join(argv[3:]) in err
     assert "Traceback" not in err
 
 
@@ -332,7 +354,10 @@ def test_study_reports_an_infsup_unstable_cell():
     assert float(row["kappa"]) == np.inf and float(row["beta"]) == 0.0
 
 
-def _study_subprocess(method):
+def test_study_on_a_cell_too_small_for_lobpcg_exits_1():
+    # with the dense limit at 0 the cell goes to LOBPCG, for which its 9
+    # pressure dofs are too few: a fresh interpreter shows one error line,
+    # exit 1, no traceback and no warnings
     import os
     import subprocess
     import sys
@@ -342,24 +367,15 @@ def _study_subprocess(method):
 
     src = str(Path(ietistokes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run(
-        [sys.executable, "-W", "default", "-m", "ietistokes.cli", "study-infsup",
-         "--domain", "grid(1,1)", "--degrees", "1", "--levels", "1", "--method", method],
+    code = ("import sys; import ietistokes.analysis as a; from ietistokes.cli import main; "
+            "a.DENSE_LIMIT = 0; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-c", code, "study-infsup",
+         "--domain", "grid(1,1)", "--degrees", "1", "--levels", "1"],
         capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_study_iterative_on_a_tiny_cell_falls_back_to_dense():
-    # 9 pressure dofs are too few for lobpcg's iterations; the cell is
-    # solved on the dense path, without a traceback or warnings
-    kappas = []
-    for method in ("iterative", "dense"):
-        proc = _study_subprocess(method)
-        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-        lines = proc.stdout.splitlines()
-        head = lines.index(",".join(STUDY_COLUMNS))
-        (row,) = (dict(zip(STUDY_COLUMNS, r)) for r in csv.reader(lines[head + 1:]))
-        kappas.append(float(row["kappa"]))
-    assert abs(kappas[0] - kappas[1]) <= 1e-12 * kappas[1]
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: iterative eigensolve failed on 27 dofs: "
+                           "9 pressure dofs are too few for lobpcg\n")
 
 
 def test_solve_zero_data_exports_zero_fields(tmp_path, capsys):
