@@ -40,7 +40,7 @@ import scipy.sparse.linalg as spla
 from .assembly import assemble_global, taylor_hood_spaces
 from .domains import load_domain
 from .geometry import SIDES
-from .linalg import factorize, schur_complement
+from .linalg import factorize, schur_complement, solve_stacked
 
 __all__ = (
     "SchurSpectrum",
@@ -217,15 +217,16 @@ def pressure_schur_spectrum(glob):
     It reads the system's velocity elimination, which its solve shares: the
     dense path the cached T (GlobalStokesSystem.pressure_schur), the
     iterative one T Q = D_f K_ff^-1 D_f^T Q through the one factor of the
-    scalar free stiffness (GlobalStokesSystem.stiffness_solve). The size
+    scalar free stiffness (GlobalStokesSystem.velocity_factor, one
+    linalg.solve_stacked for both components). The size
     picks the path, as in pressure_schur_extremes. The constant pressure is
     left out iff glob.mp.pressure_up_to_constant; with a Neumann side the
     whole pencil (T, M_p) is solved.
     """
-    Df = glob.free_blocks()[1]
+    Df = glob.free_blocks[1]
 
     def schur(Q):
-        return Df @ glob.stiffness_solve(np.asarray(Df.T @ Q, dtype=float))
+        return Df @ solve_stacked(glob.velocity_factor, np.asarray(Df.T @ Q, dtype=float))
 
     return _schur_extremes(schur, lambda: glob.pressure_schur, glob.Mp, glob.n_dofs,
                            glob.mp.pressure_up_to_constant)

@@ -37,11 +37,13 @@ elimination of a patch's interior velocity (one linalg.factorize of the
 scalar K_ii and one forward half solve); the IETI-DP local systems,
 analysis.local_infsup and analysis.skeleton_matrices read it. The
 monolithic GlobalStokesSystem caches one velocity elimination the same way
-(velocity_factor, the scalar free stiffness factored once for both
-components, and the pressure Schur complement pressure_schur, formed by
-linalg.schur_complement from the divergence entries):
-its solve eliminates the velocity through it below the dense cut, and
-analysis.pressure_schur_spectrum reads it.
+(velocity_factor, the scalar free stiffness K_f of free_blocks factored
+once for both components, and the pressure Schur complement
+pressure_schur, formed by linalg.schur_complement from the divergence
+entries): its solve eliminates the velocity through it below the dense
+cut, and analysis.pressure_schur_spectrum reads it. Only the sparse
+saddle that solve factors above the cut holds the velocity block
+diag(K_f, K_f).
 
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
@@ -763,10 +765,12 @@ class GlobalStokesSystem:
     """Conforming coupled system over all patches (the direct reference path).
 
     Velocity dofs matched across interfaces (and shared vertices) are
-    identified; pressures are patchwise discontinuous. The velocity
-    elimination is cached on the system and shared by solve and the
-    pressure Schur spectrum: velocity_factor, the one factor of the scalar
-    free stiffness, and pressure_schur, T = D_f K_ff^-1 D_f^T.
+    identified; pressures are patchwise discontinuous. free_blocks holds
+    the blocks on the free dofs, the velocity stiffness as the scalar K_f
+    that both components share. The velocity elimination is cached on the
+    system and shared by solve and the pressure Schur spectrum:
+    velocity_factor, the one factor of K_f, and pressure_schur,
+    T = D_f K_ff^-1 D_f^T with K_ff = diag(K_f, K_f).
     """
 
     def __init__(self, mp, spaces, systems, scalar_l2g, n_scalar):
@@ -790,8 +794,6 @@ class GlobalStokesSystem:
         if (np.abs(self.dir_values[:, gdofs] - gvals) > 1e-8).any():
             raise ValueError("inconsistent Dirichlet data at shared dof")
         self.free = np.flatnonzero(~self.dir_mask)
-        self._free_pos = -np.ones(n_scalar, dtype=int)
-        self._free_pos[self.free] = np.arange(len(self.free))
 
         # assemble global scalar stiffness, divergence, loads
         NV = n_scalar
@@ -821,7 +823,6 @@ class GlobalStokesSystem:
         ).tocsr()
         self.load = load
         self.Mp = sp.block_diag([s.Mp for s in systems]).tocsr()
-        self.area = float(sum(s.area for s in systems))
 
     @property
     def n_free_velocity(self):
@@ -831,20 +832,18 @@ class GlobalStokesSystem:
     def n_dofs(self):
         return self.n_free_velocity + self.n_pressure
 
+    @cached_property
     def free_blocks(self):
-        """(K_ff, D_f, f, h) on free velocity dofs, components stacked.
+        """(K_f, D_f, f, h) on the free dofs: K_f = Ks[free][:, free], the
+        scalar stiffness both velocity components share, and the divergence
+        D_f, load f and lift h with the components stacked.
 
-        Built on the first call and shared by solve and the pressure Schur
+        Built on first access and shared by solve and the pressure Schur
         spectrum; callers must not modify the returned arrays.
         """
-        return self._free_blocks
-
-    @cached_property
-    def _free_blocks(self):
         f = self.free
         d = np.flatnonzero(self.dir_mask)
         Kf = self.Ks[f]
-        Kff = sp.block_diag((Kf[:, f],) * 2).tocsr()
         NV = self.n_scalar
         Dc = self.D.tocsc()
         cols_f = np.concatenate([c * NV + f for c in (0, 1)])
@@ -854,19 +853,19 @@ class GlobalStokesSystem:
         lift = Kf[:, d] @ self.dir_values[:, d].T  # one column per component
         rhs_f = (self.load[:, f] - lift.T).ravel()
         h = -(Dc[:, cols_d].tocsr() @ gd)
-        return Kff, Df, rhs_f, h
+        return Kf[:, f], Df, rhs_f, h
 
     def pressure_integral_row(self):
         return np.asarray(self.Mp.sum(axis=0)).ravel()
 
     @cached_property
     def velocity_factor(self):
-        """factorize of the scalar free stiffness K_f = Ks[free][:, free] as an
-        SPD matrix, shared by both velocity components (K_ff = diag(K_f, K_f)):
-        the one velocity elimination of solve and of the pressure Schur
-        spectrum (analysis.pressure_schur_spectrum)."""
-        nf = len(self.free)
-        return factorize(self.free_blocks()[0][:nf, :nf],
+        """factorize of the scalar free stiffness K_f of free_blocks, as
+        given, as an SPD matrix, shared by both velocity components: the one
+        velocity elimination of solve and of the pressure Schur spectrum
+        (analysis.pressure_schur_spectrum), which apply K_ff^-1 =
+        diag(K_f^-1, K_f^-1) with linalg.solve_stacked."""
+        return factorize(self.free_blocks[0],
                          "velocity stiffness of the monolithic Stokes system", spd=True)
 
     @cached_property
@@ -875,13 +874,7 @@ class GlobalStokesSystem:
         first use by linalg.schur_complement from velocity_factor and D_f^T =
         [D_0f^T; D_1f^T], the divergence acting on each velocity component
         stacked along the rows: T = sum_c D_cf K_f^-1 D_cf^T."""
-        return schur_complement(self.velocity_factor, self.free_blocks()[1].T)
-
-    def stiffness_solve(self, b):
-        """K_ff^-1 b for b on the free velocity dofs, components stacked (1-D
-        or a column per solve): one solve of velocity_factor, with a column
-        per component and column of b (linalg.solve_stacked)."""
-        return solve_stacked(self.velocity_factor, b)
+        return schur_complement(self.velocity_factor, self.free_blocks[1].T)
 
     def solve(self):
         """Direct solve; returns per-patch (u, p) coefficient arrays.
@@ -894,10 +887,12 @@ class GlobalStokesSystem:
         eliminated through the pressure Schur complement T (pressure_schur;
         Benzi, Golub & Liesen, Acta Numerica 2005): z = K_ff^-1 f, p from the
         dense bordered system with right-hand side h - D_f z, and
-        u = K_ff^-1 (f - D_f^T p). The factor and T are cached on the system,
-        so the pressure Schur spectrum of the same system factors nothing
-        more. A larger system is factored as one sparse saddle matrix with
-        factorize(fem=True) (FEM_SUPERLU).
+        u = K_ff^-1 (f - D_f^T p), each K_ff^-1 one solve_stacked of
+        velocity_factor. The factor and T are cached on the system, so the
+        pressure Schur spectrum of the same system factors nothing more. A
+        larger system is factored as one sparse saddle matrix, its velocity
+        block diag(K_f, K_f) formed here, with factorize(fem=True)
+        (FEM_SUPERLU).
 
         The cut, the dense factor's DENSE_LU_ROWS, bounds what solve pays
         when nothing else reads T: forming T costs n_f n_p^2 while the
@@ -906,20 +901,21 @@ class GlobalStokesSystem:
         paths' timings and the agreement of their solutions: BENCH_22.json,
         solve_cut_ms.
         """
-        Kff, Df, rhs_f, h = self.free_blocks()
-        nU, npre = Kff.shape[0], self.n_pressure
+        Kf, Df, rhs_f, h = self.free_blocks
+        nU, npre = self.n_free_velocity, self.n_pressure
         m = (self.pressure_integral_row()[:, None] if self.mp.pressure_up_to_constant
              else np.zeros((npre, 0)))  # the mean row's column, or none
         nm = m.shape[1]
         if npre + nm <= DENSE_LU_ROWS:
             M = np.block([[-self.pressure_schur, m], [m.T, np.zeros((nm, nm))]])
             r = np.zeros(npre + nm)
-            r[:npre] = h - Df @ self.stiffness_solve(rhs_f)
+            r[:npre] = h - Df @ solve_stacked(self.velocity_factor, rhs_f)
             what = "pressure Schur complement of the monolithic Stokes system"
             p = factorize(M, what).solve(r)[:npre]
-            uf = self.stiffness_solve(rhs_f - Df.T @ p).reshape(2, -1)
+            uf = solve_stacked(self.velocity_factor, rhs_f - Df.T @ p).reshape(2, -1)
         else:
             m = sp.csr_matrix(m)
+            Kff = sp.block_diag((Kf, Kf), format="csr")
             A = sp.bmat([[Kff, Df.T, None], [Df, None, m], [None, m.T, None]], format="csc")
             b = np.concatenate([rhs_f, h, np.zeros(nm)])
             x = factorize(A, "monolithic Stokes system", fem=True).solve(b)

@@ -7,10 +7,11 @@ study-infsup  pressure Schur condition numbers over a (degree, level) grid
 solve         one IETI-DP solve with a plain-text field export
 verify        cross-module property suites
 
-Exit codes: 0 success, 1 solver non-convergence (also of the eigensolve of
-study-infsup), 2 invalid configuration or geometry, 3 property suite
-failure. The thread count can be overridden with the IETISTOKES_THREADS
-environment variable.
+Each subcommand accepts only the options it reads (build_parser). Exit
+codes: 0 success, 1 solver non-convergence (also of the eigensolve of
+study-infsup), 2 invalid configuration or geometry, an unknown option
+included, 3 property suite failure. The thread count can be overridden
+with the IETISTOKES_THREADS environment variable.
 """
 
 import argparse
@@ -439,24 +440,28 @@ def _suite_supmat(config):
 
 
 def _suite_fortin(config):
+    """The interface interpolant keeps the divergence averages of 20 random
+    conforming fields, on grid(2,2) and grid(3,3) at every (degree, level)
+    cell of the configuration."""
     checks = []
     rng = np.random.default_rng(config.seed)
-    for spec in ("grid(2,2)", "grid(3,3)"):
-        mp = parse_domain(spec)
-        spaces = taylor_hood_spaces(mp, config.degrees[0], config.smoothness,
-                                    config.levels[0])
-        glob = assemble_global(mp, spaces)
-        worst = 0.0
-        for _ in range(20):
-            vals = np.zeros((2, glob.n_scalar))
-            vals[:, glob.free] = rng.standard_normal((2, len(glob.free)))
-            us = [vals[:, l2g] for l2g in glob.scalar_l2g]
-            proj = fortin_correction(mp, spaces, us)
-            for k, s in enumerate(glob.systems):
-                w = np.concatenate([us[k][c] - proj[k][c] for c in (0, 1)])
-                worst = max(worst, abs(np.ones(s.Mp.shape[0]) @ (s.D @ w)))
-        checks.append(("interface interpolant preserves divergence averages %s"
-                       % spec, worst < 1e-10, "%.2e" % worst))
+    for degree in config.degrees:
+        for level in config.levels:
+            for spec in ("grid(2,2)", "grid(3,3)"):
+                mp = parse_domain(spec)
+                spaces = taylor_hood_spaces(mp, degree, config.smoothness, level)
+                glob = assemble_global(mp, spaces)
+                worst = 0.0
+                for _ in range(20):
+                    vals = np.zeros((2, glob.n_scalar))
+                    vals[:, glob.free] = rng.standard_normal((2, len(glob.free)))
+                    us = [vals[:, l2g] for l2g in glob.scalar_l2g]
+                    proj = fortin_correction(mp, spaces, us)
+                    for k, s in enumerate(glob.systems):
+                        w = np.concatenate([us[k][c] - proj[k][c] for c in (0, 1)])
+                        worst = max(worst, abs(np.ones(s.Mp.shape[0]) @ (s.D @ w)))
+                checks.append(("interface interpolant preserves divergence averages %s p=%d l=%d"
+                               % (spec, degree, level), worst < 1e-10, "%.2e" % worst))
     return checks
 
 
@@ -495,66 +500,54 @@ def _int_list(text):
 
 
 def build_parser():
+    """The argument parser. Each subcommand takes --domain, --degrees,
+    --levels and --smoothness, and only those of its other options that it
+    reads; argparse refuses any other one (exit 2). An option left out is
+    left out of the namespace too, so RunConfig's default applies."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--domain", help="built-in spec like grid(2,2) or a geometry file")
     common.add_argument("--degrees", type=_int_list, help="pressure degrees, e.g. 2,3")
     common.add_argument("--levels", type=_int_list, help="refinement levels, e.g. 2,3,4")
     common.add_argument("--smoothness", type=int, default=None)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--max-iter", type=int, default=500)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--output", default=None)
-    common.add_argument("--threads", type=int, default=1)
+    types = {"--tol": float, "--max-iter": int, "--seed": int, "--output": str, "--threads": int}
 
     parser = argparse.ArgumentParser(prog="ietistokes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bench-ieti", parents=[common],
-                   help="iteration counts and condition numbers")
-    sub.add_parser("study-infsup", parents=[common], help="pressure Schur condition study")
-    solve = sub.add_parser("solve", parents=[common], help="single solve with export")
-    solve.add_argument("--zero-data", action="store_true")
-    solve.add_argument("--samples", type=int, default=9)
-    verify = sub.add_parser("verify", parents=[common], help="property suites")
-    verify.add_argument("--suite", default="all",
-                        choices=("all",) + tuple(sorted(SUITES)))
+    subparsers = {}
+    for name, summary, options in (
+            ("bench-ieti", "iteration counts and condition numbers",
+             ("--tol", "--max-iter", "--seed", "--output", "--threads")),
+            ("study-infsup", "pressure Schur condition study", ("--output", "--threads")),
+            ("solve", "single solve with export", ("--tol", "--max-iter", "--seed", "--output")),
+            ("verify", "property suites", ("--seed",))):
+        subparsers[name] = own = sub.add_parser(name, parents=[common], help=summary,
+                                                argument_default=argparse.SUPPRESS)
+        for option in options:
+            own.add_argument(option, type=types[option])
+    subparsers["solve"].add_argument("--zero-data", action="store_true")
+    subparsers["solve"].add_argument("--samples", type=int)
+    subparsers["verify"].add_argument("--suite", choices=("all",) + tuple(sorted(SUITES)))
     return parser
 
 
 def parse_config(argv):
-    args = build_parser().parse_args(argv)
-    command = args.command
-    domain = args.domain
-    degrees = args.degrees
-    levels = args.levels
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     if command == "verify":
-        domain = domain or "grid(2,2)"
-        degrees = degrees or [1, 2]
-        levels = levels or [1, 2]
+        args["domain"] = args["domain"] or "grid(2,2)"
+        args["degrees"] = args["degrees"] or [1, 2]
+        args["levels"] = args["levels"] or [1, 2]
     else:
-        if domain is None:
+        if args["domain"] is None:
             raise ConfigError("%s requires --domain" % command)
-        degrees = degrees or [2]
-        levels = levels or [2]
-    threads = os.environ.get("IETISTOKES_THREADS", args.threads)
+        args["degrees"] = args["degrees"] or [2]
+        args["levels"] = args["levels"] or [2]
+    threads = os.environ.get("IETISTOKES_THREADS", args.get("threads", 1))
     try:
-        threads = int(threads)
+        args["threads"] = int(threads)
     except ValueError:
         raise ConfigError("IETISTOKES_THREADS must be an integer, got %r" % threads) from None
-    return RunConfig(
-        command=command,
-        domain=domain,
-        degrees=degrees,
-        levels=levels,
-        smoothness=args.smoothness,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        output=args.output,
-        threads=threads,
-        zero_data=getattr(args, "zero_data", False),
-        samples=getattr(args, "samples", 9),
-        suite=getattr(args, "suite", "all"),
-    )
+    return RunConfig(command, **args)
 
 
 COMMANDS = {

@@ -33,19 +33,23 @@ psi^T A3 psi = -psi_mu (Farhat, Lesoinne, Le Tallec, Pierson & Rixen, IJNME
 patch saddle matrix is ever assembled on this path.
 
 Setup runs in this order. The constraint rows and the jump matrix come
-first; their index work (row patterns, interface positions) runs once per
-role class of patches, and only the values per patch. Then, per patch: the
-interior condensation; one solve with the reduced system R on the unit
-columns of u_gamma and of mu, whose blocks are F_k and the reduced rows
-[u_gamma | p | mu] of psi (its interior rows are never needed: C is zero
-there, and the check of the averaging column sweeps back that column
-alone); and one solve with the local right-hand side, z_k = A_k^-1 [b_k;
-shifts_k]. The augmented matrix is symmetric, so psi^T [b_k; shifts_k], the
-patch's share of the coarse right-hand side, is the multiplier part of z_k.
-The right-hand side of the multiplier system then reads the u_gamma part
-of z_k, and the recovery adds one solve per patch whose interior
-right-hand side is zero, with the primal correction entering as constraint
-values.
+first; their index work (where each constraint value goes, interface
+positions) runs once per role class of patches, and only the values per
+patch. The constraint rows C of a patch are one dense block on
+[u_gamma | p], the only columns they act on and the layout R reads. Then,
+per patch: the interior condensation; one solve with the reduced system R
+on the unit columns of u_gamma and of mu, whose blocks are F_k and the
+reduced rows [u_gamma | p | mu] of psi (its interior rows are never
+needed: C has no interior columns, and the check of the averaging column
+sweeps back that column alone); and one solve with the local right-hand
+side, z_k = A_k^-1 [b_k; shifts_k]. The augmented matrix is symmetric, so
+psi^T [b_k; shifts_k], the patch's share of the coarse right-hand side, is
+the multiplier part of z_k. The right-hand side of the multiplier system
+then reads the u_gamma part of z_k, and the recovery adds one solve per
+patch whose interior right-hand side is zero, with the primal correction
+entering as constraint values. AugmentedLocalSystem.C, the constraint
+rows on all unknowns as a sparse matrix, is built only when asked for;
+besides the tests, only perfbench/run.py:ieti_counts reads it.
 """
 
 import time
@@ -91,11 +95,14 @@ class PrimalConstraints:
     one net flux per interface, one average pressure per patch. Per patch the
     constraint rows are stacked [average | corners | fluxes]; flux rows pick
     up a right-hand-side shift from eliminated Dirichlet dofs on the edge.
-    The flux rows come from family_flux_rows, once per family and side. The
-    row pattern (indptr, indices and where each value goes) is built once
-    per role class with equal corners and faces in the same order; per patch
-    only the values are formed: the pressure-average row, the flux values
-    and the Dirichlet shifts.
+    rows[k] is the dense (n_mu, 2 n_gamma + n_pressure) block of patch k on
+    [u_gamma | p], as AugmentedLocalSystem takes it: no row acts on an
+    interior velocity dof. The flux rows come from family_flux_rows, once
+    per family and side. Where each value goes (a row and a column per
+    value) is worked out once per role class with equal corners and faces
+    in the same order; per patch only the values are formed, the
+    pressure-average row, the flux values and the Dirichlet shifts, and
+    stored into the block with one fancy-index assignment.
     """
 
     def __init__(self, mp, spaces, systems):
@@ -107,7 +114,7 @@ class PrimalConstraints:
         self.avg_offset = self.n_vertex + len(self.interfaces)
         self.n_primal = self.avg_offset + mp.n_patches
 
-        self.rows = []      # per patch: sparse (n_loc, n_x)
+        self.rows = []      # per patch: dense (n_mu, 2 n_gamma + n_pressure)
         self.shifts = []    # per patch: constraint rhs values
         self.globals_ = []  # per patch: global primal index per row
         self.signs = []     # per patch: +-1 weight tying row to its global dof
@@ -134,10 +141,11 @@ class PrimalConstraints:
             pat = patterns[key]
 
             R = np.concatenate([fluxes[k][side][1] for side in sides] + [np.zeros((0, 2))])
-            vals = np.concatenate([sysk.pressure_average_row(), np.ones(pat.n_corner_vals),
-                                   R[pat.free].ravel()])
-            self.rows.append(sp.csr_matrix((vals[pat.order], pat.indices, pat.indptr),
-                                           shape=pat.shape))
+            C = np.zeros(pat.shape)
+            C[pat.rows, pat.cols] = np.concatenate([sysk.pressure_average_row(),
+                                                    np.ones(pat.n_corner_vals),
+                                                    R[pat.free].ravel()])
+            self.rows.append(C)
 
             # flux shifts from the eliminated Dirichlet dofs on each face: at
             # most its two end dofs, so bincount's running sums are np.sum's
@@ -153,20 +161,18 @@ class PrimalConstraints:
                                                      [f[0] for f in faces], dtype=int)]))
             self.signs.append(np.concatenate([np.ones(1 + 2 * len(vi)), [f[2] for f in faces]]))
 
-    def n_local(self, k):
-        return self.rows[k].shape[0]
-
 
 def _constraint_pattern(ths, corners, sides):
-    """Row pattern of PrimalConstraints for one role class with the given
-    primal corners and faces, in row order.
+    """Where PrimalConstraints stores the values of one role class with the
+    given primal corners and faces.
 
-    The rows are [average | (corner, component) | face]; the velocity
-    entries, one per (scalar dof, component), come from one gamma_pos call.
-    The values of a patch, [average row | ones | flux values on the free
-    face dofs], land at indices in CSR order through order.
+    The rows are [average | (corner, component) | face] and the columns
+    [u_gamma | p]; the velocity entries, one per (scalar dof, component),
+    come from one gamma_pos call. The values of a patch, [average row | ones
+    | flux values on the free face dofs], go to (rows, cols), one entry
+    each.
     """
-    p_off = 2 * (ths.n_gamma + ths.n_inner)
+    ng2 = 2 * ths.n_gamma
     dofs = [ths.vel.side_dofs(side) for side in sides]
     face = np.repeat(np.arange(len(sides)), [len(d) for d in dofs])
     dofs = np.concatenate(dofs + [np.zeros(0, dtype=int)])
@@ -175,15 +181,12 @@ def _constraint_pattern(ths, corners, sides):
     nc = len(corners)
     cdofs = np.array([ths.vel.corner_dof(*c) for c in corners], dtype=int)
     scalar = np.repeat(np.concatenate([cdofs, dofs[free]]), 2)
-    ri = np.concatenate([np.zeros(ths.n_pressure, dtype=int), 1 + np.arange(2 * nc),
-                         np.repeat(1 + 2 * nc + face[free], 2)])
-    ci = np.concatenate([p_off + np.arange(ths.n_pressure),
-                         ths.gamma_pos(np.arange(len(scalar)) % 2, scalar)])
-    nrow = 1 + 2 * nc + len(sides)
-    order = np.lexsort((ci, ri))  # rows in order, columns sorted within each
     return SimpleNamespace(
-        shape=(nrow, p_off + ths.n_pressure), order=order, indices=ci[order],
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(ri, minlength=nrow))]),
+        shape=(1 + 2 * nc + len(sides), ng2 + ths.n_pressure),
+        rows=np.concatenate([np.zeros(ths.n_pressure, dtype=int), 1 + np.arange(2 * nc),
+                             np.repeat(1 + 2 * nc + face[free], 2)]),
+        cols=np.concatenate([ng2 + np.arange(ths.n_pressure),
+                             ths.gamma_pos(np.arange(len(scalar)) % 2, scalar)]),
         n_corner_vals=2 * nc, free=free, is_dir=is_dir,
         dir_index=np.searchsorted(ths.dirichlet, dofs[is_dir]),
         lift_bins=np.repeat(face[is_dir], 2))
@@ -311,39 +314,39 @@ class AugmentedLocalSystem:
     is factored next through factorize. K_ii is factored, and S, the
     condensed divergence D_g and D_i K_ii^-1 D_i^T are formed, by
     PatchStokesSystem.condense_interior; its factor and Y go on to
-    CondensedLU. The constraint rows C must not act on interior velocity
-    dofs; label names the patch in errors. One solve with R on the unit
-    columns of u_gamma and of mu yields, at setup:
+    CondensedLU. C is the dense block [C_g, C_p] of the constraint rows on
+    [u_gamma | p] (PrimalConstraints.rows), kept as it is in C_reduced; a
+    block of another width raises ValueError. label names the patch in
+    errors. One solve with R on the unit columns of u_gamma and of mu
+    yields, at setup:
 
     - F: the u_gamma x u_gamma block of the augmented inverse (that of
       R^-1), the patch's share of the dual-primal operator;
     - basis: the reduced rows [u_gamma | p | mu] of the local primal basis
       A^-1 [0; I], one column per constraint; its interior velocity is
-      CondensedLU.interior_velocity of these rows, as C is zero there.
+      CondensedLU.interior_velocity of these rows, as C has no interior
+      columns.
 
     S is the scalar Schur complement K_gg - K_gi K_ii^-1 K_ig, which the
-    preconditioner applies to each component. C_reduced is C on the reduced
-    unknowns [u_gamma | p], dense.
+    preconditioner applies to each component.
 
-    lu solves the whole augmented system (see CondensedLU); A3 is built
-    only when asked for. A failed check on R means the constraint set
-    leaves the saddle system singular (e.g. a floating patch stripped of its
-    corner and flux rows).
+    lu solves the whole augmented system (see CondensedLU); A3 and C, the
+    constraint rows on all n_x unknowns, are built only when asked for. A
+    failed check on R means the constraint set leaves the saddle system
+    singular (e.g. a floating patch stripped of its corner and flux rows).
     """
 
-    def __init__(self, system, C, shifts, label="patch"):
+    def __init__(self, system, C, label="patch"):
         self.system = system
         ths = system.ths
-        self.n_x = ths.n_local
-        self.n_mu = C.shape[0]
-        self.C = C
-        self.shifts = shifts
         ng, npre = ths.n_gamma, ths.n_pressure
-        ng2, nu = 2 * ng, 2 * (ng + ths.n_inner)
-        Cd = C.toarray()
-        if Cd[:, ng2:nu].any():
-            raise ValueError("constraint rows of %s act on interior velocity dofs" % label)
-        self.C_reduced = np.concatenate([Cd[:, :ng2], Cd[:, nu:]], axis=1)
+        ng2 = 2 * ng
+        if C.shape[1] != ng2 + npre:
+            raise ValueError("constraint rows of %s have %d columns, not the %d of "
+                             "[u_gamma | p]" % (label, C.shape[1], ng2 + npre))
+        self.n_x = ths.n_local
+        self.n_mu = len(C)
+        self.C_reduced = C
 
         cond = system.condense_interior("interior stiffness of %s" % label)
         self.S = cond.S
@@ -353,7 +356,7 @@ class AugmentedLocalSystem:
         R[p, :ng] = cond.Dg[0]
         R[p, ng:ng2] = cond.Dg[1]
         R[p, p] = -cond.T
-        R[p.stop :, : p.stop] = self.C_reduced
+        R[p.stop :, : p.stop] = C
         R[: p.stop, p.stop :] = R[p.stop :, : p.stop].T
         R[:ng2, p] = R[p, :ng2].T
         lu_r = factorize(R, "condensed system of %s (%d constraint rows)" % (label, self.n_mu))
@@ -370,6 +373,17 @@ class AugmentedLocalSystem:
         """The patch saddle matrix, built on each access; besides the tests,
         only perfbench/run.py:ieti_counts reads it."""
         return self.system.saddle_matrix()
+
+    @property
+    def C(self):
+        """The constraint rows on all n_x unknowns [u_gamma | u_inner | p],
+        sparse, built from C_reduced on each access; besides the tests, only
+        perfbench/run.py:ieti_counts reads it."""
+        ng2 = 2 * self.system.ths.n_gamma
+        full = np.zeros((self.n_mu, self.n_x))
+        full[:, :ng2] = self.C_reduced[:, :ng2]
+        full[:, self.n_x - self.system.ths.n_pressure :] = self.C_reduced[:, ng2:]
+        return sp.csr_matrix(full)
 
     def solve_x(self, rhs_x, rhs_mu=None):
         """Solve with the given equilibrium/constraint rhs, return the x part.
@@ -389,10 +403,10 @@ def build_primal_basis(aug, ths):
     primal basis, one column per local constraint: aug.basis, the solve of
     the augmented system with unit constraint values, checked.
 
-    C psi = I must hold to 1e-8, read on the u_gamma and pressure rows (C
-    is zero on the interior ones). On a patch without a Neumann side the
-    first (averaging) column must have zero velocity blocks, the interior
-    one from a backward half solve of that column alone, and constant
+    C psi = I must hold to 1e-8, read on the u_gamma and pressure rows
+    (aug.C_reduced has no interior columns). On a patch without a Neumann
+    side the first (averaging) column must have zero velocity blocks, the
+    interior one from a backward half solve of that column alone, and constant
     pressure, to 1e-6 relative: that holds up to the quadrature error of
     the divergence matrix on rational geometry. A known limit: on
     rectangle_with_hole at p=1, l=1 the default nquad (4) leaves the column
@@ -495,10 +509,7 @@ class IetiOperator:
         psi_g = ([], [], [])  # signed u_gamma rows of the primal basis, on B's columns
         b_pi = np.zeros(n_pi)
         for k, ths in enumerate(spaces):
-            aug = AugmentedLocalSystem(
-                systems[k], constraints.rows[k], constraints.shifts[k],
-                label="patch %d" % k,
-            )
+            aug = AugmentedLocalSystem(systems[k], constraints.rows[k], label="patch %d" % k)
             pg, pm = build_primal_basis(aug, ths)
             self.locals_.append(aug)
 

@@ -402,7 +402,7 @@ def test_neumann_outlet_solvable_without_mean_constraint():
     us, ps = glob.solve()
     assert all(np.all(np.isfinite(u)) for u in us)
     # divergence equation holds for the computed solution
-    Kff, Df, rhs_f, h = glob.free_blocks()
+    _, Df, _, h = glob.free_blocks
     uglob = np.zeros((2, glob.n_scalar))
     for k, l2g in enumerate(glob.scalar_l2g):
         uglob[:, l2g] = us[k]
@@ -428,8 +428,8 @@ def test_singular_monolithic_solve_raises():
                 factorize(-glob.pressure_schur,
                           "pressure Schur complement of the monolithic Stokes system")
             else:
-                Kff, Df, _, _ = glob.free_blocks()
-                factorize(sp.bmat([[Kff, Df.T], [Df, None]], format="csc"),
+                Kf, Df, _, _ = glob.free_blocks
+                factorize(sp.bmat([[sp.block_diag((Kf, Kf)), Df.T], [Df, None]], format="csc"),
                           "monolithic Stokes system", fem=True)
 
 
@@ -519,10 +519,11 @@ def test_kernels_build_one_gauss_rule_per_call(monkeypatch):
 
 def _monolithic_saddle(glob):
     """(A, b): the sparse saddle system of GlobalStokesSystem.solve above the
-    dense cut, built from the free-dof blocks; bordered by the Lagrange
-    multiplier of the pressure mean when the domain leaves the pressure
-    level open."""
-    Kff, Df, rhs_f, h = glob.free_blocks()
+    dense cut, built from the free-dof blocks, the velocity block
+    diag(K_f, K_f); bordered by the Lagrange multiplier of the pressure mean
+    when the domain leaves the pressure level open."""
+    Kf, Df, rhs_f, h = glob.free_blocks
+    Kff = sp.block_diag((Kf, Kf))
     if not glob.mp.pressure_up_to_constant:
         return sp.bmat([[Kff, Df.T], [Df, None]], format="csc"), np.concatenate([rhs_f, h])
     m = sp.csr_matrix(glob.pressure_integral_row())
@@ -649,11 +650,11 @@ def test_factorize_sends_dense_arrays_to_getrf():
 
 
 def _velocity_stiffness(spec, degree, refinement):
-    """The stacked free velocity stiffness K_ff = diag(K_f, K_f) of
-    free_blocks, and its system."""
+    """The scalar free velocity stiffness K_f of free_blocks, and its
+    system."""
     mp = parse_domain(spec)
     glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement))
-    return glob.free_blocks()[0], glob
+    return glob.free_blocks[0], glob
 
 
 @pytest.mark.parametrize("spec, degree, refinement, bandwidth, reordered",
@@ -692,10 +693,10 @@ def test_spectrum_forms_T_from_one_forward_band_solve(monkeypatch):
     import ietistokes.linalg as linalg
 
     K, glob = _velocity_stiffness("grid(1,1)", 2, 4)
-    D = glob.free_blocks()[1]
-    want = D @ spla.splu(K.tocsc()).solve(D.toarray().T)
+    D = glob.free_blocks[1]
+    want = D @ spla.splu(sp.block_diag((K, K), format="csc")).solve(D.toarray().T)
     nf = len(glob.free)
-    entries = nf * (factorize(K[:nf, :nf], "velocity stiffness", spd=True).bandwidth + 1)
+    entries = nf * (factorize(K, "velocity stiffness", spd=True).bandwidth + 1)
     assert entries <= BAND_ENTRIES and nf > DENSE_LU_ROWS
     got, calls = [], []
     real_extremes, real_splu = analysis._dense_extremes, spla.splu
@@ -783,7 +784,7 @@ def test_gram_forms_the_pressure_schur_complement(spec, degree, refinement):
     # Cuthill-McKee ordered factor: T = gram(D_f^T) against the two forward
     # half solves of the scalar factor, and one column without entries
     _, glob = _velocity_stiffness(spec, degree, refinement)
-    lu, D = glob.velocity_factor, glob.free_blocks()[1]
+    lu, D = glob.velocity_factor, glob.free_blocks[1]
     assert isinstance(lu, BandCholesky) and (lu.perm is not None) == (spec == "grid(3,3)")
     want = _gram_by_forward(lu, D.T)
     assert np.abs(glob.pressure_schur - want).max() <= 1e-12 * np.abs(want).max()
@@ -832,6 +833,26 @@ def test_eliminated_solve_matches_the_saddle_solve(case):
         uglob[:, l2g] = u
     for got, want in ((uglob[:, glob.free].ravel(), x[:nU]),
                       (np.concatenate(ps), x[nU : nU + glob.n_pressure])):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+def test_saddle_branch_of_solve_matches_the_eliminated_solve(case, monkeypatch):
+    # solve's own sparse saddle branch, taken with the cut forced to 0 and
+    # its velocity block diag(K_f, K_f) formed from the scalar K_f, agrees
+    # with the elimination it takes at the default cut, in velocity and in
+    # pressure
+    import ietistokes.assembly as assembly
+
+    make, degree, refinement, _ = ELIMINATION_CASES[case]
+    mp = make()
+    glob = assemble_global(mp, taylor_hood_spaces(mp, degree, refinement=refinement),
+                           rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    eliminated = glob.solve()
+    monkeypatch.setattr(assembly, "DENSE_LU_ROWS", 0)
+    saddle = glob.solve()
+    for want, got in zip(eliminated, saddle):  # the velocities, then the pressures
+        want, got = (np.concatenate([x.ravel() for x in xs]) for xs in (want, got))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -970,7 +991,7 @@ def test_free_blocks_are_built_once_per_system(monkeypatch):
     from ietistokes.assembly import GlobalStokesSystem
 
     builds = []
-    cached = GlobalStokesSystem.__dict__["_free_blocks"]
+    cached = GlobalStokesSystem.__dict__["free_blocks"]
     real = cached.func
     monkeypatch.setattr(cached, "func", lambda self: builds.append(self) or real(self))
     mp = parse_domain("grid(1,1)")
@@ -979,8 +1000,22 @@ def test_free_blocks_are_built_once_per_system(monkeypatch):
                                rhs=manufactured_rhs, dirichlet=manufactured_velocity)
         glob.solve()
         pressure_schur_spectrum(glob)
-        assert glob.free_blocks() is glob.free_blocks()
+        assert glob.free_blocks is glob.free_blocks
     assert len(builds) == 2 and builds[0] is not builds[1]
+
+
+def test_free_blocks_hold_the_scalar_stiffness():
+    # free_blocks keeps K_f = Ks[free][:, free], one block for both
+    # velocity components, and velocity_factor factors it as it is
+    mp = parse_domain("grid(2,2)")
+    glob = assemble_global(mp, taylor_hood_spaces(mp, 2, refinement=1),
+                           rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    Kf, Df, rhs_f, h = glob.free_blocks
+    nf = len(glob.free)
+    assert Kf.shape == (nf, nf) and Df.shape == (glob.n_pressure, 2 * nf)
+    assert rhs_f.shape == (2 * nf,) and h.shape == (glob.n_pressure,)
+    assert (Kf != glob.Ks[glob.free][:, glob.free]).nnz == 0
+    assert glob.velocity_factor.shape == Kf.shape
 
 
 def _dotted(node, aliases):
@@ -1125,11 +1160,8 @@ def test_condense_interior_factors_the_scalar_interior_block_once(monkeypatch):
     calls.clear()
     ths = build_taylor_hood(geo, 2, refinement=1)
     sysk = assemble_patch(geo, ths)
-    p_off = 2 * ths.n_inner
-    C = sp.csr_matrix((sysk.pressure_average_row(), (np.zeros(ths.n_pressure, dtype=int),
-                                                     p_off + np.arange(ths.n_pressure))),
-                      shape=(1, ths.n_local))
-    ieti.AugmentedLocalSystem(sysk, C, np.zeros(1), label="patch 3")
+    C = np.concatenate([np.zeros(2 * ths.n_gamma), sysk.pressure_average_row()])[None, :]
+    ieti.AugmentedLocalSystem(sysk, C, label="patch 3")
     assert calls == [(ths.n_inner, "interior stiffness of patch 3"),
                      (ths.n_pressure + 1, "condensed system of patch 3 (1 constraint rows)")]
 

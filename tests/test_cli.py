@@ -276,10 +276,20 @@ def test_algebra_suite_holds_on_rational_and_outflow_domains(domain, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--domain", "grid(2,2)", "--no-global-pressure-mean"],
     ["study-infsup", "--domain", "grid(1,1)", "--method", "dense"],
-], ids=["no-global-pressure-mean", "method"])
+    ["study-infsup", "--domain", "grid(1,1)", "--tol", "5"],
+    ["study-infsup", "--domain", "grid(1,1)", "--max-iter", "3"],
+    ["study-infsup", "--domain", "grid(1,1)", "--seed", "1"],
+    ["verify", "--suite", "algebra", "--output", "/nonexistent/dir/x.csv"],
+    ["verify", "--suite", "algebra", "--tol", "1e-3"],
+    ["verify", "--suite", "algebra", "--max-iter", "3"],
+    ["verify", "--suite", "algebra", "--threads", "2"],
+    ["solve", "--domain", "grid(2,2)", "--threads", "2"],
+], ids=["no-global-pressure-mean", "method", "study-tol", "study-max-iter", "study-seed",
+        "verify-output", "verify-tol", "verify-max-iter", "verify-threads", "solve-threads"])
 def test_removed_option_is_a_usage_error(argv, capsys):
     # the boundary tags decide the pressure level and the size the
-    # eigensolver; the old options are unknown arguments, argparse's exit 2
+    # eigensolver, and a subcommand takes only the options it reads; any
+    # other option is an unknown argument, argparse's exit 2
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -445,6 +455,16 @@ def test_verify_suite_filter(capsys):
     assert "supmat" in printed
     assert "lemma3" not in printed
     assert "0 failed" in printed
+
+
+def test_verify_fortin_checks_every_cell(capsys):
+    # one check per (degree, level) cell and grid, each tagged with its cell
+    assert main(["verify", "--suite", "fortin", "--degrees", "1,2", "--levels", "1,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "8 checks, 0 failed"
+    cells = sorted(tuple(line.split()[-5:-2]) for line in lines[:-1])
+    assert cells == sorted((spec, "p=%d" % p, "l=%d" % l) for spec in ("grid(2,2)", "grid(3,3)")
+                           for p in (1, 2) for l in (1, 2))
 
 
 def test_verify_lemma3_small(capsys):

@@ -61,7 +61,7 @@ def test_primal_counts_interior_patch():
     center = 4
     assert spaces[center].side_roles == {s: "interface" for s in
                                          ("west", "east", "south", "north")}
-    assert cons.n_local(center) == 13
+    assert cons.rows[center].shape == (13, 2 * spaces[center].n_gamma + spaces[center].n_pressure)
     # global count: vertices, fluxes, averages
     assert cons.n_primal == 2 * 4 + 12 + 9
 
@@ -90,7 +90,7 @@ def test_corner_row_is_interpolatory():
     k = 0
     ths = spaces[k]
     dof = ths.vel.corner_dof(1, 1)  # the shared center vertex
-    C = cons.rows[k].toarray()
+    C = cons.rows[k]
     for c in (0, 1):
         e = np.zeros(C.shape[1])
         e[ths.gamma_pos(c, dof)] = 1.0
@@ -117,7 +117,7 @@ def test_flux_row_with_dirichlet_shift_gives_total_flux():
     cons = PrimalConstraints(mp, spaces, systems)
     k = 0
     ths = spaces[k]
-    row = cons.n_local(k) - 1  # [avg | fluxes], no primal vertices here
+    row = len(cons.rows[k]) - 1  # [avg | fluxes], no primal vertices here
     u_free = np.zeros(cons.rows[k].shape[1])
     for d in ths.gamma:
         u_free[ths.gamma_pos(0, d)] = 1.0
@@ -139,7 +139,7 @@ def test_primal_basis_structure_affine():
     mp, spaces, glob = build_grid_problem(2, 2)
     op = IetiOperator(mp, spaces, glob.systems)
     for k in range(len(spaces)):
-        C = op.constraints.rows[k].toarray()
+        C = op.locals_[k].C.toarray()
         psi, _ = _primal_basis(op.locals_[k])
         assert np.abs(C @ psi - np.eye(C.shape[0])).max() < 1e-10
     # averaging column: velocity identically zero, pressure constant one
@@ -186,7 +186,7 @@ def test_scaled_jumps_stay_in_constrained_space():
         rows = []
         for k in (iface.a, iface.b):
             j = int(np.flatnonzero(cons.globals_[k] == cons.flux_offset + fi)[0])
-            r = np.asarray(cons.rows[k][j].todense()).ravel()
+            r = cons.rows[k][j]
             rows.append(r[: 2 * spaces[k].n_gamma])
         b = iface.b
         direction = rows[1].copy()
@@ -205,7 +205,7 @@ def test_scaled_jumps_stay_in_constrained_space():
                 for c in (0, 1):
                     assert w[ths.gamma_pos(c, dof)] == 0.0
         C = cons.rows[k]
-        fluxrows = [j for j in range(cons.n_local(k))
+        fluxrows = [j for j in range(len(C))
                     if cons.flux_offset <= cons.globals_[k][j] < cons.avg_offset]
         wx = np.zeros(C.shape[1])
         wx[: 2 * ths.n_gamma] = w
@@ -288,7 +288,7 @@ def _continuity_defect(glob, us):
     uglob = np.zeros((2, glob.n_scalar))
     for u, l2g in zip(us, glob.scalar_l2g):
         uglob[:, l2g] = u
-    _, Df, _, h = glob.free_blocks()
+    _, Df, _, h = glob.free_blocks
     return np.abs(Df @ uglob[:, glob.free].ravel() - h).max()
 
 
@@ -386,26 +386,24 @@ def test_singularity_detected_without_constraints():
     ths = build_taylor_hood(geo, degree=1, refinement=1, side_roles=roles,
                             gamma_corners=((0, 0), (1, 0), (0, 1), (1, 1)))
     sysk = assemble_patch(geo, ths)
-    n_x = 2 * (ths.n_gamma + ths.n_inner) + ths.n_pressure
-    p_off = 2 * (ths.n_gamma + ths.n_inner)
-    avg = sysk.pressure_average_row()
-    C = sp.coo_matrix(
-        (avg, (np.zeros(len(avg), dtype=int), p_off + np.arange(len(avg)))),
-        shape=(1, n_x),
-    ).tocsr()
+    C = np.concatenate([np.zeros(2 * ths.n_gamma), sysk.pressure_average_row()])[None, :]
     with pytest.raises(SingularLocalSystemError):
-        AugmentedLocalSystem(sysk, C, np.zeros(1), label="unconstrained")
+        AugmentedLocalSystem(sysk, C, label="unconstrained")
 
 
-def test_constraint_rows_on_interior_dofs_are_rejected():
-    # the condensation eliminates the interior velocity before the
-    # constraints enter, so a row reading an interior dof cannot be honoured
+def test_constraint_block_of_the_wrong_width_is_rejected():
+    # the constraint rows come as one dense block on [u_gamma | p], so they
+    # cannot name an interior velocity dof; a block over all n_x unknowns,
+    # or one column short, is refused
     mp, spaces, glob = build_grid_problem(2, 2)
     ths = spaces[0]
-    col = 2 * ths.n_gamma  # the first interior velocity dof
-    C = sp.csr_matrix(([1.0], ([0], [col])), shape=(1, ths.n_local))
-    with pytest.raises(ValueError, match="interior velocity"):
-        AugmentedLocalSystem(glob.systems[0], C, np.zeros(1), label="0")
+    width = 2 * ths.n_gamma + ths.n_pressure
+    assert ths.n_inner > 0 and ths.n_local > width
+    for n in (ths.n_local, width - 1):
+        C = np.zeros((1, n))
+        C[0, -1] = 1.0
+        with pytest.raises(ValueError, match="not the %d of \\[u_gamma \\| p\\]" % width):
+            AugmentedLocalSystem(glob.systems[0], C, label="0")
 
 
 def test_pcg_seed_reproducible():
@@ -548,7 +546,15 @@ def test_benchmark_counts_contract():
         n_x = 2 * (ths.n_gamma + ths.n_inner) + ths.n_pressure
         assert aug.n_x == n_x and aug.A3.shape == (n_x, n_x)
         assert (aug.A3 != glob.systems[k].saddle_matrix()).nnz == 0
-        assert aug.n_mu == cons.n_local(k) and (aug.C != cons.rows[k]).nnz == 0
+        # C is built from the dense [u_gamma | p] block, zero on the
+        # interior velocity, and stores no zero
+        ng2, nu = 2 * ths.n_gamma, n_x - ths.n_pressure
+        block = cons.rows[k]
+        assert aug.C_reduced is block and aug.n_mu == len(block)
+        C = aug.C.toarray()
+        assert sp.issparse(aug.C) and aug.C.nnz == np.count_nonzero(block)
+        assert np.array_equal(C[:, :ng2], block[:, :ng2]) and not C[:, ng2:nu].any()
+        assert np.array_equal(C[:, nu:], block[:, ng2:])
         # lu factors [[A3, C^T], [C, 0]], whose size and nnz the counts report
         aug_mat = sp.bmat([[aug.A3, aug.C.T], [aug.C, None]], format="csc")
         assert aug_mat.nnz == aug.A3.nnz + 2 * aug.C.nnz
@@ -587,9 +593,10 @@ def _patch_without_interior():
     rows = np.concatenate([np.zeros(len(avg), dtype=int), 1 + np.arange(8)])
     cols = np.concatenate([2 * ths.vel.dim + np.arange(len(avg)),
                            ths.gamma_pos(np.tile([0, 1], 4), np.repeat(dofs, 2))])
-    C = sp.csr_matrix((np.concatenate([avg, np.ones(8)]), (rows, cols)), shape=(9, ths.n_local))
+    C = np.zeros((9, ths.n_local))  # [u_gamma | p]: there is no interior velocity
+    C[rows, cols] = np.concatenate([avg, np.ones(8)])
     assert ths.n_inner == 0
-    return [AugmentedLocalSystem(sysk, C, np.zeros(9), label="no interior")]
+    return [AugmentedLocalSystem(sysk, C, label="no interior")]
 
 
 def _local_systems(case):
@@ -741,13 +748,34 @@ def test_constraint_rows_match_the_per_row_algorithm(domain, degree, data):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     for k, (rows, shifts, globs, signs) in enumerate(ref):
-        got = cons.rows[k]
-        assert got.shape == rows.shape and got.has_canonical_format
-        for name in ("indptr", "indices", "data"):
-            assert same(getattr(got, name), getattr(rows, name)), (k, name)
+        # the reference spans all n_x unknowns; the block is its [u_gamma | p]
+        # columns, and no reference row reads an interior velocity dof
+        ng2, nu = 2 * spaces[k].n_gamma, 2 * (spaces[k].n_gamma + spaces[k].n_inner)
+        rows = rows.toarray()
+        assert not rows[:, ng2:nu].any()
+        assert same(cons.rows[k], np.concatenate([rows[:, :ng2], rows[:, nu:]], axis=1)), k
         assert same(cons.shifts[k], shifts), k
         assert same(cons.globals_[k], globs), k
         assert same(cons.signs[k], signs), k
+
+
+def test_constraint_rows_build_no_sparse_matrix(monkeypatch):
+    # the 64 blocks of quarter_annulus(1,2,8,8) (all 9 role classes) are
+    # filled as the dense [u_gamma | p] arrays the local systems read, with
+    # no scipy sparse matrix on the way
+    from scipy.sparse import _base
+
+    mp = parse_domain("quarter_annulus(1,2,8,8)")
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    systems = [assemble_patch(g, ths) for g, ths in zip(mp.patches, spaces)]
+    built = []
+    real = _base._spbase.__init__
+    monkeypatch.setattr(_base._spbase, "__init__",
+                        lambda self, *args, **kw: built.append(type(self)) or real(self, *args, **kw))
+    cons = PrimalConstraints(mp, spaces, systems)
+    assert built == []
+    for C, ths in zip(cons.rows, spaces):
+        assert type(C) is np.ndarray and C.shape[1] == 2 * ths.n_gamma + ths.n_pressure
 
 
 @pytest.mark.parametrize("domain, degree", [("grid(3,3)", 1), ("quarter_annulus(1,2,3,2)", 2)])
