@@ -68,6 +68,7 @@ from .geometry import (
     _grid_tables,
     _outline,
     _patch_side_traces,
+    _regular_min,
     _space_key,
     check_interface_matching,
     side_traces,
@@ -315,9 +316,10 @@ def _element_tables(patches, members, ths, nq):
     so that its physical gradients in _element_forms (16 nel nlv Q bytes a
     patch, the largest temporary of either caller) fit in
     geometry.CHUNK_BYTES.
-    Raises DegenerateJacobianError when det(jac) is not positive at some
-    quadrature point, naming the patch by its number in patches when there
-    is more than one.
+    Raises DegenerateJacobianError when det(jac) is not positive or a point,
+    Jacobian or det(jac) is not finite at some quadrature point
+    (geometry._regular_min), naming the patch by its number in patches when
+    there is more than one.
     """
     vel, pre = ths.vel, ths.pre
     rule = gauss_rule_1d(nq)
@@ -343,10 +345,10 @@ def _element_tables(patches, members, ths, nq):
         ks = members[chunk]
         pts, jac, det = (_per_element(a, nelx, nely, nq) for a in
                          _geometry_tables([patches[k] for k in ks], tables))
-        bad = det.reshape(len(ks), -1).min(axis=1) <= 0.0
+        bad = ~(_regular_min(pts, jac, det) > 0.0)
         if bad.any():
             number = " %d" % ks[bad.argmax()] if len(patches) > 1 else ""
-            raise DegenerateJacobianError("nonpositive Jacobian inside patch" + number)
+            raise DegenerateJacobianError("degenerate Jacobian inside patch" + number)
         yield chunk, SimpleNamespace(wdet=shared["w"] * det, pts=pts,
                                      jinv=_inverse_jacobian(jac, det), **shared)
 

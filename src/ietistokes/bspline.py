@@ -356,6 +356,3 @@ class TensorSplineSpace:
 
     def corner_dof(self, cx, cy):
         return self.index((self.nx - 1) * cx, (self.ny - 1) * cy)
-
-    def corner_dofs(self):
-        return {(cx, cy): self.corner_dof(cx, cy) for cx in (0, 1) for cy in (0, 1)}

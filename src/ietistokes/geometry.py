@@ -94,14 +94,6 @@ def _side_frame(side):
     return _SIDE_FRAMES[side]
 
 
-def side_param(side, t):
-    """Parameter-square points of a side at edge parameters t."""
-    fixed, value, _ = _side_frame(side)
-    t = np.asarray(t, dtype=float)
-    edge = np.full_like(t, value)
-    return (edge, t) if fixed == 0 else (t, edge)
-
-
 # ---------------------------------------------------------------------------
 # families of maps and the one map kernel
 
@@ -182,7 +174,9 @@ def _geometry_tables(geos, tables):
     Sangalli, CMAME 2015): once with each y-table, then each result with an
     x-table, so every table costs two matrix products whatever P is. Its
     temporaries take about 24 floats a grid point and map (_GRID_BYTES);
-    callers bound them by chunks of the family.
+    callers bound them by chunks of the family. An overflow or a vanishing
+    weight gives non-finite values, without a warning; callers read them as
+    a degenerate map (_regular_min).
     """
     (gx0, gx1), (gy0, gy1) = tables
     (nxs, nx), (nys, ny) = gx0.shape, gy0.shape
@@ -193,22 +187,34 @@ def _geometry_tables(geos, tables):
         hom = np.concatenate([hom * w, w], axis=-1)
     P, _, ncomp = hom.shape
     net = hom.reshape(P, ny, nx * ncomp).transpose(1, 0, 2).reshape(ny, -1)
-    # (nx, ys * P * ncomp): the y-contracted nets, x index leading
-    t0, t1 = ((g @ net).reshape(nys, P, nx, ncomp).transpose(2, 0, 1, 3).reshape(nx, -1)
-              for g in (gy0, gy1))
-    s, su, sv = ((gx @ t).reshape(nxs, nys, P, ncomp).transpose(2, 0, 1, 3)
-                 for gx, t in ((gx0, t0), (gx1, t0), (gx0, t1)))
-    if rational:
-        w = s[..., 2]
-        pts = s[..., :2] / w[..., None]
-        ju = (su[..., :2] * w[..., None] - s[..., :2] * su[..., 2:]) / w[..., None] ** 2
-        jv = (sv[..., :2] * w[..., None] - s[..., :2] * sv[..., 2:]) / w[..., None] ** 2
-        jac = np.stack([ju, jv], axis=-1)
-    else:
-        pts = s
-        jac = np.stack([su, sv], axis=-1)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    with np.errstate(all="ignore"):
+        # (nx, ys * P * ncomp): the y-contracted nets, x index leading
+        t0, t1 = ((g @ net).reshape(nys, P, nx, ncomp).transpose(2, 0, 1, 3).reshape(nx, -1)
+                  for g in (gy0, gy1))
+        s, su, sv = ((gx @ t).reshape(nxs, nys, P, ncomp).transpose(2, 0, 1, 3)
+                     for gx, t in ((gx0, t0), (gx1, t0), (gx0, t1)))
+        if rational:
+            w = s[..., 2]
+            pts = s[..., :2] / w[..., None]
+            ju = (su[..., :2] * w[..., None] - s[..., :2] * su[..., 2:]) / w[..., None] ** 2
+            jv = (sv[..., :2] * w[..., None] - s[..., :2] * sv[..., 2:]) / w[..., None] ** 2
+            jac = np.stack([ju, jv], axis=-1)
+        else:
+            pts = s
+            jac = np.stack([su, sv], axis=-1)
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     return pts, jac, det
+
+
+def _regular_min(pts, jac, det):
+    """(P,) per map of a family: the least det(jac) over its points, or NaN
+    when one of its points, Jacobians or determinants is not finite. A map
+    is regular where this is positive; the checks read it as
+    `not lo > 0.0`, so a NaN counts as degenerate."""
+    P = len(det)
+    finite = np.all([np.isfinite(a).reshape(P, -1).all(axis=1) for a in (pts, jac, det)],
+                    axis=0)
+    return np.where(finite, det.reshape(P, -1).min(axis=1), np.nan)
 
 
 def _on_grid(geos, xs, ys, reduce):
@@ -323,19 +329,21 @@ def _diameters(geos, n=9):
     rim = np.concatenate([x for x, _, _ in traces.values()], axis=1)  # (P, 4n - 4, 2)
     d2 = np.zeros(len(rim))
     for chunk in _chunks(len(rim), 4 * rim[0].nbytes, MAP_CHUNK_BYTES):
-        for j in range(rim.shape[1]):  # the farthest sample from each sample
-            far = np.sum((rim[chunk] - rim[chunk, j, None]) ** 2, axis=-1).max(axis=1)
-            d2[chunk] = np.maximum(d2[chunk], far)
+        with np.errstate(all="ignore"):  # a non-finite rim gives a non-finite diameter
+            for j in range(rim.shape[1]):  # the farthest sample from each sample
+                far = np.sum((rim[chunk] - rim[chunk, j, None]) ** 2, axis=-1).max(axis=1)
+                d2[chunk] = np.maximum(d2[chunk], far)
     return np.sqrt(d2)
 
 
 def _jacobian_ranges(geos, n=5):
-    """(P, 2): min and max of det(jac) on an n x n per-element sample grid."""
+    """(P, 2): min and max of det(jac) on an n x n per-element sample grid;
+    the min is NaN where a value there is not finite (_regular_min)."""
     space = geos[0].space
 
     def extremes(pts, jac, det):
-        det = det.reshape(len(det), -1)
-        return np.stack([det.min(axis=1), det.max(axis=1)], axis=1)
+        return np.stack([_regular_min(pts, jac, det),
+                         det.reshape(len(det), -1).max(axis=1)], axis=1)
 
     return _on_grid(geos, _element_samples(space.space_x, n, False),
                     _element_samples(space.space_y, n, False), extremes)
@@ -468,13 +476,6 @@ class GeometryMap:
         """Extremes of det(jac) on an n x n per-element sample grid."""
         lo, hi = _jacobian_ranges([self], n)[0]
         return float(lo), float(hi)
-
-    def check_regular(self, n=5):
-        dmin, _ = self.jacobian_range(n)
-        if dmin <= 0.0:
-            raise DegenerateJacobianError(
-                "geometry map is degenerate: min det(jac) = %g" % dmin
-            )
 
     def distortion(self, n=4):
         """max of ||jac|| * ||jac^-1|| (spectral norms) over a sample grid."""
@@ -737,9 +738,10 @@ def build_multipatch(patches, boundary=None, tol=None):
     vertices; two sides of different patches with the same pair form an
     interface, reversed when the pair is swapped, and a pair shared by more
     than two sides raises TopologyError. So does a vertex lying within tol of
-    the interior of an unmatched side (a T-junction), and a patch whose
-    Jacobian is not positive raises DegenerateJacobianError naming the
-    patch. The diameters, the Jacobian extremes, the corners and the side
+    the interior of an unmatched side (a T-junction). A patch whose Jacobian
+    is not positive, or whose map has a non-finite value on the samples,
+    raises DegenerateJacobianError naming the patch, before any of these. The
+    diameters, the Jacobian extremes, the corners and the side
     midpoints come from one kernel pass per family of maps.
 
     boundary tags the non-interface sides: None makes all of them
@@ -750,12 +752,12 @@ def build_multipatch(patches, boundary=None, tol=None):
     if not patches:
         raise ValueError("a multi-patch domain needs at least one patch")
     diameters, det_min, outline = _per_map_family(patches, _shape)
-    if tol is None:
-        tol = 1e-8 * float(np.median(diameters))
-    bad = np.flatnonzero(det_min <= 0.0)
+    bad = np.flatnonzero(~(det_min > 0.0))
     if bad.size:
         raise DegenerateJacobianError("geometry map of patch %d is degenerate: min det(jac) = %g"
                                       % (bad[0], det_min[bad[0]]))
+    if tol is None:
+        tol = 1e-8 * float(np.median(diameters))
     vertices, ids = _cluster_corners(_corner_points(outline), tol)
     interfaces = _match_sides(len(patches), ids)
     matched = {(i.a, i.side_a) for i in interfaces} | {(i.b, i.side_b) for i in interfaces}
@@ -802,7 +804,7 @@ def validate_topology(mp, tol=None, nsample=17):
     tol = mp.tol if tol is None else float(tol)
     violations = []
     det_min = _per_map_family(mp.patches, _jacobian_ranges)[:, 0]
-    for k in np.flatnonzero(det_min <= 0.0):
+    for k in np.flatnonzero(~(det_min > 0.0)):
         violations.append(("jacobian", int(k), float(det_min[k])))
     t = np.linspace(0.0, 1.0, nsample)
     params = [{} for _ in mp.patches]

@@ -37,19 +37,21 @@ first; their index work (where each constraint value goes, interface
 positions) runs once per role class of patches, and only the values per
 patch. The constraint rows C of a patch are one dense block on
 [u_gamma | p], the only columns they act on and the layout R reads. Then,
-per patch: the interior condensation; one solve with the reduced system R
-on the unit columns of u_gamma and of mu, whose blocks are F_k and the
-reduced rows [u_gamma | p | mu] of psi (its interior rows are never
-needed: C has no interior columns, and the check of the averaging column
-sweeps back that column alone); and one solve with the local right-hand
-side, z_k = A_k^-1 [b_k; shifts_k]. The augmented matrix is symmetric, so
-psi^T [b_k; shifts_k], the patch's share of the coarse right-hand side, is
-the multiplier part of z_k. The right-hand side of the multiplier system
-then reads the u_gamma part of z_k, and the recovery adds one solve per
-patch whose interior right-hand side is zero, with the primal correction
-entering as constraint values. AugmentedLocalSystem.C, the constraint
-rows on all unknowns as a sparse matrix, is built only when asked for;
-besides the tests, only perfbench/run.py:ieti_counts reads it.
+per patch: the interior condensation, and one solve with the reduced
+system R on [E_gamma | E_mu | r], the unit columns of u_gamma and of mu
+and the reduced local right-hand side r of [b_k; shifts_k]. Its blocks
+are F_k, the pressure rows P_k of R^-1 E_gamma, the reduced rows
+[u_gamma | p | mu] of psi (its interior rows are never needed: C has no
+interior columns, and the check of the averaging column sweeps back that
+column alone) and the local solution z_k = A_k^-1 [b_k; shifts_k]. The
+augmented matrix is symmetric, so psi^T [b_k; shifts_k], the patch's
+share of the coarse right-hand side, is the multiplier part of z_k. R's
+factor is dropped after this solve. The right-hand side of the
+multiplier system reads the u_gamma part of z_k, and the recovery is a
+product with F_k, P_k and psi plus one backward sweep of the interior
+factor per patch. AugmentedLocalSystem.C, the constraint rows on all
+unknowns as a sparse matrix, is built only when asked for; besides the
+tests, only perfbench/run.py:ieti_counts reads it.
 """
 
 import time
@@ -233,51 +235,30 @@ def build_jump_operator(constraints, spaces):
 
 
 class CondensedLU:
-    """Solver of an augmented patch system through its interior condensation.
+    """The interior elimination of a patch, kept after setup for the
+    interior velocity.
 
     The unknowns are ordered [u_gamma | u_inner | p | mu], each velocity
     block component major; the reduced ones [u_gamma | p | mu]. interior is
     the BandCholesky of the scalar interior stiffness K_ii, shared by both
-    velocity components; reduced the factor of the dense reduced system R;
-    Y is condense_interior's L^-1 P [K_ig | D_0i^T | D_1i^T]. solve takes a
-    full right-hand side (1-D or a column per solve): w = forward(b_i), Y
-    products, one R solve and x_i = backward(w - Y V) (interior_velocity).
-    An interior right-hand side that is exactly zero skips the forward
-    sweep, as w is then zero. L and U are the block diagonals of the two
-    factors' triangles, the fill it holds; besides the tests, only
-    perfbench/run.py:ieti_counts reads them.
+    velocity components (None without interior dofs); Y is
+    condense_interior's L^-1 P [K_ig | D_0i^T | D_1i^T].
+    interior_velocity gives the interior rows of a solution from its
+    reduced rows and the forward sweep of its interior right-hand side. L
+    and U are the triangles of the band factor, the fill held after setup;
+    besides the tests, only perfbench/run.py:ieti_counts reads them.
     """
 
-    def __init__(self, interior, reduced, Y, n_gamma, n_pressure):
-        self.interior, self.reduced, self._Y = interior, reduced, Y
+    def __init__(self, interior, Y, n_gamma, n_pressure):
+        self.interior, self._Y = interior, Y
         self._ng, self._ni, self._np = n_gamma, Y.shape[0], n_pressure
-        n = reduced.shape[0] + 2 * self._ni
-        self.shape = (n, n)
-
-    def solve(self, b):
-        ng, ni, npre, Y = self._ng, self._ni, self._np, self._Y
-        nu = 2 * (ng + ni)
-        B = b.reshape(len(b), -1)
-        k = B.shape[1]
-        r = np.concatenate([B[: 2 * ng], B[nu:]])
-        w = None
-        if B[2 * ng : nu].any():
-            # interior rhs, one column per (component, solve)
-            b_i = B[2 * ng : nu].reshape(2, ni, k).transpose(1, 0, 2).reshape(ni, 2 * k)
-            w = self.interior.forward(b_i)
-            P = Y.T @ w
-            r[:ng] -= P[:ng, :k]
-            r[ng : 2 * ng] -= P[:ng, k:]
-            r[2 * ng : 2 * ng + npre] -= P[ng : ng + npre, :k] + P[ng + npre :, k:]
-        y = self.reduced.solve(r)
-        out = np.concatenate([y[: 2 * ng], self.interior_velocity(y, w), y[2 * ng :]])
-        return out.reshape(b.shape)
 
     def interior_velocity(self, y, w=None):
         """The interior velocity rows (2 n_inner, component major) of the
         solution whose reduced part [u_gamma | p | ...] is y (a column per
         solve): backward(w - Y V), with w the forward sweep of the interior
-        right-hand side, or None when that is zero."""
+        right-hand side (a column per component and solve), or None when
+        that is zero."""
         ng, ni, npre, Y = self._ng, self._ni, self._np, self._Y
         k = y.shape[1]
         if not ni:
@@ -292,17 +273,15 @@ class CondensedLU:
 
     @property
     def L(self):
-        return sp.block_diag([f.L for f in (self.interior, self.reduced) if f is not None],
-                             format="csc")
+        return sp.csc_matrix((0, 0)) if self.interior is None else self.interior.L
 
     @property
     def U(self):
-        return sp.block_diag([f.U for f in (self.interior, self.reduced) if f is not None],
-                             format="csc")
+        return sp.csc_matrix((0, 0)) if self.interior is None else self.interior.U
 
 
 class AugmentedLocalSystem:
-    """Condensed factorization of one augmented patch matrix.
+    """Condensed setup of one augmented patch system.
 
     [[A3, C^T], [C, 0]] is never formed. The interior velocity is eliminated
     at setup: K_ii, the scalar interior stiffness, is factored once for both
@@ -314,33 +293,39 @@ class AugmentedLocalSystem:
     is factored next through factorize. K_ii is factored, and S, the
     condensed divergence D_g and D_i K_ii^-1 D_i^T are formed, by
     PatchStokesSystem.condense_interior; its factor and Y go on to
-    CondensedLU. C is the dense block [C_g, C_p] of the constraint rows on
-    [u_gamma | p] (PrimalConstraints.rows), kept as it is in C_reduced; a
-    block of another width raises ValueError. label names the patch in
-    errors. One solve with R on the unit columns of u_gamma and of mu
-    yields, at setup:
+    CondensedLU (lu). C is the dense block [C_g, C_p] of the constraint rows
+    on [u_gamma | p] (PrimalConstraints.rows), kept as it is in C_reduced; a
+    block of another width raises ValueError. shifts are the constraint
+    values of the local problem, and label names the patch in errors.
+
+    The one solve with R is on [E_gamma | E_mu | r]: the unit columns of
+    u_gamma and of mu, and the reduced local right-hand side r, formed from
+    system.rhs() and shifts through the forward sweep of the interior rows
+    and Y^T products (the sweep is skipped when those rows are zero). It
+    yields, and the patch keeps, each entry once:
 
     - F: the u_gamma x u_gamma block of the augmented inverse (that of
       R^-1), the patch's share of the dual-primal operator;
+    - P: the pressure rows of R^-1 E_gamma (n_pressure x 2 n_gamma);
     - basis: the reduced rows [u_gamma | p | mu] of the local primal basis
       A^-1 [0; I], one column per constraint; its interior velocity is
-      CondensedLU.interior_velocity of these rows, as C has no interior
-      columns.
+      lu.interior_velocity of these rows, as C has no interior columns;
+    - x_local and mu_local: the x and multiplier parts of the local
+      solution A^-1 [b; shifts].
 
-    S is the scalar Schur complement K_gg - K_gi K_ii^-1 K_ig, which the
-    preconditioner applies to each component.
-
-    lu solves the whole augmented system (see CondensedLU); A3 and C, the
-    constraint rows on all n_x unknowns, are built only when asked for. A
-    failed check on R means the constraint set leaves the saddle system
-    singular (e.g. a floating patch stripped of its corner and flux rows).
+    R's factor is dropped once this solve is done. S is the scalar Schur
+    complement K_gg - K_gi K_ii^-1 K_ig, which the preconditioner applies
+    to each component. A3 and C, the constraint rows on all n_x unknowns,
+    are built only when asked for. A failed check on R means the
+    constraint set leaves the saddle system singular (e.g. a floating
+    patch stripped of its corner and flux rows).
     """
 
-    def __init__(self, system, C, label="patch"):
+    def __init__(self, system, C, shifts, label="patch"):
         self.system = system
         ths = system.ths
-        ng, npre = ths.n_gamma, ths.n_pressure
-        ng2 = 2 * ng
+        ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
+        ng2, nu = 2 * ng, 2 * (ng + ni)
         if C.shape[1] != ng2 + npre:
             raise ValueError("constraint rows of %s have %d columns, not the %d of "
                              "[u_gamma | p]" % (label, C.shape[1], ng2 + npre))
@@ -350,6 +335,7 @@ class AugmentedLocalSystem:
 
         cond = system.condense_interior("interior stiffness of %s" % label)
         self.S = cond.S
+        self.lu = CondensedLU(cond.lu, cond.Y, ng, npre)
         p = slice(ng2, ng2 + npre)
         R = np.zeros((ng2 + npre + self.n_mu,) * 2)
         R[:ng, :ng] = R[ng:ng2, ng:ng2] = self.S
@@ -360,13 +346,28 @@ class AugmentedLocalSystem:
         R[: p.stop, p.stop :] = R[p.stop :, : p.stop].T
         R[:ng2, p] = R[p, :ng2].T
         lu_r = factorize(R, "condensed system of %s (%d constraint rows)" % (label, self.n_mu))
-        E = np.zeros((len(R), ng2 + self.n_mu))  # unit columns [E_gamma | E_mu]
+        # [E_gamma | E_mu | r]; r = [b_gamma; b_p; shifts] - [K_gi; D_i; 0] K_ii^-1 b_i
+        E = np.zeros((len(R), ng2 + self.n_mu + 1))
         E[np.arange(ng2), np.arange(ng2)] = 1.0
         E[p.stop + np.arange(self.n_mu), ng2 + np.arange(self.n_mu)] = 1.0
+        b = system.rhs()
+        r = E[:, -1]
+        r[:ng2], r[p], r[p.stop :] = b[:ng2], b[nu:], shifts
+        w = None
+        if b[ng2:nu].any():
+            w = cond.lu.forward(b[ng2:nu].reshape(2, ni).T)  # a column per component
+            Yw = cond.Y.T @ w
+            r[:ng] -= Yw[:ng, 0]
+            r[ng:ng2] -= Yw[:ng, 1]
+            r[p] -= Yw[ng : ng + npre, 0] + Yw[ng + npre :, 1]
         Z = lu_r.solve(E)  # copied out below, so that Z is freed
         self.F = Z[:ng2, :ng2].copy()
-        self.basis = Z[:, ng2:].copy()
-        self.lu = CondensedLU(cond.lu, lu_r, cond.Y, ng, npre)
+        self.P = Z[p, :ng2].copy()
+        self.basis = Z[:, ng2:-1].copy()
+        z = Z[:, -1]
+        self.x_local = np.concatenate([z[:ng2], self.lu.interior_velocity(z[:, None], w)[:, 0],
+                                       z[p]])
+        self.mu_local = z[p.stop :].copy()
 
     @property
     def A3(self):
@@ -384,18 +385,6 @@ class AugmentedLocalSystem:
         full[:, :ng2] = self.C_reduced[:, :ng2]
         full[:, self.n_x - self.system.ths.n_pressure :] = self.C_reduced[:, ng2:]
         return sp.csr_matrix(full)
-
-    def solve_x(self, rhs_x, rhs_mu=None):
-        """Solve with the given equilibrium/constraint rhs, return the x part.
-
-        A rhs_x shorter than n_x fills the leading entries (the u_gamma
-        block); the rest of the equilibrium rhs is zero.
-        """
-        rhs = np.zeros(self.n_x + self.n_mu)
-        rhs[: len(rhs_x)] = rhs_x
-        if rhs_mu is not None:
-            rhs[self.n_x :] = rhs_mu
-        return self.lu.solve(rhs)[: self.n_x]
 
 
 def build_primal_basis(aug, ths):
@@ -468,14 +457,16 @@ class IetiOperator:
     of them: each local system's F is a view of F.data. apply_F is the
     coarse term plus B F B^T lam, with no local solve.
 
-    At setup each patch's augmented system is solved once with its local
-    right-hand side, z_k = A_k^-1 [b_k; shifts_k]; x_local[k] is its x part.
-    As A_k is symmetric, the coarse right-hand side psi_k^T [b_k; shifts_k]
-    is the multiplier part of z_k. rhs reads the u_gamma rows of x_local and
-    makes no local solve. recover adds to x_local[k] one solve with -B_k^T
-    lam on u_gamma, zero on the interior and pressure rows and the primal
-    values s x_pi[G] on the constraint rows, so the primal correction
-    enters as constraint values and the interior forward sweep is skipped.
+    Each local system keeps the local solution z_k = A_k^-1 [b_k; shifts_k]
+    of its setup solve (x_local, mu_local). As A_k is symmetric, the coarse
+    right-hand side psi_k^T [b_k; shifts_k] is mu_local. rhs reads the
+    u_gamma rows of x_local and makes no local solve. recover adds to
+    x_local the solution for -B_k^T lam on u_gamma and the primal values
+    v = s x_pi[G] on the constraint rows: its reduced rows are
+    y_gamma = F_k (-B_k^T lam) + psi_gamma v and y_p = P_k (-B_k^T lam) +
+    psi_p v, and its interior velocity is one backward sweep of the
+    interior factor (CondensedLU.interior_velocity). Only the coarse factor
+    is solved with besides.
 
     The coarse layer stays sparse. A_pi sums, over the patches, the signed
     symmetric part of -psi_mu (which equals psi^T A3 psi, see the module
@@ -486,9 +477,9 @@ class IetiOperator:
     factorize as COO triplets.
 
     setup_phases holds the wall seconds of "constraints" (primal rows and
-    the jump matrix), "local" (condensation, primal bases, F and the local
-    right-hand-side solves) and "coarse" (the coarse matrices and their
-    factorization).
+    the jump matrix), "local" (condensation, the one reduced solve per
+    patch for F, the primal basis and the local solution) and "coarse" (the
+    coarse matrices and their factorization).
     """
 
     def __init__(self, mp, spaces, systems):
@@ -503,13 +494,13 @@ class IetiOperator:
         self.n_lambda = self.B.shape[0]
         self.gamma_slices = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
         self.locals_ = []
-        self.x_local = []
         n_pi = constraints.n_primal
         a_pi = ([], [], [])  # triplets of A_pi
         psi_g = ([], [], [])  # signed u_gamma rows of the primal basis, on B's columns
         b_pi = np.zeros(n_pi)
         for k, ths in enumerate(spaces):
-            aug = AugmentedLocalSystem(systems[k], constraints.rows[k], label="patch %d" % k)
+            aug = AugmentedLocalSystem(systems[k], constraints.rows[k], constraints.shifts[k],
+                                       label="patch %d" % k)
             pg, pm = build_primal_basis(aug, ths)
             self.locals_.append(aug)
 
@@ -520,9 +511,7 @@ class IetiOperator:
             a_pi[0].append(np.repeat(G, len(G)))
             a_pi[1].append(np.tile(G, len(G)))
             a_pi[2].append(((s[:, None] * s[None, :]) * contrib).ravel())
-            z = aug.lu.solve(np.concatenate([systems[k].rhs(), constraints.shifts[k]]))
-            self.x_local.append(z[: aug.n_x])
-            np.add.at(b_pi, G, s * z[aug.n_x :])  # psi^T [b; shifts], A symmetric
+            np.add.at(b_pi, G, s * aug.mu_local)  # psi^T [b; shifts], A symmetric
             ng2 = 2 * ths.n_gamma
             psi_g[0].append(np.repeat(offsets[k] + np.arange(ng2), len(G)))
             psi_g[1].append(np.tile(G, ng2))  # G has no repeats within a patch
@@ -563,8 +552,8 @@ class IetiOperator:
                 + self.B @ (self.F @ (self.B.T @ lam)))
 
     def rhs(self):
-        y = np.concatenate([x[: sl.stop - sl.start]
-                            for x, sl in zip(self.x_local, self.gamma_slices)])
+        y = np.concatenate([aug.x_local[: sl.stop - sl.start]
+                            for aug, sl in zip(self.locals_, self.gamma_slices)])
         return self.B_pi @ self.coarse_solve(self.b_pi) + self.B @ y
 
     def recover(self, lam):
@@ -576,7 +565,11 @@ class IetiOperator:
             ths = self.spaces[k]
             ng2, ni2 = 2 * ths.n_gamma, 2 * ths.n_inner
             G, s = self.constraints.globals_[k], self.constraints.signs[k]
-            x = self.x_local[k] + aug.solve_x(-t[sl], s * x_pi[G])
+            y = aug.basis[: ng2 + ths.n_pressure] @ (s * x_pi[G])
+            y[:ng2] -= aug.F @ t[sl]
+            y[ng2:] -= aug.P @ t[sl]
+            x = aug.x_local + np.concatenate(
+                [y[:ng2], aug.lu.interior_velocity(y[:, None])[:, 0], y[ng2:]])
             us.append(self.systems[k].expand(x[:ng2], x[ng2 : ng2 + ni2]))
             ps.append(x[ng2 + ni2 :])
         return us, ps, x_pi
@@ -639,8 +632,7 @@ class SolveReport:
     or "non-finite residual". A breakdown always means converged is False.
     timings and setup_phases hold wall seconds (see solve_stokes_ieti):
     "rhs" reads the local solutions stored at setup and takes next to no
-    time, and the "local" setup phase includes the local right-hand-side
-    solves.
+    time, and the "local" setup phase includes the local solutions.
     """
 
     def __init__(self, iterations, residuals, converged, eig_min, eig_max, kappa,
@@ -774,10 +766,10 @@ def solve_stokes_ieti(mp, spaces, rhs=None, dirichlet=None, tol=1e-6, max_iter=5
     The pressure has mean zero iff mp.pressure_up_to_constant (no side
     tagged "neumann"). report.timings holds the wall seconds of the phases
     "setup" (assembly when systems is None, local factorizations, primal
-    basis, local right-hand-side solves, coarse problem, preconditioner),
-    "rhs" (about 0 s: it reads the local solutions of setup and makes one
-    coarse solve), "pcg" and "recover"; report.setup_phases splits "setup"
-    (see setup_ieti; its "local" phase includes the right-hand-side solves).
+    basis and local solutions, coarse problem, preconditioner), "rhs"
+    (about 0 s: it reads the local solutions of setup and makes one coarse
+    solve), "pcg" and "recover"; report.setup_phases splits "setup" (see
+    setup_ieti; its "local" phase includes the local solutions).
     """
     t0 = time.perf_counter()
     op, pc = setup_ieti(mp, spaces, rhs, dirichlet, nquad, systems)

@@ -192,6 +192,38 @@ def test_ieti_kappa_stays_flat_while_infsup_kappa_grows():
     assert max(ieti) <= 3
 
 
+def distorted_grid(amp, seed):
+    """grid(4,4) from bilinear patches, its 3 x 3 interior vertices moved
+    by uniform draws in [-amp, amp] (seeded) in each coordinate."""
+    v = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1)  # v[j, i] = (i, j)
+    v[1:4, 1:4] += np.random.default_rng(seed).uniform(-amp, amp, (3, 3, 2))
+    return build_multipatch([bilinear_patch(v[j, i], v[j, i + 1], v[j + 1, i], v[j + 1, i + 1])
+                             for j in range(4) for i in range(4)])
+
+
+def test_distortion_moves_the_ieti_kappa_not_beta():
+    # p=2, l=2, tol 1e-8, seed 1: the global inf-sup constant stays at
+    # 0.4555-0.4556 while the largest patch distortion goes from 1 to 5.21
+    # (amp 0.45, seed 1), and the IETI-DP kappa grows from 3.86 to 5.39,
+    # 1.40 times; it is pinned here to at most 1.5 times
+    cells = []
+    for amp, seed in ((0.0, 1), (0.2, 1), (0.3, 1), (0.4, 1), (0.45, 1), (0.45, 2)):
+        mp = distorted_grid(amp, seed)
+        spaces = taylor_hood_spaces(mp, degree=2, refinement=2)
+        glob = assemble_global(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        _, _, rep = solve_stokes_ieti(mp, spaces, rhs=manufactured_rhs,
+                                      dirichlet=manufactured_velocity, tol=1e-8, seed=1,
+                                      systems=glob.systems)
+        assert rep.converged
+        cells.append((max(g.distortion() for g in mp.patches),
+                      pressure_schur_spectrum(glob).beta, rep.kappa))
+    (_, beta0, kappa0), worst = cells[0], cells[4]
+    assert abs(worst[0] - 5.21) < 0.01 and abs(worst[2] - 5.39) < 0.01
+    for _, beta, kappa in cells[1:]:
+        assert abs(beta - beta0) <= 1e-3
+        assert kappa <= 1.5 * kappa0
+
+
 def test_dense_and_iterative_paths_agree(monkeypatch):
     mp = build_domain("grid", m=2, n=2)
     spaces = taylor_hood_spaces(mp, degree=1, refinement=2)

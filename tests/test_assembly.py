@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from ietistokes.geometry import (
     _grid_tables,
     bilinear_patch,
     build_multipatch,
-    side_param,
+    side_traces,
 )
 from ietistokes.linalg import (
     BAND_ENTRIES,
@@ -198,8 +199,7 @@ def test_dirichlet_projection_reproduces_linear_data():
         dofs = ths.vel.side_dofs(side)
         espace = ths.vel.side_space(side)
         B = espace.collocation(ts)
-        pu, pv = side_param(side, ts)
-        gexact = g(geo(pu, pv))
+        gexact = g(geo.side_points(side, ts))
         for c in (0, 1):
             assert np.abs(B @ u[c, dofs] - gexact[:, c]).max() < 1e-10
 
@@ -210,7 +210,8 @@ def reference_dirichlet_values(geo, ths, data):
     pos = {d: i for i, d in enumerate(ths.dirichlet)}
     values = np.zeros((2, len(ths.dirichlet)))
     corners = geo.corners()
-    for corner, dof in vel.corner_dofs().items():
+    for corner in corners:
+        dof = vel.corner_dof(*corner)
         if dof in pos:
             values[:, pos[dof]] = data(corners[corner][None, :])[0]
     for side, role in ths.side_roles.items():
@@ -222,8 +223,8 @@ def reference_dirichlet_values(geo, ths, data):
         tq, wq = rule_on_elements(espace.breakpoints, gauss_rule_1d(espace.degree + 3))
         tq, wq = tq.ravel(), wq.ravel()
         B = espace.collocation(tq)
-        pts, jac = geo.eval(*side_param(side, tq))
-        speed = np.linalg.norm(jac[:, :, 1 if side in ("west", "east") else 0], axis=-1)
+        pts, tangent, _ = (a[0] for a in side_traces([geo], {side: tq})[side])
+        speed = np.linalg.norm(tangent, axis=-1)
         if side in ("west", "east"):  # the arcs: the arc-length weight matters
             assert np.ptp(speed) > 0.1 * speed.mean()
         gvals = data(pts)
@@ -1161,25 +1162,25 @@ def test_condense_interior_factors_the_scalar_interior_block_once(monkeypatch):
     ths = build_taylor_hood(geo, 2, refinement=1)
     sysk = assemble_patch(geo, ths)
     C = np.concatenate([np.zeros(2 * ths.n_gamma), sysk.pressure_average_row()])[None, :]
-    ieti.AugmentedLocalSystem(sysk, C, label="patch 3")
+    ieti.AugmentedLocalSystem(sysk, C, np.zeros(1), label="patch 3")
     assert calls == [(ths.n_inner, "interior stiffness of patch 3"),
                      (ths.n_pressure + 1, "condensed system of patch 3 (1 constraint rows)")]
 
 
 def test_side_param_only_in_side_kernel():
     # which parameter runs along a side, its tangent column and the outward
-    # rotation are decided in side_traces alone (side_points needs no
-    # derivatives and reads only side_param)
+    # rotation are decided in side_traces alone: it is the one reader of
+    # the side frames
     src = Path(ietistokes.__file__).parent
     tree = ast.parse((src / "geometry.py").read_text())
     allowed = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
-               and node.name in ("side_param", "side_traces", "side_points")]
+               and node.name in ("_side_frame", "side_traces")]
     hits = [
         (path.name, lineno)
         for path in sorted(src.glob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if "side_param(" in line
+        if "_side_frame(" in line or "_SIDE_FRAMES[" in line
     ]
     assert hits and [h for h in hits if not (
         h[0] == "geometry.py" and any(h[1] in r for r in allowed))] == []
@@ -1290,6 +1291,19 @@ def test_assemble_patch_rejects_degenerate_jacobian():
     geo = bilinear_patch((0, 0), (1, 0), (1, 0.5), (0, 0.5))
     with pytest.raises(DegenerateJacobianError):
         assemble_patch(geo, build_taylor_hood(geo, 1))
+
+
+def test_assemble_patch_rejects_an_overflowing_jacobian():
+    # a square of side 1.7e308: its points and Jacobians are finite, but
+    # det(jac) overflows to inf, which used to pass the positivity check;
+    # the map kernel warns of nothing on the way
+    geo = bilinear_patch((0, 0), (1.7e308, 0), (0, 1.7e308), (1.7e308, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateJacobianError, match="degenerate Jacobian inside patch"):
+            assemble_patch(geo, build_taylor_hood(geo, 1))
+        with pytest.raises(DegenerateJacobianError, match="patch 0 is degenerate"):
+            build_multipatch([geo])
 
 
 def _dense_tables(geo, ths, nq):

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,17 @@ from ietistokes.cli import (
 )
 from ietistokes.domains import parse_domain, rectangle_with_hole_domain
 from ietistokes.geometry import build_multipatch, save_multipatch
+
+
+def run_fresh(*args):
+    """A fresh interpreter with the given arguments and the package on its
+    path, its output captured: it shows all that reaches stderr."""
+    import ietistokes
+
+    src = str(Path(ietistokes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def read_csv(path):
@@ -86,6 +101,28 @@ def test_bad_geometry_file_exits_2(tmp_path, capsys, quads, reason):
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("section, value", [("weights", "1e-300"),
+                                            ("controlpoints", "1e308 0")],
+                         ids=["tiny_weight", "huge_control_point"])
+def test_non_finite_map_is_a_geometry_defect(tmp_path, section, value):
+    # the first weight or control point of patch 0 of quarter_annulus(1,2,2,2)
+    # makes its map overflow or divide by zero at some samples: the map
+    # kernels warn of nothing, and the geometry check names the patch. A
+    # NaN Jacobian used to pass that check, and the tiny weight then
+    # surfaced as a broken averaging basis in the IETI-DP setup
+    path = tmp_path / "bad.mp"
+    save_multipatch(parse_domain("quarter_annulus(1,2,2,2)"), path)
+    lines = path.read_text().splitlines()
+    lines[lines.index(section) + 1] = value
+    path.write_text("\n".join(lines) + "\n")
+    proc = run_fresh("-W", "error::RuntimeWarning", "-m", "ietistokes.cli", "solve",
+                     "--domain", str(path), "--degrees", "1", "--levels", "0", "--zero-data")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: geometry map of patch 0 is degenerate")
 
 
 ONE_PATCH = """patches 1
@@ -342,19 +379,8 @@ def test_study_reports_an_infsup_unstable_cell():
     # Q2/Q1 on one element (p=1, level 0) is inf-sup unstable and its
     # lam_min comes out at or below 0, so the cell reads kappa inf and beta
     # 0, with no sqrt warnings; a fresh interpreter shows what reaches stderr
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ietistokes
-
-    src = str(Path(ietistokes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "ietistokes.cli", "study-infsup",
-         "--domain", "grid(1,1)", "--degrees", "1", "--levels", "0"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_fresh("-W", "default", "-m", "ietistokes.cli", "study-infsup",
+                     "--domain", "grid(1,1)", "--degrees", "1", "--levels", "0")
     assert proc.returncode == 0
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
@@ -368,21 +394,10 @@ def test_study_on_a_cell_too_small_for_lobpcg_exits_1():
     # with the dense limit at 0 the cell goes to LOBPCG, for which its 9
     # pressure dofs are too few: a fresh interpreter shows one error line,
     # exit 1, no traceback and no warnings
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ietistokes
-
-    src = str(Path(ietistokes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = ("import sys; import ietistokes.analysis as a; from ietistokes.cli import main; "
             "a.DENSE_LIMIT = 0; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-c", code, "study-infsup",
-         "--domain", "grid(1,1)", "--degrees", "1", "--levels", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_fresh("-W", "default", "-c", code, "study-infsup",
+                     "--domain", "grid(1,1)", "--degrees", "1", "--levels", "1")
     assert proc.returncode == 1
     assert proc.stderr == ("error: iterative eigensolve failed on 27 dofs: "
                            "9 pressure dofs are too few for lobpcg\n")

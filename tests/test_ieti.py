@@ -1,4 +1,5 @@
 import time
+import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -22,7 +23,6 @@ from ietistokes.domains import build_domain, parse_domain
 from ietistokes.geometry import GeometryMap, bilinear_patch, build_multipatch
 from ietistokes.ieti import (
     AugmentedLocalSystem,
-    CondensedLU,
     IetiOperator,
     PrimalConstraints,
     ScaledDirichletPreconditioner,
@@ -34,6 +34,8 @@ from ietistokes.ieti import (
     verify_supmat,
 )
 from ietistokes.linalg import BandCholesky, DenseLU
+
+CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def build_grid_problem(m, n, degree=1, refinement=1, rhs=manufactured_rhs,
@@ -125,14 +127,23 @@ def test_flux_row_with_dirichlet_shift_gives_total_flux():
     assert abs(total - 1.0) < 1e-12
 
 
-def _primal_basis(aug):
-    """The local primal basis A^-1 [0; I] (x and multiplier rows) from one
-    solve of the whole augmented system: the reference for what setup
-    reads off the reduced solve."""
-    rhs = np.zeros((aug.n_x + aug.n_mu, aug.n_mu))
-    rhs[aug.n_x :] = np.eye(aug.n_mu)
-    X = aug.lu.solve(rhs)
+def _augmented_matrix(aug):
+    """[[A3, C^T], [C, 0]] of a local system, dense: the reference for what
+    setup reads off the reduced solve."""
+    return sp.bmat([[aug.A3, aug.C.T], [aug.C, None]]).toarray()
+
+
+def _dense_solve(aug, rhs_x, rhs_mu):
+    """The x and multiplier parts of the dense solve of the augmented
+    system with [rhs_x; rhs_mu] (a vector or a column per solve)."""
+    X = np.linalg.solve(_augmented_matrix(aug), np.concatenate([rhs_x, rhs_mu]))
     return X[: aug.n_x], X[aug.n_x :]
+
+
+def _primal_basis(aug):
+    """The local primal basis A^-1 [0; I] (x and multiplier rows), from a
+    dense solve of the whole augmented system."""
+    return _dense_solve(aug, np.zeros((aug.n_x, aug.n_mu)), np.eye(aug.n_mu))
 
 
 def test_primal_basis_structure_affine():
@@ -190,7 +201,8 @@ def test_scaled_jumps_stay_in_constrained_space():
             rows.append(r[: 2 * spaces[k].n_gamma])
         b = iface.b
         direction = rows[1].copy()
-        for dof in spaces[b].vel.corner_dofs().values():
+        for corner in CORNERS:
+            dof = spaces[b].vel.corner_dof(*corner)
             if np.isin(dof, spaces[b].gamma):
                 for c in (0, 1):
                     direction[spaces[b].gamma_pos(c, dof)] = 0.0
@@ -200,7 +212,8 @@ def test_scaled_jumps_stay_in_constrained_space():
     jump = op.B @ np.concatenate(vs)
     for k, ths in enumerate(spaces):
         w = 0.5 * (op.B.T @ jump)[op.gamma_slices[k]]
-        for dof in ths.vel.corner_dofs().values():
+        for corner in CORNERS:
+            dof = ths.vel.corner_dof(*corner)
             if np.isin(dof, ths.gamma):
                 for c in (0, 1):
                     assert w[ths.gamma_pos(c, dof)] == 0.0
@@ -388,7 +401,7 @@ def test_singularity_detected_without_constraints():
     sysk = assemble_patch(geo, ths)
     C = np.concatenate([np.zeros(2 * ths.n_gamma), sysk.pressure_average_row()])[None, :]
     with pytest.raises(SingularLocalSystemError):
-        AugmentedLocalSystem(sysk, C, label="unconstrained")
+        AugmentedLocalSystem(sysk, C, np.zeros(1), label="unconstrained")
 
 
 def test_constraint_block_of_the_wrong_width_is_rejected():
@@ -403,7 +416,7 @@ def test_constraint_block_of_the_wrong_width_is_rejected():
         C = np.zeros((1, n))
         C[0, -1] = 1.0
         with pytest.raises(ValueError, match="not the %d of \\[u_gamma \\| p\\]" % width):
-            AugmentedLocalSystem(glob.systems[0], C, label="0")
+            AugmentedLocalSystem(glob.systems[0], C, np.zeros(1), label="0")
 
 
 def test_pcg_seed_reproducible():
@@ -555,12 +568,16 @@ def test_benchmark_counts_contract():
         assert sp.issparse(aug.C) and aug.C.nnz == np.count_nonzero(block)
         assert np.array_equal(C[:, :ng2], block[:, :ng2]) and not C[:, ng2:nu].any()
         assert np.array_equal(C[:, nu:], block[:, ng2:])
-        # lu factors [[A3, C^T], [C, 0]], whose size and nnz the counts report
+        # the counts report the size and nnz of [[A3, C^T], [C, 0]], whose
+        # local solution the system keeps, and the fill of the one factor
+        # lu holds after setup, the band of K_ii
         aug_mat = sp.bmat([[aug.A3, aug.C.T], [aug.C, None]], format="csc")
         assert aug_mat.nnz == aug.A3.nnz + 2 * aug.C.nnz
-        assert aug.lu.shape == aug_mat.shape and aug.lu.L.nnz > 0 and aug.lu.U.nnz > 0
-        x = rng.standard_normal(n_x + aug.n_mu)
-        assert np.abs(aug.lu.solve(aug_mat @ x) - x).max() < 1e-8
+        z = np.concatenate([aug.x_local, aug.mu_local])
+        b = np.concatenate([glob.systems[k].rhs(), cons.shifts[k]])
+        assert np.abs(aug_mat @ z - b).max() < 1e-8 * max(1.0, np.abs(b).max())
+        assert aug.lu.L.nnz == aug.lu.interior.L.nnz > 0
+        assert aug.lu.U.nnz == aug.lu.interior.U.nnz > 0
     # the saddle matrices are slices of Ks and D and keep the explicit zeros
     # of their scatter, which ieti.aug.nnz counts; a rebuild from the dense
     # condensation blocks would drop them (2,380 entries)
@@ -596,10 +613,12 @@ def _patch_without_interior():
     C = np.zeros((9, ths.n_local))  # [u_gamma | p]: there is no interior velocity
     C[rows, cols] = np.concatenate([avg, np.ones(8)])
     assert ths.n_inner == 0
-    return [AugmentedLocalSystem(sysk, C, label="no interior")]
+    shifts = np.random.default_rng(8).standard_normal(9)
+    return [AugmentedLocalSystem(sysk, C, shifts, label="no interior")], [shifts]
 
 
 def _local_systems(case):
+    """The local systems of a case and the constraint values of each."""
     if case == "neumann outlet":
         mp = _neumann_outlet_grid()
         spaces = taylor_hood_spaces(mp, degree=1, refinement=1)
@@ -614,27 +633,31 @@ def _local_systems(case):
         op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
     else:
         return _patch_without_interior()
-    return op.locals_
+    return op.locals_, op.constraints.shifts
 
 
 @pytest.mark.parametrize("case", ["neumann outlet", "rectangle_with_hole",
                                   "quarter_annulus(1,2,3,2)", "no interior"])
 def test_condensed_solve_matches_the_augmented_matrix(case):
-    # the condensed factors solve [[A3, C^T], [C, 0]] for whole vectors, and
-    # F is the u_gamma block of its inverse
-    rng = np.random.default_rng(21)
-    for aug in _local_systems(case):
-        A = sp.bmat([[aug.A3, aug.C.T], [aug.C, None]]).toarray()
-        assert aug.lu.shape == A.shape
-        b = rng.standard_normal((len(A), 3))
-        ref = np.linalg.solve(A, b)
-        for got, want in ((aug.lu.solve(b), ref), (aug.lu.solve(b[:, 1]), ref[:, 1])):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        ng2 = 2 * aug.system.ths.n_gamma
-        F = np.linalg.inv(A)[:ng2, :ng2]
-        assert aug.F.shape == F.shape
-        assert np.abs(aug.F - F).max() <= 1e-10 * np.abs(F).max()
+    # the one reduced solve of setup gives F and P, the u_gamma and pressure
+    # rows of the u_gamma columns of the inverse of [[A3, C^T], [C, 0]], and
+    # the local solution of [b; shifts] (zero on a patch without load or
+    # boundary data, but not on all)
+    loaded = 0
+    for aug, shifts in zip(*_local_systems(case)):
+        A = _augmented_matrix(aug)
+        ths = aug.system.ths
+        ng2, nu = 2 * ths.n_gamma, aug.n_x - ths.n_pressure
+        inv = np.linalg.inv(A)
+        for got, ref in ((aug.F, inv[:ng2, :ng2]), (aug.P, inv[nu : aug.n_x, :ng2])):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        x, mu = _dense_solve(aug, aug.system.rhs(), shifts)
+        loaded += bool(x.any())
+        for got, ref in ((aug.x_local, x), (aug.mu_local, mu)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert loaded
 
 
 def test_pcg_makes_no_local_solves(monkeypatch):
@@ -643,11 +666,10 @@ def test_pcg_makes_no_local_solves(monkeypatch):
     # solved with
     mp, spaces, glob = build_grid_problem(3, 3, degree=2)
     op, pc = setup_ieti(mp, spaces, systems=glob.systems)
-    local = [f for aug in op.locals_ for f in (aug.lu, aug.lu.interior, aug.lu.reduced)]
-    assert all(isinstance(f, BandCholesky) for f in local[1::3])
-    assert all(isinstance(f, DenseLU) for f in local[2::3])
+    local = [aug.lu.interior for aug in op.locals_]
+    assert all(isinstance(f, BandCholesky) for f in local)
     solved = []
-    for cls, names in ((DenseLU, ("solve",)), (CondensedLU, ("solve",)),
+    for cls, names in ((DenseLU, ("solve",)),
                        (BandCholesky, ("solve", "forward", "backward"))):
         for name in names:
             real = getattr(cls, name)
@@ -663,6 +685,77 @@ def test_pcg_makes_no_local_solves(monkeypatch):
     assert rep.converged and rep.iterations > 0
     assert solved and all(f is op._coarse_lu for f in solved)
     assert not any(f is l for f in solved for l in local)
+
+
+def test_setup_solves_each_reduced_system_once_and_drops_its_factor(monkeypatch):
+    # besides factorize's residual check, each patch solves with its reduced
+    # system R once, on [E_gamma | E_mu | r]; no patch holds R's factor
+    # after setup
+    from ietistokes import ieti
+
+    mp, spaces, glob = build_grid_problem(3, 3, degree=2)
+    reduced = []  # per patch: a weak reference to R's factor, and its solves
+    real_solve = DenseLU.solve
+
+    def counting_solve(self, b):
+        vars(self).setdefault("solves", []).append(b.shape)
+        return real_solve(self, b)
+
+    def spy(A, what, fem=False, spd=False):
+        lu = linalg.factorize(A, what, fem, spd)
+        if what.startswith("condensed system"):
+            reduced.append((weakref.ref(lu), lu.solves))
+        return lu
+
+    monkeypatch.setattr(DenseLU, "solve", counting_solve)
+    monkeypatch.setattr(ieti, "factorize", spy)
+    op, pc = setup_ieti(mp, spaces, systems=glob.systems)
+    assert len(reduced) == len(spaces)
+    for (ref, solves), aug, ths in zip(reduced, op.locals_, spaces):
+        n = 2 * ths.n_gamma + ths.n_pressure + aug.n_mu
+        assert ref() is None
+        assert solves == [(n,), (n, 2 * ths.n_gamma + aug.n_mu + 1)]
+        assert not any(isinstance(v, DenseLU) for v in vars(aug.lu).values())
+
+
+def test_setup_sweeps_the_interior_right_hand_side_only_when_it_is_nonzero(monkeypatch):
+    # each band is swept forward once by factorize's residual check and
+    # once by condense_interior (Q^T); the reduced local right-hand side
+    # adds one sweep where its interior rows are nonzero
+    mp = build_domain("grid", m=3, n=3)
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    forwards = []
+    real = BandCholesky.forward
+    monkeypatch.setattr(BandCholesky, "forward",
+                        lambda self, b: forwards.append(self) or real(self, b))
+    for rhs, sweeps in ((None, 2), (manufactured_rhs, 3)):
+        forwards.clear()
+        op, _ = setup_ieti(mp, spaces, rhs=rhs)
+        assert [forwards.count(aug.lu.interior) for aug in op.locals_] == [sweeps] * 9
+
+
+def test_recover_solves_only_the_coarse_system_and_the_interior_bands(monkeypatch):
+    # recover makes one coarse solve and one backward sweep of each
+    # patch's interior band; everything else is a product with what setup
+    # kept
+    mp, spaces, glob = build_grid_problem(3, 3, degree=2)
+    op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs())
+    assert rep.converged
+    calls = []
+    for cls, names in ((DenseLU, ("solve",)),
+                       (BandCholesky, ("solve", "forward", "backward", "gram"))):
+        for name in names:
+            real = getattr(cls, name)
+
+            def counting(self, b, real=real, name=name):
+                calls.append((self, name))
+                return real(self, b)
+
+            monkeypatch.setattr(cls, name, counting)
+    op.recover(lam)
+    assert calls[0] == (op._coarse_lu, "solve") and isinstance(op._coarse_lu, DenseLU)
+    assert calls[1:] == [(aug.lu.interior, "backward") for aug in op.locals_]
 
 
 def test_preconditioner_shares_the_interior_factor():
@@ -887,10 +980,11 @@ SETUP_CASES = {  # domain, degree
 
 @pytest.mark.parametrize("case", sorted(SETUP_CASES))
 def test_setup_solves_match_the_primal_basis_formulas(case):
-    # b_pi, rhs() and recover() come from one local right-hand-side solve
-    # per patch and, in recover, one solve with the primal values as
-    # constraint values; they equal the formulas through the full primal
-    # basis psi = A^-1 [0; I]: b_pi = sum psi^T [b; shifts],
+    # b_pi, rhs() and recover() come from the local solution of the setup
+    # solve per patch and, in recover, products with F, P and the basis and
+    # one backward sweep; they equal the formulas through dense solves of
+    # the augmented system and its primal basis psi = A^-1 [0; I]:
+    # b_pi = sum psi^T [b; shifts],
     # rhs = B_pi A_pi^-1 b_pi + B A^-1 [b; shifts] and
     # x = A^-1 [b - B^T lam; shifts] + psi s x_pi
     make, degree = SETUP_CASES[case]
@@ -907,7 +1001,7 @@ def test_setup_solves_match_the_primal_basis_formulas(case):
         b = op.systems[k].rhs()
         np.add.at(b_pi, cons.globals_[k],
                   cons.signs[k] * (psi_x.T @ b + psi_mu.T @ cons.shifts[k]))
-        y[sl] = aug.solve_x(b, cons.shifts[k])[: sl.stop - sl.start]
+        y[sl] = _dense_solve(aug, b, cons.shifts[k])[0][: sl.stop - sl.start]
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -922,7 +1016,7 @@ def test_setup_solves_match_the_primal_basis_formulas(case):
         ng2, nu = 2 * ths.n_gamma, 2 * (ths.n_gamma + ths.n_inner)
         r = op.systems[k].rhs()
         r[:ng2] -= t[sl]
-        x = (aug.solve_x(r, cons.shifts[k])
+        x = (_dense_solve(aug, r, cons.shifts[k])[0]
              + _primal_basis(aug)[0] @ (cons.signs[k] * x_pi[cons.globals_[k]]))
         assert close(us[k], op.systems[k].expand(x[:ng2], x[ng2:nu])), k
         assert close(ps[k], x[nu:]), k
@@ -984,14 +1078,26 @@ def test_dense_and_sparse_factors_give_the_same_solve(monkeypatch):
     # the cut at zero it goes to SuperLU instead, and the solve must not
     # notice. The interior stiffnesses are dense SPD arrays and get a band
     # Cholesky either way; the reduced systems are dense and stay on getrf.
+    from ietistokes import ieti
+
     mp = parse_domain("quarter_annulus(1,2,4,4)")
     spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    reduced = []
+
+    def spy(A, what, fem=False, spd=False):
+        lu = linalg.factorize(A, what, fem, spd)
+        if what.startswith("condensed system"):
+            reduced.append(type(lu))
+        return lu
+
+    monkeypatch.setattr(ieti, "factorize", spy)
 
     def solve():
+        reduced.clear()
         op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
         lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs())
         us, ps, _ = op.recover(lam)
-        assert all(isinstance(a.lu.reduced, DenseLU) for a in op.locals_)
+        assert reduced == [DenseLU] * len(spaces)
         assert all(isinstance(f, BandCholesky)
                    for f in [a.lu.interior for a in op.locals_] + [b[2] for b in pc.blocks])
         return us, ps, rep, type(op._coarse_lu)
