@@ -48,7 +48,7 @@ diag(K_f, K_f).
 Along patch sides, the Dirichlet projection and the interface flux rows
 take points, tangents and outward normals from geometry.side_traces, one
 kernel call per family and side: family_flux_rows forms the flux rows of
-all patches of a family at once, one Gauss rule per rule size.
+all patches of a family at once.
 """
 
 from functools import cached_property
@@ -386,15 +386,18 @@ class PatchStokesSystem:
     - condensation_blocks(): the scalar stiffness of one component and the
       divergence on the free dofs, as a dense array and its interior block,
       scattered on each call and not cached; condense_interior() eliminates
-      the interior velocity from them.
+      the interior velocity from them, and coupling_pattern() is where the
+      scatter writes the interface and divergence rows of the interior
+      columns, read off the element dof ids.
 
     rhs() is the right-hand side on the free dofs, the load minus the
     Dirichlet lift through K in the velocity rows and minus the lift
     through D in the pressure rows, formed element by element and cached.
     saddle_matrix() is a slice of Ks and D, a reference for tests and for
     ieti.AugmentedLocalSystem.A3. The IETI path reads condense_interior(),
-    the right-hand side and the pressure average row, and builds none of
-    Ks, D, Mp; the monolithic path reads only Ks, D and Mp.
+    coupling_pattern() (once per role class), the right-hand side and the
+    pressure average row, and builds none of Ks, D, Mp; the monolithic
+    path reads only Ks, D and Mp.
     """
 
     def __init__(self, ths, elements, dirichlet_values):
@@ -476,17 +479,41 @@ class PatchStokesSystem:
         column that are cut off.
         """
         ths, el = self.ths, self._el
+        ni, n = ths.n_inner, ths.n_inner + ths.n_gamma
+        W = np.bincount(self._scatter_index(),
+                        weights=np.concatenate([el.Ke.ravel(), el.De.ravel()]),
+                        minlength=(n + 1 + 2 * ths.n_pressure) * (n + 1))
+        W = W.reshape(-1, n + 1)[1:, 1:]
+        return W[:ni, :ni], W
+
+    def _scatter_index(self):
+        """Where condensation_blocks adds each entry of [Ke | De]: flat
+        positions in its array of n + 1 + 2 n_pressure rows and n + 1
+        columns (n free scalar dofs), before the leading row and column of
+        the eliminated dofs are cut off."""
+        ths, el = self.ths, self._el
         ni, n, npre = ths.n_inner, ths.n_inner + ths.n_gamma, ths.n_pressure
         s = np.zeros(ths.vel.dim, dtype=np.int64)  # 0: eliminated
         s[ths.inner] = np.arange(1, ni + 1)
         s[ths.gamma] = np.arange(ni + 1, n + 1)
         sv = s[el.iv]
         rows = n + 1 + npre * np.arange(2)[:, None, None] + el.ip[:, None, :, None]
-        idx = np.concatenate([(sv[:, :, None] * (n + 1) + sv[:, None, :]).ravel(),
-                              (rows * (n + 1) + sv[:, None, None, :]).ravel()])
-        W = np.bincount(idx, weights=np.concatenate([el.Ke.ravel(), el.De.ravel()]),
-                        minlength=(n + 1 + 2 * npre) * (n + 1)).reshape(-1, n + 1)[1:, 1:]
-        return W[:ni, :ni], W
+        return np.concatenate([(sv[:, :, None] * (n + 1) + sv[:, None, :]).ravel(),
+                               (rows * (n + 1) + sv[:, None, None, :]).ravel()])
+
+    def coupling_pattern(self):
+        """(rows, cols): the entries of Q = [K_gi; D_0i; D_1i]
+        (condense_interior) that the element scatter of condensation_blocks
+        writes, read off the element dof ids and not off the values, in
+        row-major order, read-only. The patches of one role class share
+        it."""
+        ni, n = self.ths.n_inner, self.ths.n_inner + self.ths.n_gamma
+        written = np.zeros((n + 1 + 2 * self.ths.n_pressure) * (n + 1), dtype=bool)
+        written[self._scatter_index()] = True
+        pattern = np.nonzero(written.reshape(-1, n + 1)[ni + 1 :, 1 : ni + 1])
+        for a in pattern:
+            a.flags.writeable = False
+        return pattern
 
     def condense_interior(self, what):
         """The one elimination of the patch's interior velocity, not cached.
@@ -494,11 +521,14 @@ class PatchStokesSystem:
         One factorize of the scalar K_ii as an SPD matrix, labelled `what`
         (a BandCholesky P K_ii P^T = L L^T), and one forward half solve
         Y = L^-1 P Q^T, Q = [K_gi; D_0i; D_1i] (condensation_blocks).
-        Returns lu (None without interior dofs), Y, and from the blocks of
-        Y^T Y = Q K_ii^-1 Q^T that they need the Schur complement S = K_gg -
-        K_gi K_ii^-1 K_ig, the condensed divergence Dg (2, n_pressure,
-        n_gamma) with Dg[c] = D_cg - D_ci K_ii^-1 K_ig, and T = sum_c D_ci
-        K_ii^-1 D_ci^T = sum_c Y_c^T Y_c, exactly symmetric (syrk).
+        Returns lu (None without interior dofs), Q (a dense view), Y, and
+        from the blocks of Y^T Y = Q K_ii^-1 Q^T that they need the Schur
+        complement S = K_gg - K_gi K_ii^-1 K_ig, the condensed divergence Dg
+        (2, n_pressure, n_gamma) with Dg[c] = D_cg - D_ci K_ii^-1 K_ig, and
+        T = sum_c D_ci K_ii^-1 D_ci^T = sum_c Y_c^T Y_c, exactly symmetric
+        (syrk). Y is dense, n_inner x (n_gamma + 2 n_pressure), the largest
+        block of a patch: an IETI-DP patch holds it only while it is set up
+        (ieti.CondensedLU) and keeps Q's values on coupling_pattern instead.
         """
         ths = self.ths
         ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
@@ -508,7 +538,7 @@ class PatchStokesSystem:
         Y = lu.forward(Q.T) if ni else np.zeros((0, len(Q)))
         C = W[ni:, ni:] - Y.T @ Y[:, :ng]  # [S; condensed D_0g; condensed D_1g]
         Y0, Y1 = Y[:, ng : ng + npre], Y[:, ng + npre :]  # the D_0, D_1 columns
-        return SimpleNamespace(lu=lu, Y=Y, S=C[:ng], Dg=C[ng:].reshape(2, npre, ng),
+        return SimpleNamespace(lu=lu, Q=Q, Y=Y, S=C[:ng], Dg=C[ng:].reshape(2, npre, ng),
                                T=Y0.T @ Y0 + Y1.T @ Y1)
 
     def expand(self, u_g, u_i):
@@ -544,12 +574,11 @@ def _dirichlet_values(patches, members, ths, spaces, data):
     on = np.array([spaces[k].pos[0, cdofs] < 0 for k in members])  # (P, 4): eliminated
     points = [_corner_points(_outline(geos))[on]]
     sides = []  # (side, member positions, Gauss points, weights times |dx/dt| (m, n))
-    rules = {d: gauss_rule_1d(d + 3) for d in {vel.space_x.degree, vel.space_y.degree}}
     for side in SIDES:
         js = [j for j, k in enumerate(members) if spaces[k].side_roles.get(side) == "dirichlet"]
         if js:
             espace = vel.side_space(side)
-            tq, wq = rule_on_elements(espace.breakpoints, rules[espace.degree])
+            tq, wq = rule_on_elements(espace.breakpoints, gauss_rule_1d(espace.degree + 3))
             x, tangent, _ = side_traces([geos[j] for j in js], {side: tq})[side]
             w = wq.ravel() * np.linalg.norm(tangent, axis=-1)
             sides.append((side, np.array(js), tq, w))
@@ -660,17 +689,13 @@ def _coo(vals, rows, cols, shape):
 # edge fluxes and the divergence bubble
 
 
-def _side_flux_rows(geos, vel, side, rules):
+def _side_flux_rows(geos, vel, side):
     """(side_dofs, R) of one side for a family of maps sharing vel, with R
     of shape (len(geos), len(side_dofs), 2): the rows of family_flux_rows
-    of every map, from one side_traces call and one collocation table. rules
-    maps a Gauss rule size to its rule, built here when missing."""
+    of every map, from one side_traces call and one collocation table."""
     gdeg = max(geos[0].space.space_x.degree, geos[0].space.space_y.degree)
     espace = vel.side_space(side)
-    n = espace.degree + gdeg + 2
-    if n not in rules:
-        rules[n] = gauss_rule_1d(n)
-    tq, wq = rule_on_elements(espace.breakpoints, rules[n])
+    tq, wq = rule_on_elements(espace.breakpoints, gauss_rule_1d(espace.degree + gdeg + 2))
     normal = side_traces(geos, {side: tq})[side][2]  # outward normal times length element
     return vel.side_dofs(side), espace.collocation(tq).T @ (wq.reshape(-1, 1) * normal)
 
@@ -684,17 +709,16 @@ def family_flux_rows(patches, spaces, sides):
     the side is sum_c R[:, c] . u[c, side_dofs]. Each side uses edge degree +
     geometry degree + 2 Gauss points per element. The rows of a side are
     formed for all patches of a family (_families) that list it at once,
-    from one side_traces call; one Gauss rule per distinct rule size serves
-    all families and sides. One patch is the family of one
+    from one side_traces call. One patch is the family of one
     family_flux_rows([geo], [ths], [sides])[0].
     """
-    out, rules = [{} for _ in patches], {}
+    out = [{} for _ in patches]
     for members in _families(patches, spaces):
         vel = spaces[members[0]].vel
         for side in SIDES:
             ks = [k for k in members if side in sides[k]]
             if ks:
-                dofs, R = _side_flux_rows([patches[k] for k in ks], vel, side, rules)
+                dofs, R = _side_flux_rows([patches[k] for k in ks], vel, side)
                 for k, r in zip(ks, R):
                     out[k][side] = dofs, r
     return out

@@ -10,8 +10,11 @@ right-continuous, except at x = 1 where the left limit is taken.
 
 Callers that need one table at many points (the map kernels of geometry,
 the element quadrature of assembly) ask for it once per kernel call and
-share it across the patches they evaluate; this module keeps no state.
+share it across the patches they evaluate; the one state this module
+keeps is gauss_rule_1d's cache of read-only rules.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -287,10 +290,15 @@ class UnivariateSplineSpace:
         return first, ders.reshape(nders + 1, nel, nq, self.degree + 1)
 
 
+@lru_cache(maxsize=64)
 def gauss_rule_1d(n):
-    """n-point Gauss-Legendre rule on [0, 1]."""
+    """n-point Gauss-Legendre rule (x, w) on [0, 1], computed once per n:
+    the arrays are cached and read-only."""
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def rule_on_elements(breakpoints, rule):

@@ -46,12 +46,18 @@ interior columns, and the check of the averaging column sweeps back that
 column alone) and the local solution z_k = A_k^-1 [b_k; shifts_k]. The
 augmented matrix is symmetric, so psi^T [b_k; shifts_k], the patch's
 share of the coarse right-hand side, is the multiplier part of z_k. R's
-factor is dropped after this solve. The right-hand side of the
-multiplier system reads the u_gamma part of z_k, and the recovery is a
-product with F_k, P_k and psi plus one backward sweep of the interior
-factor per patch. AugmentedLocalSystem.C, the constraint rows on all
-unknowns as a sparse matrix, is built only when asked for; besides the
-tests, only perfbench/run.py:ieti_counts reads it.
+factor is dropped after this solve, and the dense Y = L^-1 P Q^T of the
+interior condensation (Q = [K_gi; D_0i; D_1i]) once the patch's primal
+basis is checked: Y serves the condensation, the reduced right-hand side,
+the interior rows of z_k and that check, and nothing after. What a patch
+holds after setup is then F_k and S_K (views of the block diagonals), P_k,
+psi's reduced rows, z_k, the band of K_ii, and Q's values on a pattern
+built once per role class. The right-hand side of the multiplier system
+reads the u_gamma part of z_k, and the recovery is a product with F_k,
+P_k and psi plus one solve of the interior band per patch, K_ii^-1
+(-Q^T V). AugmentedLocalSystem.C, the constraint rows on all unknowns as
+a sparse matrix, is built only when asked for; besides the tests, only
+perfbench/run.py:ieti_counts reads it.
 """
 
 import time
@@ -241,34 +247,55 @@ class CondensedLU:
     The unknowns are ordered [u_gamma | u_inner | p | mu], each velocity
     block component major; the reduced ones [u_gamma | p | mu]. interior is
     the BandCholesky of the scalar interior stiffness K_ii, shared by both
-    velocity components (None without interior dofs); Y is
-    condense_interior's L^-1 P [K_ig | D_0i^T | D_1i^T].
-    interior_velocity gives the interior rows of a solution from its
-    reduced rows and the forward sweep of its interior right-hand side. L
-    and U are the triangles of the band factor, the fill held after setup;
-    besides the tests, only perfbench/run.py:ieti_counts reads them.
+    velocity components (None without interior dofs). Q = [K_gi; D_0i;
+    D_1i] is kept as its values q_values on q_pattern (rows, cols), the
+    positions that the element scatter writes
+    (PatchStokesSystem.coupling_pattern), one pattern shared by the patches
+    of a role class. Y, condense_interior's dense L^-1 P Q^T, is held only
+    while the patch is set up: drop_Y releases it, and IetiOperator calls it
+    once the patch's primal basis is checked. interior_velocity gives the
+    interior rows of a solution from its reduced rows. L and U are the
+    triangles of the band factor, the fill held after setup; besides the
+    tests, only perfbench/run.py:ieti_counts reads them.
     """
 
-    def __init__(self, interior, Y, n_gamma, n_pressure):
+    def __init__(self, interior, Y, Q, pattern, n_gamma, n_pressure):
         self.interior, self._Y = interior, Y
+        self.q_pattern, self.q_values = pattern, Q[pattern]
         self._ng, self._ni, self._np = n_gamma, Y.shape[0], n_pressure
+
+    def drop_Y(self):
+        self._Y = None
 
     def interior_velocity(self, y, w=None):
         """The interior velocity rows (2 n_inner, component major) of the
         solution whose reduced part [u_gamma | p | ...] is y (a column per
-        solve): backward(w - Y V), with w the forward sweep of the interior
-        right-hand side (a column per component and solve), or None when
-        that is zero."""
-        ng, ni, npre, Y = self._ng, self._ni, self._np, self._Y
+        solve), with V the columns of y spread over Q's rows per component.
+
+        While Y is held, backward(w - Y V), with w the forward sweep of the
+        interior right-hand side (a column per component and solve), or
+        None when that is zero. After drop_Y, K_ii^-1 (-Q^T V): one solve
+        of the band factor, with Q^T V summed over Q's pattern; w must then
+        be None (ValueError).
+        """
+        ng, ni, npre = self._ng, self._ni, self._np
         k = y.shape[1]
         if not ni:
             return np.zeros((0, k))
-        V = np.zeros((Y.shape[1], 2 * k))
-        V[:ng, :k] = y[:ng]
-        V[:ng, k:] = y[ng : 2 * ng]
-        V[ng : ng + npre, :k] = V[ng + npre :, k:] = y[2 * ng : 2 * ng + npre]
-        v = Y @ V
-        x_i = self.interior.backward(np.negative(v, out=v) if w is None else w - v)
+        V = np.zeros((2 * k, ng + 2 * npre))  # V^T: a row per component and solve
+        V[:k, :ng] = y[:ng].T
+        V[k:, :ng] = y[ng : 2 * ng].T
+        V[:k, ng : ng + npre] = V[k:, ng + npre :] = y[2 * ng : 2 * ng + npre].T
+        if self._Y is not None:
+            v = self._Y @ V.T
+            x_i = self.interior.backward(np.negative(v, out=v) if w is None else w - v)
+        elif w is not None:
+            raise ValueError("an interior right-hand side needs Y, dropped after setup")
+        else:
+            rows, cols = self.q_pattern
+            v = np.stack([np.bincount(cols, weights=self.q_values * row[rows], minlength=ni)
+                          for row in V], axis=1)  # Q^T V
+            x_i = self.interior.solve(np.negative(v, out=v))
         return x_i.reshape(ni, 2, k).transpose(1, 0, 2).reshape(2 * ni, k)
 
     @property
@@ -292,9 +319,11 @@ class AugmentedLocalSystem:
 
     is factored next through factorize. K_ii is factored, and S, the
     condensed divergence D_g and D_i K_ii^-1 D_i^T are formed, by
-    PatchStokesSystem.condense_interior; its factor and Y go on to
-    CondensedLU (lu). C is the dense block [C_g, C_p] of the constraint rows
-    on [u_gamma | p] (PrimalConstraints.rows), kept as it is in C_reduced; a
+    PatchStokesSystem.condense_interior; its factor, Y and Q's values on
+    pattern (PatchStokesSystem.coupling_pattern, which IetiOperator builds
+    once per role class; built from system when None) go on to CondensedLU
+    (lu). C is the dense block [C_g, C_p] of the constraint rows on
+    [u_gamma | p] (PrimalConstraints.rows), kept as it is in C_reduced; a
     block of another width raises ValueError. shifts are the constraint
     values of the local problem, and label names the patch in errors.
 
@@ -313,15 +342,18 @@ class AugmentedLocalSystem:
     - x_local and mu_local: the x and multiplier parts of the local
       solution A^-1 [b; shifts].
 
-    R's factor is dropped once this solve is done. S is the scalar Schur
-    complement K_gg - K_gi K_ii^-1 K_ig, which the preconditioner applies
-    to each component. A3 and C, the constraint rows on all n_x unknowns,
+    R's factor is dropped once this solve is done; lu still holds Y, which
+    build_primal_basis reads, until lu.drop_Y (IetiOperator calls it once
+    the basis is checked). S is the scalar Schur complement K_gg - K_gi
+    K_ii^-1 K_ig, a copy, so that the condensed divergence rows computed
+    with it are not held; the preconditioner applies it to each component.
+    A3 and C, the constraint rows on all n_x unknowns,
     are built only when asked for. A failed check on R means the
     constraint set leaves the saddle system singular (e.g. a floating
     patch stripped of its corner and flux rows).
     """
 
-    def __init__(self, system, C, shifts, label="patch"):
+    def __init__(self, system, C, shifts, label="patch", pattern=None):
         self.system = system
         ths = system.ths
         ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
@@ -334,8 +366,9 @@ class AugmentedLocalSystem:
         self.C_reduced = C
 
         cond = system.condense_interior("interior stiffness of %s" % label)
-        self.S = cond.S
-        self.lu = CondensedLU(cond.lu, cond.Y, ng, npre)
+        self.S = cond.S.copy()  # a view would hold the condensed D_g rows too
+        self.lu = CondensedLU(cond.lu, cond.Y, cond.Q, pattern or system.coupling_pattern(),
+                              ng, npre)
         p = slice(ng2, ng2 + npre)
         R = np.zeros((ng2 + npre + self.n_mu,) * 2)
         R[:ng, :ng] = R[ng:ng2, ng:ng2] = self.S
@@ -428,22 +461,22 @@ def build_primal_basis(aug, ths):
 # the dual-primal operator
 
 
-def _block_diagonal(blocks):
-    """CSR matrix with the dense square blocks on its diagonal, every entry
-    of every block stored, and the blocks as views of its data.
+def _block_diagonal(sizes):
+    """CSR matrix with dense square blocks of the given sizes on its
+    diagonal, every entry of every block stored, all zero.
 
-    Returns (matrix, views): views[k] is blocks[k]'s place in matrix.data,
-    reshaped to a square, so a caller that keeps the views in place of the
-    blocks holds each entry once. Built in one pass: scipy's block_diag
-    converts each block on its own (4.7 against 1.0 ms for the 64 F_k of
-    quarter_annulus(1,2,8,8), p=2, l=2)."""
-    sizes = [len(b) for b in blocks]
+    Returns (matrix, views): views[k] is block k's place in matrix.data,
+    reshaped to a square. A caller writes each block into its view and
+    keeps the view in place of the block, so it holds each entry once, and
+    no second copy of all blocks exists on the way (np.zeros touches a page
+    only when a block is written to it). Built in one pass: scipy's
+    block_diag converts each block on its own (4.7 against 1.0 ms for the
+    64 F_k of quarter_annulus(1,2,8,8), p=2, l=2)."""
     starts = np.cumsum([0] + sizes)
     indices = np.concatenate([np.tile(np.arange(a, b, dtype=np.int32), b - a)
                               for a, b in zip(starts[:-1], starts[1:])])
     indptr = np.concatenate([[0], np.cumsum(np.repeat(sizes, sizes))])
-    A = sp.csr_matrix((np.concatenate([b.ravel() for b in blocks]), indices, indptr),
-                      shape=(starts[-1],) * 2)
+    A = sp.csr_matrix((np.zeros(len(indices)), indices, indptr), shape=(starts[-1],) * 2)
     ends = np.cumsum([n * n for n in sizes])
     return A, [A.data[e - n * n : e].reshape(n, n) for n, e in zip(sizes, ends)]
 
@@ -454,8 +487,12 @@ class IetiOperator:
     B is the jump matrix over all patches' u_gamma blocks (columns
     gamma_slices[k] for patch k). F is the CSR block diagonal of the
     patches' condensed blocks F_k, on the same columns, and the only copy
-    of them: each local system's F is a view of F.data. apply_F is the
-    coarse term plus B F B^T lam, with no local solve.
+    of them: it is allocated before the patches are set up, each F_k is
+    written into its place in F.data as its patch is done, and the local
+    system's F becomes that view, so no second copy of all F_k is made.
+    Each patch drops its Y (CondensedLU.drop_Y) in the same step, after
+    build_primal_basis. apply_F is the coarse term plus B F B^T lam, with
+    no local solve.
 
     Each local system keeps the local solution z_k = A_k^-1 [b_k; shifts_k]
     of its setup solve (x_local, mu_local). As A_k is symmetric, the coarse
@@ -464,8 +501,8 @@ class IetiOperator:
     x_local the solution for -B_k^T lam on u_gamma and the primal values
     v = s x_pi[G] on the constraint rows: its reduced rows are
     y_gamma = F_k (-B_k^T lam) + psi_gamma v and y_p = P_k (-B_k^T lam) +
-    psi_p v, and its interior velocity is one backward sweep of the
-    interior factor (CondensedLU.interior_velocity). Only the coarse factor
+    psi_p v, and its interior velocity is one solve of the interior band
+    with Q's values (CondensedLU.interior_velocity). Only the coarse factor
     is solved with besides.
 
     The coarse layer stays sparse. A_pi sums, over the patches, the signed
@@ -498,10 +535,18 @@ class IetiOperator:
         a_pi = ([], [], [])  # triplets of A_pi
         psi_g = ([], [], [])  # signed u_gamma rows of the primal basis, on B's columns
         b_pi = np.zeros(n_pi)
+        self.F, F_views = _block_diagonal([2 * ths.n_gamma for ths in spaces])
+        patterns = {}  # Q's pattern per role class
         for k, ths in enumerate(spaces):
+            key = _role_class(ths)
+            if key not in patterns:
+                patterns[key] = systems[k].coupling_pattern()
             aug = AugmentedLocalSystem(systems[k], constraints.rows[k], constraints.shifts[k],
-                                       label="patch %d" % k)
+                                       label="patch %d" % k, pattern=patterns[key])
             pg, pm = build_primal_basis(aug, ths)
+            aug.lu.drop_Y()  # the patch is set up
+            F_views[k][...] = aug.F
+            aug.F = F_views[k]
             self.locals_.append(aug)
 
             G = constraints.globals_[k]
@@ -516,9 +561,6 @@ class IetiOperator:
             psi_g[0].append(np.repeat(offsets[k] + np.arange(ng2), len(G)))
             psi_g[1].append(np.tile(G, ng2))  # G has no repeats within a patch
             psi_g[2].append((pg * s).ravel())
-        self.F, views = _block_diagonal([aug.F for aug in self.locals_])
-        for aug, F in zip(self.locals_, views):
-            aug.F = F
         t2 = time.perf_counter()
         rows, cols, vals = (np.concatenate(a) for a in psi_g)
         self.B_pi = self.B @ sp.csr_matrix((vals, (rows, cols)), shape=(offsets[-1], n_pi))
@@ -581,18 +623,20 @@ class ScaledDirichletPreconditioner:
     S_K is the velocity Schur complement on the interface block. Both
     components share the scalar complement S that each local system read
     off at setup, from the K_ii factor it holds. The CSR block diagonal S of
-    these is their only copy (each local system's S becomes a view of
-    S.data), and it acts on both components at once: apply multiplies it
-    with a two-column block, between products with the jump matrix B of
-    IetiOperator whose columns are reordered to [component 0 of every patch
-    | component 1 of every patch].
+    these is their only copy: each is written into its place in the
+    preallocated S.data, as IetiOperator does with the F_k, and the local
+    system's S becomes that view. S acts on both components at once: apply
+    multiplies it with a two-column block, between products with the jump
+    matrix B of IetiOperator whose columns are reordered to [component 0 of
+    every patch | component 1 of every patch].
     """
 
     def __init__(self, locals_, B):
         self.B = B
         self.locals_ = locals_
-        self.S, views = _block_diagonal([aug.S for aug in locals_])
+        self.S, views = _block_diagonal([len(aug.S) for aug in locals_])
         for aug, S in zip(locals_, views):
+            S[...] = aug.S
             aug.S = S
         # B's columns run over the patches' u_gamma blocks [component 0 |
         # component 1]; new[j] is column j's place in the reordered B

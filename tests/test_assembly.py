@@ -495,21 +495,27 @@ def test_dense_factor_triangles_are_structural():
 
 
 def test_kernels_build_one_gauss_rule_per_call(monkeypatch):
-    # the element tables use one rule for x and y, the Dirichlet projection
-    # one for its four sides, the error kernel and the area one each
+    # each rule size is computed once per process: the element tables use
+    # one rule (5 points) for x and y, and the Dirichlet projection, the
+    # error kernel and the area share the 6-point rule; the cached rules
+    # are read-only
     calls = []
     real = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda n: calls.append(n) or real(n))
+    gauss_rule_1d.cache_clear()
     geo = unit_square()
     ths = build_taylor_hood(geo, 2, refinement=2)
     assemble_patch(geo, ths, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
     assert calls == [5, 6]
     patch_errors(geo, ths, np.zeros((2, ths.vel.dim)), None)
     geo.area()
-    assert calls == [5, 6, 6, 6]
+    assert calls == [5, 6]
+    rule = gauss_rule_1d(6)
+    assert gauss_rule_1d(6) is rule and not any(a.flags.writeable for a in rule)
     # the flux rows one per distinct rule size, over all families and sides
     calls.clear()
+    gauss_rule_1d.cache_clear()
     mp = parse_domain("grid(2,2)")
     spaces = taylor_hood_spaces(mp, 2, refinement=1)
     family_flux_rows(mp.patches, spaces, [SIDES] * len(mp.patches))

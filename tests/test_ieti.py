@@ -735,9 +735,9 @@ def test_setup_sweeps_the_interior_right_hand_side_only_when_it_is_nonzero(monke
 
 
 def test_recover_solves_only_the_coarse_system_and_the_interior_bands(monkeypatch):
-    # recover makes one coarse solve and one backward sweep of each
-    # patch's interior band; everything else is a product with what setup
-    # kept
+    # recover makes one coarse solve and one solve of each patch's interior
+    # band, its forward and its backward sweep (the patch holds Q, not Y,
+    # after setup); everything else is a product with what setup kept
     mp, spaces, glob = build_grid_problem(3, 3, degree=2)
     op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
     lam, rep = solve_pcg(op.apply_F, pc.apply, op.rhs())
@@ -755,7 +755,123 @@ def test_recover_solves_only_the_coarse_system_and_the_interior_bands(monkeypatc
             monkeypatch.setattr(cls, name, counting)
     op.recover(lam)
     assert calls[0] == (op._coarse_lu, "solve") and isinstance(op._coarse_lu, DenseLU)
-    assert calls[1:] == [(aug.lu.interior, "backward") for aug in op.locals_]
+    assert calls[1:] == [(aug.lu.interior, name) for aug in op.locals_
+                         for name in ("solve", "forward", "backward")]
+
+
+def _reachable_arrays(obj, seen=None):
+    """The arrays reachable from obj through attributes, tuples, lists and
+    array bases."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        children = [obj.base]
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    else:
+        children = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    for child in children:
+        yield from _reachable_arrays(child, seen)
+
+
+def test_a_patch_holds_q_and_no_y_after_setup(monkeypatch):
+    # quarter_annulus(1,2,8,8), p=2, l=1 has all nine role classes. After
+    # setup_ieti no patch holds the dense Y of its condensation, the
+    # patches of a role class share Q's pattern, F and S are the block
+    # diagonals' data, and neither setup nor recover builds a scipy sparse
+    # matrix per patch: the count is the same at 16 and at 64 patches
+    from scipy.sparse import _base
+
+    Ys = []
+    real_condense = PatchStokesSystem.condense_interior
+
+    def condense(self, what):
+        cond = real_condense(self, what)
+        Ys.append(weakref.ref(cond.Y))
+        return cond
+
+    built = []
+    real_init = _base._spbase.__init__
+    monkeypatch.setattr(PatchStokesSystem, "condense_interior", condense)
+    monkeypatch.setattr(_base._spbase, "__init__",
+                        lambda self, *args, **kw: built.append(type(self))
+                        or real_init(self, *args, **kw))
+    counts = []
+    for n in (4, 8):
+        mp = parse_domain("quarter_annulus(1,2,%d,%d)" % (n, n))
+        spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+        Ys.clear()
+        built.clear()
+        op, pc = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+        in_setup = len(built)
+        op.recover(np.random.default_rng(4).standard_normal(op.n_lambda))
+        counts.append((in_setup, len(built) - in_setup))
+    assert counts[0] == counts[1]
+    assert len(Ys) == len(spaces) == 64 and all(ref() is None for ref in Ys)
+    classes = {}
+    for aug, ths in zip(op.locals_, spaces):
+        y_shape = (ths.n_inner, ths.n_gamma + 2 * ths.n_pressure)
+        assert not any(a.shape == y_shape for a in _reachable_arrays(aug.lu))
+        classes.setdefault(id(ths.pos), []).append(aug.lu.q_pattern)
+    assert len(classes) == 9
+    for patterns in classes.values():
+        assert all(p[0] is patterns[0][0] and p[1] is patterns[0][1] for p in patterns)
+    for aug in op.locals_:
+        assert np.shares_memory(aug.F, op.F.data) and np.shares_memory(aug.S, pc.S.data)
+
+
+def test_q_path_of_interior_velocity_matches_the_y_sweep():
+    # after setup interior_velocity forms K_ii^-1 (-Q^T V) from Q's values
+    # on its pattern; it equals backward(-Y V) of condense_interior's Y on
+    # a patch of every role class of quarter_annulus(1,2,8,8) and on a
+    # patch without interior dofs, and Q's pattern is where the element
+    # scatter writes, read off the element dof ids
+    mp = parse_domain("quarter_annulus(1,2,8,8)")
+    spaces = taylor_hood_spaces(mp, degree=2, refinement=1)
+    op, _ = setup_ieti(mp, spaces, rhs=manufactured_rhs, dirichlet=manufactured_velocity)
+    first = {}
+    for k, ths in enumerate(spaces):
+        first.setdefault(id(ths.pos), k)
+    assert len(first) == 9
+    no_interior = _patch_without_interior()[0][0]
+    no_interior.lu.drop_Y()
+    rng = np.random.default_rng(29)
+    for aug in [op.locals_[k] for k in first.values()] + [no_interior]:
+        sysk, ths = aug.system, aug.system.ths
+        ng, ni, npre = ths.n_gamma, ths.n_inner, ths.n_pressure
+        k = 3
+        y = rng.standard_normal((2 * ng + npre + aug.n_mu, k))
+        if ni:  # an interior right-hand side needs Y
+            with pytest.raises(ValueError):
+                aug.lu.interior_velocity(y, np.zeros((ni, 2 * k)))
+        got = aug.lu.interior_velocity(y)
+        cond = sysk.condense_interior("interior stiffness of the reference")
+        V = np.zeros((ng + 2 * npre, 2 * k))  # [y_gamma per component; p on D_0, D_1 rows]
+        V[:ng, :k], V[:ng, k:] = y[:ng], y[ng : 2 * ng]
+        V[ng : ng + npre, :k] = V[ng + npre :, k:] = y[2 * ng : 2 * ng + npre]
+        X = cond.lu.backward(-(cond.Y @ V)) if ni else np.zeros((0, 2 * k))
+        ref = np.concatenate([X[:, :k], X[:, k:]])
+        assert got.shape == ref.shape == (2 * ni, k)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
+        # the pattern: per element, the (interface, interior) pairs of the
+        # stiffness and the (pressure, interior) pairs of each divergence
+        inner = {d: i for i, d in enumerate(ths.inner)}
+        gamma = {d: j for j, d in enumerate(ths.gamma)}
+        want = set()
+        for iv, ip in zip(sysk._el.iv, sysk._el.ip):
+            ins = [inner[d] for d in iv if d in inner]
+            want |= {(gamma[d], i) for d in iv if d in gamma for i in ins}
+            want |= {(ng + c * npre + q, i) for c in (0, 1) for q in ip for i in ins}
+        rows, cols = aug.lu.q_pattern
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(want)
+        assert not rows.flags.writeable and not cols.flags.writeable
+        Q = cond.Q.copy()
+        assert np.array_equal(aug.lu.q_values, Q[rows, cols])
+        Q[rows, cols] = 0.0
+        assert not Q.any()
 
 
 def test_preconditioner_shares_the_interior_factor():
